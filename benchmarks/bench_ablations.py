@@ -16,7 +16,8 @@ from repro.core import (
     SurrogateParams,
     SurrogateTrainer,
 )
-from repro.harness import SMOKE, build_async, build_sync, make_population
+from repro.harness import SMOKE, async_scenario, make_population, sync_scenario
+from repro.harness.runner import deploy
 from repro.harness.report import print_table
 
 
@@ -63,7 +64,7 @@ class TestOverSelectionAblation:
             pop = make_population(SMOKE.population, seed=0)
             rows = []
             for o in (0.0, 0.1, 0.3, 0.5):
-                sim = build_sync(16, pop, over_selection=o, seed=0)
+                sim = deploy(sync_scenario(16, pop, over_selection=o, seed=0), pop)
                 res = sim.run(t_end=3600.0)
                 s = res.stats("sync")
                 steps = s.server_steps
@@ -100,7 +101,9 @@ class TestMaxStalenessAblation:
             pop = make_population(SMOKE.population, seed=0)
             rows = []
             for bound in (1, 4, 1000):
-                sim = build_async(32, 4, pop, seed=0, max_staleness=bound)
+                sim = deploy(
+                    async_scenario(32, 4, pop, seed=0, max_staleness=bound), pop
+                )
                 res = sim.run(t_end=3600.0)
                 s = res.stats("async")
                 rows.append((bound, s.aborted, s.mean_staleness, s.aggregated))
@@ -132,7 +135,9 @@ class TestGoalFractionAblation:
             rows = []
             for frac in (0.05, 0.15, 0.5, 1.0):
                 goal = max(1, int(32 * frac))
-                sim = build_async(32, goal, pop, seed=0, surrogate=params)
+                sim = deploy(
+                    async_scenario(32, goal, pop, seed=0, surrogate=params), pop
+                )
                 res = sim.run(t_end=3600.0 * 6, target_loss=2.55)
                 t = res.stats("async").time_to_target
                 rows.append((frac, goal, None if t is None else t / 3600.0))

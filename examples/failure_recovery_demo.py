@@ -16,7 +16,15 @@ Run:
 """
 
 
-from repro.api import Deployment, ExecutionSpec, PopulationSpec, ScenarioSpec, TaskSpec
+from repro.api import (
+    Deployment,
+    ExecutionSpec,
+    FaultEvent,
+    FaultSpec,
+    PopulationSpec,
+    ScenarioSpec,
+    TaskSpec,
+)
 from repro.harness import print_series, print_table
 
 
@@ -35,13 +43,13 @@ def main() -> None:
         ),
         system={"n_aggregators": 3, "heartbeat_interval_s": 5.0},
         execution=ExecutionSpec(seed=11, t_end_s=3600.0),
+        # Aggregator 0 dies at t=10min; coordinator outage 25-27min.
+        faults=FaultSpec(events=(
+            FaultEvent("aggregator_crash", 600.0, {"node": 0}),
+            FaultEvent("coordinator_outage", 1500.0, {"duration_s": 120.0}),
+        )),
     )
     deployment = Deployment.from_spec(spec)
-    sim = deployment.build()
-
-    # Inject: aggregator 0 dies at t=10min; coordinator outage 25-27min.
-    sim.inject_aggregator_failure(at_time=600.0, node_id=0)
-    sim.inject_coordinator_outage(at_time=1500.0, duration_s=120.0)
 
     print("Running 1 simulated hour with injected failures ...")
     result = deployment.run()

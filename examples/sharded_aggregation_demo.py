@@ -41,6 +41,7 @@ from repro.core import FedBuffAggregator, ShardedFedBuffAggregator, TrainingResu
 from repro.core.server_opt import FedAdam
 from repro.core.sharding import AggregationPlaneClock
 from repro.core.state import GlobalModelState
+from repro.sim.faults import FaultInjector
 
 PARAMS = 20_000
 GOAL = 32
@@ -139,7 +140,7 @@ def system_failover():
     rt = fs.task_runtimes["demo"]
     print(f"initial shard placement: {fs.coordinator.shard_placement['demo']}")
     victim = rt.shard_nodes[0].node_id
-    fs.inject_aggregator_failure(at_time=120.0, node_id=victim)
+    FaultInjector(fs, seed=fs.seed).schedule("aggregator_crash", 120.0, node=victim)
     res = deployment.run()
     stats = res.stats()
     print(f"killed node {victim} at t=120s; detected by heartbeat sweep")

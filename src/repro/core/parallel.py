@@ -3,26 +3,34 @@
 PR-4's sharded plane parallelism is *modeled*: a single thread folds
 every shard partial and :class:`~repro.core.sharding.AggregationPlaneClock`
 charges the measured costs to virtual lanes.  This module makes the
-parallelism real while keeping the numbers bit-identical:
+parallelism real while keeping the numbers bit-identical, with **one
+pool, pluggable lanes, and one fallback path**:
 
 * :class:`ShardWorkerPool` runs one ``multiprocessing`` worker process
   per shard.  Delta blocks travel through two
   ``multiprocessing.shared_memory`` slabs — a float32 *input slab* of
-  reusable slots the parent writes arrivals into, and a float64
-  *partials slab* with exactly one row per shard, written **only** by
-  that shard's worker (single-writer discipline; the parent only reads
-  it at merge time).  Task messages carry slot indices and weights, so
+  reusable slots the parent writes arrivals into, and an *output slab*
+  whose rows belong to exactly one shard each, written **only** by that
+  shard's worker (single-writer discipline; the parent only reads it at
+  merge time).  Task messages carry slot indices and small scalars, so
   no update payload is ever pickled.
-* :class:`ProcessShardedFedBuffAggregator` overrides the
+* What a worker *does* with a task is the pool's **lane**: a small
+  picklable object that states its output rows/dtype and, inside the
+  worker, turns ``(op, slots, args)`` into a state change plus an
+  optional ack payload.  :class:`FoldLane` (here) is the float partial
+  fold; the secure lane (a whole TSA + server pair per worker) lives
+  next to its shard state in :mod:`repro.system.secure_sharding`.
+* :class:`ProcessExecutorMixin` is the parent-side half every
+  process-executor aggregator shares: pool ownership, the
+  ``WorkerPoolError`` → ``executor_fallback`` translation, and the pool
+  hooks on the shard-failover paths.
+  :class:`ProcessShardedFedBuffAggregator` applies it to the
   ``_fold_one`` / ``_fold_group`` / ``_merge_shards`` seam of
-  :class:`~repro.core.sharding.ShardedFedBuffAggregator`: folds are
-  dispatched asynchronously to the shard's worker, and the root reducer
-  barriers on the acks, then merges the shard partials in ascending
-  shard order.
+  :class:`~repro.core.sharding.ShardedFedBuffAggregator`.
 
 Determinism contract
 --------------------
-The worker executes the *identical* float operation sequence as the
+The fold worker executes the *identical* float operation sequence as the
 in-process shard core — scalar ``partial += w * delta.astype(float64)``,
 grouped ``partial += weights @ deltas.astype(float64)`` on arrays of the
 same dtype, shape, and layout, accumulated in per-shard arrival order
@@ -38,17 +46,17 @@ Workers are spawned at pool construction (``fork``/``spawn``/
 ``forkserver`` via ``start_method``), torn down by :meth:`close` (also
 registered as a GC finalizer so interrupted runs don't leak processes).
 A worker that dies — or an exhausted input slab — triggers a permanent
-fallback to the inline executor: the parent replays the current epoch's
-dispatch log against the still-live input slab with the same fold
-kernel, reconstructing every shard partial bit-identically, and surfaces
-a structured ``executor_fallback`` event (``on_event`` callback; the
-system layer wires it into the run's :class:`EventLog`).  Mirroring the
-sweep executor in ``repro.harness.sweep``, a failed worker therefore
-costs a log line and the lost parallelism, never the result.
+fallback to the inline executor: the aggregator rebuilds its inline
+shard state from the current epoch's dispatch log and the still-live
+input slab, bit-identically, and surfaces a structured
+``executor_fallback`` event (``on_event`` callback; the system layer
+wires it into the run's :class:`EventLog`).  Mirroring the sweep
+executor in ``repro.harness.sweep``, a failed worker therefore costs a
+log line and the lost parallelism, never the result.
 
 A pluggable fold kernel rides the same seam: :func:`register_fold_kernel`
-names the function each worker applies per task (numpy default); custom
-kernels register at import time of ``kernel_module``, the same
+names the function each fold worker applies per task (numpy default);
+custom kernels register at import time of ``kernel_module``, the same
 re-import-by-module-name convention ``SweepCell.runner_module`` uses for
 spawn-started pool workers.
 """
@@ -69,8 +77,9 @@ from repro.core.sharding import ShardedFedBuffAggregator
 
 __all__ = [
     "WorkerPoolError",
+    "FoldLane",
     "ShardWorkerPool",
-    "SecureShardWorkerPool",
+    "ProcessExecutorMixin",
     "ProcessShardedFedBuffAggregator",
     "register_fold_kernel",
     "get_fold_kernel",
@@ -143,6 +152,61 @@ def numpy_fold_kernel(partial, inputs, slots, weights, grouped) -> None:
 register_fold_kernel("numpy", numpy_fold_kernel)
 
 
+# -- lanes ---------------------------------------------------------------------
+
+
+class FoldLane:
+    """The float lane: one float64 partial row per shard, folded in place.
+
+    A *lane* is what distinguishes one pool from another.  It is pickled
+    into every worker, so it holds configuration only; it states the
+    shard's share of the output slab (``out_rows`` rows of
+    ``out_dtype``), the op :meth:`ShardWorkerPool.reset_epoch` /
+    :meth:`~ShardWorkerPool.discard_shard` post to wipe a shard's epoch
+    state (``reset_op``), and :meth:`open` builds — inside the worker —
+    the handler that turns ``(op, slots, args)`` into a state change and
+    an ack payload (``None`` for none; a :class:`WorkerPoolError` to
+    fail the pool parent-side).
+
+    Ops: ``fold`` (``args = (weights, grouped)``) applies the registered
+    kernel to the named input slots; ``reset`` zeroes the partial.
+    """
+
+    out_rows = 1
+    out_dtype = np.float64
+    reset_op = "reset"
+
+    def __init__(self, fold_kernel: str = "numpy", kernel_module: str | None = None):
+        self.fold_kernel = fold_kernel
+        self.kernel_module = kernel_module
+        self.kernel()  # validates the name before any worker is spawned
+
+    def kernel(self):
+        """Resolve the fold kernel (importing ``kernel_module`` first)."""
+        if self.kernel_module:
+            importlib.import_module(self.kernel_module)
+        return get_fold_kernel(self.fold_kernel)
+
+    def open(self, shard_id: int, inputs: np.ndarray, rows: np.ndarray):
+        """The worker-side op handler.  Deliberately thin — all float
+        math lives in the registered kernel, which the equivalence suite
+        also drives in-process."""
+        kernel = self.kernel()
+        partial = rows[0]  # the one row this process may write
+
+        def handle(op: str, slots: tuple[int, ...], args: tuple):
+            if op == "fold":
+                weights, grouped = args
+                kernel(partial, inputs, slots, weights, grouped)
+            else:  # "reset"
+                partial[:] = 0.0
+
+        return handle
+
+    def __repr__(self) -> str:
+        return f"FoldLane(kernel={self.fold_kernel!r})"
+
+
 # -- worker process ------------------------------------------------------------
 
 
@@ -167,50 +231,47 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 def _worker_main(
     shard_id: int,
+    lane,
     input_name: str,
-    partials_name: str,
+    output_name: str,
     num_shards: int,
     vector_length: int,
     slots: int,
-    kernel_name: str,
-    kernel_module: str | None,
     task_queue,
     ack_queue,
 ) -> None:
-    """One shard lane: apply fold/reset tasks to this shard's partial row.
+    """One shard lane: feed ``(op, slots, args, token)`` tasks to the
+    lane's handler and ack each one.
 
-    Runs in a child process.  The loop body is deliberately thin — all
-    float math lives in the registered kernel, which the equivalence
-    suite also drives in-process.
+    Runs in a child process.  Acks are ``(shard_id, token)``, with the
+    handler's payload appended only when it returned one — the fold hot
+    path pickles nothing it doesn't need.
     """
-    if kernel_module:
-        importlib.import_module(kernel_module)
-    kernel = get_fold_kernel(kernel_name)
     input_shm = _attach_untracked(input_name)
-    partials_shm = _attach_untracked(partials_name)
+    output_shm = _attach_untracked(output_name)
     inputs = np.ndarray(
         (slots, vector_length), dtype=np.float32, buffer=input_shm.buf
     )
-    partials = np.ndarray(
-        (num_shards, vector_length), dtype=np.float64, buffer=partials_shm.buf
+    out = np.ndarray(
+        (num_shards, lane.out_rows, vector_length),
+        dtype=lane.out_dtype,
+        buffer=output_shm.buf,
     )
-    partial = partials[shard_id]  # the one row this process may write
+    handle = lane.open(shard_id, inputs, out[shard_id])
     try:
         while True:
             msg = task_queue.get()
             if msg is None:
                 break
-            if msg[0] == "fold":
-                _, task_slots, weights, grouped, token = msg
-                kernel(partial, inputs, task_slots, weights, grouped)
-            else:  # "reset"
-                token = msg[1]
-                partial[:] = 0.0
-            ack_queue.put((shard_id, token))
+            op, task_slots, args, token = msg
+            payload = handle(op, task_slots, args)
+            ack_queue.put(
+                (shard_id, token) if payload is None else (shard_id, token, payload)
+            )
     finally:
-        del inputs, partials, partial
+        del handle, inputs, out
         input_shm.close()
-        partials_shm.close()
+        output_shm.close()
 
 
 # -- pool ----------------------------------------------------------------------
@@ -250,20 +311,22 @@ def _cleanup(procs, task_queues, ack_queue, shms) -> None:
 
 
 class ShardWorkerPool:
-    """One worker process per shard + the shared-memory slabs they fold on.
+    """One worker process per shard + the shared-memory slabs they work on.
 
     Parameters
     ----------
     num_shards, vector_length:
-        Shape of the partials slab (one float64 row per shard).
+        Shape of the output slab (``lane.out_rows`` rows per shard).
     slots:
         Input-slab capacity in arrivals.  Slots are held for the whole
         buffer epoch (so a fallback can replay the epoch from the slab)
         and all freed at the merge barrier; size it at ~2x the
         aggregation goal to ride out shard-failover refills.
-    fold_kernel, kernel_module:
-        Registered kernel name workers apply per task, and an optional
-        module to import in the worker before resolving it.
+    lane:
+        What each worker does with its tasks (see :class:`FoldLane`).
+        Defaults to the float fold lane built from ``fold_kernel`` /
+        ``kernel_module`` — the registered kernel name workers apply per
+        task, and an optional module to import before resolving it.
     start_method:
         ``multiprocessing`` start method (``None`` = platform default).
     on_event:
@@ -285,6 +348,7 @@ class ShardWorkerPool:
         vector_length: int,
         slots: int,
         *,
+        lane=None,
         fold_kernel: str = "numpy",
         kernel_module: str | None = None,
         start_method: str | None = None,
@@ -297,34 +361,31 @@ class ShardWorkerPool:
             raise ValueError("vector_length must be at least 1")
         if slots < 1:
             raise ValueError("slots must be at least 1")
-        if kernel_module:
-            importlib.import_module(kernel_module)
-        self._kernel = get_fold_kernel(fold_kernel)  # validates the name
+        self.lane = lane if lane is not None else FoldLane(fold_kernel, kernel_module)
         self.num_shards = num_shards
         self.vector_length = vector_length
         self.slots = slots
-        self.fold_kernel = fold_kernel
         self.start_method = start_method
         self.on_event = on_event or _default_on_event
         self.ack_timeout_s = ack_timeout_s
         self.healthy = True
 
         ctx = multiprocessing.get_context(start_method)
+        out_shape = (num_shards, self.lane.out_rows, vector_length)
         self._input_shm = shared_memory.SharedMemory(
             create=True, size=slots * vector_length * 4
         )
-        self._partials_shm = shared_memory.SharedMemory(
-            create=True, size=num_shards * vector_length * 8
+        self._output_shm = shared_memory.SharedMemory(
+            create=True,
+            size=int(np.prod(out_shape)) * np.dtype(self.lane.out_dtype).itemsize,
         )
         self.inputs = np.ndarray(
             (slots, vector_length), dtype=np.float32, buffer=self._input_shm.buf
         )
-        self._partials = np.ndarray(
-            (num_shards, vector_length),
-            dtype=np.float64,
-            buffer=self._partials_shm.buf,
+        self._out = np.ndarray(
+            out_shape, dtype=self.lane.out_dtype, buffer=self._output_shm.buf
         )
-        self._partials[:] = 0.0  # workers are not running yet
+        self._out[:] = 0  # workers are not running yet
         self._task_queues = [ctx.Queue() for _ in range(num_shards)]
         self._ack_queue = ctx.Queue()
         self._procs = [
@@ -332,13 +393,12 @@ class ShardWorkerPool:
                 target=_worker_main,
                 args=(
                     sid,
+                    self.lane,
                     self._input_shm.name,
-                    self._partials_shm.name,
+                    self._output_shm.name,
                     num_shards,
                     vector_length,
                     slots,
-                    fold_kernel,
-                    kernel_module,
                     self._task_queues[sid],
                     self._ack_queue,
                 ),
@@ -353,17 +413,21 @@ class ShardWorkerPool:
         self._free_slots = list(range(slots - 1, -1, -1))
         self._epoch_slots: list[int] = []
         self._outstanding: dict[int, int] = {}  # token -> shard id
+        self._results: dict[int, object] = {}   # token -> ack payload
         self._next_token = 0
-        # Per-epoch dispatch log: (shard, slots, weights, grouped) in
-        # dispatch order — the inline-replay script for fallback.
-        self._log: list[tuple[int, tuple[int, ...], tuple[float, ...], bool]] = []
+        # Per-epoch dispatch log: (shard, op, slots, args) in dispatch
+        # (= arrival) order — the inline-replay script for fallback —
+        # and lifetime dispatches per shard, for lanes whose replay must
+        # first catch up on what earlier epochs consumed.
+        self._log: list[tuple[int, str, tuple[int, ...], tuple]] = []
+        self._dispatched = [0] * num_shards
         self._finalizer = weakref.finalize(
             self,
             _cleanup,
             self._procs,
             self._task_queues,
             self._ack_queue,
-            [self._input_shm, self._partials_shm],
+            [self._input_shm, self._output_shm],
         )
 
     # -- dispatch --------------------------------------------------------------
@@ -379,41 +443,38 @@ class ShardWorkerPool:
         self._epoch_slots.append(slot)
         return slot
 
-    def _dispatch(
-        self,
-        shard_id: int,
-        task_slots: tuple[int, ...],
-        weights: tuple[float, ...],
-        grouped: bool,
-    ) -> None:
+    def _post(self, shard_id: int, op: str, task_slots=(), args=()) -> int:
         token = self._next_token
         self._next_token += 1
         self._outstanding[token] = shard_id
-        self._log.append((shard_id, task_slots, weights, grouped))
-        self._task_queues[shard_id].put(
-            ("fold", task_slots, weights, grouped, token)
-        )
+        self._task_queues[shard_id].put((op, task_slots, args, token))
+        return token
 
-    def fold_scalar(self, shard_id: int, delta: np.ndarray, weight: float) -> None:
-        """Asynchronously fold one arrival into ``shard_id``'s partial."""
-        t0 = time.perf_counter() if self.profiler is not None else 0.0
-        slot = self._take_slot()
-        self.inputs[slot, :] = delta
-        self._dispatch(shard_id, (slot,), (float(weight),), False)
-        if self.profiler is not None:
-            self.profiler.record("pool_dispatch", time.perf_counter() - t0)
+    def dispatch(self, shard_id: int, op: str, args: tuple, deltas) -> None:
+        """Asynchronously run one *logged* lane op on ``shard_id``'s worker.
 
-    def fold_group(self, shard_id: int, deltas, weights) -> None:
-        """Asynchronously fold a grouped block into ``shard_id``'s partial."""
+        Each delta is written into a fresh input slot; the task (and the
+        dispatch log, which is what a fallback replays) names the slots.
+        """
         t0 = time.perf_counter() if self.profiler is not None else 0.0
         task_slots = tuple(self._take_slot() for _ in deltas)
         for slot, delta in zip(task_slots, deltas):
             self.inputs[slot, :] = delta
-        self._dispatch(
-            shard_id, task_slots, tuple(float(w) for w in weights), True
-        )
+        self._log.append((shard_id, op, task_slots, args))
+        self._dispatched[shard_id] += 1
+        self._post(shard_id, op, task_slots, args)
         if self.profiler is not None:
             self.profiler.record("pool_dispatch", time.perf_counter() - t0)
+
+    def fold_scalar(self, shard_id: int, delta: np.ndarray, weight: float) -> None:
+        """Asynchronously fold one arrival into ``shard_id``'s partial."""
+        self.dispatch(shard_id, "fold", ((float(weight),), False), (delta,))
+
+    def fold_group(self, shard_id: int, deltas, weights) -> None:
+        """Asynchronously fold a grouped block into ``shard_id``'s partial."""
+        self.dispatch(
+            shard_id, "fold", (tuple(float(w) for w in weights), True), deltas
+        )
 
     # -- synchronization -------------------------------------------------------
 
@@ -438,17 +499,12 @@ class ShardWorkerPool:
         proc.join(timeout=5.0)
         return True
 
-    def barrier(self) -> None:
-        """Wait until every dispatched task has been acked.
-
-        Raises :class:`WorkerPoolError` (and marks the pool unhealthy)
-        if a worker dies or the acks stall past ``ack_timeout_s``.
-        """
-        t0 = time.perf_counter() if self.profiler is not None else 0.0
+    def _drain_until(self, token: int | None) -> None:
+        """Collect acks until ``token`` arrives (or all, when ``None``)."""
         deadline = time.monotonic() + self.ack_timeout_s
-        while self._outstanding:
+        while self._outstanding if token is None else token in self._outstanding:
             try:
-                _, token = self._ack_queue.get(timeout=0.1)
+                sid, got, *payload = self._ack_queue.get(timeout=0.1)
             except queue_mod.Empty:
                 dead = self.dead_workers()
                 if dead:
@@ -464,55 +520,92 @@ class ShardWorkerPool:
                         f"{len(self._outstanding)} worker ack(s)"
                     ) from None
             else:
-                self._outstanding.pop(token, None)
+                self._outstanding.pop(got, None)
+                if payload:
+                    if isinstance(payload[0], WorkerPoolError):
+                        self.healthy = False
+                        raise payload[0]
+                    self._results[got] = payload[0]
+
+    def barrier(self) -> None:
+        """Wait until every dispatched task has been acked.
+
+        Raises :class:`WorkerPoolError` (and marks the pool unhealthy)
+        if a worker dies, the acks stall past ``ack_timeout_s``, or a
+        lane handler reports a failed op — all of which the caller
+        handles by replaying the dispatch log inline.
+        """
+        t0 = time.perf_counter() if self.profiler is not None else 0.0
+        self._drain_until(None)
+        self._results.clear()
         if self.profiler is not None:
             self.profiler.record("pool_barrier", time.perf_counter() - t0)
 
-    def partial(self, shard_id: int) -> np.ndarray:
-        """Read-only view of one shard's float64 partial row.
+    def call(self, shard_id: int, op: str):
+        """Synchronous, unlogged lane op; returns its ack payload."""
+        token = self._post(shard_id, op)
+        self._drain_until(token)
+        return self._results.pop(token, None)
 
-        Only meaningful after :meth:`barrier`; the parent must never
-        write through it (single-writer discipline).
+    def rows(self, shard_id: int) -> np.ndarray:
+        """Read-only view of one shard's output-slab rows.
+
+        Only meaningful once the op that writes them has been acked; the
+        parent must never write through it (single-writer discipline).
         """
-        return self._partials[shard_id]
+        return self._out[shard_id]
+
+    def partial(self, shard_id: int) -> np.ndarray:
+        """One shard's float64 partial row (fold lane, after :meth:`barrier`)."""
+        return self._out[shard_id, 0]
 
     # -- epoch lifecycle -------------------------------------------------------
 
     def reset_epoch(self) -> None:
-        """After a merged server step: zero every partial, free all slots."""
+        """After a merged server step: reset every lane, free all slots."""
         for shard_id in range(self.num_shards):
-            token = self._next_token
-            self._next_token += 1
-            self._outstanding[token] = shard_id
-            self._task_queues[shard_id].put(("reset", token))
+            self._post(shard_id, self.lane.reset_op)
         self._free_slots.extend(self._epoch_slots)
         self._epoch_slots.clear()
         self._log.clear()
 
     def discard_shard(self, shard_id: int) -> None:
-        """Shard failover: drop its epoch tasks and zero its partial."""
+        """Shard failover: drop its epoch tasks and reset its lane.
+
+        The lifetime dispatch count is deliberately *not* rolled back —
+        the worker really consumed those tasks, so a catch-up replay
+        must include them.
+        """
         self._log = [t for t in self._log if t[0] != shard_id]
-        token = self._next_token
-        self._next_token += 1
-        self._outstanding[token] = shard_id
-        self._task_queues[shard_id].put(("reset", token))
+        self._post(shard_id, self.lane.reset_op)
+
+    def epoch_log(self) -> list[tuple[int, str, tuple[int, ...], tuple]]:
+        """The open epoch's dispatch log (the replay script), in order."""
+        return list(self._log)
+
+    def dispatched_before_epoch(self, shard_id: int) -> int:
+        """Tasks the shard's worker consumed before the open epoch's."""
+        return self._dispatched[shard_id] - sum(
+            1 for t in self._log if t[0] == shard_id
+        )
 
     def replay_partials(self) -> dict[int, np.ndarray]:
-        """Recompute every shard partial inline from the dispatch log.
+        """Recompute every fold-lane partial inline from the dispatch log.
 
         The log preserves per-shard dispatch (= arrival) order and every
         epoch slot is still live in the input slab, so applying the same
         kernel from a zeroed buffer reproduces each worker's fold
         sequence bit-for-bit — this is the dead-worker fallback path.
         """
+        kernel = self.lane.kernel()
         out: dict[int, np.ndarray] = {}
-        for shard_id, task_slots, weights, grouped in self._log:
+        for shard_id, _, task_slots, (weights, grouped) in self._log:
             buf = out.get(shard_id)
             if buf is None:
                 buf = out[shard_id] = np.zeros(
                     self.vector_length, dtype=np.float64
                 )
-            self._kernel(buf, self.inputs, task_slots, weights, grouped)
+            kernel(buf, self.inputs, task_slots, weights, grouped)
         return out
 
     # -- teardown --------------------------------------------------------------
@@ -537,447 +630,127 @@ class ShardWorkerPool:
         return (
             f"ShardWorkerPool(shards={self.num_shards}, "
             f"vector_length={self.vector_length}, slots={self.slots}, "
-            f"kernel={self.fold_kernel!r}, {state})"
+            f"lane={self.lane!r}, {state})"
         )
 
 
-# -- secure shard workers ------------------------------------------------------
+# -- process-executor aggregators ----------------------------------------------
 
 
-def _secure_worker_main(
-    shard_id: int,
-    num_shards: int,
-    seed: int,
-    goal: int,
-    vector_length: int,
-    group_bits: int,
-    fp_scale: float,
-    clip_value: float,
-    cache_masks: bool,
-    input_name: str,
-    group_name: str,
-    slots: int,
-    task_queue,
-    ack_queue,
-) -> None:
-    """One secure shard lane: the worker OWNS its shard's TSA + server.
+class ProcessExecutorMixin:
+    """The parent-side half every process-executor aggregator shares.
 
-    Unlike the float lanes (which only fold), a secure lane runs the
-    whole per-arrival pipeline — deterministic client participation
-    (the client's randomness is keyed by global counters the parent
-    ships with each task), demand leg minting, attestation verification,
-    and the TSA admit — because the 2048-bit modexps are what dominate
-    secure aggregation's critical path; shipping only the fold would
-    leave them serialized on the parent.  Everything is reconstructed
-    from the deployment seed with the exact ``child_rng`` derivations
-    the inline plane uses, so the shard state is bit-identical to an
-    inline shard fed the same arrivals.
-
-    Ops: ``participate`` (async, acked ``"ok"``/``"rejected"``),
-    ``finalize_partial`` (writes the masked weighted sum and the partial
-    unmask into this shard's two group-slab rows), ``begin_round``
-    (epoch re-key), ``meters`` (cumulative boundary bytes, read-only).
-    """
-    from repro.secagg.attestation import SigningAuthority
-    from repro.secagg.client import LogBundle, SecAggClient
-    from repro.secagg.fixedpoint import FixedPointCodec
-    from repro.secagg.groups import PowerOfTwoGroup
-    from repro.secagg.merkle import VerifiableLog
-    from repro.secagg.server import LegPool, SecAggServer
-    from repro.secagg.tsa import TrustedSecureAggregator
-    from repro.utils.rng import child_rng
-
-    group = PowerOfTwoGroup(group_bits)
-    codec = FixedPointCodec(group, scale=fp_scale, clip_value=clip_value)
-    authority = SigningAuthority()
-    tsa = TrustedSecureAggregator(
-        group,
-        vector_length,
-        threshold=goal,
-        authority=authority,
-        rng=child_rng(seed, "tsa-epoch", 0, shard_id),
-        cache_masks=cache_masks,
-    )
-    pool = LegPool(tsa, block_size=1, prefill=0)
-    server = SecAggServer(tsa, codec, leg_pool=pool)
-    log = VerifiableLog()
-    entry = b"manifest|" + tsa.binary_hash
-    index = log.append(entry)
-    bundle = LogBundle(
-        entry=entry,
-        index=index,
-        size=log.size,
-        root=log.root(),
-        proof=log.inclusion_proof(index),
-    )
-    weights: dict[int, int] = {}
-    input_shm = _attach_untracked(input_name)
-    group_shm = _attach_untracked(group_name)
-    inputs = np.ndarray(
-        (slots, vector_length), dtype=np.float32, buffer=input_shm.buf
-    )
-    rows = np.ndarray(
-        (2 * num_shards, vector_length), dtype=np.uint64, buffer=group_shm.buf
-    )
-    try:
-        while True:
-            msg = task_queue.get()
-            if msg is None:
-                break
-            op = msg[0]
-            if op == "participate":
-                _, slot, cid, version, updates_received, w_int, n_ex, token = msg
-                client = SecAggClient(
-                    client_id=cid,
-                    codec=codec,
-                    authority=authority,
-                    expected_binary_hash=tsa.binary_hash,
-                    expected_params_hash=tsa.params_hash,
-                    rng=child_rng(
-                        seed, "secagg-client", cid, version, updates_received
-                    ),
-                )
-                leg = server.assign_leg()
-                submission = client.participate(
-                    inputs[slot].copy(), leg, log_bundle=bundle,
-                    num_examples=n_ex,
-                )
-                if server.submit(submission):
-                    weights[submission.leg_index] = w_int
-                    ack_queue.put((shard_id, token, "ok"))
-                else:
-                    ack_queue.put((shard_id, token, "rejected"))
-            elif op == "finalize_partial":
-                token = msg[1]
-                live = {k: v for k, v in weights.items() if v}
-                masked, total_w = server.masked_weighted_sum(live)
-                unmask = tsa.release_unmask_partial(live)
-                rows[2 * shard_id][:] = masked
-                rows[2 * shard_id + 1][:] = unmask
-                ack_queue.put(
-                    (
-                        shard_id,
-                        token,
-                        (
-                            "partial",
-                            tsa.processed_count,
-                            total_w,
-                            tsa.boundary_bytes_in,
-                            tsa.boundary_bytes_out,
-                        ),
-                    )
-                )
-            elif op == "begin_round":
-                token = msg[1]
-                tsa.begin_round()
-                server.begin_round()
-                weights = {}
-                ack_queue.put((shard_id, token, "round"))
-            else:  # "meters"
-                token = msg[1]
-                ack_queue.put(
-                    (
-                        shard_id,
-                        token,
-                        (
-                            "meters",
-                            tsa.boundary_bytes_in,
-                            tsa.boundary_bytes_out,
-                        ),
-                    )
-                )
-    finally:
-        del inputs, rows
-        input_shm.close()
-        group_shm.close()
-
-
-class SecureShardWorkerPool:
-    """One worker process per *secure* shard; each owns a TSA + server pair.
-
-    The parent writes each arrival's float32 delta into the input slab
-    and dispatches a ``participate`` task carrying the client identity
-    and the global RNG counters; the worker runs the full secure
-    pipeline on it.  At finalize, each participating shard writes its
-    masked weighted group sum and its partial unmask into the uint64
-    group slab (two rows per shard, single-writer) for the parent's root
-    merge.
-
-    The per-epoch dispatch log records every ``participate``'s
-    arguments, and ``ops_total`` counts lifetime dispatches per shard —
-    together they are the inline-replay script: the parent can rebuild a
-    shard's exact state by burning ``ops_total - epoch_ops`` legs off a
-    virgin TSA (catching up its deterministic mint RNG) and replaying
-    the epoch's participations with the same ``child_rng`` derivations.
+    Mixed in *before* a sharded aggregator core (float or secure): it
+    owns the pool handle, the one ``WorkerPoolError`` → fallback
+    translation (:meth:`_on_pool`), the ``executor_fallback`` event, and
+    the pool hooks on the failover paths.  The host supplies only
+    :meth:`_restore_inline_shards` — "rebuild my inline shard state from
+    the pool's dispatch log" — after which its inherited in-process code
+    continues from exactly the state the workers held.
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        vector_length: int,
-        slots: int,
-        *,
-        seed: int,
-        goal: int,
-        group_bits: int = 64,
-        fp_scale: float = 2**16,
-        clip_value: float = 4.0,
-        cache_masks: bool = True,
-        start_method: str | None = None,
-        on_event=None,
-        ack_timeout_s: float = 60.0,
-    ):
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        if vector_length < 1:
-            raise ValueError("vector_length must be at least 1")
-        if slots < 1:
-            raise ValueError("slots must be at least 1")
-        if group_bits > 64:
-            raise ValueError("secure worker slabs support group_bits <= 64")
-        self.num_shards = num_shards
-        self.vector_length = vector_length
-        self.slots = slots
-        self.on_event = on_event or _default_on_event
-        self.ack_timeout_s = ack_timeout_s
-        self.healthy = True
+    # False until _attach_pool: host constructors run their inline setup
+    # (which may already hit the overridden seams) before the pool exists.
+    _pool_active = False
 
-        ctx = multiprocessing.get_context(start_method)
-        self._input_shm = shared_memory.SharedMemory(
-            create=True, size=slots * vector_length * 4
-        )
-        self._group_shm = shared_memory.SharedMemory(
-            create=True, size=2 * num_shards * vector_length * 8
-        )
-        self.inputs = np.ndarray(
-            (slots, vector_length), dtype=np.float32, buffer=self._input_shm.buf
-        )
-        self._rows = np.ndarray(
-            (2 * num_shards, vector_length),
-            dtype=np.uint64,
-            buffer=self._group_shm.buf,
-        )
-        self._rows[:] = 0
-        self._task_queues = [ctx.Queue() for _ in range(num_shards)]
-        self._ack_queue = ctx.Queue()
-        self._procs = [
-            ctx.Process(
-                target=_secure_worker_main,
-                args=(
-                    sid,
-                    num_shards,
-                    seed,
-                    goal,
-                    vector_length,
-                    group_bits,
-                    fp_scale,
-                    clip_value,
-                    cache_masks,
-                    self._input_shm.name,
-                    self._group_shm.name,
-                    slots,
-                    self._task_queues[sid],
-                    self._ack_queue,
-                ),
-                daemon=True,
-                name=f"secure-shard-worker-{sid}",
-            )
-            for sid in range(num_shards)
-        ]
-        for p in self._procs:
-            p.start()
-
-        self._free_slots = list(range(slots - 1, -1, -1))
-        self._epoch_slots: list[int] = []
-        self._outstanding: dict[int, int] = {}  # token -> shard id
-        self._results: dict[int, object] = {}   # token -> ack payload
-        self._next_token = 0
-        self.ops_total = [0] * num_shards
-        # Per-epoch dispatch log, in dispatch (= arrival) order:
-        # (shard, slot, client_id, version, updates_received, w_int,
-        #  num_examples) — the inline-replay script for fallback.
-        self._log: list[tuple[int, int, int, int, int, int, int]] = []
-        self._finalizer = weakref.finalize(
-            self,
-            _cleanup,
-            self._procs,
-            self._task_queues,
-            self._ack_queue,
-            [self._input_shm, self._group_shm],
-        )
-
-    # -- dispatch --------------------------------------------------------------
-
-    def _take_slot(self) -> int:
-        if not self._free_slots:
-            self.healthy = False
-            raise WorkerPoolError(
-                f"input slab exhausted ({self.slots} slots in flight; "
-                "shard failover churned more arrivals than one epoch holds)"
-            )
-        slot = self._free_slots.pop()
-        self._epoch_slots.append(slot)
-        return slot
-
-    def _send(self, shard_id: int, msg_head: tuple) -> int:
-        token = self._next_token
-        self._next_token += 1
-        self._outstanding[token] = shard_id
-        self._task_queues[shard_id].put((*msg_head, token))
-        return token
-
-    def participate(
-        self,
-        shard_id: int,
-        delta: np.ndarray,
-        client_id: int,
-        version: int,
-        updates_received: int,
-        w_int: int,
-        num_examples: int,
-    ) -> None:
-        """Asynchronously run one arrival's secure pipeline on its shard."""
-        slot = self._take_slot()
-        self.inputs[slot, :] = delta
-        self._log.append(
-            (shard_id, slot, client_id, version, updates_received, w_int,
-             num_examples)
-        )
-        self.ops_total[shard_id] += 1
-        self._send(
-            shard_id,
-            ("participate", slot, client_id, version, updates_received,
-             w_int, num_examples),
-        )
-
-    # -- synchronization -------------------------------------------------------
-
-    def dead_workers(self) -> list[int]:
-        """Shard ids whose worker process is no longer alive."""
-        return [sid for sid, p in enumerate(self._procs) if not p.is_alive()]
-
-    def kill_worker(self, shard_id: int) -> bool:
-        """Chaos hook: terminate one shard's worker process (SIGTERM)."""
-        if not (0 <= shard_id < self.num_shards):
-            raise ValueError(f"no such shard {shard_id}")
-        proc = self._procs[shard_id]
-        if not proc.is_alive():
-            return False
-        proc.terminate()
-        proc.join(timeout=5.0)
-        return True
-
-    def _drain_until(self, token: int | None) -> None:
-        """Collect acks until ``token`` arrives (or all, when ``None``)."""
-        deadline = time.monotonic() + self.ack_timeout_s
-        while self._outstanding if token is None else token in self._outstanding:
-            try:
-                sid, got, payload = self._ack_queue.get(timeout=0.1)
-            except queue_mod.Empty:
-                dead = self.dead_workers()
-                if dead:
-                    self.healthy = False
-                    raise WorkerPoolError(
-                        f"secure shard worker(s) {dead} died with "
-                        f"{len(self._outstanding)} task(s) outstanding"
-                    ) from None
-                if time.monotonic() > deadline:
-                    self.healthy = False
-                    raise WorkerPoolError(
-                        f"timed out after {self.ack_timeout_s}s waiting for "
-                        f"{len(self._outstanding)} worker ack(s)"
-                    ) from None
-            else:
-                self._outstanding.pop(got, None)
-                self._results[got] = payload
-                if payload == "rejected":
-                    self.healthy = False
-                    raise WorkerPoolError(
-                        f"shard {sid} worker rejected a secure submission"
-                    )
-
-    def barrier(self) -> None:
-        """Wait until every dispatched task has been acked.
-
-        Raises :class:`WorkerPoolError` (and marks the pool unhealthy)
-        if a worker dies, an ack stalls past ``ack_timeout_s``, or a
-        worker reports a rejected submission — all of which the caller
-        handles by replaying the dispatch log inline.
-        """
-        self._drain_until(None)
-        self._results.clear()
-
-    def call(self, shard_id: int, op: str):
-        """Synchronous worker op (``finalize_partial``/``begin_round``/
-        ``meters``); returns the ack payload."""
-        token = self._send(shard_id, (op,))
-        self._drain_until(token)
-        return self._results.pop(token)
-
-    def masked_row(self, shard_id: int) -> np.ndarray:
-        """This shard's masked weighted group sum (after finalize_partial)."""
-        return self._rows[2 * shard_id]
-
-    def unmask_row(self, shard_id: int) -> np.ndarray:
-        """This shard's partial unmask vector (after finalize_partial)."""
-        return self._rows[2 * shard_id + 1]
-
-    # -- epoch lifecycle -------------------------------------------------------
-
-    def reset_epoch(self) -> None:
-        """After a merged server step: free all slots, clear the log."""
-        self._free_slots.extend(self._epoch_slots)
-        self._epoch_slots.clear()
-        self._log.clear()
-
-    def discard_shard(self, shard_id: int) -> None:
-        """Shard failover: excise its slice from the replay log.
-
-        Lifetime ``ops_total`` is deliberately *not* decremented — the
-        worker really minted those legs, so the catch-up count a replay
-        burns off a virgin TSA must include them.
-        """
-        self._log = [t for t in self._log if t[0] != shard_id]
-
-    def epoch_ops(self) -> list[tuple[int, int, int, int, int, int, int]]:
-        """The current epoch's dispatch log (replay script), in order."""
-        return list(self._log)
-
-    def minted_before_epoch(self, shard_id: int) -> int:
-        """Legs the shard's worker minted before the open epoch's ops."""
-        return self.ops_total[shard_id] - sum(
-            1 for t in self._log if t[0] == shard_id
-        )
-
-    # -- teardown --------------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop the workers and release both slabs (idempotent)."""
-        if self._finalizer.alive:
-            self._finalizer()
+    def _attach_pool(self, pool: ShardWorkerPool, owned: bool, on_event) -> None:
+        self._pool = pool
+        self._owns_pool = owned
+        self._on_event = on_event or _default_on_event
+        self._pool_active = True
+        self.executor_fallbacks = 0
 
     @property
-    def closed(self) -> bool:
-        return not self._finalizer.alive
+    def pool_active(self) -> bool:
+        """Whether shard work is still running on worker processes."""
+        return self._pool_active
 
-    def __enter__(self) -> "SecureShardWorkerPool":
-        return self
+    def kill_worker(self, shard_id: int) -> bool:
+        """Chaos hook (``worker_kill`` fault): terminate one shard worker.
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+        The fallback does not fire here — it fires at the next barrier or
+        dispatch, replaying the dispatch log inline (bit-identical), which
+        is exactly the mid-epoch recovery path this hook exists to test.
+        Returns False once already fallen back (nothing left to kill).
+        """
+        if not self._pool_active:
+            return False
+        return self._pool.kill_worker(shard_id)
+
+    def _restore_inline_shards(self) -> None:
+        raise NotImplementedError
+
+    def _fall_back(self, reason: str, **fields) -> None:
+        """Permanently switch to the inline executor, bit-identically."""
+        if not self._pool_active:
+            return
+        self._pool_active = False
+        self.executor_fallbacks += 1
+        self._restore_inline_shards()
+        self._on_event(
+            "executor_fallback",
+            {"reason": reason, "executor": "inline", **fields},
+        )
+        if self._owns_pool:
+            self._pool.close()
+
+    def _on_pool(self, fn, *args, shard: int | None = None) -> bool:
+        """Run one pool operation; True iff it completed on the pool.
+
+        False means the caller must take its inline path: either the
+        executor had already fallen back, or ``fn`` raised
+        :class:`WorkerPoolError` and this call fell back — as
+        ``pool_error`` for a dispatch to ``shard``, as ``worker_dead``
+        for a synchronization point.  Any other exception (a malformed
+        delta, say) is the caller's error, not the executor's, and
+        propagates with the pool left active.
+        """
+        if not self._pool_active:
+            return False
+        try:
+            fn(*args)
+        except WorkerPoolError as exc:
+            if shard is None:
+                self._fall_back(
+                    "worker_dead",
+                    dead=tuple(self._pool.dead_workers()),
+                    error=str(exc),
+                )
+            else:
+                self._fall_back("pool_error", shard=shard, error=str(exc))
+            return False
+        return True
+
+    # -- lifecycle hooks -------------------------------------------------------
+
+    def drop_shard(self, shard_id):
+        self._on_pool(self._pool.discard_shard, shard_id)
+        return super().drop_shard(shard_id)
+
+    def drop_buffer_and_inflight(self):
+        out = super().drop_buffer_and_inflight()
+        self._on_pool(self._pool.reset_epoch)
+        return out
+
+    def drain(self) -> None:
+        """Barrier on every outstanding worker task (perf-harness hook)."""
+        self._on_pool(self._pool.barrier)
+
+    def close(self) -> None:
+        """Tear down the owned worker pool (shared pools stay up)."""
+        if self._owns_pool:
+            self._pool.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self.closed else ("ok" if self.healthy else "unhealthy")
+        executor = "process" if self._pool_active else "inline(fallback)"
         return (
-            f"SecureShardWorkerPool(shards={self.num_shards}, "
-            f"vector_length={self.vector_length}, slots={self.slots}, {state})"
+            f"{type(self).__name__}(goal={self.goal}, "
+            f"shards={self.num_shards}, routing={self.routing.name}, "
+            f"executor={executor}, version={self.version})"
         )
 
 
-# -- process-executor aggregator -----------------------------------------------
-
-
-class ProcessShardedFedBuffAggregator(ShardedFedBuffAggregator):
+class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggregator):
     """Sharded FedBuff whose shard cores run on real worker processes.
 
     Admission, staleness, weighting, routing, failover, and step
@@ -1016,8 +789,8 @@ class ProcessShardedFedBuffAggregator(ShardedFedBuffAggregator):
         super().__init__(
             state, goal, num_shards=num_shards, routing=routing, **kwargs
         )
-        self._on_event = on_event or _default_on_event
-        if pool is None:
+        owned = pool is None
+        if owned:
             pool = ShardWorkerPool(
                 num_shards=num_shards,
                 vector_length=int(state.size),
@@ -1025,9 +798,8 @@ class ProcessShardedFedBuffAggregator(ShardedFedBuffAggregator):
                 fold_kernel=fold_kernel,
                 kernel_module=kernel_module,
                 start_method=start_method,
-                on_event=self._on_event,
+                on_event=on_event,
             )
-            self._owns_pool = True
         else:
             if pool.num_shards != num_shards:
                 raise ValueError(
@@ -1041,94 +813,40 @@ class ProcessShardedFedBuffAggregator(ShardedFedBuffAggregator):
                 )
             if pool.closed or not pool.healthy:
                 raise ValueError("pool is closed or unhealthy")
-            self._owns_pool = False
-        self._pool = pool
-        self._pool_active = True
-        self.executor_fallbacks = 0
+        self._attach_pool(pool, owned, on_event)
 
-    @property
-    def pool_active(self) -> bool:
-        """Whether folds are still running on worker processes."""
-        return self._pool_active
-
-    def kill_worker(self, shard_id: int) -> bool:
-        """Chaos hook (``worker_kill`` fault): terminate one shard worker.
-
-        The fallback does not fire here — it fires at the next barrier or
-        dispatch, replaying the dispatch log inline (bit-identical), which
-        is exactly the mid-epoch recovery path this hook exists to test.
-        Returns False once already fallen back (nothing left to kill).
-        """
-        if not self._pool_active:
-            return False
-        return self._pool.kill_worker(shard_id)
-
-    # -- fallback --------------------------------------------------------------
-
-    def _fall_back(self, reason: str, **fields) -> None:
-        """Permanently switch to the inline executor, bit-identically.
-
-        Reconstructs every shard's current partial by replaying the
-        epoch's dispatch log against the input slab (same kernel, same
-        per-shard order), so the in-process path continues from exactly
-        the state the workers held.
-        """
-        if not self._pool_active:
-            return
-        self._pool_active = False
-        self.executor_fallbacks += 1
+    def _restore_inline_shards(self) -> None:
+        """Every shard's partial, replayed from the dispatch log against
+        the input slab (same kernel, same per-shard order)."""
         partials = self._pool.replay_partials()
         for sid, shard in enumerate(self._shards):
             shard.buffer = partials.get(sid)
-        self._on_event(
-            "executor_fallback",
-            {"reason": reason, "executor": "inline", **fields},
-        )
-        if self._owns_pool:
-            self._pool.close()
 
     # -- overridden numeric seams ----------------------------------------------
 
     def _fold_one(self, shard_id, result, update) -> None:
-        if not self._pool_active:
-            return super()._fold_one(shard_id, result, update)
-        if result.delta.dtype != np.float32:
+        if self._pool_active and result.delta.dtype != np.float32:
             self._fall_back(
                 "unsupported_dtype", shard=shard_id, dtype=str(result.delta.dtype)
             )
-            return super()._fold_one(shard_id, result, update)
-        try:
-            self._pool.fold_scalar(shard_id, result.delta, update.weight)
-        except WorkerPoolError as exc:
-            self._fall_back("pool_error", shard=shard_id, error=str(exc))
+        if not self._on_pool(
+            self._pool.fold_scalar, shard_id, result.delta, update.weight,
+            shard=shard_id,
+        ):
             super()._fold_one(shard_id, result, update)
 
     def _fold_group(self, shard_id, group) -> None:
-        if not self._pool_active:
-            return super()._fold_group(shard_id, group)
         deltas = [r.delta for r, _ in group]
-        if any(d.dtype != np.float32 for d in deltas):
+        if self._pool_active and any(d.dtype != np.float32 for d in deltas):
             self._fall_back("unsupported_dtype", shard=shard_id)
-            return super()._fold_group(shard_id, group)
-        try:
-            self._pool.fold_group(
-                shard_id, deltas, [u.weight for _, u in group]
-            )
-        except WorkerPoolError as exc:
-            self._fall_back("pool_error", shard=shard_id, error=str(exc))
+        if not self._on_pool(
+            self._pool.fold_group, shard_id, deltas, [u.weight for _, u in group],
+            shard=shard_id,
+        ):
             super()._fold_group(shard_id, group)
 
     def _merge_shards(self) -> np.ndarray:
-        if not self._pool_active:
-            return super()._merge_shards()
-        try:
-            self._pool.barrier()
-        except WorkerPoolError as exc:
-            self._fall_back(
-                "worker_dead",
-                dead=tuple(self._pool.dead_workers()),
-                error=str(exc),
-            )
+        if not self._on_pool(self._pool.barrier):
             return super()._merge_shards()
         # count > 0 is exactly the base class's "buffer is not None":
         # both flip on the first fold and reset together on step/failover.
@@ -1143,46 +861,7 @@ class ProcessShardedFedBuffAggregator(ShardedFedBuffAggregator):
             return partials[0].copy()
         return np.add.reduce(partials)
 
-    # -- lifecycle hooks -------------------------------------------------------
-
     def _server_step(self):
         info = super()._server_step()
-        if self._pool_active:
-            self._pool.reset_epoch()
+        self._on_pool(self._pool.reset_epoch)
         return info
-
-    def drop_shard(self, shard_id):
-        if self._pool_active:
-            self._pool.discard_shard(shard_id)
-        return super().drop_shard(shard_id)
-
-    def drop_buffer_and_inflight(self):
-        out = super().drop_buffer_and_inflight()
-        if self._pool_active:
-            self._pool.reset_epoch()
-        return out
-
-    def drain(self) -> None:
-        """Barrier on every outstanding worker fold (perf-harness hook)."""
-        if self._pool_active:
-            try:
-                self._pool.barrier()
-            except WorkerPoolError as exc:
-                self._fall_back(
-                    "worker_dead",
-                    dead=tuple(self._pool.dead_workers()),
-                    error=str(exc),
-                )
-
-    def close(self) -> None:
-        """Tear down the owned worker pool (shared pools stay up)."""
-        if self._owns_pool:
-            self._pool.close()
-
-    def __repr__(self) -> str:
-        executor = "process" if self._pool_active else "inline(fallback)"
-        return (
-            f"ProcessShardedFedBuffAggregator(goal={self.goal}, "
-            f"shards={self.num_shards}, routing={self.routing.name}, "
-            f"executor={executor}, version={self.version})"
-        )

@@ -55,6 +55,7 @@ __all__ = [
     "HashShardRouting",
     "LoadAwareShardRouting",
     "AggregationPlaneClock",
+    "ShardRoutingMixin",
     "ShardedFedBuffAggregator",
     "make_routing",
     "merge_group_partials",
@@ -75,13 +76,17 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-class _Shard:
-    """One shard core: a partial weighted fold over its slice of arrivals."""
+class _ShardSlice:
+    """Routing-visible state of one shard: liveness and load counters.
 
-    __slots__ = ("buffer", "count", "in_flight", "alive", "folds_total")
+    The float and the secure shard cores differ in what they *fold*
+    (a float partial vs. a TSA + server pair); this is what they share,
+    and all that routing and :class:`ShardRoutingMixin` look at.
+    """
+
+    __slots__ = ("count", "in_flight", "alive", "folds_total")
 
     def __init__(self) -> None:
-        self.buffer: np.ndarray | None = None
         self.count = 0          # updates in the current (unmerged) partial
         self.in_flight = 0      # clients routed here and still training
         self.alive = True
@@ -90,6 +95,21 @@ class _Shard:
     def load(self) -> int:
         """Routing load signal: buffered plus in-flight work."""
         return self.count + self.in_flight
+
+
+class _Shard(_ShardSlice):
+    """One shard core: a partial weighted fold over its slice of arrivals."""
+
+    __slots__ = ("buffer",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.buffer: np.ndarray | None = None
+
+    def clear(self) -> None:
+        """Forget the open epoch's partial fold."""
+        self.buffer = None
+        self.count = 0
 
 
 class HashShardRouting:
@@ -212,7 +232,170 @@ class AggregationPlaneClock:
         return max(self.root, max(self.lanes))
 
 
-class ShardedFedBuffAggregator(FedBuffAggregator):
+class ShardRoutingMixin:
+    """Client→shard routing, slice bookkeeping, and per-shard failover.
+
+    The half of a sharded aggregation core that does not care *what* a
+    shard folds — shared verbatim by the float plane
+    (:class:`ShardedFedBuffAggregator`) and the secure plane
+    (``repro.system.secure_sharding.SecureShardedAggregator``).  Mixed
+    in *before* a FedBuff-protocol core, whose ``register_download`` /
+    ``client_failed`` / ``drop_buffer_and_inflight`` it extends and
+    whose ``_in_flight`` map it reads.  The host provides ``_shards`` (a
+    list of :class:`_ShardSlice` with a ``clear()``) and
+    :meth:`_keep_entries`.
+    """
+
+    def _init_routing(self, num_shards: int, routing, clock) -> None:
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
+        self.num_shards = num_shards
+        self.routing = make_routing(routing) if isinstance(routing, str) else routing
+        self.clock = clock
+        self._shard_of: dict[int, int] = {}  # client id -> shard id
+        # Per-buffered-entry bookkeeping, parallel to the host's
+        # arrival-order lists; lets drop_shard() excise exactly one
+        # shard's slice of the open epoch.
+        self._entry_shards: list[int] = []
+        self._entry_weights: list = []
+        self.shard_failovers = 0
+
+    # -- client protocol ------------------------------------------------------
+
+    def register_download(self, client_id: int) -> tuple[int, np.ndarray]:
+        """Record the download and route the client to a shard.
+
+        With *every* shard dead (the whole plane lost its hosts and no
+        capacity has recovered yet) the client is registered but left
+        unrouted: its upload is rejected exactly like the single
+        aggregator's dead-host path, instead of crashing the download
+        event — ``shard_of`` stays ``None`` and the system layer aborts
+        the session at upload time.
+        """
+        out = super().register_download(client_id)
+        self._unroute(client_id)  # re-registration while in flight
+        try:
+            shard_id = self.routing.route(client_id, self._shards)
+        except RuntimeError:
+            return out
+        self._shard_of[client_id] = shard_id
+        self._shards[shard_id].in_flight += 1
+        return out
+
+    def client_failed(self, client_id: int) -> None:
+        super().client_failed(client_id)
+        self._unroute(client_id)
+
+    def shard_of(self, client_id: int) -> int | None:
+        """The shard an in-flight client is routed to (None if unknown)."""
+        return self._shard_of.get(client_id)
+
+    def shard_alive(self, shard_id: int) -> bool:
+        """Whether a shard is currently accepting contributions."""
+        return self._shards[shard_id].alive
+
+    # -- slice bookkeeping ------------------------------------------------------
+
+    def _unroute(self, client_id: int) -> int | None:
+        """Release the client's shard slot, if it holds one."""
+        shard_id = self._shard_of.pop(client_id, None)
+        if shard_id is not None:
+            self._shards[shard_id].in_flight -= 1
+        return shard_id
+
+    def _require_routed(self, client_id: int) -> None:
+        """Reject an update whose client never got a shard (registered
+        while the whole plane was dead) *before* admission mutates any
+        buffer accounting."""
+        if client_id in self._in_flight and client_id not in self._shard_of:
+            raise KeyError(
+                f"client {client_id} registered while no shard was live; "
+                "its contribution is lost (plane-wide outage)"
+            )
+
+    def _note_fold(self, shard_id: int) -> None:
+        """One more buffered entry belongs to ``shard_id``'s slice."""
+        shard = self._shards[shard_id]
+        shard.count += 1
+        shard.folds_total += 1
+        self._entry_shards.append(shard_id)
+
+    def _keep_entries(self, keep: list[int], lost: int) -> None:
+        """Filter the host's arrival-order lists down to positions
+        ``keep`` and re-derive its weight total from ``_entry_weights``
+        (already filtered)."""
+        raise NotImplementedError
+
+    # -- failover (Appendix E.4, per shard) ------------------------------------
+
+    def drop_shard(self, shard_id: int) -> tuple[int, list[int]]:
+        """One shard's host died: discard its partial fold and its slice.
+
+        The shard's buffered contributions never reached the root and
+        are excised from the pending step's accounting; its in-flight
+        clients are dropped (their uploads will be rejected exactly as
+        on the single path after ``client_failed``).  The shard is
+        marked dead so routing steers around it until
+        :meth:`revive_shard`.  Returns (buffered updates lost, dropped
+        client ids).
+        """
+        shard = self._shards[shard_id]
+        shard.alive = False
+        dropped = sorted(
+            cid for cid, sid in self._shard_of.items() if sid == shard_id
+        )
+        for cid in dropped:
+            self._shard_of.pop(cid)
+            self._in_flight.pop(cid, None)
+        shard.in_flight = 0
+        lost = shard.count
+        if lost:
+            keep = [i for i, sid in enumerate(self._entry_shards) if sid != shard_id]
+            self._entry_weights = [self._entry_weights[i] for i in keep]
+            self._entry_shards = [self._entry_shards[i] for i in keep]
+            self._keep_entries(keep, lost)
+        shard.clear()
+        self.shard_failovers += 1
+        return lost, dropped
+
+    def revive_shard(self, shard_id: int) -> None:
+        """Bring a dead shard back empty (re-placed on a live node)."""
+        shard = self._shards[shard_id]
+        shard.alive = True
+        shard.clear()
+        shard.in_flight = 0
+
+    def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
+        """Whole-plane failure: every shard partial and session is lost."""
+        out = super().drop_buffer_and_inflight()
+        for shard in self._shards:
+            shard.clear()
+            shard.in_flight = 0
+        self._shard_of.clear()
+        self._entry_shards = []
+        self._entry_weights = []
+        return out
+
+    # -- introspection ------------------------------------------------------------
+
+    def live_shards(self) -> list[int]:
+        """Ids of shards currently accepting contributions."""
+        return [i for i, s in enumerate(self._shards) if s.alive]
+
+    def shard_loads(self) -> list[int]:
+        """Lifetime folds per shard (the load-skew telemetry)."""
+        return [s.folds_total for s in self._shards]
+
+    def shard_buffered(self) -> list[int]:
+        """Updates currently sitting in each shard's open epoch."""
+        return [s.count for s in self._shards]
+
+    def shard_in_flight(self) -> list[int]:
+        """In-flight clients routed to each shard."""
+        return [s.in_flight for s in self._shards]
+
+
+class ShardedFedBuffAggregator(ShardRoutingMixin, FedBuffAggregator):
     """FedBuff with horizontally sharded intermediate aggregation.
 
     Parameters are those of :class:`FedBuffAggregator` plus:
@@ -245,98 +428,34 @@ class ShardedFedBuffAggregator(FedBuffAggregator):
         **kwargs,
     ):
         super().__init__(state, goal, **kwargs)
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        self.num_shards = num_shards
-        self.routing = make_routing(routing) if isinstance(routing, str) else routing
-        self.clock = clock
+        self._init_routing(num_shards, routing, clock)
         self._shards = [_Shard() for _ in range(num_shards)]
-        self._shard_of: dict[int, int] = {}  # client id -> shard id
-        # Per-buffered-entry bookkeeping, parallel to the inherited
-        # ``_staleness_acc``/``_contributors`` arrival-order lists; lets
-        # drop_shard() excise exactly one shard's slice of the buffer.
-        self._entry_shards: list[int] = []
-        self._entry_weights: list[float] = []
-        self.shard_failovers = 0
-
-    # -- client protocol ------------------------------------------------------
-
-    def register_download(self, client_id: int) -> tuple[int, np.ndarray]:
-        """Record the download and route the client to a shard.
-
-        With *every* shard dead (the whole plane lost its hosts and no
-        capacity has recovered yet) the client is registered but left
-        unrouted: its upload is rejected exactly like the single
-        aggregator's dead-host path, instead of crashing the download
-        event — ``shard_of`` stays ``None`` and the system layer aborts
-        the session at upload time.
-        """
-        out = super().register_download(client_id)
-        previous = self._shard_of.pop(client_id, None)
-        if previous is not None:
-            # Re-registration while in flight: release the old slot.
-            self._shards[previous].in_flight -= 1
-        try:
-            shard_id = self.routing.route(client_id, self._shards)
-        except RuntimeError:
-            return out
-        self._shard_of[client_id] = shard_id
-        self._shards[shard_id].in_flight += 1
-        return out
-
-    def client_failed(self, client_id: int) -> None:
-        super().client_failed(client_id)
-        shard_id = self._shard_of.pop(client_id, None)
-        if shard_id is not None:
-            self._shards[shard_id].in_flight -= 1
-
-    def shard_of(self, client_id: int) -> int | None:
-        """The shard an in-flight client is routed to (None if unknown)."""
-        return self._shard_of.get(client_id)
-
-    def shard_alive(self, shard_id: int) -> bool:
-        """Whether a shard is currently accepting contributions."""
-        return self._shards[shard_id].alive
 
     # -- aggregation ------------------------------------------------------------
 
-    def _release_slot(self, client_id: int) -> int:
-        shard_id = self._shard_of.pop(client_id)
-        self._shards[shard_id].in_flight -= 1
-        return shard_id
-
-    def _require_routed(self, client_id: int) -> None:
-        """Reject an update whose client never got a shard (registered
-        while the whole plane was dead) *before* ``_admit`` mutates any
-        buffer accounting."""
-        if client_id in self._in_flight and client_id not in self._shard_of:
-            raise KeyError(
-                f"client {client_id} registered while no shard was live; "
-                "its contribution is lost (plane-wide outage)"
-            )
-
-    def receive_update(
-        self, result: TrainingResult
-    ) -> tuple[ModelUpdate, ServerStepInfo | None]:
-        """Fold one update into its shard; maybe trigger the root merge."""
+    def _admit_routed(self, result: TrainingResult):
+        """``_admit`` for a routed client; returns (shard id, result, update)."""
         self._require_routed(result.client_id)
-        timed = self.clock is not None or self.profiler is not None
-        t0 = time.perf_counter() if timed else 0.0
         try:
             result, update = self._admit(result)
         except ValueError:
             # _admit popped the client from the in-flight map before the
             # version check failed; keep the shard slot consistent.
-            if result.client_id in self._shard_of:
-                self._release_slot(result.client_id)
+            self._unroute(result.client_id)
             raise
-        shard_id = self._release_slot(result.client_id)
-        shard = self._shards[shard_id]
-        self._fold_one(shard_id, result, update)
-        shard.count += 1
-        shard.folds_total += 1
-        self._entry_shards.append(shard_id)
+        shard_id = self._unroute(result.client_id)
+        self._note_fold(shard_id)
         self._entry_weights.append(update.weight)
+        return shard_id, result, update
+
+    def receive_update(
+        self, result: TrainingResult
+    ) -> tuple[ModelUpdate, ServerStepInfo | None]:
+        """Fold one update into its shard; maybe trigger the root merge."""
+        timed = self.clock is not None or self.profiler is not None
+        t0 = time.perf_counter() if timed else 0.0
+        shard_id, result, update = self._admit_routed(result)
+        self._fold_one(shard_id, result, update)
         if timed:
             # Admission + fold both run on the shard's thread.
             dt = time.perf_counter() - t0
@@ -371,20 +490,7 @@ class ShardedFedBuffAggregator(FedBuffAggregator):
             admitted: list[tuple[int, TrainingResult, ModelUpdate]] = []
             try:
                 for r in chunk:
-                    self._require_routed(r.client_id)
-                    try:
-                        rr, update = self._admit(r)
-                    except ValueError:
-                        if r.client_id in self._shard_of:
-                            self._release_slot(r.client_id)
-                        raise
-                    shard_id = self._release_slot(rr.client_id)
-                    self._entry_shards.append(shard_id)
-                    self._entry_weights.append(update.weight)
-                    shard = self._shards[shard_id]
-                    shard.count += 1
-                    shard.folds_total += 1
-                    admitted.append((shard_id, rr, update))
+                    admitted.append(self._admit_routed(r))
             finally:
                 # Mirror the single core: everything admitted before a
                 # mid-chunk rejection is still folded.
@@ -460,88 +566,19 @@ class ShardedFedBuffAggregator(FedBuffAggregator):
             if self.profiler is not None:
                 self.profiler.record("root_merge", dt)
         for shard in self._shards:
-            shard.buffer = None
-            shard.count = 0
+            shard.clear()
         self._entry_shards = []
         self._entry_weights = []
         return info
 
-    # -- failover (Appendix E.4, per shard) ------------------------------------
-
-    def drop_shard(self, shard_id: int) -> tuple[int, list[int]]:
-        """One shard's host died: discard its partial fold and its slice.
-
-        The shard's buffered contributions never reached the root and
-        are excised from the pending step's accounting; its in-flight
-        clients are dropped (their uploads will be rejected exactly as
-        on the single path after ``client_failed``).  The shard is
-        marked dead so routing steers around it until
-        :meth:`revive_shard`.  Returns (buffered updates lost, dropped
-        client ids).
-        """
-        shard = self._shards[shard_id]
-        shard.alive = False
-        dropped = sorted(
-            cid for cid, sid in self._shard_of.items() if sid == shard_id
-        )
-        for cid in dropped:
-            self._shard_of.pop(cid)
-            self._in_flight.pop(cid, None)
-        shard.in_flight = 0
-        lost = shard.count
-        if lost:
-            keep = [i for i, sid in enumerate(self._entry_shards) if sid != shard_id]
-            self._staleness_acc = [self._staleness_acc[i] for i in keep]
-            self._contributors = [self._contributors[i] for i in keep]
-            self._entry_weights = [self._entry_weights[i] for i in keep]
-            self._entry_shards = [self._entry_shards[i] for i in keep]
-            # Sequential re-fold in arrival order: bit-identical to the
-            # weight sum a single aggregator fed only the survivors
-            # would have accumulated.
-            self._weight_sum = sum(self._entry_weights, 0.0)
-            self._count -= lost
-        shard.buffer = None
-        shard.count = 0
-        self.shard_failovers += 1
-        return lost, dropped
-
-    def revive_shard(self, shard_id: int) -> None:
-        """Bring a dead shard back empty (re-placed on a live node)."""
-        shard = self._shards[shard_id]
-        shard.alive = True
-        shard.buffer = None
-        shard.count = 0
-        shard.in_flight = 0
-
-    def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
-        """Whole-plane failure: every shard partial and session is lost."""
-        lost, dropped = super().drop_buffer_and_inflight()
-        for shard in self._shards:
-            shard.buffer = None
-            shard.count = 0
-            shard.in_flight = 0
-        self._shard_of.clear()
-        self._entry_shards = []
-        self._entry_weights = []
-        return lost, dropped
-
-    # -- introspection ------------------------------------------------------------
-
-    def live_shards(self) -> list[int]:
-        """Ids of shards currently accepting contributions."""
-        return [i for i, s in enumerate(self._shards) if s.alive]
-
-    def shard_loads(self) -> list[int]:
-        """Lifetime folds per shard (the load-skew telemetry)."""
-        return [s.folds_total for s in self._shards]
-
-    def shard_buffered(self) -> list[int]:
-        """Updates currently sitting in each shard's partial fold."""
-        return [s.count for s in self._shards]
-
-    def shard_in_flight(self) -> list[int]:
-        """In-flight clients routed to each shard."""
-        return [s.in_flight for s in self._shards]
+    def _keep_entries(self, keep: list[int], lost: int) -> None:
+        self._staleness_acc = [self._staleness_acc[i] for i in keep]
+        self._contributors = [self._contributors[i] for i in keep]
+        # Sequential re-fold in arrival order: bit-identical to the
+        # weight sum a single aggregator fed only the survivors would
+        # have accumulated.
+        self._weight_sum = sum(self._entry_weights, 0.0)
+        self._count -= lost
 
     def __repr__(self) -> str:
         return (

@@ -75,11 +75,7 @@ from repro.harness.sweep import (
 from repro.harness.runner import (
     DEFAULT_TARGET_LOSS,
     async_scenario,
-    build_async,
-    build_sync,
     make_population,
-    run_async,
-    run_sync,
     sync_scenario,
 )
 from repro.harness.scenario import (
@@ -159,11 +155,7 @@ __all__ = [
     "DEFAULT_TARGET_LOSS",
     "async_scenario",
     "sync_scenario",
-    "build_async",
-    "build_sync",
     "make_population",
-    "run_async",
-    "run_sync",
     "ScenarioRunSummary",
     "ScenarioTaskSummary",
     "run_scenario",

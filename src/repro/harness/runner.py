@@ -3,11 +3,7 @@
 The figure functions describe their deployments as
 :class:`~repro.api.ScenarioSpec` values via :func:`async_scenario` /
 :func:`sync_scenario` and build them through the :mod:`repro.api`
-façade.  The pre-redesign helpers (:func:`build_async`,
-:func:`build_sync`, :func:`run_async`, :func:`run_sync`) remain as thin
-**deprecated** shims over the same path — a shim-built simulation is
-trace-identical to its spec-built equivalent (pinned by
-``tests/test_api_deployment.py``).
+façade (:func:`deploy` reuses an already-built population).
 """
 
 from __future__ import annotations
@@ -26,17 +22,13 @@ from repro.api import (
 from repro.core.surrogate import SurrogateParams
 from repro.harness.configs import CLIENT_TIMEOUT_S, OVER_SELECTION
 from repro.sim.population import DevicePopulation
-from repro.system.orchestrator import FederatedSimulation, RunResult, SystemConfig
+from repro.system.orchestrator import FederatedSimulation, SystemConfig
 
 __all__ = [
     "make_population",
     "async_scenario",
     "sync_scenario",
     "deploy",
-    "build_async",
-    "build_sync",
-    "run_async",
-    "run_sync",
     "DEFAULT_TARGET_LOSS",
 ]
 
@@ -184,68 +176,3 @@ def deploy(
 ) -> FederatedSimulation:
     """Build a spec through the façade, reusing a built population."""
     return Deployment.from_spec(spec, population=population).build()
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims (pre-redesign helper surface)
-# ---------------------------------------------------------------------------
-
-def build_async(
-    concurrency: int,
-    goal: int,
-    population: DevicePopulation,
-    seed: int = 0,
-    max_staleness: int = 100,
-    surrogate: SurrogateParams | None = None,
-    system: SystemConfig | None = None,
-) -> FederatedSimulation:
-    """Deprecated: use :func:`async_scenario` + :func:`repro.api.build`."""
-    spec = async_scenario(
-        concurrency, goal, population, seed=seed, max_staleness=max_staleness,
-        surrogate=surrogate, system=system,
-    )
-    return deploy(spec, population=population)
-
-
-def build_sync(
-    goal: int,
-    population: DevicePopulation,
-    over_selection: float = OVER_SELECTION,
-    seed: int = 0,
-    surrogate: SurrogateParams | None = None,
-    system: SystemConfig | None = None,
-) -> FederatedSimulation:
-    """Deprecated: use :func:`sync_scenario` + :func:`repro.api.build`."""
-    spec = sync_scenario(
-        goal, population, over_selection=over_selection, seed=seed,
-        surrogate=surrogate, system=system,
-    )
-    return deploy(spec, population=population)
-
-
-def run_async(
-    concurrency: int,
-    goal: int,
-    population: DevicePopulation,
-    t_end: float,
-    target_loss: float | None = None,
-    seed: int = 0,
-    **kw,
-) -> RunResult:
-    """Deprecated: build a spec and run it through :class:`Deployment`."""
-    sim = build_async(concurrency, goal, population, seed=seed, **kw)
-    return sim.run(t_end=t_end, target_loss=target_loss)
-
-
-def run_sync(
-    goal: int,
-    population: DevicePopulation,
-    t_end: float,
-    over_selection: float = OVER_SELECTION,
-    target_loss: float | None = None,
-    seed: int = 0,
-    **kw,
-) -> RunResult:
-    """Deprecated: build a spec and run it through :class:`Deployment`."""
-    sim = build_sync(goal, population, over_selection=over_selection, seed=seed, **kw)
-    return sim.run(t_end=t_end, target_loss=target_loss)

@@ -448,7 +448,8 @@ class TrustedSecureAggregator:
 
         * skips the local threshold check — no shard sees ``t`` clients
           on its own; the reducer enforces the *global* threshold over
-          the summed processed counts before any partial is computed;
+          the summed processed counts before anything crosses the
+          boundary;
         * meters nothing — the partial never leaves the trust domain
           (the reducer meters the one merged vector that does);
         * still burns the one-shot release latch: after contributing a
@@ -500,9 +501,10 @@ class TrustedShardReducer:
     * it enforces the **global** threshold: the summed processed counts
       of the participating shards must reach ``t`` before any partial is
       released (no shard-local count can, or needs to, reach ``t``);
-    * it pulls each shard's partial via
-      :meth:`TrustedSecureAggregator.release_unmask_partial` and merges
-      them in **deterministic ascending-shard order** — group math mod
+    * it takes each shard's partial
+      (:meth:`TrustedSecureAggregator.release_unmask_partial`, handed
+      over inside the trust domain) and merges them in **deterministic
+      ascending-shard order** — group math mod
       2^bits is exact under wraparound, so the merged vector is
       bit-identical to the single TSA's weighted release for the same
       clients and weights, for any shard count and any routing;
@@ -528,63 +530,22 @@ class TrustedShardReducer:
         """Whether this round's merged unmask has already been released."""
         return self._released
 
-    def release_merged_unmask(
-        self,
-        shards: list[tuple[int, TrustedSecureAggregator, dict[int, int]]],
-    ) -> np.ndarray:
-        """Merge shard partial unmasks and release the result exactly once.
-
-        Parameters
-        ----------
-        shards:
-            ``(shard_id, tsa, weights)`` triples in strictly ascending
-            ``shard_id`` order — the deterministic merge order is part of
-            the equivalence contract, so a caller handing shards out of
-            order is a protocol violation, not something to silently fix.
-
-        Raises
-        ------
-        ProtocolError
-            If already released this round, if the shard ids are not
-            strictly ascending, or if the participating shards' summed
-            processed counts fall short of the global threshold.
-        """
-        if self._released:
-            raise ProtocolError(
-                "merged unmask already released; reducer ignores further requests"
-            )
-        ids = [sid for sid, _, _ in shards]
-        if any(b <= a for a, b in zip(ids, ids[1:])):
-            raise ProtocolError(
-                f"shard partials must arrive in ascending shard order, got {ids}"
-            )
-        processed = sum(tsa.processed_count for _, tsa, _ in shards)
-        if processed < self.threshold:
-            raise ProtocolError(
-                f"only {processed} clients aggregated across shards; "
-                f"threshold is {self.threshold}"
-            )
-        merged = self.group.zeros(self.vector_length)
-        for _, tsa, weights in shards:
-            self.group.add_into(merged, tsa.release_unmask_partial(weights))
-        self._released = True
-        self.boundary_bytes_out += merged.nbytes
-        return merged
-
     def merge_released_partials(
         self, partials: list[tuple[int, np.ndarray]], processed: int
     ) -> np.ndarray:
-        """Merge *already-released* shard partials (process-executor path).
+        """Merge the shards' partial unmasks and release the result exactly once.
 
-        When each shard's TSA lives on its own worker process, the
-        partial unmask vectors arrive as raw group rows (written to a
-        shared slab inside the trust domain) rather than as live
-        :class:`TrustedSecureAggregator` objects.  The contract is
-        otherwise :meth:`release_merged_unmask`'s: strictly ascending
-        shard ids, the **global** threshold enforced over the summed
-        processed counts the workers attest, deterministic ascending
-        merge order, one-shot latch, and exactly one metered boundary
-        crossing for the merged vector.
+        Each shard's TSA — in this process or on its own worker — hands
+        over its partial unmask as a raw group row; nothing crosses the
+        trust boundary until this one merged release.  A caller handing
+        shards out of order is a protocol violation, not something to
+        silently fix: the deterministic ascending merge order is part of
+        the equivalence contract.  The **global** threshold is enforced
+        over the summed processed counts the shards attest.
+
+        Raises :class:`ProtocolError` if already released this round, if
+        the shard ids are not strictly ascending, or if ``processed``
+        falls short of the threshold.
 
         Parameters
         ----------

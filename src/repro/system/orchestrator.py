@@ -14,7 +14,6 @@ methods so the recovery behaviour of Appendix E.4 is testable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +69,9 @@ class SystemConfig:
     workers over shared memory, bit-identical results; see
     :mod:`repro.core.parallel`).
 
-    ``drain_threads`` (previously the confusingly named ``n_shards``,
-    which predates the PR-4 aggregation-plane shards) is the size of
-    each :class:`AggregatorNode`'s queue-draining thread pool — a
-    per-node concurrency knob, unrelated to ``num_shards``.
+    ``drain_threads`` is the size of each :class:`AggregatorNode`'s
+    queue-draining thread pool — a per-node concurrency knob, unrelated
+    to ``num_shards``.
 
     ``plane`` selects the aggregation-plane factory from
     :mod:`repro.system.planes`: ``"auto"`` (default) derives it per task
@@ -162,44 +160,6 @@ class SystemConfig:
             RetryPolicy.parse(self.placement_retry)
         except ValueError as exc:
             raise ValueError(f"placement_retry: {exc}") from None
-
-    @property
-    def n_shards(self) -> int:
-        """Deprecated alias of :attr:`drain_threads` (renamed: it never
-        meant aggregation-plane shards — that is ``num_shards``)."""
-        warnings.warn(
-            "SystemConfig.n_shards was renamed to drain_threads (it is the "
-            "per-node queue-drain thread count, not the aggregation-plane "
-            "shard count num_shards)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.drain_threads
-
-
-_SYSTEM_CONFIG_INIT = SystemConfig.__init__
-
-
-def _system_config_init(self, *args, n_shards: int | None = None, **kwargs):
-    """Accept the deprecated ``n_shards=`` keyword as ``drain_threads``."""
-    if n_shards is not None:
-        warnings.warn(
-            "SystemConfig(n_shards=...) was renamed to drain_threads (the "
-            "per-node queue-drain thread count; aggregation-plane shards "
-            "are num_shards)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if "drain_threads" in kwargs or len(args) >= 3:
-            raise TypeError(
-                "SystemConfig got both drain_threads and its deprecated "
-                "alias n_shards"
-            )
-        kwargs["drain_threads"] = n_shards
-    _SYSTEM_CONFIG_INIT(self, *args, **kwargs)
-
-
-SystemConfig.__init__ = _system_config_init  # type: ignore[method-assign]
 
 
 @dataclass(frozen=True)
@@ -480,42 +440,6 @@ class FederatedSimulation:
     def _pump_loop(self) -> None:
         self._pump()
         self.sim.schedule(self.system.pump_interval_s, self._pump_loop)
-
-    # -- failure injection ------------------------------------------------------
-
-    def _ensure_fault_injector(self):
-        """Lazily attach a :class:`~repro.sim.faults.FaultInjector`.
-
-        Imported lazily (faults → orchestrator typing only) and seeded
-        from the deployment seed; an injector without delay/loss/gate
-        events installs no interception, so the ``inject_*`` shims keep
-        their exact historical behaviour.
-        """
-        if self.fault_injector is None:
-            from repro.sim.faults import FaultInjector
-
-            FaultInjector(self, seed=self.seed)
-        return self.fault_injector
-
-    def inject_aggregator_failure(self, at_time: float, node_id: int = 0) -> None:
-        """Deprecated shim: schedule an ``aggregator_crash`` fault event.
-
-        Declare the fault in ``ScenarioSpec.faults`` instead; this method
-        survives for the pre-FaultSpec call sites.
-        """
-        self._ensure_fault_injector().schedule(
-            "aggregator_crash", at_time, node=node_id
-        )
-
-    def inject_coordinator_outage(self, at_time: float, duration_s: float) -> None:
-        """Deprecated shim: schedule a ``coordinator_outage`` fault event.
-
-        Declare the fault in ``ScenarioSpec.faults`` instead; this method
-        survives for the pre-FaultSpec call sites.
-        """
-        self._ensure_fault_injector().schedule(
-            "coordinator_outage", at_time, duration_s=duration_s
-        )
 
     # -- run ------------------------------------------------------------
 

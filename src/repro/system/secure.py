@@ -48,12 +48,66 @@ from repro.secagg.server import LegPool, SecAggServer
 from repro.secagg.tsa import TrustedSecureAggregator
 from repro.utils.rng import child_rng
 
-__all__ = ["LegPool", "SecureBufferedAggregator"]
+__all__ = [
+    "LegPool",
+    "SecureBufferedAggregator",
+    "client_submission",
+    "publish_manifest",
+]
 
 # Staleness/example weights are reals; the group needs integers.  This is
 # the fixed-point scale for *weights* (value 1.0 -> 64), giving ~1.5% weight
 # resolution while keeping the overflow budget comfortable in a 64-bit group.
 WEIGHT_SCALE = 64
+
+
+def publish_manifest(log: VerifiableLog, tsa: TrustedSecureAggregator) -> LogBundle:
+    """Publish the trusted binary to ``log``; the proof clients verify."""
+    entry = b"manifest|" + tsa.binary_hash
+    index = log.append(entry)
+    return LogBundle(
+        entry=entry,
+        index=index,
+        size=log.size,
+        root=log.root(),
+        proof=log.inclusion_proof(index),
+    )
+
+
+def client_submission(
+    seed: int,
+    codec: FixedPointCodec,
+    authority: SigningAuthority,
+    log_bundle: LogBundle,
+    server: SecAggServer,
+    delta: np.ndarray,
+    client_id: int,
+    version: int,
+    updates_received: int,
+    num_examples: int,
+):
+    """The client half of one secure participation, up to the upload.
+
+    The one definition every path runs — the single plane, each inline
+    shard, each shard worker process, and the executor fallback's replay
+    — so a client's randomness stream (keyed by the *global*
+    ``version``/``updates_received`` counters, never by which server's
+    leg it uses) and hence its masked vector are bit-identical wherever
+    the participation executes.
+    """
+    tsa = server.tsa
+    client = SecAggClient(
+        client_id=client_id,
+        codec=codec,
+        authority=authority,
+        expected_binary_hash=tsa.binary_hash,
+        expected_params_hash=tsa.params_hash,
+        rng=child_rng(seed, "secagg-client", client_id, version, updates_received),
+    )
+    return client.participate(
+        delta, server.assign_leg(), log_bundle=log_bundle,
+        num_examples=num_examples,
+    )
 
 
 class SecureBufferedAggregator:
@@ -169,15 +223,7 @@ class SecureBufferedAggregator:
                 rng=child_rng(self.seed, "tsa-epoch", 0),
                 cache_masks=self._cache_masks,
             )
-            entry = b"manifest|" + tsa.binary_hash
-            index = self.log.append(entry)
-            self._log_bundle = LogBundle(
-                entry=entry,
-                index=index,
-                size=self.log.size,
-                root=self.log.root(),
-                proof=self.log.inclusion_proof(index),
-            )
+            self._log_bundle = publish_manifest(self.log, tsa)
             self._epoch_tsa = tsa
             # Mark before the prefill so the first epoch still accounts
             # for its share of mint traffic, as the per-epoch TSA did.
@@ -256,12 +302,12 @@ class SecureBufferedAggregator:
             return float(np.log1p(num_examples))
         return 1.0
 
-    def _prepare_submission(self, result: TrainingResult):
-        """Validate one result and run the client-side secure participation.
+    def _admit(self, result: TrainingResult) -> tuple[float, int, int]:
+        """Validate one result against the in-flight map and weigh it.
 
-        Returns ``(submission, weight, w_int, staleness)``; shared by the
-        per-arrival and the block drain paths so their client randomness,
-        weight quantization, and state checks are one definition.
+        Returns ``(weight, w_int, staleness)``; the one definition of the
+        state checks and the weight quantization for the per-arrival, the
+        block, and the process-executor paths.
         """
         initial = self._in_flight.pop(result.client_id, None)
         if initial is None:
@@ -275,41 +321,46 @@ class SecureBufferedAggregator:
         weight = self._example_weight(result.num_examples) * self.staleness_policy(
             staleness
         )
-        w_int = max(1, int(round(weight * WEIGHT_SCALE)))
+        return weight, max(1, int(round(weight * WEIGHT_SCALE))), staleness
 
-        tsa = self._epoch_tsa
-        client = SecAggClient(
-            client_id=result.client_id,
-            codec=self.codec,
-            authority=self.authority,
-            expected_binary_hash=tsa.binary_hash,
-            expected_params_hash=tsa.params_hash,
-            rng=child_rng(self.seed, "secagg-client", result.client_id, self.version,
-                          self.updates_received),
-        )
-        leg = self._assign_leg(result.client_id)
-        submission = client.participate(
-            result.delta, leg, log_bundle=self._log_bundle,
-            num_examples=result.num_examples,
-        )
-        return submission, weight, w_int, staleness
+    def _server_for(self, client_id: int) -> SecAggServer:
+        """The server whose TSA hands this client its DH leg.
 
-    def _assign_leg(self, client_id: int):
-        """Hand out the DH leg for one participating client.
-
-        Seam for the sharded subclass: there the leg must come from the
-        client's *routed shard's* TSA — the client-side protocol is
-        otherwise identical (its randomness never depends on the leg).
+        Seam for the sharded subclass: there it is the client's *routed
+        shard's* server — the client-side protocol is otherwise
+        identical (its randomness never depends on the leg).
         """
-        return self._epoch_server.assign_leg()
+        return self._epoch_server
 
-    def _submit_one(self, client_id: int, submission) -> bool:
-        """Forward one scalar-path submission to its epoch server.
+    def _client_ctx(self) -> tuple:
+        """What every participating client knows about this deployment:
+        the leading arguments of :func:`client_submission`."""
+        return self.seed, self.codec, self.authority, self._log_bundle
 
-        Seam for the sharded subclass, which submits to the client's
-        shard-local server and keeps per-shard fold accounting.
+    def _participate(self, result: TrainingResult):
+        """Run the client-side secure participation for one result."""
+        return client_submission(
+            *self._client_ctx(), self._server_for(result.client_id),
+            result.delta, result.client_id, self.version,
+            self.updates_received, result.num_examples,
+        )
+
+    def _prepare_submission(self, result: TrainingResult):
+        """``(submission, weight, w_int, staleness)`` for the block paths."""
+        weight, w_int, staleness = self._admit(result)
+        return self._participate(result), weight, w_int, staleness
+
+    def _fold_client(self, result: TrainingResult, w_int: int) -> int:
+        """Participate and submit one admitted arrival; returns its leg index.
+
+        Seam for the sharded subclasses, which submit to the client's
+        shard-local server (inline) or hand the whole step to the
+        shard's worker process.
         """
-        return self._epoch_server.submit(submission)
+        submission = self._participate(result)
+        if not self._epoch_server.submit(submission):
+            raise RuntimeError("secure submission rejected by honest TSA")
+        return submission.leg_index
 
     def _record_contribution(
         self, result: TrainingResult, leg_index: int, w_int: int, staleness: int
@@ -331,10 +382,9 @@ class SecureBufferedAggregator:
         epoch server only receives the masked vector and the sealed seed.
         """
         t0 = time.perf_counter() if self.profiler is not None else 0.0
-        submission, weight, w_int, staleness = self._prepare_submission(result)
-        if not self._submit_one(result.client_id, submission):
-            raise RuntimeError("secure submission rejected by honest TSA")
-        self._record_contribution(result, submission.leg_index, w_int, staleness)
+        weight, w_int, staleness = self._admit(result)
+        leg_index = self._fold_client(result, w_int)
+        self._record_contribution(result, leg_index, w_int, staleness)
         if self.profiler is not None:
             self.profiler.record("secagg_submit", time.perf_counter() - t0)
 
@@ -424,22 +474,12 @@ class SecureBufferedAggregator:
                 out[-1] = (out[-1][0], info)
         return out
 
-    def _finalize_epoch(self) -> ServerStepInfo:
-        """Unmask the weighted aggregate, step the model, roll the epoch."""
-        t0 = time.perf_counter() if self.profiler is not None else 0.0
-        server, tsa = self._epoch_server, self._epoch_tsa
-        weighted_sum = server.finalize(
-            weights=self._epoch_weights, max_abs=self.clip_value
-        )
+    def _step(self, weighted_sum: np.ndarray) -> ServerStepInfo:
+        """Apply the epoch's decoded weighted sum as one server step."""
         avg = (weighted_sum / self._epoch_weight_total).astype(np.float32)
         self.state.apply(avg, len(self._epoch_contributors))
         self.version += 1
         self.epochs_completed += 1
-        # The TSA is long-lived; its meters are cumulative, so the epoch's
-        # share is the delta since the round was opened.
-        mark_in, mark_out = self._epoch_boundary_mark
-        self.boundary_bytes_in_total += tsa.boundary_bytes_in - mark_in
-        self.boundary_bytes_out_total += tsa.boundary_bytes_out - mark_out
         info = ServerStepInfo(
             version=self.version,
             num_updates=len(self._epoch_contributors),
@@ -449,6 +489,22 @@ class SecureBufferedAggregator:
             contributors=tuple(self._epoch_contributors),
         )
         self.step_history.append(info)
+        return info
+
+    def _finalize_epoch(self) -> ServerStepInfo:
+        """Unmask the weighted aggregate, step the model, roll the epoch."""
+        t0 = time.perf_counter() if self.profiler is not None else 0.0
+        tsa = self._epoch_tsa
+        info = self._step(
+            self._epoch_server.finalize(
+                weights=self._epoch_weights, max_abs=self.clip_value
+            )
+        )
+        # The TSA is long-lived; its meters are cumulative, so the epoch's
+        # share is the delta since the round was opened.
+        mark_in, mark_out = self._epoch_boundary_mark
+        self.boundary_bytes_in_total += tsa.boundary_bytes_in - mark_in
+        self.boundary_bytes_out_total += tsa.boundary_bytes_out - mark_out
         self._begin_epoch()
         if self.profiler is not None:
             self.profiler.record("secagg_finalize", time.perf_counter() - t0)

@@ -54,62 +54,200 @@ import time
 import numpy as np
 
 from repro.core.fedbuff import ServerStepInfo
+from repro.core.parallel import ProcessExecutorMixin, ShardWorkerPool, WorkerPoolError
 from repro.core.sharding import (
     AggregationPlaneClock,
-    make_routing,
+    ShardRoutingMixin,
+    _ShardSlice,
     merge_group_partials,
 )
 from repro.core.staleness import PolynomialStaleness
 from repro.core.types import ModelUpdate, TaskConfig, TrainingResult
-from repro.secagg.client import LogBundle
+from repro.secagg.attestation import SigningAuthority
+from repro.secagg.fixedpoint import FixedPointCodec
+from repro.secagg.groups import PowerOfTwoGroup
+from repro.secagg.merkle import VerifiableLog
 from repro.secagg.server import LegPool, SecAggServer
 from repro.secagg.tsa import TrustedSecureAggregator, TrustedShardReducer
 from repro.system.adapters import TrainerAdapter
-from repro.system.secure import WEIGHT_SCALE, SecureBufferedAggregator
+from repro.system.secure import (
+    SecureBufferedAggregator,
+    client_submission,
+    publish_manifest,
+)
 from repro.system.sharding import ShardedFLTaskRuntime
 from repro.utils.rng import child_rng
 
 __all__ = [
+    "SecureLane",
     "SecureShardedAggregator",
     "ProcessSecureShardedAggregator",
     "SecureShardedFLTaskRuntime",
 ]
 
 
-class _SecureShard:
+class _SecureShard(_ShardSlice):
     """One shard: a TSA + server pair folding masked updates over its slice."""
 
-    __slots__ = (
-        "tsa",
-        "server",
-        "pool",
-        "alive",
-        "in_flight",
-        "count",
-        "folds_total",
-        "weights",
-        "boundary_mark",
-    )
+    __slots__ = ("tsa", "server", "pool", "weights", "boundary_mark")
 
     def __init__(
-        self, tsa: TrustedSecureAggregator, server: SecAggServer, pool: LegPool
+        self,
+        shard_id: int,
+        seed: int,
+        group: PowerOfTwoGroup,
+        codec: FixedPointCodec,
+        authority: SigningAuthority,
+        vector_length: int,
+        goal: int,
+        cache_masks: bool,
     ) -> None:
-        self.tsa = tsa
-        self.server = server
-        self.pool = pool
-        self.alive = True
-        self.in_flight = 0      # clients routed here and still training
-        self.count = 0          # masked updates accepted this epoch
-        self.folds_total = 0    # lifetime folds (load/skew telemetry)
+        """Stand the shard up from the deployment seed.
+
+        ``threshold = goal`` on every shard, so each leg's quote binds
+        the *same* params hash a single-plane client would verify.
+        Demand minting (one leg per arriving client) keeps the total
+        legs minted per epoch across shards equal to the single plane's
+        pool amortization (goal legs/epoch) for any routing — the
+        boundary meters depend on it.
+        """
+        super().__init__()
+        self.tsa = TrustedSecureAggregator(
+            group,
+            vector_length,
+            threshold=goal,
+            authority=authority,
+            rng=child_rng(seed, "tsa-epoch", 0, shard_id),
+            cache_masks=cache_masks,
+        )
+        self.pool = LegPool(self.tsa, block_size=1, prefill=0)
+        self.server = SecAggServer(self.tsa, codec, leg_pool=self.pool)
         self.weights: dict[int, int] = {}  # leg index -> integer weight
         self.boundary_mark = (0, 0)
 
-    def load(self) -> int:
-        """Routing load signal: buffered plus in-flight work."""
-        return self.count + self.in_flight
+    def clear(self) -> None:
+        """Forget the open epoch's accepted contributions."""
+        self.weights = {}
+        self.count = 0
+
+    def rekey(self) -> None:
+        """Open a fresh TSA round: whatever round state the shard held
+        (recovered seeds, cached mask rows, accepted masked updates) is
+        discarded.  Minted legs survive, as across any ``begin_round``."""
+        self.tsa.begin_round()
+        self.server.begin_round()
+        self.clear()
+
+    def meters(self) -> tuple[int, int]:
+        """Cumulative boundary bytes (in, out) of this shard's TSA."""
+        return self.tsa.boundary_bytes_in, self.tsa.boundary_bytes_out
+
+    def participate(
+        self, client_ctx: tuple, delta: np.ndarray, client_id: int,
+        version: int, updates_received: int, w_int: int, num_examples: int,
+    ) -> bool:
+        """One logged arrival, client step to TSA admit, on this shard.
+
+        This is the worker lane's ``participate`` op and the executor
+        fallback's replay step — one definition, so a replayed shard is
+        bit-identical to the worker's.  ``client_ctx`` is the
+        deployment's ``(seed, codec, authority, log_bundle)`` (see
+        ``SecureBufferedAggregator._client_ctx``).
+        """
+        submission = client_submission(
+            *client_ctx, self.server, delta, client_id, version,
+            updates_received, num_examples,
+        )
+        if not self.server.submit(submission):
+            return False
+        self.weights[submission.leg_index] = w_int
+        return True
+
+    def release_partial(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """This shard's epoch contribution to the root merge.
+
+        ``(masked weighted sum, partial unmask, processed, total |w|)``.
+        The partial unmask stays inside the trust domain — only the
+        reducer's one merged vector crosses the boundary — and burns the
+        TSA's one-shot release latch until the next :meth:`rekey`.
+        """
+        live = {k: v for k, v in self.weights.items() if v}
+        masked, total_w = self.server.masked_weighted_sum(live)
+        unmask = self.tsa.release_unmask_partial(live)
+        return masked, unmask, self.tsa.processed_count, total_w
 
 
-class SecureShardedAggregator(SecureBufferedAggregator):
+class SecureLane:
+    """The secure pool lane: each worker OWNS its shard's TSA + server.
+
+    Unlike the float lane (which only folds), a secure lane runs the
+    whole per-arrival pipeline — deterministic client participation
+    (the client's randomness is keyed by global counters the parent
+    ships with each task), demand leg minting, attestation verification,
+    and the TSA admit — because the 2048-bit modexps are what dominate
+    secure aggregation's critical path; shipping only the fold would
+    leave them serialized on the parent.  Everything is rebuilt from the
+    deployment seed with the exact ``child_rng`` derivations the inline
+    plane uses (it *is* a :class:`_SecureShard`), so the shard state is
+    bit-identical to an inline shard fed the same arrivals.
+
+    Ops: ``participate`` (logged; ``args = (client_id, version,
+    updates_received, w_int, num_examples)``; a TSA rejection fails the
+    pool), ``finalize_partial`` (writes the masked weighted sum and the
+    partial unmask into this shard's two output rows, acks
+    ``(processed, total_w)``), ``begin_round`` (re-key; also the pool's
+    epoch reset), ``meters`` (cumulative boundary bytes, read-only).
+    """
+
+    out_rows = 2
+    out_dtype = np.uint64
+    reset_op = "begin_round"
+
+    def __init__(
+        self, seed: int, goal: int, group_bits: int, fp_scale: float,
+        clip_value: float, cache_masks: bool,
+    ):
+        self.seed = seed
+        self.goal = goal
+        self.group_bits = group_bits
+        self.fp_scale = fp_scale
+        self.clip_value = clip_value
+        self.cache_masks = cache_masks
+
+    def open(self, shard_id: int, inputs: np.ndarray, rows: np.ndarray):
+        group = PowerOfTwoGroup(self.group_bits)
+        codec = FixedPointCodec(
+            group, scale=self.fp_scale, clip_value=self.clip_value
+        )
+        authority = SigningAuthority()
+        shard = _SecureShard(
+            shard_id, self.seed, group, codec, authority, inputs.shape[1],
+            self.goal, self.cache_masks,
+        )
+        ctx = (self.seed, codec, authority,
+               publish_manifest(VerifiableLog(), shard.tsa))
+
+        def handle(op: str, slots: tuple[int, ...], args: tuple):
+            if op == "participate":
+                if not shard.participate(ctx, inputs[slots[0]].copy(), *args):
+                    return WorkerPoolError(
+                        f"shard {shard_id} worker rejected a secure submission"
+                    )
+            elif op == "finalize_partial":
+                rows[0], rows[1], processed, total_w = shard.release_partial()
+                return processed, total_w
+            elif op == "begin_round":
+                shard.rekey()
+            else:  # "meters"
+                return shard.meters()
+
+        return handle
+
+    def __repr__(self) -> str:
+        return f"SecureLane(goal={self.goal})"
+
+
+class SecureShardedAggregator(ShardRoutingMixin, SecureBufferedAggregator):
     """Sharded :class:`SecureBufferedAggregator` (drop-in, same contract).
 
     Parameters are those of the single secure plane plus:
@@ -137,23 +275,12 @@ class SecureShardedAggregator(SecureBufferedAggregator):
         clock: AggregationPlaneClock | None = None,
         **kwargs,
     ):
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        self.num_shards = num_shards
-        self.routing = make_routing(routing) if isinstance(routing, str) else routing
-        self.clock = clock
+        self._init_routing(num_shards, routing, clock)
         # Populated lazily by the first _begin_epoch (the base constructor
         # calls it after the group/codec/authority exist).
         self._shards: list[_SecureShard] = []
-        self._shard_of: dict[int, int] = {}  # client id -> shard id
         self._reducer: TrustedShardReducer | None = None
         self._reducer_mark = 0
-        # Per-buffered-entry bookkeeping parallel to the inherited
-        # arrival-order lists; lets drop_shard() excise exactly one
-        # shard's slice of the open epoch.
-        self._entry_shards: list[int] = []
-        self._entry_weights: list[int] = []
-        self.shard_failovers = 0
         self.last_merged_masked_sum: np.ndarray | None = None
         self.last_unmask: np.ndarray | None = None
         super().__init__(state, goal, vector_length, **kwargs)
@@ -163,60 +290,35 @@ class SecureShardedAggregator(SecureBufferedAggregator):
     def _begin_epoch(self) -> None:
         """Open (or re-key) every live shard's Figure 16 session.
 
-        The first call stands up ``S`` long-lived shard TSAs — all with
-        ``threshold = goal``, so every leg's quote binds the *same*
-        params hash a single-plane client would verify — plus the root
-        reducer, and publishes the one manifest entry (every shard runs
-        the same trusted binary).  Every later call re-keys each live
-        shard's round and re-arms the reducer; dead shards are re-keyed
-        at :meth:`revive_shard` time instead.
+        The first call stands up ``S`` long-lived shard TSAs plus the
+        root reducer, and publishes the one manifest entry (every shard
+        runs the same trusted binary).  Every later call re-keys each
+        live shard's round and re-arms the reducer; dead shards are
+        re-keyed at :meth:`revive_shard` time instead.
         """
         if not self._shards:
-            for sid in range(self.num_shards):
-                tsa = TrustedSecureAggregator(
-                    self.group,
-                    self.vector_length,
-                    threshold=self.goal,
-                    authority=self.authority,
-                    rng=child_rng(self.seed, "tsa-epoch", 0, sid),
-                    cache_masks=self._cache_masks,
+            self._shards = [
+                _SecureShard(
+                    sid, self.seed, self.group, self.codec, self.authority,
+                    self.vector_length, self.goal, self._cache_masks,
                 )
-                # Demand minting: one leg per arriving client, so the
-                # total legs minted per epoch across shards equals the
-                # single plane's pool amortization (goal legs/epoch) for
-                # any routing — the boundary meters depend on it.
-                pool = LegPool(tsa, block_size=1, prefill=0)
-                server = SecAggServer(tsa, self.codec, leg_pool=pool)
-                self._shards.append(_SecureShard(tsa, server, pool))
-            first = self._shards[0].tsa
-            entry = b"manifest|" + first.binary_hash
-            index = self.log.append(entry)
-            self._log_bundle = LogBundle(
-                entry=entry,
-                index=index,
-                size=self.log.size,
-                root=self.log.root(),
-                proof=self.log.inclusion_proof(index),
-            )
+                for sid in range(self.num_shards)
+            ]
             # The inherited client-side path reads the expected binary /
             # params hashes off _epoch_tsa; every shard shares both.
-            self._epoch_tsa = first
+            self._epoch_tsa = self._shards[0].tsa
+            self._log_bundle = publish_manifest(self.log, self._epoch_tsa)
             self._reducer = TrustedShardReducer(
                 self.group, self.vector_length, self.goal
             )
         else:
             for shard in self._shards:
                 if shard.alive:
-                    shard.tsa.begin_round()
-                    shard.server.begin_round()
+                    shard.rekey()
             self._reducer.begin_round()
-        for shard in self._shards:
-            shard.boundary_mark = (
-                shard.tsa.boundary_bytes_in,
-                shard.tsa.boundary_bytes_out,
-            )
-            shard.weights = {}
-            shard.count = 0
+        for shard, mark in zip(self._shards, self._shard_meters()):
+            shard.boundary_mark = mark
+            shard.clear()
         self._reducer_mark = self._reducer.boundary_bytes_out
         self._epoch_weights = {}
         self._epoch_weight_total = 0.0
@@ -225,79 +327,33 @@ class SecureShardedAggregator(SecureBufferedAggregator):
         self._entry_shards = []
         self._entry_weights = []
 
-    # -- client protocol -------------------------------------------------------
-
-    def register_download(self, client_id: int) -> tuple[int, np.ndarray]:
-        """Record the download and route the client to a shard.
-
-        Mirrors the float plane: with *every* shard dead the client is
-        registered but left unrouted — its upload raises at admission
-        exactly like the single aggregator's dead-host path.
-        """
-        out = super().register_download(client_id)
-        previous = self._shard_of.pop(client_id, None)
-        if previous is not None:
-            self._shards[previous].in_flight -= 1
-        try:
-            shard_id = self.routing.route(client_id, self._shards)
-        except RuntimeError:
-            return out
-        self._shard_of[client_id] = shard_id
-        self._shards[shard_id].in_flight += 1
-        return out
-
-    def client_failed(self, client_id: int) -> None:
-        super().client_failed(client_id)
-        shard_id = self._shard_of.pop(client_id, None)
-        if shard_id is not None:
-            self._shards[shard_id].in_flight -= 1
-
-    def shard_of(self, client_id: int) -> int | None:
-        """The shard an in-flight client is routed to (None if unknown)."""
-        return self._shard_of.get(client_id)
-
-    def shard_alive(self, shard_id: int) -> bool:
-        """Whether a shard is currently accepting contributions."""
-        return self._shards[shard_id].alive
+    def _shard_meters(self) -> list[tuple[int, int]]:
+        """Cumulative boundary bytes (in, out) per shard TSA."""
+        return [shard.meters() for shard in self._shards]
 
     # -- aggregation ------------------------------------------------------------
 
-    def _release_route(self, client_id: int) -> int:
-        shard_id = self._shard_of.pop(client_id)
-        self._shards[shard_id].in_flight -= 1
-        return shard_id
-
-    def _require_routed(self, client_id: int) -> None:
-        """Reject an update whose client never got a shard *before* the
-        client-side participation mutates any accounting."""
-        if client_id in self._in_flight and client_id not in self._shard_of:
-            raise KeyError(
-                f"client {client_id} registered while no shard was live; "
-                "its contribution is lost (plane-wide outage)"
-            )
-
-    def _assign_leg(self, client_id: int):
+    def _server_for(self, client_id: int) -> SecAggServer:
         """The participating client's leg comes from its shard's TSA."""
-        return self._shards[self._shard_of[client_id]].server.assign_leg()
+        return self._shards[self._shard_of[client_id]].server
 
-    def _submit_one(self, client_id: int, submission) -> bool:
+    def _fold_client(self, result: TrainingResult, w_int: int) -> int:
         """Submit to the client's shard server; keep per-shard accounting."""
-        shard_id = self._release_route(client_id)
-        shard = self._shards[shard_id]
+        submission = self._participate(result)
+        shard_id = self._unroute(result.client_id)
         timed = self.clock is not None or self.profiler is not None
         t0 = time.perf_counter() if timed else 0.0
-        ok = shard.server.submit(submission)
+        ok = self._shards[shard_id].server.submit(submission)
         if timed:
             dt = time.perf_counter() - t0
             if self.clock is not None:
                 self.clock.record_fold(shard_id, dt)
             if self.profiler is not None:
                 self.profiler.record("shard_fold", dt)
-        if ok:
-            shard.count += 1
-            shard.folds_total += 1
-            self._entry_shards.append(shard_id)
-        return ok
+        if not ok:
+            raise RuntimeError("secure submission rejected by honest TSA")
+        self._note_fold(shard_id)
+        return submission.leg_index
 
     def _record_contribution(
         self, result: TrainingResult, leg_index: int, w_int: int, staleness: int
@@ -320,10 +376,10 @@ class SecureShardedAggregator(SecureBufferedAggregator):
         try:
             return super().receive_update(result)
         except ValueError:
-            # The version check failed after the in-flight pop; keep the
-            # shard slot consistent, as the float plane does.
-            if result.client_id in self._shard_of:
-                self._release_route(result.client_id)
+            # The version check (or a malformed delta) failed after the
+            # in-flight pop; keep the shard slot consistent, as the float
+            # plane does.
+            self._unroute(result.client_id)
             raise
 
     def receive_update_block(
@@ -357,19 +413,15 @@ class SecureShardedAggregator(SecureBufferedAggregator):
                             self._prepare_submission(result)
                         )
                     except ValueError:
-                        if result.client_id in self._shard_of:
-                            self._release_route(result.client_id)
+                        self._unroute(result.client_id)
                         raise
-                    shard_id = self._release_route(result.client_id)
-                    shard = self._shards[shard_id]
-                    shard.server.complete_checkin(submission)
+                    shard_id = self._unroute(result.client_id)
+                    self._shards[shard_id].server.complete_checkin(submission)
                     pending.setdefault(shard_id, []).append(submission)
                     records.setdefault(shard_id, []).append(
                         (submission.leg_index, w_int, len(self._epoch_contributors))
                     )
-                    shard.count += 1
-                    shard.folds_total += 1
-                    self._entry_shards.append(shard_id)
+                    self._note_fold(shard_id)
                     self._record_contribution(
                         result, submission.leg_index, w_int, staleness
                     )
@@ -429,42 +481,44 @@ class SecureShardedAggregator(SecureBufferedAggregator):
                 out[-1] = (out[-1][0], info)
         return out
 
+    def _collect_partials(self) -> list[tuple[int, np.ndarray, np.ndarray, int, int]]:
+        """``(shard, masked sum, partial unmask, processed, |w|)`` per
+        contributing shard, ascending — the one step the executors do
+        differently (here: computed in place, on the shard's lane)."""
+        out = []
+        for sid, shard in enumerate(self._shards):
+            if not shard.weights:
+                continue  # dead (excised at drop time) or simply empty
+            tp = time.perf_counter() if self.clock is not None else 0.0
+            out.append((sid, *shard.release_partial()))
+            if self.clock is not None:
+                # Partial extraction runs on the shard's lane; it adds no
+                # fold to the tally (those were counted per arrival).
+                self.clock.record_fold(sid, time.perf_counter() - tp, n=0)
+        return out
+
     def _finalize_epoch(self) -> ServerStepInfo:
         """Merge shard partials, unmask once, step the model, re-key."""
         timed = self.clock is not None or self.profiler is not None
         t0 = time.perf_counter() if self.profiler is not None else 0.0
-        masked_partials: list[tuple[int, np.ndarray]] = []
-        reducer_shards = []
-        total_w = 0
-        for sid, shard in enumerate(self._shards):
-            if not shard.weights:
-                continue  # dead (excised at drop time) or simply empty
-            tp = time.perf_counter() if timed else 0.0
-            masked, w = shard.server.masked_weighted_sum(shard.weights)
-            if timed and self.clock is not None:
-                # Partial extraction runs on the shard's lane; it adds no
-                # fold to the tally (those were counted per arrival).
-                self.clock.record_fold(sid, time.perf_counter() - tp, n=0)
-            masked_partials.append((sid, masked))
-            reducer_shards.append(
-                (sid, shard.tsa, {k: v for k, v in shard.weights.items() if v})
-            )
-            total_w += w
+        partials = self._collect_partials()
         tm = time.perf_counter() if timed else 0.0
         merged_masked = merge_group_partials(
-            self.group, masked_partials, self.vector_length
+            self.group, [(sid, masked) for sid, masked, *_ in partials],
+            self.vector_length,
         )
-        unmask = self._reducer.release_merged_unmask(reducer_shards)
-        encoded_sum = self.group.sub(merged_masked, unmask)
+        unmask = self._reducer.merge_released_partials(
+            [(sid, part) for sid, _, part, _, _ in partials],
+            sum(processed for *_, processed, _ in partials),
+        )
         weighted_sum = self.codec.decode_sum(
-            encoded_sum, max(total_w, 1), self.clip_value
+            self.group.sub(merged_masked, unmask),
+            max(sum(w for *_, w in partials), 1),
+            self.clip_value,
         )
         self.last_merged_masked_sum = merged_masked
         self.last_unmask = unmask
-        avg = (weighted_sum / self._epoch_weight_total).astype(np.float32)
-        self.state.apply(avg, len(self._epoch_contributors))
-        self.version += 1
-        self.epochs_completed += 1
+        info = self._step(weighted_sum)
         if timed:
             dt = time.perf_counter() - tm
             if self.clock is not None:
@@ -474,108 +528,42 @@ class SecureShardedAggregator(SecureBufferedAggregator):
         # Long-lived shard TSAs have cumulative meters; the epoch's share
         # is each shard's delta since its round opened, plus the
         # reducer's one merged release.
-        for shard in self._shards:
+        for shard, (m_in, m_out) in zip(self._shards, self._shard_meters()):
             mark_in, mark_out = shard.boundary_mark
-            self.boundary_bytes_in_total += shard.tsa.boundary_bytes_in - mark_in
-            self.boundary_bytes_out_total += (
-                shard.tsa.boundary_bytes_out - mark_out
-            )
+            self.boundary_bytes_in_total += m_in - mark_in
+            self.boundary_bytes_out_total += m_out - mark_out
         self.boundary_bytes_out_total += (
             self._reducer.boundary_bytes_out - self._reducer_mark
         )
-        info = ServerStepInfo(
-            version=self.version,
-            num_updates=len(self._epoch_contributors),
-            total_weight=self._epoch_weight_total / WEIGHT_SCALE,
-            mean_staleness=float(np.mean(self._epoch_staleness)),
-            max_staleness=int(np.max(self._epoch_staleness)),
-            contributors=tuple(self._epoch_contributors),
-        )
-        self.step_history.append(info)
         self._begin_epoch()
         if self.profiler is not None:
             self.profiler.record("secagg_finalize", time.perf_counter() - t0)
         return info
 
     # -- failover (Appendix E.4, per shard) ------------------------------------
+    #
+    # drop_shard() is the mixin's: the shard's masked contributions never
+    # reached the root (its partial is computed at finalize time from
+    # state that just died), so excising its arrival-order entries leaves
+    # the epoch exactly as if a single secure aggregator had been fed
+    # only the survivors' arrivals — the dead slice's masks cancel out of
+    # nothing.
 
-    def drop_shard(self, shard_id: int) -> tuple[int, list[int]]:
-        """One shard's host died: excise exactly its slice of the epoch.
-
-        The shard's masked contributions never reached the root (its
-        partial is computed at finalize time from state that just died),
-        so excising its arrival-order entries leaves the epoch exactly
-        as if a single secure aggregator had been fed only the
-        survivors' arrivals — the dead slice's masks cancel out of
-        nothing.  In-flight clients routed here are dropped; routing
-        steers around the shard until :meth:`revive_shard` re-keys it.
-        Returns (buffered updates lost, dropped client ids).
-        """
-        shard = self._shards[shard_id]
-        shard.alive = False
-        dropped = sorted(
-            cid for cid, sid in self._shard_of.items() if sid == shard_id
-        )
-        for cid in dropped:
-            self._shard_of.pop(cid)
-            self._in_flight.pop(cid, None)
-        shard.in_flight = 0
-        lost = shard.count
-        if lost:
-            keep = [
-                i for i, sid in enumerate(self._entry_shards) if sid != shard_id
-            ]
-            self._epoch_staleness = [self._epoch_staleness[i] for i in keep]
-            self._epoch_contributors = [self._epoch_contributors[i] for i in keep]
-            self._entry_weights = [self._entry_weights[i] for i in keep]
-            self._entry_shards = [self._entry_shards[i] for i in keep]
-            self._epoch_weight_total = float(sum(self._entry_weights))
-        shard.weights = {}
-        shard.count = 0
-        self.shard_failovers += 1
-        return lost, dropped
+    def _keep_entries(self, keep: list[int], lost: int) -> None:
+        self._epoch_staleness = [self._epoch_staleness[i] for i in keep]
+        self._epoch_contributors = [self._epoch_contributors[i] for i in keep]
+        self._epoch_weight_total = float(sum(self._entry_weights))
 
     def revive_shard(self, shard_id: int) -> None:
         """Bring a dead shard back empty, re-keying its TSA round.
 
         The re-key composes failover with epoch rotation: whatever round
-        state the shard held when its host died (recovered seeds, cached
-        mask rows, the accepted masked updates) is discarded, so its
+        state the shard held when its host died is discarded, so its
         next partial covers exactly the contributions accepted after
-        revival.  Minted legs survive, as across any ``begin_round``.
+        revival.
         """
-        shard = self._shards[shard_id]
-        shard.alive = True
-        shard.tsa.begin_round()
-        shard.server.begin_round()
-        shard.weights = {}
-        shard.count = 0
-        shard.in_flight = 0
-
-    def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
-        """Whole-plane failure: every shard's epoch state and session is lost."""
-        for shard in self._shards:
-            shard.in_flight = 0
-        self._shard_of.clear()
-        return super().drop_buffer_and_inflight()
-
-    # -- introspection ------------------------------------------------------------
-
-    def live_shards(self) -> list[int]:
-        """Ids of shards currently accepting contributions."""
-        return [i for i, s in enumerate(self._shards) if s.alive]
-
-    def shard_loads(self) -> list[int]:
-        """Lifetime folds per shard (the load-skew telemetry)."""
-        return [s.folds_total for s in self._shards]
-
-    def shard_buffered(self) -> list[int]:
-        """Masked updates currently buffered in each shard's open epoch."""
-        return [s.count for s in self._shards]
-
-    def shard_in_flight(self) -> list[int]:
-        """In-flight clients routed to each shard."""
-        return [s.in_flight for s in self._shards]
+        super().revive_shard(shard_id)
+        self._shards[shard_id].rekey()
 
     def __repr__(self) -> str:
         return (
@@ -586,19 +574,18 @@ class SecureShardedAggregator(SecureBufferedAggregator):
         )
 
 
-class ProcessSecureShardedAggregator(SecureShardedAggregator):
+class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureShardedAggregator):
     """Secure sharded aggregation on real worker processes.
 
     Each shard's *entire* secure pipeline — deterministic client
     participation, demand leg minting, attestation verification, TSA
-    admit — runs on that shard's worker process
-    (:class:`~repro.core.parallel.SecureShardWorkerPool`), because the
-    2048-bit modexps are what dominate the secure critical path; a
-    fold-only executor would leave them serialized on the parent.  The
-    parent validates arrivals, routes, keeps the FedBuff bookkeeping,
-    and at the aggregation goal merges the shards' masked group sums
-    and partial unmasks (written to a shared-memory slab) under the
-    trusted root reducer.
+    admit — runs on that shard's worker process (a
+    :class:`~repro.core.parallel.ShardWorkerPool` on the
+    :class:`SecureLane`).  The parent validates arrivals, routes, keeps
+    the FedBuff bookkeeping, and at the aggregation goal merges the
+    shards' masked group sums and partial unmasks (written to the pool's
+    output slab) under the trusted root reducer — the inherited epoch
+    tail; only *collecting* the partials differs.
 
     Bit-identical to the inline plane: workers derive every key, seed,
     and mask from the same ``child_rng`` chains, and leg indices are
@@ -606,10 +593,8 @@ class ProcessSecureShardedAggregator(SecureShardedAggregator):
     without waiting for acks.
 
     A dead worker (or an exhausted input slab, or a reported rejection)
-    triggers a permanent fallback to the inline executor: the parent
-    catches each dormant inline shard up by burning the worker's
-    lifetime leg mints off its virgin TSA RNG, then replays the open
-    epoch's dispatch log — same derivations, same order — so the inline
+    triggers a permanent fallback to the inline executor (see
+    :meth:`_restore_inline_shards`), after which the inherited inline
     plane continues from exactly the state the workers held.
     """
 
@@ -624,178 +609,74 @@ class ProcessSecureShardedAggregator(SecureShardedAggregator):
         **kwargs,
     ):
         super().__init__(state, goal, vector_length, **kwargs)
-        from repro.core.parallel import SecureShardWorkerPool, _default_on_event
-
         if self.group.dtype != np.uint64:
             raise ValueError(
                 "the secure process executor shares uint64 group slabs; "
                 f"group dtype is {self.group.dtype}"
             )
-        self._on_event = on_event or _default_on_event
-        self._pool = SecureShardWorkerPool(
+        # Cumulative worker boundary meters as of the last finalize, per
+        # shard — the epoch marks, exactly like the inline plane's.
+        self._worker_meters = [(0, 0)] * self.num_shards
+        pool = ShardWorkerPool(
             num_shards=self.num_shards,
             vector_length=vector_length,
             slots=2 * goal,
-            seed=self.seed,
-            goal=goal,
-            group_bits=self.group.bits,
-            fp_scale=self.codec.scale,
-            clip_value=self.clip_value,
-            cache_masks=self._cache_masks,
+            lane=SecureLane(
+                self.seed, goal, self.group.bits, self.codec.scale,
+                self.clip_value, self._cache_masks,
+            ),
             start_method=start_method,
-            on_event=self._on_event,
+            on_event=on_event,
         )
-        # Cumulative worker boundary meters at the last accounting point,
-        # per shard — finalize adds the delta, exactly like the inline
-        # plane's per-epoch marks.
-        self._worker_marks = [(0, 0)] * self.num_shards
-        self._pool_active = True
-        self.executor_fallbacks = 0
+        self._attach_pool(pool, True, on_event)
 
-    @property
-    def pool_active(self) -> bool:
-        """Whether the secure pipeline still runs on worker processes."""
-        return self._pool_active
+    def _restore_inline_shards(self) -> None:
+        """Catch the dormant inline shards up to the workers' state.
 
-    def kill_worker(self, shard_id: int) -> bool:
-        """Chaos hook (``worker_kill`` fault): terminate one shard worker.
-
-        The fallback fires at the next barrier/dispatch, replaying the
-        dispatch log inline (bit-identically).  Returns False once
-        already fallen back.
+        The inline shards (built by ``_begin_epoch``, never fed while
+        the pool was active) have virgin TSA RNGs and empty rounds.
+        Burn each worker's pre-epoch leg mints off the inline pool so
+        the mint RNG aligns, mark the boundary meters (pre-epoch traffic
+        was already accounted from worker acks), then replay the open
+        epoch's participations with the same derivations in dispatch
+        order against the still-live input slab.
         """
-        if not self._pool_active:
-            return False
-        return self._pool.kill_worker(shard_id)
-
-    # -- fallback --------------------------------------------------------------
-
-    def _fall_back(self, reason: str, **fields) -> None:
-        """Permanently switch to the inline executor, bit-identically.
-
-        The dormant inline shards (built by ``_begin_epoch``, never fed
-        while the pool was active) have virgin TSA RNGs and empty
-        rounds.  Catch-up: burn each worker's lifetime leg mints
-        (``ops_total``) off the inline pool so the mint RNG aligns, mark
-        the boundary meters (pre-epoch traffic was already accounted
-        from worker acks), then replay the open epoch's participations
-        with the same derivations in dispatch order.
-        """
-        if not self._pool_active:
-            return
-        self._pool_active = False
-        self.executor_fallbacks += 1
-        epoch_ops = self._pool.epoch_ops()
         for sid, shard in enumerate(self._shards):
-            for _ in range(self._pool.minted_before_epoch(sid)):
+            for _ in range(self._pool.dispatched_before_epoch(sid)):
                 shard.pool.take()
-            shard.boundary_mark = (
-                shard.tsa.boundary_bytes_in,
-                shard.tsa.boundary_bytes_out,
-            )
+            shard.boundary_mark = shard.meters()
             shard.weights = {}
-        from repro.secagg.client import SecAggClient
-
-        for sid, slot, cid, version, updates_received, w_int, n_ex in epoch_ops:
-            shard = self._shards[sid]
-            client = SecAggClient(
-                client_id=cid,
-                codec=self.codec,
-                authority=self.authority,
-                expected_binary_hash=shard.tsa.binary_hash,
-                expected_params_hash=shard.tsa.params_hash,
-                rng=child_rng(
-                    self.seed, "secagg-client", cid, version, updates_received
-                ),
-            )
-            leg = shard.server.assign_leg()
-            submission = client.participate(
-                self._pool.inputs[slot].copy(), leg,
-                log_bundle=self._log_bundle, num_examples=n_ex,
-            )
-            if not shard.server.submit(submission):
+        ctx = self._client_ctx()
+        for sid, _, (slot,), args in self._pool.epoch_log():
+            if not self._shards[sid].participate(
+                ctx, self._pool.inputs[slot].copy(), *args
+            ):
                 raise RuntimeError("secure submission rejected by honest TSA")
-            shard.weights[submission.leg_index] = w_int
-        self._on_event(
-            "executor_fallback",
-            {"reason": reason, "executor": "inline", **fields},
-        )
-        self._pool.close()
 
     # -- overridden pipeline seams ---------------------------------------------
 
-    def receive_update(
-        self, result: TrainingResult
-    ) -> tuple[ModelUpdate, ServerStepInfo | None]:
-        if not self._pool_active:
-            return super().receive_update(result)
-        t0 = time.perf_counter() if self.profiler is not None else 0.0
-        self._require_routed(result.client_id)
-        # The validation half of _prepare_submission; the crypto half
-        # runs on the shard's worker.
-        initial = self._in_flight.pop(result.client_id, None)
-        if initial is None:
-            raise KeyError(f"client {result.client_id} is not in flight")
-        if initial != result.initial_version:
-            self._release_route(result.client_id)
-            raise ValueError(
-                f"client {result.client_id} reported initial version "
-                f"{result.initial_version}, aggregator recorded {initial}"
-            )
-        staleness = self.version - result.initial_version
-        weight = self._example_weight(result.num_examples) * self.staleness_policy(
-            staleness
-        )
-        w_int = max(1, int(round(weight * WEIGHT_SCALE)))
-        shard_id = self._release_route(result.client_id)
-        shard = self._shards[shard_id]
+    def _shard_meters(self) -> list[tuple[int, int]]:
+        if self._pool_active:
+            return self._worker_meters
+        return super()._shard_meters()
+
+    def _fold_client(self, result: TrainingResult, w_int: int) -> int:
+        """Hand the client step + admit to the shard's worker."""
+        shard_id = self._shard_of[result.client_id]
+        args = (result.client_id, self.version, self.updates_received, w_int,
+                result.num_examples)
+        if not self._on_pool(
+            self._pool.dispatch, shard_id, "participate", args, (result.delta,),
+            shard=shard_id,
+        ):
+            return super()._fold_client(result, w_int)
+        self._unroute(result.client_id)
         # Demand minting is one leg per arrival, so per-shard leg
         # indices are sequential — the worker's assign_leg returns
         # exactly this index.
-        leg_index = shard.folds_total
-        try:
-            self._pool.participate(
-                shard_id, result.delta, result.client_id, self.version,
-                self.updates_received, w_int, result.num_examples,
-            )
-        except Exception as exc:  # WorkerPoolError or a dead queue
-            self._fall_back("pool_error", shard=shard_id, error=str(exc))
-            from repro.secagg.client import SecAggClient
-
-            client = SecAggClient(
-                client_id=result.client_id,
-                codec=self.codec,
-                authority=self.authority,
-                expected_binary_hash=shard.tsa.binary_hash,
-                expected_params_hash=shard.tsa.params_hash,
-                rng=child_rng(
-                    self.seed, "secagg-client", result.client_id,
-                    self.version, self.updates_received,
-                ),
-            )
-            leg = shard.server.assign_leg()
-            submission = client.participate(
-                result.delta, leg, log_bundle=self._log_bundle,
-                num_examples=result.num_examples,
-            )
-            if not shard.server.submit(submission):
-                raise RuntimeError(
-                    "secure submission rejected by honest TSA"
-                ) from None
-            leg_index = submission.leg_index
-        shard.count += 1
-        shard.folds_total += 1
-        self._entry_shards.append(shard_id)
-        self._record_contribution(result, leg_index, w_int, staleness)
-        if self.profiler is not None:
-            self.profiler.record("secagg_submit", time.perf_counter() - t0)
-        update = ModelUpdate(
-            result=result, arrival_version=self.version, weight=weight
-        )
-        info = None
-        if len(self._epoch_contributors) >= self.goal:
-            info = self._finalize_epoch()
-        return update, info
+        leg_index = self._shards[shard_id].folds_total
+        self._note_fold(shard_id)
+        return leg_index
 
     def receive_update_block(
         self, results: list[TrainingResult]
@@ -807,150 +688,43 @@ class ProcessSecureShardedAggregator(SecureShardedAggregator):
             return super().receive_update_block(results)
         return [self.receive_update(result) for result in results]
 
-    def _finalize_epoch(self) -> ServerStepInfo:
-        if not self._pool_active:
-            return super()._finalize_epoch()
-        from repro.core.parallel import WorkerPoolError
+    def _collect_partials(self):
+        out = []
 
-        t0 = time.perf_counter() if self.profiler is not None else 0.0
-        try:
+        def from_workers() -> None:
             self._pool.barrier()
-            masked_partials = []
-            unmask_partials = []
-            processed = 0
-            total_w = 0
             for sid, shard in enumerate(self._shards):
-                if not shard.weights:
-                    continue
-                _, shard_processed, shard_w, _, _ = self._pool.call(
-                    sid, "finalize_partial"
-                )
-                masked_partials.append((sid, self._pool.masked_row(sid).copy()))
-                unmask_partials.append((sid, self._pool.unmask_row(sid).copy()))
-                processed += shard_processed
-                total_w += shard_w
-            meters = {
-                sid: self._pool.call(sid, "meters")
-                for sid in range(self.num_shards)
-            }
-        except WorkerPoolError as exc:
-            self._fall_back(
-                "worker_dead",
-                dead=tuple(self._pool.dead_workers()),
-                error=str(exc),
-            )
-            return super()._finalize_epoch()
-        merged_masked = merge_group_partials(
-            self.group, masked_partials, self.vector_length
-        )
-        unmask = self._reducer.merge_released_partials(unmask_partials, processed)
-        encoded_sum = self.group.sub(merged_masked, unmask)
-        weighted_sum = self.codec.decode_sum(
-            encoded_sum, max(total_w, 1), self.clip_value
-        )
-        self.last_merged_masked_sum = merged_masked
-        self.last_unmask = unmask
-        avg = (weighted_sum / self._epoch_weight_total).astype(np.float32)
-        self.state.apply(avg, len(self._epoch_contributors))
-        self.version += 1
-        self.epochs_completed += 1
-        for sid in range(self.num_shards):
-            _, m_in, m_out = meters[sid]
-            mark_in, mark_out = self._worker_marks[sid]
-            self.boundary_bytes_in_total += m_in - mark_in
-            self.boundary_bytes_out_total += m_out - mark_out
-            self._worker_marks[sid] = (m_in, m_out)
-        self.boundary_bytes_out_total += (
-            self._reducer.boundary_bytes_out - self._reducer_mark
-        )
-        info = ServerStepInfo(
-            version=self.version,
-            num_updates=len(self._epoch_contributors),
-            total_weight=self._epoch_weight_total / WEIGHT_SCALE,
-            mean_staleness=float(np.mean(self._epoch_staleness)),
-            max_staleness=int(np.max(self._epoch_staleness)),
-            contributors=tuple(self._epoch_contributors),
-        )
-        self.step_history.append(info)
-        self._begin_epoch()
-        try:
-            for sid, shard in enumerate(self._shards):
-                if shard.alive:
-                    self._pool.call(sid, "begin_round")
-            self._pool.reset_epoch()
-        except WorkerPoolError as exc:
-            self._fall_back(
-                "worker_dead",
-                dead=tuple(self._pool.dead_workers()),
-                error=str(exc),
-            )
-        if self.profiler is not None:
-            self.profiler.record("secagg_finalize", time.perf_counter() - t0)
+                if shard.weights:
+                    processed, total_w = self._pool.call(sid, "finalize_partial")
+                    masked, unmask = self._pool.rows(sid)
+                    out.append(
+                        (sid, masked.copy(), unmask.copy(), processed, total_w)
+                    )
+            self._refresh_meters()
+
+        if self._on_pool(from_workers):
+            return out
+        return super()._collect_partials()
+
+    def _refresh_meters(self) -> None:
+        self._worker_meters = [
+            self._pool.call(sid, "meters") for sid in range(self.num_shards)
+        ]
+
+    def _finalize_epoch(self) -> ServerStepInfo:
+        info = super()._finalize_epoch()
+        self._on_pool(self._pool.reset_epoch)
         return info
-
-    # -- failover ---------------------------------------------------------------
-
-    def drop_shard(self, shard_id: int) -> tuple[int, list[int]]:
-        if self._pool_active:
-            self._pool.discard_shard(shard_id)
-        return super().drop_shard(shard_id)
 
     def revive_shard(self, shard_id: int) -> None:
         super().revive_shard(shard_id)
-        if self._pool_active:
-            from repro.core.parallel import WorkerPoolError
-
-            try:
-                self._pool.call(shard_id, "begin_round")
-            except WorkerPoolError as exc:
-                self._fall_back(
-                    "worker_dead", shard=shard_id, error=str(exc)
-                )
+        self._on_pool(self._pool.discard_shard, shard_id)
 
     def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
-        out = super().drop_buffer_and_inflight()
-        if self._pool_active:
-            from repro.core.parallel import WorkerPoolError
-
-            try:
-                self._pool.barrier()
-                for sid, shard in enumerate(self._shards):
-                    if shard.alive:
-                        self._pool.call(sid, "begin_round")
-                self._pool.reset_epoch()
-            except WorkerPoolError as exc:
-                self._fall_back(
-                    "worker_dead",
-                    dead=tuple(self._pool.dead_workers()),
-                    error=str(exc),
-                )
-        return out
-
-    def drain(self) -> None:
-        """Barrier on every outstanding worker task (perf-harness hook)."""
-        if self._pool_active:
-            from repro.core.parallel import WorkerPoolError
-
-            try:
-                self._pool.barrier()
-            except WorkerPoolError as exc:
-                self._fall_back(
-                    "worker_dead",
-                    dead=tuple(self._pool.dead_workers()),
-                    error=str(exc),
-                )
-
-    def close(self) -> None:
-        """Tear down the worker pool (idempotent)."""
-        self._pool.close()
-
-    def __repr__(self) -> str:
-        executor = "process" if self._pool_active else "inline(fallback)"
-        return (
-            f"ProcessSecureShardedAggregator(goal={self.goal}, "
-            f"shards={self.num_shards}, routing={self.routing.name}, "
-            f"executor={executor}, version={self.version})"
-        )
+        # The re-opened epoch's marks must exclude the lost epoch's
+        # boundary traffic, as the inline plane's do.
+        self._on_pool(self._refresh_meters)
+        return super().drop_buffer_and_inflight()
 
 
 class SecureShardedFLTaskRuntime(ShardedFLTaskRuntime):
@@ -982,8 +756,6 @@ class SecureShardedFLTaskRuntime(ShardedFLTaskRuntime):
             example_weighting=adapter.recommended_example_weighting,
         )
         if executor == "process":
-            # ProcessSecureShardedAggregator imports the multiprocessing
-            # machinery lazily, so single-process paths never pay for it.
             return ProcessSecureShardedAggregator(
                 adapter.state,
                 on_event=self._executor_event_sink(),

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.parallel import ProcessShardedFedBuffAggregator
 from repro.core.sharding import (
     HashShardRouting,
     LoadAwareShardRouting,
@@ -125,10 +126,6 @@ class ShardedFLTaskRuntime(FLTaskRuntime):
             normalize_by=adapter.recommended_normalization,
         )
         if executor == "process":
-            # Lazy import: the single-process paths never pay for the
-            # multiprocessing machinery.
-            from repro.core.parallel import ProcessShardedFedBuffAggregator
-
             return ProcessShardedFedBuffAggregator(
                 adapter.state,
                 on_event=self._executor_event_sink(),

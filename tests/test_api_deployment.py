@@ -6,8 +6,7 @@ shape the repo runs (async, sync, sharded, secure, mixed multi-tenant),
 ``Deployment.from_spec(spec)`` must produce *byte-identical* traces —
 participation records, server steps, and event-log lines — to wiring the
 same ``TaskConfig`` + adapter + ``SystemConfig`` into
-``FederatedSimulation`` by hand, and the deprecated ``build_async`` /
-``build_sync`` shims must match their scenario equivalents exactly.
+``FederatedSimulation`` by hand.
 """
 
 import pytest
@@ -22,9 +21,8 @@ from repro.api import (
     TaskSpec,
     build_population,
 )
-from repro.core.surrogate import SurrogateParams
 from repro.core.types import TaskConfig, TrainingMode
-from repro.harness.runner import async_scenario, build_async, build_sync, sync_scenario
+from repro.harness.runner import async_scenario, deploy
 from repro.harness.scenario import run_scenario
 from repro.sim.population import DevicePopulation, PopulationConfig
 from repro.system import planes
@@ -155,28 +153,14 @@ class TestTraceEquivalence:
 
 
 class TestShimEquivalence:
-    """The deprecated helpers are thin shims over the same spec path."""
-
-    def test_build_async_matches_scenario(self):
-        pop = make_pop(800, seed=0)
-        params = SurrogateParams(critical_goal=10.0)
-        shim_res = build_async(16, 4, pop, seed=0, surrogate=params).run(t_end=1800.0)
-        spec = async_scenario(16, 4, make_pop(800, seed=0), seed=0, surrogate=params)
-        spec_res = Deployment.from_spec(spec).run(t_end=1800.0)
-        assert trace_fingerprint(shim_res) == trace_fingerprint(spec_res)
-
-    def test_build_sync_matches_scenario(self):
-        pop = make_pop(800, seed=0)
-        shim_res = build_sync(10, pop, over_selection=0.3, seed=0).run(t_end=1800.0)
-        spec = sync_scenario(10, make_pop(800, seed=0), over_selection=0.3, seed=0)
-        spec_res = Deployment.from_spec(spec).run(t_end=1800.0)
-        assert trace_fingerprint(shim_res) == trace_fingerprint(spec_res)
+    """``async_scenario`` carries a legacy ``SystemConfig`` into the spec
+    path faithfully (the surface the removed ``build_*`` shims rode)."""
 
     def test_build_async_carries_system_config(self):
         pop = make_pop(400, seed=0)
         system = SystemConfig(n_aggregators=3, num_shards=2,
                               heartbeat_interval_s=5.0)
-        sim = build_async(16, 4, pop, seed=0, system=system)
+        sim = deploy(async_scenario(16, 4, pop, seed=0, system=system), pop)
         assert isinstance(sim.task_runtimes["async"], ShardedFLTaskRuntime)
         assert sim.system.n_aggregators == 3
         assert sim.system.heartbeat_interval_s == 5.0
@@ -186,7 +170,7 @@ class TestShimEquivalence:
         # have its shard count silently dropped by the shim.
         pop = make_pop(400, seed=0)
         system = SystemConfig(plane="sharded", num_shards=4)
-        sim = build_async(16, 4, pop, seed=0, system=system)
+        sim = deploy(async_scenario(16, 4, pop, seed=0, system=system), pop)
         assert sim.task_runtimes["async"].core.num_shards == 4
 
     def test_build_async_rejects_unrepresentable_custom_plane_shards(self):
@@ -195,7 +179,7 @@ class TestShimEquivalence:
             pop = make_pop(100, seed=0)
             system = SystemConfig(plane="custom-p", num_shards=4)
             with pytest.raises(ValueError, match="cannot express"):
-                build_async(8, 4, pop, seed=0, system=system)
+                async_scenario(8, 4, pop, seed=0, system=system)
         finally:
             planes._PLANES._entries.pop("custom-p")
 

@@ -39,6 +39,7 @@ from repro.api import (
 )
 from repro.sim.faults import (
     FAULT_KINDS,
+    FaultInjector,
     FaultParamError,
     event_end_s,
     recovery_report,
@@ -357,7 +358,7 @@ class TestFaultBehaviours:
 
 
 # ---------------------------------------------------------------------------
-# Deprecated shims and coordinator structured events
+# Late-attached injectors and coordinator structured events
 # ---------------------------------------------------------------------------
 
 
@@ -365,8 +366,9 @@ class TestShimsAndEvents:
     def test_inject_shims_route_through_fault_injector(self):
         dep = Deployment.from_spec(small_spec())
         fedsim = dep.build()
-        fedsim.inject_aggregator_failure(at_time=300.0, node_id=0)
-        fedsim.inject_coordinator_outage(at_time=600.0, duration_s=60.0)
+        attached = FaultInjector(fedsim, seed=fedsim.seed)
+        attached.schedule("aggregator_crash", 300.0, node=0)
+        attached.schedule("coordinator_outage", 600.0, duration_s=60.0)
         injector = fedsim.fault_injector
         assert injector is not None
         result = fedsim.run(t_end=1200.0)

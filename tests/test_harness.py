@@ -6,17 +6,18 @@ import pytest
 from repro.harness import (
     DEFAULT_TARGET_LOSS,
     SMOKE,
-    build_async,
-    build_sync,
+    async_scenario,
     figure2,
     figure6,
     format_series,
     format_table,
     ks_two_sample,
     make_population,
+    sync_scenario,
 )
 from repro.harness.configs import DEFAULT, PAPER, Scale
 from repro.harness.figures import _sync_goal
+from repro.harness.runner import deploy
 from repro.utils import child_rng
 
 
@@ -106,13 +107,13 @@ class TestScales:
 class TestRunners:
     def test_build_async_runs(self):
         pop = make_population(2000, seed=0)
-        sim = build_async(16, 4, pop, seed=0)
+        sim = deploy(async_scenario(16, 4, pop, seed=0), pop)
         res = sim.run(t_end=600.0)
         assert res.stats("async").server_steps > 0
 
     def test_build_sync_cohort_sizing(self):
         pop = make_population(2000, seed=0)
-        sim = build_sync(10, pop, over_selection=0.3, seed=0)
+        sim = deploy(sync_scenario(10, pop, over_selection=0.3, seed=0), pop)
         cfg = sim.task_runtimes["sync"].config
         assert cfg.concurrency == 13
         assert cfg.aggregation_goal == 10

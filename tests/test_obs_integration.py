@@ -125,6 +125,33 @@ class TestExportedTelemetry:
         assert "# TYPE sessions_total counter" in report.prometheus()
 
 
+class TestProcessExecutorPhases:
+    @pytest.mark.parametrize("plane", ["sharded", "secure_sharded"])
+    def test_both_process_planes_report_pool_phases(self, plane):
+        """One pool, one profiler seam: the secure process plane used to
+        report no ``pool_dispatch``/``pool_barrier`` at all."""
+        spec = ScenarioSpec(
+            population=PopulationSpec(n_devices=200),
+            tasks=(
+                TaskSpec(name="train", mode="async", concurrency=8,
+                         aggregation_goal=4),
+            ),
+            plane=PlaneSpec(name=plane, num_shards=2, executor="process"),
+            execution=ExecutionSpec(seed=7, t_end_s=300.0),
+            telemetry=TelemetrySpec(enabled=True, profiling=True),
+        )
+        deployment = Deployment.from_spec(spec)
+        try:
+            result = deployment.run()
+        finally:
+            for rt in deployment.simulation.task_runtimes.values():
+                rt.close()
+        assert not list(result.log.of_kind("executor_fallback"))
+        profile = result.telemetry.summary()["profile"]
+        assert profile["pool_dispatch"]["count"] > 0
+        assert profile["pool_barrier"]["count"] > 0
+
+
 class TestTraceCompletenessUnderChaos:
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
     def test_span_tree_complete_and_faults_annotated(self, path):

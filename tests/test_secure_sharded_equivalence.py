@@ -24,6 +24,7 @@ from repro.core.types import TrainingResult
 from repro.system.secure import SecureBufferedAggregator
 from repro.system.secure_sharding import (
     ProcessSecureShardedAggregator,
+    SecureLane,
     SecureShardedAggregator,
 )
 
@@ -424,6 +425,98 @@ class TestProcessSecureExecutor:
             assert_exactly_equivalent(inline, proc)
         finally:
             proc.close()
+
+
+    def test_whole_plane_drop_matches_inline_in_process_mode(self):
+        """The lost epoch's boundary traffic is excluded from the meters
+        on both executors (the worker marks used to keep counting it)."""
+        inline = SecureShardedAggregator(
+            VecState(), 5, P, num_shards=3, seed=3
+        )
+        proc = ProcessSecureShardedAggregator(
+            VecState(), 5, P, num_shards=3, seed=3
+        )
+        try:
+            dropped = []
+            for agg in (inline, proc):
+                rng = np.random.default_rng(23)
+                for cid in range(3):
+                    agg.register_download(cid)
+                for cid in range(3):
+                    agg.receive_update(make_result(rng, cid))
+                dropped.append(agg.drop_buffer_and_inflight())
+                for cid in range(3, 14):
+                    v0, _ = agg.register_download(cid)
+                    agg.receive_update(make_result(rng, cid, version=v0))
+            assert dropped[0] == dropped[1]
+            assert proc.pool_active and proc.executor_fallbacks == 0
+            assert_exactly_equivalent(inline, proc)
+        finally:
+            proc.close()
+
+    def test_malformed_delta_raises_without_degrading_the_executor(self):
+        """A wrong-length delta is the caller's error: it surfaces as
+        itself, and only ``WorkerPoolError`` may trip the fallback."""
+        proc = ProcessSecureShardedAggregator(
+            VecState(), 5, P, num_shards=2, seed=3
+        )
+        try:
+            rng = np.random.default_rng(29)
+            proc.register_download(0)
+            proc.register_download(1)
+            bad = make_result(rng, 0)
+            bad = TrainingResult(
+                bad.client_id, bad.delta[:-1], bad.num_examples,
+                bad.train_loss, bad.initial_version,
+            )
+            with pytest.raises(ValueError):
+                proc.receive_update(bad)
+            assert proc.pool_active and proc.executor_fallbacks == 0
+            assert proc.shard_in_flight() == [
+                int(proc.shard_of(1) == sid) for sid in range(2)
+            ]
+            proc.receive_update(make_result(rng, 1))  # the pool still serves
+            proc.drain()
+            assert proc.pool_active and proc.executor_fallbacks == 0
+        finally:
+            proc.close()
+
+    def test_secure_lane_handler_in_process_matches_inline_shard(self):
+        """Drive the secure lane's op handler in-process (child-process
+        code is invisible to coverage): participate x2 -> finalize_partial
+        -> begin_round, against an inline ``_SecureShard`` fed the same
+        arrivals."""
+        inline = SecureShardedAggregator(VecState(), 2, P, num_shards=2, seed=3)
+        lane = SecureLane(
+            inline.seed, inline.goal, inline.group.bits, inline.codec.scale,
+            inline.clip_value, True,
+        )
+        rng = np.random.default_rng(31)
+        inputs = (rng.standard_normal((4, P)) * 0.1).astype(np.float32)
+        rows = np.zeros((lane.out_rows, P), dtype=lane.out_dtype)
+        handle = lane.open(1, inputs, rows)
+        shard = inline._shards[1]
+        ctx = inline._client_ctx()
+        arrivals = [(2, (7, 0, 0, 64, 10)), (0, (9, 0, 1, 96, 3))]
+        for slot, args in arrivals:
+            assert handle("participate", (slot,), args) is None
+            assert shard.participate(ctx, inputs[slot].copy(), *args)
+        masked, unmask, processed, total_w = shard.release_partial()
+        assert handle("finalize_partial", (), ()) == (processed, total_w)
+        assert (processed, total_w) == (2, 160)
+        assert np.array_equal(rows[0], masked)
+        assert np.array_equal(rows[1], unmask)
+        assert handle("meters", (), ()) == shard.meters()
+        # Re-keyed: the next round starts empty on both sides.
+        assert handle("begin_round", (), ()) is None
+        shard.rekey()
+        slot, args = 3, (11, 1, 2, 64, 5)
+        assert handle("participate", (slot,), args) is None
+        assert shard.participate(ctx, inputs[slot].copy(), *args)
+        masked, unmask, processed, total_w = shard.release_partial()
+        assert handle("finalize_partial", (), ()) == (1, 64)
+        assert np.array_equal(rows[0], masked)
+        assert np.array_equal(rows[1], unmask)
 
 
 class TestSecureShardsExperimentMicro:

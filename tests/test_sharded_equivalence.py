@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.fedbuff import FedBuffAggregator
 from repro.core.parallel import (
+    FoldLane,
     ProcessShardedFedBuffAggregator,
     ShardWorkerPool,
     WorkerPoolError,
@@ -624,14 +625,14 @@ class TestShardWorkerPool:
             rng = np.random.default_rng(1)
             inputs[:] = rng.standard_normal((slots, P)).astype(np.float32)
             tasks, acks = queue_mod.Queue(), queue_mod.Queue()
-            tasks.put(("fold", (0,), (0.5,), False, 10))
-            tasks.put(("fold", (1, 3), (0.2, 0.9), True, 11))
-            tasks.put(("reset", 12))
-            tasks.put(("fold", (2,), (1.0,), False, 13))
+            tasks.put(("fold", (0,), ((0.5,), False), 10))
+            tasks.put(("fold", (1, 3), ((0.2, 0.9), True), 11))
+            tasks.put(("reset", (), (), 12))
+            tasks.put(("fold", (2,), ((1.0,), False), 13))
             tasks.put(None)
             _worker_main(
-                1, input_shm.name, partials_shm.name, S, P, slots,
-                "numpy", None, tasks, acks,
+                1, FoldLane("numpy"), input_shm.name, partials_shm.name,
+                S, P, slots, tasks, acks,
             )
             # Re-attach views: _worker_main closed its own handles (and
             # with them the buffer our old views aliased).

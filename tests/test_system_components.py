@@ -316,34 +316,13 @@ class TestTaskRuntimeDemand:
 
 
 class TestSystemConfigDrainThreadsRename:
-    """SystemConfig.n_shards -> drain_threads (ISSUE 5 satellite)."""
+    """``drain_threads`` is the per-node queue-drain pool size."""
 
     def test_drain_threads_is_the_field(self):
         from repro.system import SystemConfig
 
         cfg = SystemConfig(drain_threads=7)
         assert cfg.drain_threads == 7
-
-    def test_legacy_kwarg_maps_with_deprecation_warning(self):
-        from repro.system import SystemConfig
-
-        with pytest.warns(DeprecationWarning, match="drain_threads"):
-            cfg = SystemConfig(n_shards=7)
-        assert cfg.drain_threads == 7
-
-    def test_legacy_property_warns(self):
-        from repro.system import SystemConfig
-
-        cfg = SystemConfig(drain_threads=5)
-        with pytest.warns(DeprecationWarning, match="drain_threads"):
-            assert cfg.n_shards == 5
-
-    def test_both_spellings_rejected(self):
-        from repro.system import SystemConfig
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="n_shards"):
-                SystemConfig(drain_threads=2, n_shards=3)
 
     def test_drain_threads_validated(self):
         from repro.system import SystemConfig

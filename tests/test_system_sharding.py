@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core import TaskConfig, TrainingMode
-from repro.sim import MetricsTrace, Outcome, Simulator
+from repro.sim import MetricsTrace, Simulator
+from repro.sim.faults import FaultInjector
 from repro.sim.network import NetworkModel
 from repro.sim.population import DevicePopulation, PopulationConfig
 from repro.system import SurrogateAdapter
@@ -389,7 +390,9 @@ class TestShardedSystemConfig:
         )
         rt = fs.task_runtimes["t"]
         victim = rt.shard_nodes[0].node_id
-        fs.inject_aggregator_failure(at_time=100.0, node_id=victim)
+        FaultInjector(fs, seed=fs.seed).schedule(
+            "aggregator_crash", 100.0, node=victim
+        )
         res = fs.run(t_end=4000.0)
         assert rt.core.shard_failovers >= 1
         assert rt.core.live_shards() == [0, 1, 2, 3]  # all re-placed

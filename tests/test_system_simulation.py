@@ -7,6 +7,7 @@ from repro.core import FedAdam, GlobalModelState, LocalTrainer, TaskConfig, Trai
 from repro.data import CorpusSpec, FederatedDataset, TopicMarkovCorpus
 from repro.nn import LSTMLanguageModel, ModelConfig
 from repro.sim import DevicePopulation, Outcome, PopulationConfig
+from repro.sim.faults import FaultInjector
 from repro.system import (
     FederatedSimulation,
     RealTrainingAdapter,
@@ -175,7 +176,7 @@ class TestFailureRecovery:
             [(async_task(), SurrogateAdapter(seed=0))],
             system=SystemConfig(n_aggregators=2, heartbeat_interval_s=5.0),
         )
-        fs.inject_aggregator_failure(at_time=600.0, node_id=0)
+        FaultInjector(fs, seed=fs.seed).schedule("aggregator_crash", 600.0, node=0)
         res = fs.run(t_end=2400.0)
         # The task moved and kept stepping after the failure.
         assert len(res.log.of_kind("task_reassigned")) >= 1
@@ -187,13 +188,15 @@ class TestFailureRecovery:
             [(async_task(), SurrogateAdapter(seed=0))],
             system=SystemConfig(n_aggregators=2, heartbeat_interval_s=5.0),
         )
-        fs.inject_aggregator_failure(at_time=600.0, node_id=0)
+        FaultInjector(fs, seed=fs.seed).schedule("aggregator_crash", 600.0, node=0)
         res = fs.run(t_end=1800.0)
         assert res.stats().aborted > 0  # the failed node's sessions died
 
     def test_coordinator_outage_pauses_assignments_only(self):
         fs = make_sim([(async_task(), SurrogateAdapter(seed=0))])
-        fs.inject_coordinator_outage(at_time=600.0, duration_s=120.0)
+        FaultInjector(fs, seed=fs.seed).schedule(
+            "coordinator_outage", 600.0, duration_s=120.0
+        )
         res = fs.run(t_end=2400.0)
         # Steps continue throughout (participating clients unaffected)...
         during = [s for s in res.trace.server_steps if 600.0 < s.time < 720.0]
@@ -204,7 +207,9 @@ class TestFailureRecovery:
 
     def test_rejections_counted_during_outage(self):
         fs = make_sim([(async_task(), SurrogateAdapter(seed=0))])
-        fs.inject_coordinator_outage(at_time=300.0, duration_s=300.0)
+        FaultInjector(fs, seed=fs.seed).schedule(
+            "coordinator_outage", 300.0, duration_s=300.0
+        )
         fs.run(t_end=1200.0)
         assert fs.coordinator.assignments_rejected > 0
 
