@@ -148,9 +148,10 @@ class SecAggClient:
         # Step 4: random seed -> mask; upload v+m and the sealed seed.
         seed = generate_seed(self.rng)
         self.last_seed = seed
-        encoded = self.codec.encode(update)
-        mask = expand_mask(seed, len(encoded), self.codec.group)
-        masked = self.codec.group.add(encoded, mask)
+        # ``encode`` hands back a private buffer, so the pad is applied in place.
+        masked = self.codec.encode(update)
+        group = self.codec.group
+        group.add_into(masked, expand_mask(seed, len(masked), group))
         sealed = seal(key, seed, seq=leg.index)
         return ClientSubmission(
             client_id=self.client_id,

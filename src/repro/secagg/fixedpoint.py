@@ -94,10 +94,13 @@ class FixedPointCodec:
             If any scaled value falls outside the signed representable
             range (only possible when ``clip_value`` is unset or too big).
         """
-        v = np.asarray(values, dtype=np.float64)
+        # One private float64 buffer (the caller's array is never touched),
+        # then clip -> scale -> rint in place.
+        scaled = np.array(values, dtype=np.float64)
         if self.clip_value is not None:
-            v = np.clip(v, -self.clip_value, self.clip_value)
-        scaled = np.rint(v * self.scale)
+            np.clip(scaled, -self.clip_value, self.clip_value, out=scaled)
+        np.multiply(scaled, self.scale, out=scaled)
+        np.rint(scaled, out=scaled)
         if scaled.size and (
             scaled.min() < -self.half_low or scaled.max() >= self.half_high
         ):
@@ -106,11 +109,9 @@ class FixedPointCodec:
                 "lower `scale`, set `clip_value`, or widen the group"
             )
         # Two's-complement mapping: negatives wrap to the top of the group.
-        # int64 -> uint64 wraps mod 2^64, and 2^bits divides 2^64, so the
-        # reduction is exact for every group width.
-        as_int = scaled.astype(np.int64)
-        with np.errstate(over="ignore"):
-            return self.group.reduce(as_int.astype(np.uint64))
+        # Viewing int64 as uint64 is that wrap mod 2^64, and 2^bits divides
+        # 2^64, so the reduction is exact for every group width.
+        return self.group.reduce(scaled.astype(np.int64).view(np.uint64))
 
     def encode_block(self, values: np.ndarray) -> np.ndarray:
         """Encode K real vectors as one vectorized ``(K, l)`` call.
@@ -120,10 +121,11 @@ class FixedPointCodec:
         the range check covers the whole block, so an out-of-range element
         raises exactly as its row's scalar encode would.
         """
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"expected a (K, l) block, got shape {v.shape}")
-        return self.encode(v)
+        if np.ndim(values) != 2:
+            raise ValueError(
+                f"expected a (K, l) block, got shape {np.shape(values)}"
+            )
+        return self.encode(values)
 
     def decode(self, encoded: np.ndarray) -> np.ndarray:
         """Group vector -> real vector (centered signed interpretation).

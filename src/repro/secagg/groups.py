@@ -30,23 +30,46 @@ class PowerOfTwoGroup:
         self.bits = bits
         self.dtype = np.dtype(np.uint32) if bits <= 32 else np.dtype(np.uint64)
         self.order = 1 << bits
+        # At the storage width machine wraparound *is* the reduction, so
+        # every op is its one arithmetic pass and nothing is ever masked.
+        self._full_width = bits == self.dtype.itemsize * 8
         # Mask as a NumPy scalar so &-reduction never up-casts to Python int.
-        self._mask = self.dtype.type(self.order - 1) if bits < 64 else self.dtype.type(0xFFFFFFFFFFFFFFFF)
+        self._mask = self.dtype.type(self.order - 1)
 
     # -- element construction -----------------------------------------------
+    #
+    # Aliasing contract: no operation mutates an argument, and every
+    # operation returns a freshly allocated array — except ``reduce`` on an
+    # array that is already in the group at full storage width (there is
+    # nothing to do, so the argument itself comes back) and the ``*_into``
+    # operations, which exist to mutate their accumulator.  A caller that
+    # keeps a ``reduce`` result must therefore own what it passed in.
 
     def zeros(self, n: int) -> np.ndarray:
         """The identity vector of length ``n``."""
         return np.zeros(n, dtype=self.dtype)
 
     def reduce(self, arr: np.ndarray) -> np.ndarray:
-        """Map arbitrary unsigned ints into the group (mod 2^bits)."""
-        return (arr.astype(self.dtype, copy=False) & self._mask).astype(self.dtype)
+        """Map arbitrary unsigned ints into the group (mod 2^bits).
+
+        A group-dtype array of a full-width group is returned as is (see
+        the aliasing contract above); anything else is one new array.
+        """
+        if arr.dtype != self.dtype:
+            return self._reduce_inplace(arr.astype(self.dtype))
+        return arr if self._full_width else arr & self._mask
 
     def random(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """A uniformly random group vector (used for one-time-pad masks)."""
-        raw = rng.integers(0, self.order, size=n, dtype=np.uint64, endpoint=False)
-        return self.reduce(raw)
+        """A uniformly random group vector (used for one-time-pad masks).
+
+        One draw straight into the group dtype: a power-of-two range is
+        never rejected, and at 64 bits ``integers`` returns the bit
+        generator's raw words verbatim, so ``random_raw`` is the same
+        stream without the bounded-integer wrapper.
+        """
+        if self.bits == 64:
+            return rng.bit_generator.random_raw(n)
+        return rng.integers(0, self.order, size=n, dtype=self.dtype)
 
     # -- group operations ------------------------------------------------------
 
@@ -54,13 +77,13 @@ class PowerOfTwoGroup:
         """Element-wise group addition with wraparound."""
         self._check(a), self._check(b)
         with np.errstate(over="ignore"):
-            return self.reduce(a + b)
+            return self._reduce_inplace(a + b)
 
     def neg(self, a: np.ndarray) -> np.ndarray:
         """Element-wise group inverse."""
         self._check(a)
         with np.errstate(over="ignore"):
-            return self.reduce(self.dtype.type(0) - a)
+            return self._reduce_inplace(self.dtype.type(0) - a)
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a + (-b)`` — computed as one wrapped subtraction.
@@ -70,7 +93,7 @@ class PowerOfTwoGroup:
         """
         self._check(a), self._check(b)
         with np.errstate(over="ignore"):
-            return self.reduce(a - b)
+            return self._reduce_inplace(a - b)
 
     def scale(self, a: np.ndarray, k: int) -> np.ndarray:
         """Repeated addition ``k·a`` (k may exceed the group order).
@@ -80,13 +103,11 @@ class PowerOfTwoGroup:
         of its client.
         """
         self._check(a)
-        k_red = int(k) % self.order
-        # Wrapping multiplication mod 2^64 (or 2^32) is congruent to the
-        # true product mod 2^bits because 2^bits divides the machine
-        # modulus — so a single wrapped multiply is exact.
+        # Wrapping multiplication mod 2^width is congruent to the true
+        # product mod 2^bits because 2^bits divides the machine modulus —
+        # so a single wrapped multiply in the storage dtype is exact.
         with np.errstate(over="ignore"):
-            prod = a.astype(np.uint64) * np.uint64(k_red)
-            return self.reduce(prod)
+            return self._reduce_inplace(a * self.dtype.type(int(k) % self.order))
 
     def sum(self, vectors: list[np.ndarray]) -> np.ndarray:
         """Group sum of several vectors (empty list -> identity of len 0)."""
@@ -94,7 +115,7 @@ class PowerOfTwoGroup:
             return self.zeros(0)
         acc = vectors[0].copy()
         for v in vectors[1:]:
-            acc = self.add(acc, v)
+            self.add_into(acc, v)
         return acc
 
     # -- block (vectorized) operations -----------------------------------------
@@ -105,12 +126,8 @@ class PowerOfTwoGroup:
     # mod 2^width, 2^bits divides 2^width, so reducing once at the end is
     # congruent to reducing after every step.
 
-    @property
-    def _width_bits(self) -> int:
-        return self.dtype.itemsize * 8
-
     def _reduce_inplace(self, arr: np.ndarray) -> np.ndarray:
-        if self.bits < self._width_bits:
+        if not self._full_width:
             np.bitwise_and(arr, self._mask, out=arr)
         return arr
 

@@ -37,6 +37,12 @@ def generate_seed(rng: np.random.Generator | None = None) -> bytes:
     return bytes(rng.integers(0, 256, size=SEED_BYTES, dtype=np.uint8).tobytes())
 
 
+def _mask_row(seed: bytes, length: int, group: PowerOfTwoGroup) -> np.ndarray:
+    """One validated seed's pad — the row kernel of both entry points."""
+    key = int.from_bytes(seed, "little")
+    return group.random(np.random.Generator(np.random.Philox(key=key)), length)
+
+
 def expand_mask(seed: bytes, length: int, group: PowerOfTwoGroup) -> np.ndarray:
     """Expand a seed into a uniformly random group vector of ``length``.
 
@@ -48,9 +54,7 @@ def expand_mask(seed: bytes, length: int, group: PowerOfTwoGroup) -> np.ndarray:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
     if length < 0:
         raise ValueError("length must be non-negative")
-    key = int.from_bytes(seed, "little")
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return group.random(gen, length)
+    return _mask_row(seed, length, group)
 
 
 def expand_mask_block(
@@ -61,10 +65,10 @@ def expand_mask_block(
 ) -> np.ndarray:
     """Expand K seeds into a stacked ``(K, length)`` mask block.
 
-    Row ``i`` is bit-identical to ``expand_mask(seeds[i], length, group)``
-    — each seed keys its own Philox stream, so the block is the same K
-    independent masks, just materialized into one contiguous buffer that
-    the server/TSA data plane can fold with single fused reductions.
+    Row ``i`` is ``expand_mask(seeds[i], length, group)`` — the same row
+    kernel, each seed keying its own Philox stream — materialized into
+    one contiguous buffer that the server/TSA data plane can fold with
+    single fused reductions.
 
     Parameters
     ----------
@@ -95,17 +99,6 @@ def expand_mask_block(
             f"out must be a ({k}, {length}) array of {group.dtype}, "
             f"got shape {out.shape} dtype {out.dtype}"
         )
-    full_width = group.bits == 64 and group.dtype == np.dtype(np.uint64)
     for i, seed in enumerate(seeds):
-        key = int.from_bytes(seed, "little")
-        if full_width:
-            # Fast path: for the full-width group, ``group.random`` draws
-            # the generator's raw 64-bit words verbatim
-            # (``integers(0, 2**64)`` with a power-of-two range is the
-            # identity bound), so ``random_raw`` yields the identical
-            # stream without a Generator wrapper or a reduction pass.
-            out[i] = np.random.Philox(key=key).random_raw(length)
-        else:
-            gen = np.random.Generator(np.random.Philox(key=key))
-            out[i] = group.random(gen, length)
+        out[i] = _mask_row(seed, length, group)
     return out

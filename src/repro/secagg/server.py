@@ -191,9 +191,7 @@ class SecAggServer:
             submission.sealed_seed,
         )
         if accepted:
-            self._masked_sum = self.codec.group.add(
-                self._masked_sum, submission.masked_update
-            )
+            self.codec.group.add_into(self._masked_sum, submission.masked_update)
             self._accepted.append(submission)
         return accepted
 

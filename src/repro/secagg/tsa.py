@@ -280,13 +280,11 @@ class TrustedSecureAggregator:
         seed = self._admit(leg_index, completing_message, sealed_seed)
         if seed is None:
             return False
-        mask = expand_mask(seed, self.vector_length, self.group)
-        self._mask_sum = self.group.add(self._mask_sum, mask)
         if self._cache_masks:
-            self._reserve_rows(1)
-            self._rows[self._row_count] = mask
-            self._row_legs.append(leg_index)
-            self._row_count += 1
+            mask = self._expand_into_rows([leg_index], [seed])[0]
+        else:
+            mask = expand_mask(seed, self.vector_length, self.group)
+        self.group.add_into(self._mask_sum, mask)
         self._processed += 1
         return True
 
@@ -331,6 +329,20 @@ class TrustedSecureAggregator:
                 grown[: self._row_count] = self._rows[: self._row_count]
             self._rows = grown
 
+    def _expand_into_rows(self, legs: list[int], seeds: list[bytes]) -> np.ndarray:
+        """Expand seeds straight into the next free cache rows; returns them."""
+        k = len(seeds)
+        self._reserve_rows(k)
+        rows = expand_mask_block(
+            seeds,
+            self.vector_length,
+            self.group,
+            out=self._rows[self._row_count : self._row_count + k],
+        )
+        self._row_legs.extend(legs)
+        self._row_count += k
+        return rows
+
     def _fold_masks(self, legs: list[int], seeds: list[bytes]) -> None:
         """Expand accepted seeds as one block and fold it into the mask sum.
 
@@ -340,18 +352,10 @@ class TrustedSecureAggregator:
         running sum is always maintained eagerly, so the unweighted
         release is a copy regardless of configuration.
         """
-        k = len(seeds)
         if self._cache_masks:
-            self._reserve_rows(k)
-            expand_mask_block(
-                seeds,
-                self.vector_length,
-                self.group,
-                out=self._rows[self._row_count : self._row_count + k],
-            )
-            self._row_legs.extend(legs)
-            self._pending_fold.append((self._row_count, self._row_count + k))
-            self._row_count += k
+            start = self._row_count
+            self._expand_into_rows(legs, seeds)
+            self._pending_fold.append((start, self._row_count))
         else:
             block = expand_mask_block(seeds, self.vector_length, self.group)
             self.group.add_into(self._mask_sum, self.group.sum_block(block))

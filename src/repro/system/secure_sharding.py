@@ -229,7 +229,7 @@ class SecureLane:
 
         def handle(op: str, slots: tuple[int, ...], args: tuple):
             if op == "participate":
-                if not shard.participate(ctx, inputs[slots[0]].copy(), *args):
+                if not shard.participate(ctx, inputs[slots[0]], *args):
                     return WorkerPoolError(
                         f"shard {shard_id} worker rejected a secure submission"
                     )
@@ -649,7 +649,7 @@ class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureShardedAggregat
         ctx = self._client_ctx()
         for sid, _, (slot,), args in self._pool.epoch_log():
             if not self._shards[sid].participate(
-                ctx, self._pool.inputs[slot].copy(), *args
+                ctx, self._pool.inputs[slot], *args
             ):
                 raise RuntimeError("secure submission rejected by honest TSA")
 

@@ -1,6 +1,11 @@
 """Tests for DH key exchange, sealed boxes, and attestation."""
 
+import multiprocessing
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.secagg import (
     AttestationError,
@@ -14,7 +19,13 @@ from repro.secagg import (
     seal,
     shared_key,
 )
+from repro.secagg import dh
+from repro.secagg.dh import DH_GENERATOR
 from repro.utils import child_rng
+
+START_METHODS = [
+    m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
+]
 
 
 class TestDiffieHellman:
@@ -52,6 +63,118 @@ class TestDiffieHellman:
         a = DHKeyPair.generate(child_rng(5, "dh-a"))
         b = DHKeyPair.generate(child_rng(5, "dh-b"))
         assert len(shared_key(a.private, b.public)) == 32
+
+
+class _FixedExponent:
+    """A randomness stream that yields one chosen 256-bit exponent."""
+
+    def __init__(self, exponent: int):
+        self.words = [(exponent >> shift) & (2**64 - 1) for shift in (192, 128, 64, 0)]
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size) == (0, 2**64, 4)
+        return np.array(self.words, dtype=dtype)
+
+
+class TestFixedBaseTable:
+    """``generate`` reads a table of public powers of the fixed generator;
+    it must be ``pow`` — for every exponent, in every process."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**256 - 1))
+    @example(0)
+    @example(1)
+    @example(1 << 255)
+    @example((1 << 256) - 1)
+    @example(0xFF << 128)  # one non-zero byte, every other window zero
+    @example(int.from_bytes(bytes([1, 0] * 16), "little"))
+    def test_generate_equals_pow(self, exponent):
+        pair = DHKeyPair.generate(_FixedExponent(exponent))
+        assert pair.private == exponent | (1 << 255)  # forced top bit
+        assert pair.public == pow(DH_GENERATOR, pair.private, DH_PRIME)
+        # ...and without the forced bit, so the zero digits are real.
+        assert dh._generator_power(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+    @pytest.mark.parametrize(
+        "exponent", [1 << 256, (1 << 256) + 1, (1 << 300) + 12345, DH_PRIME - 2, -1]
+    )
+    def test_exponent_outside_the_table_takes_plain_pow(self, exponent, monkeypatch):
+        """Never truncated to 256 bits: a real branch to ``pow``."""
+        def no_table():
+            raise AssertionError("table consulted for an exponent it does not span")
+
+        monkeypatch.setattr(dh, "_fixed_base_table", no_table)
+        assert dh._generator_power(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+    def test_table_is_built_once_and_holds_the_public_powers(self):
+        table = dh._fixed_base_table()
+        assert dh._fixed_base_table() is table
+        assert len(table) == 32 and all(len(row) == 256 for row in table)
+        for i in (0, 1, 17, 31):
+            for d in (0, 1, 2, 128, 255):
+                assert table[i][d] == pow(DH_GENERATOR, d << (8 * i), DH_PRIME)
+
+    def test_table_is_lazy(self):
+        """Importing the module must not pay the build (``setup_s``)."""
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(1) as pool:
+            assert pool.apply(_table_cache_size_after_import) == 0
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_table_identical_in_worker_processes(self, start_method):
+        """Fork inherits the parent's table, spawn rebuilds it from the
+        public constants — either way the same powers."""
+        expected = dh._fixed_base_table()
+        ctx = multiprocessing.get_context(start_method)
+        with ctx.Pool(1) as pool:
+            assert pool.apply(dh._fixed_base_table) == expected
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_secure_lane_worker_round_trip(self, start_method):
+        """A shard worker mints its legs from *its* table; an honest
+        client (this process's table) must still agree on every channel
+        key, or the worker's TSA rejects the sealed seed."""
+        from repro.core.types import TrainingResult
+        from repro.system.secure_sharding import (
+            ProcessSecureShardedAggregator,
+            SecureShardedAggregator,
+        )
+
+        class State:
+            size = 8
+
+            def __init__(self):
+                self.vec = np.zeros(8, dtype=np.float32)
+
+            def current(self):
+                return self.vec.copy()
+
+            def apply(self, avg, n):
+                self.vec += avg
+
+        inline = SecureShardedAggregator(State(), 2, 8, num_shards=1, seed=11)
+        proc = ProcessSecureShardedAggregator(
+            State(), 2, 8, num_shards=1, seed=11, start_method=start_method
+        )
+        try:
+            for agg in (inline, proc):
+                for cid in range(2):
+                    v0, _ = agg.register_download(cid)
+                    agg.receive_update(TrainingResult(
+                        client_id=cid, delta=np.full(8, 0.25 * (cid + 1), np.float32),
+                        num_examples=3, train_loss=0.0, initial_version=v0,
+                    ))
+            assert proc.pool_active and proc.executor_fallbacks == 0
+            assert proc.version == inline.version == 1
+            assert np.array_equal(proc.state.current(), inline.state.current())
+        finally:
+            proc.close()
+
+
+def _table_cache_size_after_import() -> int:
+    import repro.secagg  # noqa: F401  (the whole package, as a deployment imports it)
+
+    return dh._fixed_base_table.cache_info().currsize
 
 
 class TestSealedBox:

@@ -1,5 +1,7 @@
 """Tests for the finite group, fixed-point codec, PRNG masks, and OTP."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from repro.secagg import (
     FixedPointOverflowError,
     PowerOfTwoGroup,
     SEED_BYTES,
+    SecAggClient,
+    build_deployment,
     expand_mask,
     generate_seed,
     otp_add,
@@ -114,6 +118,164 @@ class TestGroup:
         a = g.reduce(np.array([x], dtype=np.uint64))
         b = g.reduce(np.array([y], dtype=np.uint64))
         assert int(g.add(a, b)[0]) == (x + y) % g.order
+
+
+class TestAliasingContract:
+    """No group op mutates an argument; results never share memory with
+    an argument or with the protocol's persistent sums (the one stated
+    exception: ``reduce`` of an in-group array at full storage width)."""
+
+    WIDTHS = [16, 32, 63, 64]
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_ops_leave_inputs_untouched_and_return_fresh_arrays(self, bits):
+        g = PowerOfTwoGroup(bits)
+        rng = child_rng(bits, "alias")
+        a, b = g.random(rng, 257), g.random(rng, 257)
+        a0, b0 = a.copy(), b.copy()
+        block = np.stack([a, b])
+        results = [
+            g.add(a, b), g.sub(a, b), g.neg(a), g.scale(a, 3), g.scale(a, 0),
+            g.sum([a]), g.sum([a, b]), g.sum_block(block),
+            g.weighted_sum_block(block, [2, 5]),
+            g.reduce(a.astype(np.uint64) + np.uint64(1)),
+        ]
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
+        for out in results:
+            assert out.dtype == g.dtype
+            assert int(out.max()) < g.order
+            assert not np.shares_memory(out, a)
+            assert not np.shares_memory(out, b)
+            assert not np.shares_memory(out, block)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_reduce_never_mutates(self, bits):
+        g = PowerOfTwoGroup(bits)
+        wide = np.array([0, 1, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
+        wide0 = wide.copy()
+        expected = [int(x) % g.order for x in wide0]
+        out = g.reduce(wide)
+        np.testing.assert_array_equal(wide, wide0)
+        assert out.dtype == g.dtype and [int(x) for x in out] == expected
+        # Same dtype but out of range (only possible below storage width).
+        raw = np.full(4, np.iinfo(g.dtype).max, dtype=g.dtype)
+        reduced = g.reduce(raw)
+        assert int(raw[0]) == np.iinfo(g.dtype).max
+        assert int(reduced[0]) == g.order - 1
+        # The identity case hands back its argument — by contract.
+        assert (reduced is raw) == (bits in (32, 64))
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_into_ops_touch_only_the_accumulator(self, bits):
+        g = PowerOfTwoGroup(bits)
+        rng = child_rng(bits, "alias-into")
+        acc, b = g.random(rng, 64), g.random(rng, 64)
+        b0, expect = b.copy(), g.add(acc, b)
+        assert g.add_into(acc, b) is acc
+        np.testing.assert_array_equal(acc, expect)
+        np.testing.assert_array_equal(b, b0)
+        tmp = np.empty_like(acc)
+        expect = g.add(acc, g.scale(b, 7))
+        g.mac_into(acc, b, 7, tmp)
+        np.testing.assert_array_equal(acc, expect)
+        np.testing.assert_array_equal(b, b0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [16, 32, 64])
+    def test_encode_leaves_input_untouched(self, bits, dtype):
+        codec = FixedPointCodec(PowerOfTwoGroup(bits), scale=2**6, clip_value=1.0)
+        values = np.array([-3.0, -1.0, -0.0, 0.0, 0.26, 1.0, 9.0], dtype=dtype)
+        before = values.tobytes()
+        encoded = codec.encode(values)
+        assert values.tobytes() == before
+        assert not np.shares_memory(encoded, values)
+        block = np.stack([values, values])
+        assert np.array_equal(codec.encode_block(block)[1], encoded)
+        assert block.tobytes() == before * 2
+
+    @pytest.mark.parametrize("cache_masks", [True, False])
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_protocol_outputs_do_not_alias_persistent_state(self, bits, cache_masks):
+        """Masked uploads, the released unmask and the decoded aggregate
+        must survive later in-place folds into the running sums."""
+        length = 33
+        dep = build_deployment(length, threshold=2, group_bits=bits, clip_value=1.0)
+        dep.tsa._cache_masks = cache_masks
+        updates = [child_rng(i, "alias-upd").uniform(-1, 1, length) for i in range(3)]
+        originals = [u.copy() for u in updates]
+        subs = []
+        for i, update in enumerate(updates):
+            client = SecAggClient(
+                i, dep.codec, dep.authority, dep.tsa.binary_hash,
+                dep.tsa.params_hash, child_rng(i, "alias-client"),
+            )
+            subs.append(client.participate(update, dep.server.assign_leg(), dep.log_bundle))
+            snapshot = [s.masked_update.copy() for s in subs]
+            assert dep.server.submit(subs[-1])
+            for sub, snap in zip(subs, snapshot):
+                np.testing.assert_array_equal(sub.masked_update, snap)
+                assert not np.shares_memory(sub.masked_update, dep.server._masked_sum)
+                assert not np.shares_memory(sub.masked_update, dep.tsa._mask_sum)
+                if dep.tsa._rows is not None:
+                    assert not np.shares_memory(sub.masked_update, dep.tsa._rows)
+        for update, original in zip(updates, originals):
+            np.testing.assert_array_equal(update, original)
+        masked_sum = dep.server._masked_sum
+        aggregate = dep.server.finalize()
+        np.testing.assert_allclose(aggregate, np.sum(updates, axis=0), atol=1e-3)
+        assert not np.shares_memory(aggregate, masked_sum)
+        assert not np.shares_memory(aggregate, dep.tsa._mask_sum)
+
+    def test_released_unmask_is_a_copy(self):
+        dep = build_deployment(8, threshold=1, group_bits=64)
+        client = SecAggClient(
+            0, dep.codec, dep.authority, dep.tsa.binary_hash,
+            dep.tsa.params_hash, child_rng(0, "alias-release"),
+        )
+        sub = client.participate(np.zeros(8), dep.server.assign_leg(), dep.log_bundle)
+        assert dep.server.submit(sub)
+        released = dep.tsa.release_unmask()
+        assert not np.shares_memory(released, dep.tsa._mask_sum)
+        assert not np.shares_memory(released, dep.tsa._rows)
+        np.testing.assert_array_equal(released, dep.tsa._rows[0])
+
+
+class TestFullWidthAllocation:
+    """At ``bits == 64`` every op is its one arithmetic pass: the only
+    allocation is the result (ISSUE 13 acceptance: peak ≤ 1.1x a vector)."""
+
+    N = 1_000_000
+
+    def _peak(self, fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("op", ["add", "sub", "neg", "scale", "reduce", "random"])
+    def test_single_result_allocation(self, op):
+        g = PowerOfTwoGroup(64)
+        a = g.random(child_rng(0, "alloc-a"), self.N)
+        b = g.random(child_rng(0, "alloc-b"), self.N)
+        rng = child_rng(0, "alloc-r")
+        calls = {
+            "add": lambda: g.add(a, b),
+            "sub": lambda: g.sub(a, b),
+            "neg": lambda: g.neg(a),
+            "scale": lambda: g.scale(a, 12345),
+            "reduce": lambda: g.reduce(a),
+            "random": lambda: g.random(rng, self.N),
+        }
+        assert self._peak(calls[op]) <= 1.1 * a.nbytes
+
+    def test_encode_peak_is_two_vectors(self):
+        # One private float64 buffer + the int64 result viewed as uint64.
+        codec = FixedPointCodec(PowerOfTwoGroup(64), scale=2**16, clip_value=4.0)
+        values = child_rng(0, "alloc-v").uniform(-1, 1, self.N).astype(np.float32)
+        assert self._peak(lambda: codec.encode(values)) <= 2.1 * 8 * self.N
 
 
 class TestFixedPoint:
