@@ -53,17 +53,10 @@ input slab, bit-identically, and surfaces a structured
 wires it into the run's :class:`EventLog`).  Mirroring the sweep
 executor in ``repro.harness.sweep``, a failed worker therefore costs a
 log line and the lost parallelism, never the result.
-
-A pluggable fold kernel rides the same seam: :func:`register_fold_kernel`
-names the function each fold worker applies per task (numpy default);
-custom kernels register at import time of ``kernel_module``, the same
-re-import-by-module-name convention ``SweepCell.runner_module`` uses for
-spawn-started pool workers.
 """
 
 from __future__ import annotations
 
-import importlib
 import logging
 import multiprocessing
 import queue as queue_mod
@@ -81,9 +74,6 @@ __all__ = [
     "ShardWorkerPool",
     "ProcessExecutorMixin",
     "ProcessShardedFedBuffAggregator",
-    "register_fold_kernel",
-    "get_fold_kernel",
-    "fold_kernel_names",
     "numpy_fold_kernel",
 ]
 
@@ -94,45 +84,11 @@ class WorkerPoolError(RuntimeError):
     """A worker died, timed out, or the pool can't accept more work."""
 
 
-# -- fold-kernel registry ------------------------------------------------------
-
-_FOLD_KERNELS: dict[str, object] = {}
-
-
-def register_fold_kernel(name: str, kernel, *, replace: bool = False) -> None:
-    """Register a fold kernel under ``name``.
-
-    A kernel is ``kernel(partial, inputs, slots, weights, grouped)``:
-    fold the float32 ``inputs`` rows named by ``slots``, scaled by
-    ``weights``, into the float64 ``partial`` row in place.  Workers
-    resolve kernels by name at startup, so custom kernels must be
-    registered at import time of a module named via the pool's
-    ``kernel_module`` (the sweep executor's ``runner_module`` convention
-    — required for ``spawn``-started workers, which re-import rather
-    than inherit).
-    """
-    if not replace and name in _FOLD_KERNELS:
-        raise ValueError(f"fold kernel {name!r} is already registered")
-    _FOLD_KERNELS[name] = kernel
-
-
-def get_fold_kernel(name: str):
-    """Look up a registered fold kernel (raises ``ValueError`` if unknown)."""
-    try:
-        return _FOLD_KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fold kernel {name!r} (registered: {fold_kernel_names()})"
-        ) from None
-
-
-def fold_kernel_names() -> list[str]:
-    """Sorted names of every registered fold kernel."""
-    return sorted(_FOLD_KERNELS)
+# -- fold kernel ---------------------------------------------------------------
 
 
 def numpy_fold_kernel(partial, inputs, slots, weights, grouped) -> None:
-    """Default kernel: op-for-op the in-process shard fold.
+    """The fold every worker applies: op-for-op the in-process shard fold.
 
     Scalar path is the single core's AXPY
     (``partial += w * delta.astype(float64)``); grouped path is the
@@ -147,9 +103,6 @@ def numpy_fold_kernel(partial, inputs, slots, weights, grouped) -> None:
         partial += w @ deltas
     else:
         partial += weights[0] * inputs[slots[0]].astype(np.float64)
-
-
-register_fold_kernel("numpy", numpy_fold_kernel)
 
 
 # -- lanes ---------------------------------------------------------------------
@@ -168,43 +121,32 @@ class FoldLane:
     an ack payload (``None`` for none; a :class:`WorkerPoolError` to
     fail the pool parent-side).
 
-    Ops: ``fold`` (``args = (weights, grouped)``) applies the registered
-    kernel to the named input slots; ``reset`` zeroes the partial.
+    Ops: ``fold`` (``args = (weights, grouped)``) applies
+    :func:`numpy_fold_kernel` to the named input slots; ``reset`` zeroes
+    the partial.
     """
 
     out_rows = 1
     out_dtype = np.float64
     reset_op = "reset"
 
-    def __init__(self, fold_kernel: str = "numpy", kernel_module: str | None = None):
-        self.fold_kernel = fold_kernel
-        self.kernel_module = kernel_module
-        self.kernel()  # validates the name before any worker is spawned
-
-    def kernel(self):
-        """Resolve the fold kernel (importing ``kernel_module`` first)."""
-        if self.kernel_module:
-            importlib.import_module(self.kernel_module)
-        return get_fold_kernel(self.fold_kernel)
-
     def open(self, shard_id: int, inputs: np.ndarray, rows: np.ndarray):
         """The worker-side op handler.  Deliberately thin — all float
-        math lives in the registered kernel, which the equivalence suite
-        also drives in-process."""
-        kernel = self.kernel()
+        math lives in :func:`numpy_fold_kernel`, which the equivalence
+        suite also drives in-process."""
         partial = rows[0]  # the one row this process may write
 
         def handle(op: str, slots: tuple[int, ...], args: tuple):
             if op == "fold":
                 weights, grouped = args
-                kernel(partial, inputs, slots, weights, grouped)
+                numpy_fold_kernel(partial, inputs, slots, weights, grouped)
             else:  # "reset"
                 partial[:] = 0.0
 
         return handle
 
     def __repr__(self) -> str:
-        return f"FoldLane(kernel={self.fold_kernel!r})"
+        return "FoldLane()"
 
 
 # -- worker process ------------------------------------------------------------
@@ -323,10 +265,8 @@ class ShardWorkerPool:
         and all freed at the merge barrier; size it at ~2x the
         aggregation goal to ride out shard-failover refills.
     lane:
-        What each worker does with its tasks (see :class:`FoldLane`).
-        Defaults to the float fold lane built from ``fold_kernel`` /
-        ``kernel_module`` — the registered kernel name workers apply per
-        task, and an optional module to import before resolving it.
+        What each worker does with its tasks; defaults to the float
+        fold lane (see :class:`FoldLane`).
     start_method:
         ``multiprocessing`` start method (``None`` = platform default).
     on_event:
@@ -349,8 +289,6 @@ class ShardWorkerPool:
         slots: int,
         *,
         lane=None,
-        fold_kernel: str = "numpy",
-        kernel_module: str | None = None,
         start_method: str | None = None,
         on_event=None,
         ack_timeout_s: float = 60.0,
@@ -361,7 +299,7 @@ class ShardWorkerPool:
             raise ValueError("vector_length must be at least 1")
         if slots < 1:
             raise ValueError("slots must be at least 1")
-        self.lane = lane if lane is not None else FoldLane(fold_kernel, kernel_module)
+        self.lane = lane if lane is not None else FoldLane()
         self.num_shards = num_shards
         self.vector_length = vector_length
         self.slots = slots
@@ -597,7 +535,6 @@ class ShardWorkerPool:
         kernel from a zeroed buffer reproduces each worker's fold
         sequence bit-for-bit — this is the dead-worker fallback path.
         """
-        kernel = self.lane.kernel()
         out: dict[int, np.ndarray] = {}
         for shard_id, _, task_slots, (weights, grouped) in self._log:
             buf = out.get(shard_id)
@@ -605,7 +542,7 @@ class ShardWorkerPool:
                 buf = out[shard_id] = np.zeros(
                     self.vector_length, dtype=np.float64
                 )
-            kernel(buf, self.inputs, task_slots, weights, grouped)
+            numpy_fold_kernel(buf, self.inputs, task_slots, weights, grouped)
         return out
 
     # -- teardown --------------------------------------------------------------
@@ -766,7 +703,7 @@ class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggreg
         A pre-built :class:`ShardWorkerPool` to fold on (shared across
         drives, e.g. by the perf harness).  When ``None`` the aggregator
         spawns and owns one sized at ``2 * goal`` slots.
-    start_method, fold_kernel, kernel_module:
+    start_method:
         Forwarded to the owned pool (ignored when ``pool`` is given).
     on_event:
         Structured lifecycle callback (see :class:`ShardWorkerPool`).
@@ -781,8 +718,6 @@ class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggreg
         routing="hash",
         pool: ShardWorkerPool | None = None,
         start_method: str | None = None,
-        fold_kernel: str = "numpy",
-        kernel_module: str | None = None,
         on_event=None,
         **kwargs,
     ):
@@ -795,8 +730,6 @@ class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggreg
                 num_shards=num_shards,
                 vector_length=int(state.size),
                 slots=2 * goal,
-                fold_kernel=fold_kernel,
-                kernel_module=kernel_module,
                 start_method=start_method,
                 on_event=on_event,
             )

@@ -42,17 +42,7 @@ from repro.harness.figures import (
     table1,
 )
 from repro.harness.ks import KSResult, ks_two_sample
-from repro.harness.perf import (
-    CohortPoint,
-    CohortResult,
-    SecAggPoint,
-    SecAggResult,
-    ShardPoint,
-    ShardsResult,
-    cohort_speedup,
-    secagg_speedup,
-    shards_speedup,
-)
+from repro.harness import perf  # noqa: F401  (registers the five perf experiments)
 from repro.harness.registry import ExperimentSpec
 from repro.harness.report import (
     format_aggregate,
@@ -127,15 +117,6 @@ __all__ = [
     "figure13",
     "table1",
     "KSResult",
-    "CohortPoint",
-    "CohortResult",
-    "cohort_speedup",
-    "SecAggPoint",
-    "SecAggResult",
-    "secagg_speedup",
-    "ShardPoint",
-    "ShardsResult",
-    "shards_speedup",
     "ks_two_sample",
     "ExperimentSpec",
     "ResultCache",

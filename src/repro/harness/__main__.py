@@ -60,7 +60,7 @@ from repro.harness import configs, registry
 from repro.harness import chaos  # noqa: F401  (registers the chaos experiment)
 from repro.harness import figures  # noqa: F401  (imports register the experiments)
 from repro.harness import obs  # noqa: F401  (registers the obs experiment)
-from repro.harness import perf  # noqa: F401  (registers the cohort experiment)
+from repro.harness import perf  # noqa: F401  (registers the five perf experiments)
 from repro.harness import scenario  # noqa: F401  (registers the scenario experiment)
 from repro.harness.cache import ResultCache
 from repro.harness.report import print_aggregate

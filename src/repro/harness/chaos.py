@@ -25,7 +25,6 @@ a regression in failover or recovery fails CI, not just a dashboard.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.api import (
@@ -40,7 +39,6 @@ from repro.api import (
     TaskSpec,
 )
 from repro.harness import registry
-from repro.harness.configs import Scale
 from repro.harness.report import print_table
 from repro.harness.runner import SIM_MODEL_BYTES
 from repro.sim.faults import recovery_report
@@ -141,17 +139,6 @@ def _chaos_spec(
     )
 
 
-def _trace_fingerprint(result) -> str:
-    h = hashlib.sha256()
-    for p in result.trace.participations:
-        h.update(
-            repr((p.device_id, p.task, p.start_time, p.end_time, p.outcome)).encode()
-        )
-    for s in result.trace.server_steps:
-        h.update(repr((s.time, s.task, s.version, s.num_updates, s.loss)).encode())
-    return h.hexdigest()
-
-
 def _run_cell(spec: ScenarioSpec):
     dep = Deployment.from_spec(spec)
     result = dep.run()
@@ -222,9 +209,7 @@ def chaos_experiment(
                     _, rerun = _run_cell(
                         _chaos_spec(schedule, plane, n_devices, seed, t_end_s)
                     )
-                    replay_identical = (
-                        _trace_fingerprint(rerun) == _trace_fingerprint(result)
-                    )
+                    replay_identical = rerun.sim_digest() == result.sim_digest()
             points.append(
                 ChaosPoint(
                     schedule=schedule,
@@ -283,15 +268,10 @@ def print_chaos(res: ChaosResult) -> None:
     )
 
 
-def _run_chaos(scale: Scale, seed: int, **params) -> ChaosResult:
-    """Registry runner (``scale`` unused: the grid sets the population)."""
-    return chaos_experiment(seed=seed, **params)
-
-
 registry.register(
     registry.ExperimentSpec(
         "chaos",
-        _run_chaos,
+        chaos_experiment,
         print_chaos,
         ChaosResult,
         description=(

@@ -882,51 +882,11 @@ def print_table1(res: Table1Result) -> None:
 # Registry wiring — every figure/table becomes a first-class experiment
 # ---------------------------------------------------------------------------
 #
-# The runners below are module-level so sweep worker processes can pickle
-# and re-import them; each normalizes the registry calling convention
-# ``runner(scale, seed, **params)`` onto the figure function's signature.
+# Runners are the figure functions themselves (module-level, so sweep
+# worker processes can pickle and re-import them); ``ExperimentSpec.run``
+# passes ``scale=`` / ``seed=`` only to the ones that declare a use for them.
 
-def _run_fig2(scale: Scale, seed: int, **params) -> Fig2Result:
-    return figure2(seed=seed, **params)
-
-
-def _run_fig3(scale: Scale, seed: int, **params) -> Fig3Result:
-    return figure3(scale=scale, seed=seed, **params)
-
-
-def _run_fig6(scale: Scale, seed: int, **params) -> Fig6Result:
-    return figure6(**params)
-
-
-def _run_fig7(scale: Scale, seed: int, **params) -> Fig7Result:
-    return figure7(scale=scale, seed=seed, **params)
-
-
-def _run_fig8(scale: Scale, seed: int, **params) -> Fig8Result:
-    return figure8(scale=scale, seed=seed, **params)
-
-
-def _run_fig9(scale: Scale, seed: int, **params) -> Fig9Result:
-    return figure9(scale=scale, seed=seed, **params)
-
-
-def _run_fig10(scale: Scale, seed: int, **params) -> Fig10Result:
-    return figure10(scale=scale, seed=seed, **params)
-
-
-def _run_fig11(scale: Scale, seed: int, **params) -> Fig11Result:
-    return figure11(scale=scale, seed=seed, **params)
-
-
-def _run_fig12(scale: Scale, seed: int, **params) -> Fig12Result:
-    return figure12(scale=scale, seed=seed, **params)
-
-
-def _run_fig13(scale: Scale, seed: int, **params) -> Fig13Result:
-    return figure13(scale=scale, seed=seed, **params)
-
-
-def _run_table1(scale: Scale, seed: int, **params) -> Table1Result:
+def _run_table1(seed: int = 0, **params) -> Table1Result:
     params.setdefault("update_budget", 800)
     params.setdefault("server_lr", 0.05)
     return table1(seed=seed, **params)
@@ -935,36 +895,36 @@ def _run_table1(scale: Scale, seed: int, **params) -> Table1Result:
 def _register_all() -> None:
     specs = [
         registry.ExperimentSpec(
-            "fig2", _run_fig2, print_figure2, Fig2Result,
+            "fig2", figure2, print_figure2, Fig2Result,
             description="client execution-time distribution vs round duration",
             uses_scale=False),
         registry.ExperimentSpec(
-            "fig3", _run_fig3, print_figure3, Fig3Result,
+            "fig3", figure3, print_figure3, Fig3Result,
             description="SyncFL time-to-target & comm trips vs concurrency"),
         registry.ExperimentSpec(
-            "fig6", _run_fig6, print_figure6, Fig6Result,
+            "fig6", figure6, print_figure6, Fig6Result,
             description="host-TEE transfer time vs aggregation goal",
             uses_seed=False, uses_scale=False),
         registry.ExperimentSpec(
-            "fig7", _run_fig7, print_figure7, Fig7Result,
+            "fig7", figure7, print_figure7, Fig7Result,
             description="active clients over time, Sync vs Async"),
         registry.ExperimentSpec(
-            "fig8", _run_fig8, print_figure8, Fig8Result,
+            "fig8", figure8, print_figure8, Fig8Result,
             description="server model updates per hour vs concurrency"),
         registry.ExperimentSpec(
-            "fig9", _run_fig9, print_figure9, Fig9Result,
+            "fig9", figure9, print_figure9, Fig9Result,
             description="time-to-target, speedup, comm trips vs concurrency"),
         registry.ExperimentSpec(
-            "fig10", _run_fig10, print_figure10, Fig10Result,
+            "fig10", figure10, print_figure10, Fig10Result,
             description="time-to-target & update rate vs aggregation goal K"),
         registry.ExperimentSpec(
-            "fig11", _run_fig11, print_figure11, Fig11Result,
+            "fig11", figure11, print_figure11, Fig11Result,
             description="participant distributions ± over-selection, KS tests"),
         registry.ExperimentSpec(
-            "fig12", _run_fig12, print_figure12, Fig12Result,
+            "fig12", figure12, print_figure12, Fig12Result,
             description="training curves for the four configurations"),
         registry.ExperimentSpec(
-            "fig13", _run_fig13, print_figure13, Fig13Result,
+            "fig13", figure13, print_figure13, Fig13Result,
             description="hours-to-target for the four configurations"),
         registry.ExperimentSpec(
             "table1", _run_table1, print_table1, Table1Result,

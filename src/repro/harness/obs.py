@@ -53,8 +53,7 @@ from repro.api import (
     build_population,
 )
 from repro.harness import registry
-from repro.harness.configs import Scale
-from repro.harness.report import print_table
+from repro.harness.report import print_points
 from repro.harness.runner import SIM_MODEL_BYTES
 from repro.obs.telemetry import RunTelemetry
 from repro.sim.fleet import FleetConfig, FleetSimulation
@@ -122,18 +121,6 @@ def _obs_spec(
     )
 
 
-def _result_fingerprint(result) -> str:
-    """sha256 over participations + server steps (the chaos-replay pin)."""
-    h = hashlib.sha256()
-    for p in result.trace.participations:
-        h.update(
-            repr((p.device_id, p.task, p.start_time, p.end_time, p.outcome)).encode()
-        )
-    for s in result.trace.server_steps:
-        h.update(repr((s.time, s.task, s.version, s.num_updates, s.loss)).encode())
-    return h.hexdigest()
-
-
 def _fleet_fingerprint(fleet: FleetSimulation) -> str:
     """sha256 over the fleet's sampled trace + exact counters."""
     h = hashlib.sha256()
@@ -181,7 +168,7 @@ def _run_system_arm(n_devices, seed, t_end_s, telemetry, max_spans):
     t0 = time.perf_counter()
     result = dep.run()
     wall = time.perf_counter() - t0
-    return wall, _result_fingerprint(result), dep, result
+    return wall, result.sim_digest(), dep, result
 
 
 def _run_fleet_arm(fleet_devices, seed, horizon_s, telemetry, max_spans):
@@ -283,54 +270,35 @@ def obs_experiment(
     )
 
 
+_OBS_COLUMNS = (
+    ("workload", "workload"),
+    ("off (s)", "telemetry_off_s"),
+    ("on (s)", "telemetry_on_s"),
+    ("overhead %", "overhead_pct"),
+    ("bit-identical", "bit_identical"),
+    ("spans", "spans_total"),
+    ("open", "spans_open"),
+    ("orphans", "span_orphans"),
+    ("series", "metric_series"),
+    ("events", "events_total"),
+)
+
+
 def print_obs(res: ObsResult) -> None:
     """Render the telemetry overhead/invariance table as text."""
-    print_table(
-        [
-            "workload",
-            "off (s)",
-            "on (s)",
-            "overhead %",
-            "bit-identical",
-            "spans",
-            "open",
-            "orphans",
-            "series",
-            "events",
-        ],
-        [
-            [
-                p.workload,
-                p.telemetry_off_s,
-                p.telemetry_on_s,
-                p.overhead_pct,
-                p.bit_identical,
-                p.spans_total,
-                p.spans_open,
-                p.span_orphans,
-                p.metric_series,
-                p.events_total,
-            ]
-            for p in res.points
-        ],
-        title=(
-            f"Observability plane — telemetry off vs on "
-            f"(system {res.n_devices} devices / {res.t_end_s:g}s, "
-            f"fleet {res.fleet_devices} devices / {res.horizon_s:g}s, "
-            f"best of {res.repeats}; max overhead "
-            f"{res.max_overhead_pct:.2f}%)"
-        ),
-    )
-
-
-def _run_obs(scale: Scale, seed: int, **params) -> ObsResult:
-    return obs_experiment(seed=seed, **params)
+    print_points(_OBS_COLUMNS, res.points, title=(
+        f"Observability plane — telemetry off vs on "
+        f"(system {res.n_devices} devices / {res.t_end_s:g}s, "
+        f"fleet {res.fleet_devices} devices / {res.horizon_s:g}s, "
+        f"best of {res.repeats}; max overhead "
+        f"{res.max_overhead_pct:.2f}%)"
+    ))
 
 
 registry.register(
     registry.ExperimentSpec(
         "obs",
-        _run_obs,
+        obs_experiment,
         print_obs,
         ObsResult,
         description=(

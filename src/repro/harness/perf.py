@@ -1,97 +1,21 @@
-"""Performance experiments: the engine/data-plane speedup operating curves.
+"""Sweep-layer performance experiments: one comparison kit, five arm sets.
 
-The ``cohort`` experiment measures the batched cohort execution engine
-(:class:`repro.core.cohort.CohortTrainer`) against the scalar per-client
-path (:class:`repro.core.client_trainer.LocalTrainer`) on the real-
-training workload behind the paper's convergence figures: the scaled-down
-LSTM language model, clients drawn from the heterogeneous device
-population (so cohorts carry realistic ragged example counts), one local
-epoch of clipped SGD per client.  For every cohort size K it reports
-scalar and batched wall-clock, the speedup, and the maximum per-client
-delta divergence — which the equivalence guarantee keeps at 0.0.
+Every experiment here is one shape — a *reference* and a *candidate*
+driven over a grid on identical inputs, reporting their ratio next to
+columns that say the two computed the same thing.  What each experiment
+measures, its swept axes and how to read its columns is documented once,
+in ``docs/EXPERIMENTS.md`` (sections ``cohort``, ``secagg``, ``shards``,
+``secure_shards``, ``million``); a ratio here describes a subsystem
+against its own reference, and ``benchmarks/e2e/`` remains the only
+basis for a whole-run performance claim.
 
-The ``secagg`` experiment does the same for the secure-aggregation
-server+TSA *data plane*: for each (cohort size K, vector length ℓ) it
-drives one set of client submissions through the scalar per-client
-protocol path (sequential ``submit`` calls plus the pre-vectorization
-sequential weighted finalize, kept here as a reference replica) and
-through the block path (``submit_block`` + fused weighted finalize),
-reporting both wall clocks, the speedup, and the decoded aggregates' max
-divergence — exactly 0 by the bit-identity contract.  The DH handshake
-(leg minting and completion) is control-plane work amortized at check-in
-time by :class:`repro.system.secure.LegPool` /
-``TrustedSecureAggregator.complete_leg``; it is identical in both arms,
-runs outside the timed segment, and is reported separately per point.
-
-The ``shards`` experiment measures the *scale-out* axis: the sharded
-hierarchical aggregation plane
-(:class:`repro.core.sharding.ShardedFedBuffAggregator`) against the
-single :class:`~repro.core.fedbuff.FedBuffAggregator` on identical
-arrival sequences.  Unlike the cohort/secagg experiments — which
-vectorize in place and time one process doing less work — sharding
-spreads the *same* folds over ``S`` parallel shard cores, so the plane's
-latency is a critical path, not a single timer: every admission+fold's
-measured wall-clock cost is charged to its shard's lane and every root
-merge + server step barriers across all lanes
-(:class:`~repro.core.sharding.AggregationPlaneClock`).  For each (shard
-count × population size) point it reports the single aggregator's
-sequential wall-clock, the sharded plane's critical-path latency, the
-speedup, the per-shard load skew (max lifetime folds over the ideal even
-share), and the final-model max divergence — bounded by float64-rounding
-reassociation surviving the float32 state cast (the differential suite,
-``tests/test_sharded_equivalence.py``, pins the tight per-step bound).
-
-Next to that *modeled* critical path, each point also drives the same
-arrival sequence through the **process executor**
-(:class:`repro.core.parallel.ProcessShardedFedBuffAggregator`): shard
-folds on real worker processes over shared-memory slabs, timed as plain
-wall-clock on this machine.  The measured speedup and the modeled−measured
-gap are first-class output columns — the gap is exactly what the model
-abstracts away (dispatch overhead, memory bandwidth, core count; on a
-single-core runner the measured speedup is ~1x and the whole modeled
-speedup shows up as gap).  ``process_identical`` pins the executor's
-bit-identity contract point by point.
-
-The ``secure_shards`` experiment composes the two scale axes the paper
-runs together: buffered asynchronous **secure** aggregation sharded
-across ``S`` shard TSAs under one trusted root reducer
-(:class:`repro.system.secure_sharding.SecureShardedAggregator`).  For
-each (shard count × aggregation goal × vector length) point it drives
-identical arrival sequences through the single secure plane, the inline
-sharded plane (whose :class:`~repro.core.sharding.AggregationPlaneClock`
-yields the modeled lane critical path), and the process executor
-(:class:`repro.system.secure_sharding.ProcessSecureShardedAggregator` —
-each shard's full secure pipeline, modexps included, on its own worker),
-reporting the modeled and the **measured** wall-clock speedups over the
-single plane, per-shard load skew, and two exactness columns the secure
-contract pins with ``==`` rather than a tolerance: final states and step
-structure bit-identical, boundary-byte meters equal across all three
-arms.
-
-The ``million`` experiment measures the *population* axis: the columnar
-struct-of-arrays fleet (:class:`repro.sim.population
-.ColumnarDevicePopulation`) driven by the batched tick loop
-(:class:`repro.sim.fleet.FleetSimulation`) over the calendar-queue
-event engine, sweeping the fleet from 10k to 1M devices.  For each
-population size it reports wall-clock, events fired, events/sec,
-µs/event, peak RSS, the columns' numpy footprint, and the bounded
-trace's record count; the headline is *flatness* — the max/min ratio of
-per-event cost across the sweep, ~1 when cost per event is independent
-of fleet size.
-
-Run / sweep them through the PR-1 harness layer::
-
-    python -m repro.harness cohort
-    python -m repro.harness secagg
-    python -m repro.harness shards
-    python -m repro.harness secure_shards
-    python -m repro.harness million
-    python -m repro.harness sweep secagg --seeds 0..2 --json secagg.json
-    python -m repro.harness sweep shards --seeds 0..2 --json shards.json
-    python -m repro.harness sweep secure_shards --json secure-shards.json
-    python -m repro.harness sweep million --json million.json
-
-so before/after JSON reports of future engine changes land in the same
+The shared kit is private to this module: :func:`_best_of` (the
+best-of-``repeats`` loop), :func:`_ratio`, :func:`_drive` (one arrival
+stream through any aggregation plane, timing the data plane only),
+:func:`_model_state` and one column table per experiment rendered by
+:func:`repro.harness.report.print_points`.  All five run and sweep
+through the harness layer (``python -m repro.harness sweep <name>
+--json out.json``), so before/after JSON reports land in the same
 cache + CI-artifact pipeline as every figure.
 """
 
@@ -101,6 +25,7 @@ import os
 import resource
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -117,7 +42,7 @@ from repro.data.synthetic_text import CorpusSpec, TopicMarkovCorpus
 from repro.api import PopulationSpec, build_population
 from repro.harness import registry
 from repro.harness.configs import Scale
-from repro.harness.report import print_table
+from repro.harness.report import print_points
 from repro.nn.model import LSTMLanguageModel, ModelConfig
 from repro.sim.fleet import FleetConfig, FleetSimulation
 from repro.sim.trace import BoundedMetricsTrace
@@ -152,8 +77,101 @@ __all__ = [
     "SecureShardsResult",
     "secure_shards_speedup",
     "print_secure_shards",
+    "MillionPoint",
+    "MillionResult",
+    "million_scaling",
+    "print_million",
 ]
 
+
+# ---------------------------------------------------------------------------
+# The comparison kit every experiment below is written in
+# ---------------------------------------------------------------------------
+
+def _timed(fn, *args):
+    """``(wall-clock seconds, fn(*args))``."""
+    t0 = time.perf_counter()
+    value = fn(*args)
+    return time.perf_counter() - t0, value
+
+
+def _best_of(repeats: int, arm):
+    """Run ``arm() -> (seconds, value)`` ``repeats`` times (at least once).
+
+    Returns the smallest ``seconds`` and the last repeat's ``value`` —
+    arms are deterministic, so any repeat's value is *the* value.
+    """
+    best, value = float("inf"), None
+    for _ in range(max(1, repeats)):
+        seconds, value = arm()
+        best = min(best, seconds)
+    return best, value
+
+
+def _ratio(reference: float, candidate: float) -> float:
+    """``reference / candidate``; a zero-cost candidate is infinitely better."""
+    return reference / candidate if candidate > 0 else float("inf")
+
+
+def _ms(field: str):
+    """Column getter: a seconds attribute rendered in milliseconds."""
+    return lambda point: getattr(point, field) * 1e3
+
+
+def _model_state(label: str, vector_length: int, seed: int) -> GlobalModelState:
+    """The aggregation-plane fixture: a seeded float32 model under FedAdam."""
+    return GlobalModelState(
+        child_rng(seed, label).standard_normal(vector_length).astype(np.float32),
+        FedAdam(lr=0.1),
+    )
+
+
+def _arrival_stream(population: int, arrivals: int, vector_length: int, rng):
+    """Client-id sequence (waves of unique ids) + their training results."""
+    ids: list[int] = []
+    while len(ids) < arrivals:
+        wave = rng.permutation(population)[: arrivals - len(ids)]
+        ids.extend(int(i) for i in wave)
+    return [
+        TrainingResult(
+            client_id=cid,
+            delta=rng.standard_normal(vector_length).astype(np.float32),
+            num_examples=int(rng.integers(1, 50)),
+            train_loss=float(rng.random()),
+            initial_version=0,
+        )
+        for cid in ids
+    ]
+
+
+def _drive(agg, results, *, drain: bool = False) -> float:
+    """Drive one arrival stream through ``agg``; returns data-plane seconds.
+
+    Each client registers immediately before its upload, re-stamped at
+    the plane's current version, so every arm admits with identical
+    staleness and weights.  Only ``receive_update`` (admission + fold +
+    any step or epoch finalize) is timed — the per-arrival
+    ``register_download`` model copy is selection-time control plane,
+    excluded from every arm identically.  With ``drain`` a final worker
+    barrier is paid for inside the measurement (process arms: dispatched
+    folds of the trailing incomplete buffer are real work).  Arms with an
+    :class:`~repro.core.sharding.AggregationPlaneClock` read its critical
+    path instead of this return value.
+    """
+    elapsed = 0.0
+    for r in results:
+        agg.register_download(r.client_id)
+        arrival = TrainingResult(r.client_id, r.delta, r.num_examples,
+                                 r.train_loss, agg.version)
+        elapsed += _timed(agg.receive_update, arrival)[0]
+    if drain:
+        elapsed += _timed(agg.drain)[0]
+    return elapsed
+
+
+# ---------------------------------------------------------------------------
+# Cohort engine: batched vs scalar local training
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CohortPoint:
@@ -244,19 +262,17 @@ def cohort_speedup(
         )
         batched.train_cohort(requests[: min(2, size)])  # warm workspaces
 
-        best_scalar = best_batched = float("inf")
-        scalar_results = batched_results = None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            scalar_results = [
+        def train_scalar():
+            return [
                 scalar.train(r.initial_model, r.dataset, r.initial_version,
                              r.participation)
                 for r in requests
             ]
-            best_scalar = min(best_scalar, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            batched_results = batched.train_cohort(requests)
-            best_batched = min(best_batched, time.perf_counter() - t0)
+
+        best_scalar, scalar_results = _best_of(repeats, partial(_timed, train_scalar))
+        best_batched, batched_results = _best_of(
+            repeats, partial(_timed, batched.train_cohort, requests)
+        )
 
         delta_diff = max(
             float(np.max(np.abs(a.delta - b.delta)))
@@ -271,7 +287,7 @@ def cohort_speedup(
                 cohort_size=size,
                 scalar_s=best_scalar,
                 batched_s=best_batched,
-                speedup=best_scalar / best_batched if best_batched > 0 else float("inf"),
+                speedup=_ratio(best_scalar, best_batched),
                 max_delta_diff=delta_diff,
                 max_loss_diff=loss_diff,
                 equivalent=(delta_diff <= EQUIVALENCE_ATOL
@@ -287,40 +303,24 @@ def cohort_speedup(
     )
 
 
+_COHORT_COLUMNS = (
+    ("K", "cohort_size"),
+    ("scalar (ms)", _ms("scalar_s")),
+    ("batched (ms)", _ms("batched_s")),
+    ("speedup", "speedup"),
+    ("max |Δdelta|", "max_delta_diff"),
+    ("equivalent", "equivalent"),
+)
+
+
 def print_cohort(res: CohortResult) -> None:
     """Render the cohort-engine comparison as text."""
-    print_table(
-        ["K", "scalar (ms)", "batched (ms)", "speedup", "max |Δdelta|", "equivalent"],
-        [
-            [p.cohort_size, p.scalar_s * 1e3, p.batched_s * 1e3, p.speedup,
-             p.max_delta_diff, p.equivalent]
-            for p in res.points
-        ],
-        title=(
-            f"Cohort engine — batched vs scalar local training "
-            f"({res.num_params} params, B={res.batch_size}, "
-            f"E={res.local_epochs}, mean {res.clients_mean_examples:.0f} "
-            f"examples/client)"
-        ),
-    )
-
-
-def _run_cohort(scale: Scale, seed: int, **params) -> CohortResult:
-    return cohort_speedup(seed=seed, **params)
-
-
-registry.register(
-    registry.ExperimentSpec(
-        "cohort",
-        _run_cohort,
-        print_cohort,
-        CohortResult,
-        description="batched cohort engine vs scalar training: speedup + equivalence",
-        default_grid={},
-        uses_scale=False,
-    ),
-    replace=True,
-)
+    print_points(_COHORT_COLUMNS, res.points, title=(
+        f"Cohort engine — batched vs scalar local training "
+        f"({res.num_params} params, B={res.batch_size}, "
+        f"E={res.local_epochs}, mean {res.clients_mean_examples:.0f} "
+        f"examples/client)"
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -410,25 +410,26 @@ def secagg_speedup(
 
     points: list[SecAggPoint] = []
     for length in vector_lengths:
-        arms = {}
-        servers = {}
-        for arm in ("scalar", "block"):
-            # Identical rng streams => identical legs: one set of client
-            # submissions opens against either arm.  Arms and servers are
-            # long-lived across cohort sizes and repeats (re-keyed with
-            # begin_round), so the block arm is measured in its warm
-            # steady state, exactly as the system layer runs it.
-            arms[arm] = TrustedSecureAggregator(
-                group,
-                length,
-                threshold=1,  # the sweep releases after exactly K submits
-                authority=authority,
-                rng=child_rng(seed, "secagg-perf-tsa", length),
-                cache_masks=(arm == "block"),
+        # Identical rng streams => identical legs: one set of client
+        # submissions opens against either arm.  Arms (a server and its
+        # TSA) are long-lived across cohort sizes and repeats (re-keyed
+        # with begin_round), so the block arm is measured in its warm
+        # steady state, exactly as the system layer runs it.
+        scalar, block = (
+            SecAggServer(
+                TrustedSecureAggregator(
+                    group,
+                    length,
+                    threshold=1,  # the sweep releases after exactly K submits
+                    authority=authority,
+                    rng=child_rng(seed, "secagg-perf-tsa", length),
+                    cache_masks=cache_masks,
+                ),
+                codec,
+                initial_legs=max(cohort_sizes),
             )
-            servers[arm] = SecAggServer(
-                arms[arm], codec, initial_legs=max(cohort_sizes)
-            )
+            for cache_masks in (False, True)
+        )
         for size in cohort_sizes:
             updates = rng.uniform(-1.0, 1.0, size=(size, length))
             weights = {i: (i % 7) + 1 for i in range(size)}
@@ -436,12 +437,11 @@ def secagg_speedup(
             agg_scalar = agg_block = None
             bit_identical = True
             for _ in range(max(1, repeats)):
-                for arm in arms.values():
-                    arm.begin_round()
-                for server in servers.values():
+                for server in (scalar, block):
+                    server.tsa.begin_round()
                     server.begin_round()
-                legs = [servers["scalar"].assign_leg() for _ in range(size)]
-                block_legs = [servers["block"].assign_leg() for _ in range(size)]
+                legs = [scalar.assign_leg() for _ in range(size)]
+                block_legs = [block.assign_leg() for _ in range(size)]
                 assert [leg.index for leg in legs] == [
                     leg.index for leg in block_legs
                 ]
@@ -453,8 +453,8 @@ def secagg_speedup(
                         client_id=i,
                         codec=codec,
                         authority=authority,
-                        expected_binary_hash=arms["scalar"].binary_hash,
-                        expected_params_hash=arms["scalar"].params_hash,
+                        expected_binary_hash=scalar.tsa.binary_hash,
+                        expected_params_hash=scalar.tsa.params_hash,
                         rng=child_rng(seed, "secagg-perf-client", length, i),
                     )
                     sub = client.participate(updates[i], legs[i])
@@ -465,7 +465,7 @@ def secagg_speedup(
                 # completing message at check-in (amortized DH legs).
                 t0 = time.perf_counter()
                 for sub in submissions:
-                    for server in servers.values():
+                    for server in (scalar, block):
                         server.complete_checkin(sub)
                 # 2 arms x K clients completed above -> per-client cost.
                 best_handshake = min(
@@ -474,25 +474,23 @@ def secagg_speedup(
 
                 t0 = time.perf_counter()
                 for sub in submissions:
-                    if not servers["scalar"].submit(sub):
+                    if not scalar.submit(sub):
                         raise RuntimeError("scalar arm rejected a submission")
                 agg_scalar, ref_unmask = _scalar_reference_finalize(
-                    servers["scalar"], seeds_by_leg, weight_map, clip_value
+                    scalar, seeds_by_leg, weight_map, clip_value
                 )
                 best_scalar = min(best_scalar, time.perf_counter() - t0)
 
                 t0 = time.perf_counter()
-                flags = servers["block"].submit_block(submissions)
-                agg_block = servers["block"].finalize(
-                    weights=weight_map, max_abs=clip_value
-                )
+                flags = block.submit_block(submissions)
+                agg_block = block.finalize(weights=weight_map, max_abs=clip_value)
                 best_block = min(best_block, time.perf_counter() - t0)
                 if not all(flags):
                     raise RuntimeError("block arm rejected a submission")
 
                 # Pin the vectorized release against the sequential one
                 # (untimed; also keeps the arms' boundary meters aligned).
-                released = arms["scalar"].release_unmask(
+                released = scalar.tsa.release_unmask(
                     {k: v for k, v in weight_map.items() if v}
                 )
                 bit_identical = bit_identical and np.array_equal(
@@ -506,15 +504,13 @@ def secagg_speedup(
                     vector_length=length,
                     scalar_s=best_scalar,
                     block_s=best_block,
-                    speedup=best_scalar / best_block if best_block > 0 else float("inf"),
+                    speedup=_ratio(best_scalar, best_block),
                     handshake_s=best_handshake,
                     max_divergence=divergence,
                     bit_identical=bool(bit_identical),
                     boundary_match=(
-                        arms["scalar"].boundary_bytes_in
-                        == arms["block"].boundary_bytes_in
-                        and arms["scalar"].boundary_bytes_out
-                        == arms["block"].boundary_bytes_out
+                        scalar.tsa.boundary_bytes_in == block.tsa.boundary_bytes_in
+                        and scalar.tsa.boundary_bytes_out == block.tsa.boundary_bytes_out
                     ),
                 )
             )
@@ -527,60 +523,26 @@ def secagg_speedup(
     )
 
 
+_SECAGG_COLUMNS = (
+    ("K", "cohort_size"),
+    ("len", "vector_length"),
+    ("scalar (ms)", _ms("scalar_s")),
+    ("block (ms)", _ms("block_s")),
+    ("speedup", "speedup"),
+    ("handshake/client (ms)", _ms("handshake_s")),
+    ("max |div|", "max_divergence"),
+    ("bit-identical", "bit_identical"),
+    ("boundary ok", "boundary_match"),
+)
+
+
 def print_secagg(res: SecAggResult) -> None:
     """Render the secagg data-plane comparison as text."""
-    print_table(
-        [
-            "K",
-            "len",
-            "scalar (ms)",
-            "block (ms)",
-            "speedup",
-            "handshake/client (ms)",
-            "max |div|",
-            "bit-identical",
-            "boundary ok",
-        ],
-        [
-            [
-                p.cohort_size,
-                p.vector_length,
-                p.scalar_s * 1e3,
-                p.block_s * 1e3,
-                p.speedup,
-                p.handshake_s * 1e3,
-                p.max_divergence,
-                p.bit_identical,
-                p.boundary_match,
-            ]
-            for p in res.points
-        ],
-        title=(
-            f"SecAgg data plane — block vs scalar server+TSA wall clock "
-            f"(Z_2^{res.group_bits}, scale 2^{int(np.log2(res.fp_scale))}, "
-            f"best of {res.repeats})"
-        ),
-    )
-
-
-def _run_secagg(scale: Scale, seed: int, **params) -> SecAggResult:
-    return secagg_speedup(seed=seed, **params)
-
-
-registry.register(
-    registry.ExperimentSpec(
-        "secagg",
-        _run_secagg,
-        print_secagg,
-        SecAggResult,
-        description=(
-            "secure-aggregation block vs scalar data plane: speedup + bit-identity"
-        ),
-        default_grid={},
-        uses_scale=False,
-    ),
-    replace=True,
-)
+    print_points(_SECAGG_COLUMNS, res.points, title=(
+        f"SecAgg data plane — block vs scalar server+TSA wall clock "
+        f"(Z_2^{res.group_bits}, scale 2^{int(np.log2(res.fp_scale))}, "
+        f"best of {res.repeats})"
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -629,93 +591,9 @@ class ShardsResult:
 SHARD_EQUIV_ATOL = 1e-6
 
 
-def _arrival_stream(population: int, arrivals: int, vector_length: int, rng):
-    """Client-id sequence (waves of unique ids) + their training results."""
-    ids: list[int] = []
-    while len(ids) < arrivals:
-        wave = rng.permutation(population)[: arrivals - len(ids)]
-        ids.extend(int(i) for i in wave)
-    return [
-        TrainingResult(
-            client_id=cid,
-            delta=rng.standard_normal(vector_length).astype(np.float32),
-            num_examples=int(rng.integers(1, 50)),
-            train_loss=float(rng.random()),
-            initial_version=0,
-        )
-        for cid in ids
-    ]
-
-
-def _drive_single(results, vector_length, goal, seed):
-    """Sequential single-aggregator drive; returns (data-plane seconds, agg).
-
-    Only the aggregation path (admission + fold + step) is timed — the
-    per-arrival ``register_download`` model-copy is selection-time
-    control plane, excluded from both arms identically.
-    """
-    state = GlobalModelState(
-        child_rng(seed, "shards-init").standard_normal(vector_length).astype(np.float32),
-        FedAdam(lr=0.1),
-    )
-    agg = FedBuffAggregator(state, goal=goal)
-    elapsed = 0.0
-    for r in results:
-        agg.register_download(r.client_id)
-        arrival = TrainingResult(r.client_id, r.delta, r.num_examples,
-                                 r.train_loss, agg.version)
-        t0 = time.perf_counter()
-        agg.receive_update(arrival)
-        elapsed += time.perf_counter() - t0
-    return elapsed, agg
-
-
-def _drive_sharded(results, vector_length, goal, seed, num_shards, routing):
-    """Sharded drive; returns (critical-path seconds, agg, clock)."""
-    state = GlobalModelState(
-        child_rng(seed, "shards-init").standard_normal(vector_length).astype(np.float32),
-        FedAdam(lr=0.1),
-    )
-    clock = AggregationPlaneClock(num_shards)
-    agg = ShardedFedBuffAggregator(
-        state, goal=goal, num_shards=num_shards, routing=routing, clock=clock
-    )
-    for r in results:
-        agg.register_download(r.client_id)
-        arrival = TrainingResult(r.client_id, r.delta, r.num_examples,
-                                 r.train_loss, agg.version)
-        agg.receive_update(arrival)
-    return clock.elapsed, agg, clock
-
-
-def _drive_process(results, vector_length, goal, seed, num_shards, routing, pool):
-    """Process-executor drive; returns (measured wall seconds, agg).
-
-    Same timing discipline as :func:`_drive_single` — admission + fold +
-    step per arrival, ``register_download`` excluded — plus one final
-    ``drain()`` barrier so dispatched folds of the trailing incomplete
-    buffer are paid for inside the measurement.  Unlike the modeled arm
-    this is real elapsed time on this machine's cores.
-    """
-    state = GlobalModelState(
-        child_rng(seed, "shards-init").standard_normal(vector_length).astype(np.float32),
-        FedAdam(lr=0.1),
-    )
-    agg = ProcessShardedFedBuffAggregator(
-        state, goal=goal, num_shards=num_shards, routing=routing, pool=pool
-    )
-    elapsed = 0.0
-    for r in results:
-        agg.register_download(r.client_id)
-        arrival = TrainingResult(r.client_id, r.delta, r.num_examples,
-                                 r.train_loss, agg.version)
-        t0 = time.perf_counter()
-        agg.receive_update(arrival)
-        elapsed += time.perf_counter() - t0
-    t0 = time.perf_counter()
-    agg.drain()
-    elapsed += time.perf_counter() - t0
-    return elapsed, agg
+def _step_structure(agg) -> list[tuple[int, int]]:
+    """(version, update count) of every server step, in order."""
+    return [(i.version, i.num_updates) for i in agg.step_history]
 
 
 def shards_speedup(
@@ -748,75 +626,70 @@ def shards_speedup(
     """
     points: list[ShardPoint] = []
     for population in populations:
-        stream_rng = child_rng(seed, "shards-stream", population)
-        results = _arrival_stream(population, arrivals, vector_length, stream_rng)
-        best_single = float("inf")
-        single_agg = None
-        for _ in range(max(1, repeats)):
-            single_s, single_agg = _drive_single(
-                results, vector_length, goal, seed
+        results = _arrival_stream(
+            population, arrivals, vector_length,
+            child_rng(seed, "shards-stream", population),
+        )
+
+        def single_arm():
+            agg = FedBuffAggregator(
+                _model_state("shards-init", vector_length, seed), goal=goal
             )
-            best_single = min(best_single, single_s)
+            return _drive(agg, results), agg
+
+        best_single, single_agg = _best_of(repeats, single_arm)
         for num_shards in shard_counts:
-            best_sharded = float("inf")
-            sharded_agg = None
-            for _ in range(max(1, repeats)):
-                sharded_s, sharded_agg, _ = _drive_sharded(
-                    results, vector_length, goal, seed, num_shards, routing
+
+            def sharded_arm():
+                clock = AggregationPlaneClock(num_shards)
+                agg = ShardedFedBuffAggregator(
+                    _model_state("shards-init", vector_length, seed), goal=goal,
+                    num_shards=num_shards, routing=routing, clock=clock,
                 )
-                best_sharded = min(best_sharded, sharded_s)
-            best_process = float("inf")
+                _drive(agg, results)
+                return clock.elapsed, agg
+
+            best_sharded, sharded_agg = _best_of(repeats, sharded_arm)
             process_fallbacks = 0
             process_identical = True
+
+            def process_arm():
+                nonlocal process_fallbacks, process_identical
+                agg = ProcessShardedFedBuffAggregator(
+                    _model_state("shards-init", vector_length, seed), goal=goal,
+                    num_shards=num_shards, routing=routing,
+                    pool=pool if pool.healthy and not pool.closed else None,
+                )
+                seconds = _drive(agg, results, drain=True)
+                process_fallbacks += agg.executor_fallbacks
+                process_identical = process_identical and bool(
+                    np.array_equal(
+                        agg.state.current(), sharded_agg.state.current()
+                    )
+                    and len(agg.step_history) == len(sharded_agg.step_history)
+                )
+                if agg.pool_active:
+                    # Leave the shared pool empty for the next repeat
+                    # (frees epoch slots, zeroes the partial slab).
+                    agg.drop_buffer_and_inflight()
+                agg.close()
+                return seconds, None
+
             with ShardWorkerPool(
                 num_shards=num_shards,
                 vector_length=vector_length,
                 slots=2 * goal,
             ) as pool:
-                for _ in range(max(1, repeats)):
-                    shared = pool if pool.healthy and not pool.closed else None
-                    process_s, process_agg = _drive_process(
-                        results, vector_length, goal, seed, num_shards,
-                        routing, shared,
-                    )
-                    best_process = min(best_process, process_s)
-                    process_fallbacks += process_agg.executor_fallbacks
-                    process_identical = process_identical and bool(
-                        np.array_equal(
-                            process_agg.state.current(),
-                            sharded_agg.state.current(),
-                        )
-                        and len(process_agg.step_history)
-                        == len(sharded_agg.step_history)
-                    )
-                    if process_agg.pool_active:
-                        # Leave the shared pool empty for the next repeat
-                        # (frees epoch slots, zeroes the partial slab).
-                        process_agg.drop_buffer_and_inflight()
-                    process_agg.close()
+                best_process, _ = _best_of(repeats, process_arm)
             divergence = float(
                 np.max(np.abs(single_agg.state.current()
                               - sharded_agg.state.current()))
             )
-            same_steps = (
-                len(single_agg.step_history) == len(sharded_agg.step_history)
-                and all(
-                    a.version == b.version and a.num_updates == b.num_updates
-                    for a, b in zip(
-                        single_agg.step_history, sharded_agg.step_history
-                    )
-                )
-            )
+            same_steps = _step_structure(single_agg) == _step_structure(sharded_agg)
             loads = sharded_agg.shard_loads()
             ideal = arrivals / num_shards
-            speedup = (
-                best_single / best_sharded
-                if best_sharded > 0 else float("inf")
-            )
-            measured = (
-                best_single / best_process
-                if best_process > 0 else float("inf")
-            )
+            speedup = _ratio(best_single, best_sharded)
+            measured = _ratio(best_single, best_process)
             points.append(
                 ShardPoint(
                     num_shards=num_shards,
@@ -848,69 +721,31 @@ def shards_speedup(
     )
 
 
+_SHARDS_COLUMNS = (
+    ("S", "num_shards"),
+    ("pop", "population"),
+    ("single (ms)", _ms("single_s")),
+    ("sharded (ms)", _ms("sharded_s")),
+    ("modeled x", "speedup"),
+    ("process (ms)", _ms("process_s")),
+    ("measured x", "measured_speedup"),
+    ("gap", "speedup_gap"),
+    ("load skew", "load_skew"),
+    ("max |div|", "max_divergence"),
+    ("equivalent", "equivalent"),
+    ("bit-identical", "process_identical"),
+)
+
+
 def print_shards(res: ShardsResult) -> None:
     """Render the sharded-plane comparison as text."""
-    print_table(
-        [
-            "S",
-            "pop",
-            "single (ms)",
-            "sharded (ms)",
-            "modeled x",
-            "process (ms)",
-            "measured x",
-            "gap",
-            "load skew",
-            "max |div|",
-            "equivalent",
-            "bit-identical",
-        ],
-        [
-            [
-                p.num_shards,
-                p.population,
-                p.single_s * 1e3,
-                p.sharded_s * 1e3,
-                p.speedup,
-                p.process_s * 1e3,
-                p.measured_speedup,
-                p.speedup_gap,
-                p.load_skew,
-                p.max_divergence,
-                p.equivalent,
-                p.process_identical,
-            ]
-            for p in res.points
-        ],
-        title=(
-            f"Sharded aggregation plane — modeled critical path + measured "
-            f"process executor vs single aggregator "
-            f"({res.vector_length} params, K={res.goal}, "
-            f"{res.routing} routing, best of {res.repeats}, "
-            f"{res.cpu_count} cores)"
-        ),
-    )
-
-
-def _run_shards(scale: Scale, seed: int, **params) -> ShardsResult:
-    return shards_speedup(seed=seed, **params)
-
-
-registry.register(
-    registry.ExperimentSpec(
-        "shards",
-        _run_shards,
-        print_shards,
-        ShardsResult,
-        description=(
-            "sharded aggregation plane vs single aggregator: modeled and "
-            "measured multi-core speedup + load skew + equivalence"
-        ),
-        default_grid={},
-        uses_scale=False,
-    ),
-    replace=True,
-)
+    print_points(_SHARDS_COLUMNS, res.points, title=(
+        f"Sharded aggregation plane — modeled critical path + measured "
+        f"process executor vs single aggregator "
+        f"({res.vector_length} params, K={res.goal}, "
+        f"{res.routing} routing, best of {res.repeats}, "
+        f"{res.cpu_count} cores)"
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -946,39 +781,6 @@ class SecureShardsResult:
     routing: str
     repeats: int
     cpu_count: int      # cores available to the measured process arm
-
-
-def _secure_state(vector_length: int, seed: int):
-    return GlobalModelState(
-        child_rng(seed, "secure-shards-init")
-        .standard_normal(vector_length)
-        .astype(np.float32),
-        FedAdam(lr=0.1),
-    )
-
-
-def _drive_secure(agg, results, *, drain: bool = False) -> float:
-    """Drive one secure arm; returns the full data-plane wall clock.
-
-    Times each ``receive_update`` — client participation, admission,
-    fold, and any epoch finalize — excluding the selection-time
-    ``register_download`` model copy, identically in every arm.  With
-    ``drain`` a final worker barrier is paid for inside the measurement
-    (process arm only).
-    """
-    elapsed = 0.0
-    for r in results:
-        agg.register_download(r.client_id)
-        arrival = TrainingResult(r.client_id, r.delta, r.num_examples,
-                                 r.train_loss, agg.version)
-        t0 = time.perf_counter()
-        agg.receive_update(arrival)
-        elapsed += time.perf_counter() - t0
-    if drain:
-        t0 = time.perf_counter()
-        agg.drain()
-        elapsed += time.perf_counter() - t0
-    return elapsed
 
 
 def _secure_fingerprint(agg):
@@ -1030,65 +832,54 @@ def secure_shards_speedup(
     for length in vector_lengths:
         for goal in goals:
             arrivals = epochs * goal
-            stream_rng = child_rng(seed, "secure-shards-stream", length, goal)
             results = _arrival_stream(
-                population_factor * goal, arrivals, length, stream_rng
+                population_factor * goal, arrivals, length,
+                child_rng(seed, "secure-shards-stream", length, goal),
             )
-            best_single = float("inf")
-            single_fp = None
-            for _ in range(max(1, repeats)):
-                single = SecureBufferedAggregator(
-                    _secure_state(length, seed), goal, length, seed=seed
+
+            def single_arm():
+                agg = SecureBufferedAggregator(
+                    _model_state("secure-shards-init", length, seed),
+                    goal, length, seed=seed,
                 )
-                best_single = min(
-                    best_single, _drive_secure(single, results)
+                return _drive(agg, results), agg
+
+            def sharded_arm(num_shards):
+                clock = AggregationPlaneClock(num_shards)
+                agg = SecureShardedAggregator(
+                    _model_state("secure-shards-init", length, seed),
+                    goal, length, num_shards=num_shards, routing=routing,
+                    clock=clock, seed=seed,
                 )
-                single_fp = _secure_fingerprint(single)
+                _drive(agg, results)
+                return clock.elapsed, agg
+
+            best_single, single = _best_of(repeats, single_arm)
+            single_fp = _secure_fingerprint(single)
             # Serial modeled baseline: the same plane clocked at S=1, so
             # the modeled speedup divides like for like (fold + merge
             # path, no client-side crypto in either side of the ratio).
-            best_serial = float("inf")
-            for _ in range(max(1, repeats)):
-                serial_clock = AggregationPlaneClock(1)
-                serial = SecureShardedAggregator(
-                    _secure_state(length, seed), goal, length,
-                    num_shards=1, routing=routing,
-                    clock=serial_clock, seed=seed,
-                )
-                _drive_secure(serial, results)
-                best_serial = min(best_serial, serial_clock.elapsed)
+            best_serial, _ = _best_of(repeats, partial(sharded_arm, 1))
             for num_shards in shard_counts:
-                best_path = float("inf")
-                sharded_fp = None
-                loads = None
-                for _ in range(max(1, repeats)):
-                    clock = AggregationPlaneClock(num_shards)
-                    sharded = SecureShardedAggregator(
-                        _secure_state(length, seed), goal, length,
-                        num_shards=num_shards, routing=routing,
-                        clock=clock, seed=seed,
-                    )
-                    _drive_secure(sharded, results)
-                    best_path = min(best_path, clock.elapsed)
-                    sharded_fp = _secure_fingerprint(sharded)
-                    loads = sharded.shard_loads()
-                best_process = float("inf")
+                best_path, sharded = _best_of(repeats, partial(sharded_arm, num_shards))
+                sharded_fp = _secure_fingerprint(sharded)
                 process_fallbacks = 0
-                process_fp = None
-                for _ in range(max(1, repeats)):
-                    process = ProcessSecureShardedAggregator(
-                        _secure_state(length, seed), goal, length,
-                        num_shards=num_shards, routing=routing, seed=seed,
+
+                def process_arm():
+                    nonlocal process_fallbacks
+                    agg = ProcessSecureShardedAggregator(
+                        _model_state("secure-shards-init", length, seed),
+                        goal, length, num_shards=num_shards, routing=routing,
+                        seed=seed,
                     )
                     try:
-                        best_process = min(
-                            best_process,
-                            _drive_secure(process, results, drain=True),
-                        )
-                        process_fallbacks += process.executor_fallbacks
-                        process_fp = _secure_fingerprint(process)
+                        seconds = _drive(agg, results, drain=True)
+                        process_fallbacks += agg.executor_fallbacks
+                        return seconds, _secure_fingerprint(agg)
                     finally:
-                        process.close()
+                        agg.close()
+
+                best_process, process_fp = _best_of(repeats, process_arm)
                 identical = bool(
                     np.array_equal(single_fp[0], sharded_fp[0])
                     and np.array_equal(single_fp[0], process_fp[0])
@@ -1107,16 +898,10 @@ def secure_shards_speedup(
                         single_s=best_single,
                         serial_path_s=best_serial,
                         sharded_path_s=best_path,
-                        speedup=(
-                            best_serial / best_path
-                            if best_path > 0 else float("inf")
-                        ),
+                        speedup=_ratio(best_serial, best_path),
                         process_s=best_process,
-                        measured_speedup=(
-                            best_single / best_process
-                            if best_process > 0 else float("inf")
-                        ),
-                        load_skew=max(loads) / (arrivals / num_shards),
+                        measured_speedup=_ratio(best_single, best_process),
+                        load_skew=max(sharded.shard_loads()) / (arrivals / num_shards),
                         bit_identical=identical,
                         boundary_match=bool(boundary),
                         process_fallbacks=process_fallbacks,
@@ -1130,69 +915,30 @@ def secure_shards_speedup(
     )
 
 
+_SECURE_SHARDS_COLUMNS = (
+    ("S", "num_shards"),
+    ("K", "goal"),
+    ("len", "vector_length"),
+    ("single (ms)", _ms("single_s")),
+    ("serial path (ms)", _ms("serial_path_s")),
+    ("path (ms)", _ms("sharded_path_s")),
+    ("modeled x", "speedup"),
+    ("process (ms)", _ms("process_s")),
+    ("measured x", "measured_speedup"),
+    ("load skew", "load_skew"),
+    ("bit-identical", "bit_identical"),
+    ("boundary ok", "boundary_match"),
+    ("fallbacks", "process_fallbacks"),
+)
+
+
 def print_secure_shards(res: SecureShardsResult) -> None:
     """Render the secure sharded-plane comparison as text."""
-    print_table(
-        [
-            "S",
-            "K",
-            "len",
-            "single (ms)",
-            "serial path (ms)",
-            "path (ms)",
-            "modeled x",
-            "process (ms)",
-            "measured x",
-            "load skew",
-            "bit-identical",
-            "boundary ok",
-            "fallbacks",
-        ],
-        [
-            [
-                p.num_shards,
-                p.goal,
-                p.vector_length,
-                p.single_s * 1e3,
-                p.serial_path_s * 1e3,
-                p.sharded_path_s * 1e3,
-                p.speedup,
-                p.process_s * 1e3,
-                p.measured_speedup,
-                p.load_skew,
-                p.bit_identical,
-                p.boundary_match,
-                p.process_fallbacks,
-            ]
-            for p in res.points
-        ],
-        title=(
-            f"Secure sharded plane — hierarchical secure aggregation vs the "
-            f"single secure plane ({res.routing} routing, best of "
-            f"{res.repeats}, {res.cpu_count} cores)"
-        ),
-    )
-
-
-def _run_secure_shards(scale: Scale, seed: int, **params) -> SecureShardsResult:
-    return secure_shards_speedup(seed=seed, **params)
-
-
-registry.register(
-    registry.ExperimentSpec(
-        "secure_shards",
-        _run_secure_shards,
-        print_secure_shards,
-        SecureShardsResult,
-        description=(
-            "hierarchical secure aggregation vs the single secure plane: "
-            "modeled and measured speedup + exact equivalence"
-        ),
-        default_grid={},
-        uses_scale=False,
-    ),
-    replace=True,
-)
+    print_points(_SECURE_SHARDS_COLUMNS, res.points, title=(
+        f"Secure sharded plane — hierarchical secure aggregation vs the "
+        f"single secure plane ({res.routing} routing, best of "
+        f"{res.repeats}, {res.cpu_count} cores)"
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -1266,9 +1012,7 @@ def million_scaling(
             trace=trace,
             seed=seed,
         )
-        t0 = time.perf_counter()
-        fleet.run(horizon_s)
-        wall = time.perf_counter() - t0
+        wall, _ = _timed(fleet.run, horizon_s)
         events = fleet.sim.events_fired
         points.append(
             MillionPoint(
@@ -1278,7 +1022,7 @@ def million_scaling(
                 events=events,
                 sessions=fleet.sessions_completed,
                 wall_s=wall,
-                events_per_sec=events / wall if wall > 0 else float("inf"),
+                events_per_sec=_ratio(events, wall),
                 us_per_event=wall / events * 1e6 if events else float("nan"),
                 peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                 / 1024.0,
@@ -1298,42 +1042,27 @@ def million_scaling(
     )
 
 
+_MILLION_COLUMNS = (
+    ("population", "population"),
+    ("demand", "demand"),
+    ("events", "events"),
+    ("sessions", "sessions"),
+    ("wall (s)", "wall_s"),
+    ("events/s", "events_per_sec"),
+    ("µs/event", "us_per_event"),
+    ("peak RSS (MB)", "peak_rss_mb"),
+    ("columns (MB)", "columns_mb"),
+    ("trace recs", "trace_records"),
+)
+
+
 def print_million(res: MillionResult) -> None:
     """Render the fleet-scaling sweep as text."""
-    print_table(
-        [
-            "population",
-            "demand",
-            "events",
-            "sessions",
-            "wall (s)",
-            "events/s",
-            "µs/event",
-            "peak RSS (MB)",
-            "columns (MB)",
-            "trace recs",
-        ],
-        [
-            [
-                p.population,
-                p.demand,
-                p.events,
-                p.sessions,
-                p.wall_s,
-                p.events_per_sec,
-                p.us_per_event,
-                p.peak_rss_mb,
-                p.columns_mb,
-                p.trace_records,
-            ]
-            for p in res.points
-        ],
-        title=(
-            f"Columnar fleet scaling — per-event cost vs population "
-            f"(tick {res.tick_s:g}s, mean sleep {res.mean_sleep_s:g}s, "
-            f"flatness {res.flatness:.2f}x)"
-        ),
-    )
+    print_points(_MILLION_COLUMNS, res.points, title=(
+        f"Columnar fleet scaling — per-event cost vs population "
+        f"(tick {res.tick_s:g}s, mean sleep {res.mean_sleep_s:g}s, "
+        f"flatness {res.flatness:.2f}x)"
+    ))
 
 
 def _run_million(scale: Scale, seed: int, **params) -> MillionResult:
@@ -1343,17 +1072,37 @@ def _run_million(scale: Scale, seed: int, **params) -> MillionResult:
     return million_scaling(seed=seed, **params)
 
 
-registry.register(
-    registry.ExperimentSpec(
-        "million",
-        _run_million,
-        print_million,
-        MillionResult,
-        description=(
-            "columnar fleet 10k→1M devices: events/sec, per-event cost "
-            "flatness, peak RSS"
-        ),
-        default_grid={},
-    ),
-    replace=True,
-)
+# ---------------------------------------------------------------------------
+# Registry wiring — runners are the experiment functions themselves
+# ---------------------------------------------------------------------------
+
+def _register_all() -> None:
+    specs = [
+        registry.ExperimentSpec(
+            "cohort", cohort_speedup, print_cohort, CohortResult,
+            description="batched cohort engine vs scalar training: speedup + equivalence",
+            uses_scale=False),
+        registry.ExperimentSpec(
+            "secagg", secagg_speedup, print_secagg, SecAggResult,
+            description="secure-aggregation block vs scalar data plane: speedup + bit-identity",
+            uses_scale=False),
+        registry.ExperimentSpec(
+            "shards", shards_speedup, print_shards, ShardsResult,
+            description="sharded aggregation plane vs single aggregator: modeled and "
+                        "measured multi-core speedup + load skew + equivalence",
+            uses_scale=False),
+        registry.ExperimentSpec(
+            "secure_shards", secure_shards_speedup, print_secure_shards, SecureShardsResult,
+            description="hierarchical secure aggregation vs the single secure plane: "
+                        "modeled and measured speedup + exact equivalence",
+            uses_scale=False),
+        registry.ExperimentSpec(
+            "million", _run_million, print_million, MillionResult,
+            description="columnar fleet 10k→1M devices: events/sec, per-event cost "
+                        "flatness, peak RSS"),
+    ]
+    for spec in specs:
+        registry.register(spec, replace=True)
+
+
+_register_all()

@@ -128,11 +128,14 @@ class ExperimentSpec:
     name:
         Registry key, e.g. ``"fig9"``.
     runner:
-        ``runner(scale, seed, **params) -> result``.  Must be a module-level
-        callable whose defining module performs the ``register()`` call at
-        import time: sweep worker processes import that module (recorded on
-        each cell as ``runner_module``) to rebuild the registry under
-        spawn-start multiprocessing.
+        ``runner(scale=..., seed=..., **params) -> result`` — usually the
+        experiment function itself; ``scale`` / ``seed`` are passed (by
+        keyword) only when ``uses_scale`` / ``uses_seed`` say the runner
+        depends on them.  Must be a module-level callable whose defining
+        module performs the ``register()`` call at import time: sweep
+        worker processes import that module (recorded on each cell as
+        ``runner_module``) to rebuild the registry under spawn-start
+        multiprocessing.
     printer:
         Renders a result as text (the ``print_*`` companion).
     result_type:
@@ -160,7 +163,11 @@ class ExperimentSpec:
 
     def run(self, scale, seed: int = 0, **params) -> Any:
         """Execute the experiment at ``scale`` with ``seed`` and grid params."""
-        return self.runner(scale, seed, **params)
+        if self.uses_scale:
+            params["scale"] = scale
+        if self.uses_seed:
+            params["seed"] = seed
+        return self.runner(**params)
 
     def serialize(self, result: Any) -> Any:
         """Result object → JSON-serializable payload."""

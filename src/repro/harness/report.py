@@ -13,6 +13,7 @@ from typing import Any, Sequence
 __all__ = [
     "format_table",
     "print_table",
+    "print_points",
     "format_series",
     "print_series",
     "format_aggregate",
@@ -45,6 +46,24 @@ def print_table(
     """Print an aligned ASCII table."""
     print(format_table(headers, rows, title))
     print()
+
+
+def print_points(
+    columns: Sequence[tuple[str, Any]], points: Sequence[object], title: str | None = None
+) -> None:
+    """Print one table row per point from a declarative column table.
+
+    ``columns`` is a sequence of ``(header, getter)`` rows: ``getter`` is
+    an attribute name of the point, or a callable taking the point.
+    """
+    print_table(
+        [header for header, _ in columns],
+        [
+            [get(p) if callable(get) else getattr(p, get) for _, get in columns]
+            for p in points
+        ],
+        title,
+    )
 
 
 def _sample(values: Sequence, width: int) -> list:

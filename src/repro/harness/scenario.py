@@ -25,7 +25,6 @@ from typing import Any, Mapping
 
 from repro.api import Deployment, ScenarioSpec, SpecError
 from repro.harness import registry
-from repro.harness.configs import Scale
 from repro.harness.report import print_table
 
 __all__ = [
@@ -135,7 +134,7 @@ def print_scenario(res: ScenarioRunSummary) -> None:
     )
 
 
-def _run_scenario(scale: Scale, seed: int, spec=None, **overrides) -> ScenarioRunSummary:
+def _run_scenario(seed: int | None = None, spec=None, **overrides) -> ScenarioRunSummary:
     """Registry runner: ``spec`` is a ScenarioSpec document (dict)."""
     if spec is None:
         raise SpecError(

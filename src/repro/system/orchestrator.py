@@ -14,6 +14,7 @@ methods so the recovery behaviour of Appendix E.4 is testable.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,6 +199,24 @@ class RunResult:
                 raise ValueError("multiple tasks; specify one")
             return next(iter(self.task_stats.values()))
         return self.task_stats[task]
+
+    def sim_digest(self) -> str:
+        """sha256 over every simulated statistic of the run.
+
+        Participation records, server-step records and ``TaskStats``: two
+        runs with equal digests simulated the same thing, so a change
+        meant only to make the simulator faster must not move it.
+        """
+        h = hashlib.sha256()
+        for p in self.trace.participations:
+            h.update(repr((p.device_id, p.task, p.start_time, p.end_time, p.n_examples,
+                           p.execution_time, p.outcome.value, p.staleness)).encode())
+        for s in self.trace.server_steps:
+            h.update(repr((s.time, s.task, s.version, s.num_updates,
+                           s.mean_staleness, s.loss)).encode())
+        for name in sorted(self.task_stats):
+            h.update(repr(self.task_stats[name]).encode())
+        return h.hexdigest()
 
 
 class FederatedSimulation:

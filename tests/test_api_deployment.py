@@ -9,6 +9,9 @@ same ``TaskConfig`` + adapter + ``SystemConfig`` into
 ``FederatedSimulation`` by hand.
 """
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.api import (
@@ -318,6 +321,29 @@ class TestDeploymentBehavior:
                                                  max_server_steps=3))
         res = Deployment.from_spec(spec).run()
         assert res.stats().server_steps == 3
+
+    @pytest.mark.parametrize("mode", ["async", "sync"])
+    def test_sim_digest_is_the_benchmark_definition(self, mode):
+        """``RunResult.sim_digest`` and ``benchmarks/e2e`` hash the same fields.
+
+        The benchmark keeps its own copy (that directory is frozen between
+        benchmark-only PRs); until it is retired the two must not drift.
+        """
+        e2e = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+        loader = importlib.util.spec_from_file_location("e2e_rep", e2e / "e2e_rep.py")
+        e2e_rep = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(e2e_rep)
+
+        task = TaskSpec(name="t", mode=mode, concurrency=8, aggregation_goal=4,
+                        model_size_bytes=1000)
+        res = Deployment.from_spec(self.spec(tasks=(task,))).run()
+        assert res.stats().server_steps > 0 and res.trace.participations
+        assert res.sim_digest() == e2e_rep.sim_digest(res)
+        # Same spec + seed -> same digest; one more second of horizon -> not.
+        assert Deployment.from_spec(self.spec(tasks=(task,))).run().sim_digest() \
+            == res.sim_digest()
+        longer = self.spec(tasks=(task,), execution=ExecutionSpec(seed=0, t_end_s=900.0))
+        assert Deployment.from_spec(longer).run().sim_digest() != res.sim_digest()
 
     def test_run_without_horizon_names_field(self):
         spec = self.spec(execution=ExecutionSpec(seed=0))

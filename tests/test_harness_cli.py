@@ -7,6 +7,7 @@ determinism contract: a parallel sweep aggregates to exactly the same
 JSON as the serial sweep.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -524,8 +525,7 @@ class TestCLI:
             raise ValueError("render exploded")
 
         spec = registry.get("fig6")
-        broken = ExperimentSpec("fig6", spec.runner, bad_printer,
-                                spec.result_type)
+        broken = dataclasses.replace(spec, printer=bad_printer)
         monkeypatch.setattr(registry, "_REGISTRY", {"fig6": broken})
         assert main(["all"]) == 1
         captured = capsys.readouterr()
@@ -586,7 +586,7 @@ class TestCLI:
 
         monkeypatch.setitem(
             registry._REGISTRY, "fig6",
-            ExperimentSpec("fig6", spec.runner, boom, spec.result_type),
+            dataclasses.replace(spec, printer=boom),
         )
         out = tmp_path / "report.json"
         assert main(["sweep", "fig6", "--seeds", "0", "--jobs", "1",

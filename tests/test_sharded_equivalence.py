@@ -25,10 +25,7 @@ from repro.core.parallel import (
     ShardWorkerPool,
     WorkerPoolError,
     _worker_main,
-    fold_kernel_names,
-    get_fold_kernel,
     numpy_fold_kernel,
-    register_fold_kernel,
 )
 from repro.core.server_opt import FedAdam
 from repro.core.sharding import (
@@ -550,28 +547,6 @@ class TestEndToEndShardedSimulation:
 
 
 class TestFoldKernelRegistry:
-    def test_numpy_kernel_is_registered(self):
-        assert "numpy" in fold_kernel_names()
-        assert get_fold_kernel("numpy") is numpy_fold_kernel
-
-    def test_unknown_kernel_raises_listing_registered(self):
-        with pytest.raises(ValueError, match="unknown fold kernel.*numpy"):
-            get_fold_kernel("nope")
-
-    def test_duplicate_registration_rejected_unless_replace(self):
-        def k(partial, inputs, slots, weights, grouped):  # pragma: no cover
-            pass
-
-        register_fold_kernel("_test_dup", k)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_fold_kernel("_test_dup", k)
-            register_fold_kernel("_test_dup", k, replace=True)
-        finally:
-            from repro.core.parallel import _FOLD_KERNELS
-
-            _FOLD_KERNELS.pop("_test_dup", None)
-
     def test_numpy_kernel_matches_inline_fold_bitwise(self):
         """The kernel IS the in-process fold, op for op."""
         rng = np.random.default_rng(0)
@@ -598,10 +573,6 @@ class TestShardWorkerPool:
             ShardWorkerPool(num_shards=2, vector_length=0, slots=4)
         with pytest.raises(ValueError):
             ShardWorkerPool(num_shards=2, vector_length=P, slots=0)
-        with pytest.raises(ValueError, match="unknown fold kernel"):
-            ShardWorkerPool(
-                num_shards=2, vector_length=P, slots=4, fold_kernel="nope"
-            )
 
     def test_close_is_idempotent_and_context_manager_closes(self):
         with ShardWorkerPool(num_shards=1, vector_length=P, slots=2) as pool:
@@ -631,7 +602,7 @@ class TestShardWorkerPool:
             tasks.put(("fold", (2,), ((1.0,), False), 13))
             tasks.put(None)
             _worker_main(
-                1, FoldLane("numpy"), input_shm.name, partials_shm.name,
+                1, FoldLane(), input_shm.name, partials_shm.name,
                 S, P, slots, tasks, acks,
             )
             # Re-attach views: _worker_main closed its own handles (and
