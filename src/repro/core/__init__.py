@@ -14,7 +14,7 @@ from repro.core.dp import (
     ZCDPAccountant,
     clip_by_l2_norm,
 )
-from repro.core.fedbuff import FedBuffAggregator, ServerStepInfo
+from repro.core.fedbuff import AggregationCore, FedBuffAggregator, ServerStepInfo
 from repro.core.server_opt import FedAdam, FedAvgM, FedSGD, ServerOptimizer
 from repro.core.sharding import (
     AggregationPlaneClock,
@@ -42,6 +42,7 @@ __all__ = [
     "DPFedBuffAggregator",
     "ZCDPAccountant",
     "clip_by_l2_norm",
+    "AggregationCore",
     "FedBuffAggregator",
     "ServerStepInfo",
     "FedAdam",

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.staleness import PolynomialStaleness, StalenessPolicy
 from repro.core.types import ModelUpdate, TrainingResult
 
-__all__ = ["ServerStepInfo", "FedBuffAggregator"]
+__all__ = ["ServerStepInfo", "AggregationCore", "FedBuffAggregator"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,250 @@ class ServerStepInfo:
     discarded: tuple[int, ...] = ()
 
 
-class FedBuffAggregator:
+class AggregationCore:
+    """The aggregation protocol every core runs, over a pluggable buffer.
+
+    SyncFL/AsyncFL is a mode change of one component (Appendix E.3) and
+    Asynchronous SecAgg is buffered aggregation whose buffer happens to
+    be masked (Section 5), so the protocol exists once, here: the
+    in-flight map and download registration, the rejections that happen
+    *before* anything is counted (:meth:`_take`), the open epoch's
+    arrival-order lists (:meth:`_record`), the server-step record
+    (:meth:`_apply_step`), aggregator failover, and the one goal-bounded
+    block driver.  A core supplies its admission rule (``_admit``: what
+    an arrival weighs, via :meth:`_take` then :meth:`_record`) and three
+    hooks over its buffer: the fold (:meth:`_fold` per arrival,
+    :meth:`_fold_chunk` per block chunk), the epoch average
+    (``_server_step``, handing it to :meth:`_apply_step`), and
+    :meth:`_reset_epoch`.  The defaults here are the plain float64
+    buffer FedBuff and SyncFL share.
+    """
+
+    def __init__(self, state, goal: int, example_weighting: str = "linear"):
+        if goal < 1:
+            raise ValueError("aggregation goal must be at least 1")
+        if example_weighting not in ("linear", "log", "none"):
+            raise ValueError(f"unknown example_weighting {example_weighting!r}")
+        self.state = state
+        self.goal = goal
+        self.example_weighting = example_weighting
+
+        self.version = 0
+        self.updates_received = 0
+        self._buffer: np.ndarray | None = None
+        self._weight_sum = 0.0
+        # The open epoch in arrival order, one entry per buffered update.
+        self._weights: list[float] = []
+        self._staleness_acc: list[int] = []
+        self._contributors: list[int] = []
+        self._in_flight: dict[int, int] = {}  # client id -> initial version
+        self.step_history: list[ServerStepInfo] = []
+
+    # -- client protocol ------------------------------------------------------
+
+    def register_download(self, client_id: int) -> tuple[int, np.ndarray]:
+        """A client downloads the current model; returns (version, vector).
+
+        The aggregator records the client's initial model version, which is
+        how staleness is tracked (Appendix E.2: "For each client, the
+        aggregator records initial model version").
+        """
+        self._in_flight[client_id] = self.version
+        return self.version, self.state.current()
+
+    def client_failed(self, client_id: int) -> None:
+        """Drop an in-flight client (device failure, timeout, or abort)."""
+        self._in_flight.pop(client_id, None)
+
+    def in_flight_count(self) -> int:
+        """Number of clients currently training against this task."""
+        return len(self._in_flight)
+
+    def stale_clients(self) -> list[int]:
+        """In-flight clients to abort after a server step (none by default)."""
+        return []
+
+    # -- admission --------------------------------------------------------------
+
+    def _example_weight(self, num_examples: int) -> float:
+        if self.example_weighting == "linear":
+            return float(num_examples)
+        if self.example_weighting == "log":
+            return float(np.log1p(num_examples))
+        return 1.0
+
+    def _take(self, result: TrainingResult) -> int:
+        """Consume the client's in-flight entry; returns its initial version.
+
+        Every rejection happens here, before :meth:`_record` counts
+        anything: an unknown client raises ``KeyError`` with no state
+        change; a wrong-length delta raises ``ValueError`` with the
+        in-flight entry consumed (the one rule for every ``ValueError``
+        rejection — subclasses add theirs by extending this method).
+        """
+        initial = self._in_flight.pop(result.client_id, None)
+        if initial is None:
+            raise KeyError(
+                f"client {result.client_id} is not in flight; "
+                "updates must follow register_download"
+            )
+        if result.delta.shape != (self.state.size,):
+            raise ValueError(
+                f"client {result.client_id} uploaded a delta of length "
+                f"{result.delta.size}, the model has {self.state.size}"
+            )
+        return initial
+
+    def _record(self, client_id: int, weight: float, staleness: int) -> None:
+        """Count one admitted update into the open epoch."""
+        self._weight_sum += weight
+        self.updates_received += 1
+        self._weights.append(weight)
+        self._staleness_acc.append(staleness)
+        self._contributors.append(client_id)
+
+    def _keep_entries(self, keep: list[int]) -> None:
+        """Cut the open epoch down to arrival positions ``keep``."""
+        self._weights = [self._weights[i] for i in keep]
+        self._staleness_acc = [self._staleness_acc[i] for i in keep]
+        self._contributors = [self._contributors[i] for i in keep]
+        # Sequential re-fold in arrival order: bit-identical to the
+        # weight sum an aggregator fed only the survivors would have
+        # accumulated.
+        self._weight_sum = sum(self._weights, 0.0)
+
+    # -- aggregation ------------------------------------------------------------
+
+    def receive_update(
+        self, result: TrainingResult
+    ) -> tuple[ModelUpdate, ServerStepInfo | None]:
+        """Buffer one client update; maybe trigger a server step.
+
+        Returns the recorded :class:`ModelUpdate` (with the weight that was
+        applied) and, if the aggregation goal was reached, the
+        :class:`ServerStepInfo` for the step it triggered.
+        """
+        buffered = len(self._contributors)
+        update = self._admit(result)
+        if len(self._contributors) == buffered:
+            return update, None  # discarded on admission (SyncFL late arrival)
+        self._fold(update)
+        info = self._finalize_epoch() if len(self._contributors) >= self.goal else None
+        return update, info
+
+    def receive_update_block(
+        self, results: list[TrainingResult]
+    ) -> list[tuple[ModelUpdate, ServerStepInfo | None]]:
+        """Buffer a vectorized block of client updates.
+
+        Semantically identical to calling :meth:`receive_update` once per
+        result, in order — including any server steps triggered mid-block
+        (staleness of later updates is measured against the version those
+        steps produced).  Only the fold differs: each goal-bounded chunk
+        reaches the buffer through one :meth:`_fold_chunk` — a
+        weights-by-deltas matrix product on the float cores (per shard
+        when sharded; agreeing with the per-update AXPYs to float64
+        rounding, ~1e-12 relative, far inside the 1e-8 bound the
+        differential suite enforces), one ``submit_block`` across the
+        secure boundary on the secure ones (bit-identical).  This is the
+        API for direct cohort-style drivers; inside a simulation each
+        upload stays its own timestamped event.
+        """
+        out: list[tuple[ModelUpdate, ServerStepInfo | None]] = []
+        pos = 0
+        while pos < len(results):
+            take = min(len(results) - pos, self.goal - self.buffered_count)
+            chunk = results[pos : pos + take]
+            pos += take
+            admitted: list[ModelUpdate] = []
+            try:
+                for result in chunk:
+                    buffered = self.buffered_count
+                    update = self._admit(result)
+                    out.append((update, None))
+                    if self.buffered_count > buffered:
+                        admitted.append(update)
+            finally:
+                # On a mid-chunk rejection, everything admitted so far is
+                # still folded — the same state the sequential path
+                # would have left behind before raising.
+                if admitted:
+                    self._fold_chunk(admitted)
+            if self.buffered_count >= self.goal:
+                out[-1] = (out[-1][0], self._finalize_epoch())
+        return out
+
+    def _fold(self, update: ModelUpdate) -> None:
+        """Fold one admitted update into the buffer (scalar AXPY)."""
+        result = update.result
+        if self._buffer is None:
+            self._buffer = np.zeros_like(result.delta, dtype=np.float64)
+        self._buffer += update.weight * result.delta.astype(np.float64)
+
+    def _fold_chunk(self, admitted: list[ModelUpdate]) -> None:
+        """Fold what one block chunk admitted, as one matrix product."""
+        weights = np.array([u.weight for u in admitted], dtype=np.float64)
+        deltas = np.stack([u.result.delta for u in admitted]).astype(np.float64)
+        if self._buffer is None:
+            self._buffer = np.zeros(deltas.shape[1], dtype=np.float64)
+        self._buffer += weights @ deltas
+
+    def _finalize_epoch(self) -> ServerStepInfo:
+        """The goal is met: one server step, then a fresh epoch."""
+        info = self._server_step()
+        self._reset_epoch()
+        return info
+
+    def _apply_step(
+        self, avg: np.ndarray, total_weight: float, discarded: tuple[int, ...] = ()
+    ) -> ServerStepInfo:
+        """Advance the model by the epoch's average and record the step."""
+        self.state.apply(avg, self.buffered_count)
+        self.version += 1
+        info = ServerStepInfo(
+            version=self.version,
+            num_updates=self.buffered_count,
+            total_weight=total_weight,
+            mean_staleness=float(np.mean(self._staleness_acc)),
+            max_staleness=int(np.max(self._staleness_acc)),
+            contributors=tuple(self._contributors),
+            discarded=discarded,
+        )
+        self.step_history.append(info)
+        return info
+
+    def _reset_epoch(self) -> None:
+        """Open an empty epoch (after a server step, or on failover)."""
+        self._buffer = None
+        self._weight_sum = 0.0
+        self._weights = []
+        self._staleness_acc = []
+        self._contributors = []
+
+    def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
+        """Discard buffered updates and in-flight registrations.
+
+        Models aggregator failure/reassignment (Appendix E.4): the task's
+        model state and version survive (they are checkpointed), but
+        updates sitting in the failed aggregator's in-memory queue and the
+        sessions it was driving are lost.  Returns (buffered updates lost,
+        in-flight client ids dropped).
+        """
+        lost = self.buffered_count
+        dropped = list(self._in_flight)
+        self._reset_epoch()
+        self._in_flight.clear()
+        return lost, dropped
+
+    # -- introspection ------------------------------------------------------------
+
+    @property
+    def buffered_count(self) -> int:
+        """Updates currently sitting in the buffer."""
+        return len(self._contributors)
+
+
+class FedBuffAggregator(AggregationCore):
     """Buffered asynchronous aggregation with staleness weighting.
 
     Parameters
@@ -93,48 +336,12 @@ class FedBuffAggregator:
         example_weighting: str = "linear",
         normalize_by: str = "weight_sum",
     ):
-        if goal < 1:
-            raise ValueError("aggregation goal must be at least 1")
-        if example_weighting not in ("linear", "log", "none"):
-            raise ValueError(f"unknown example_weighting {example_weighting!r}")
+        super().__init__(state, goal, example_weighting)
         if normalize_by not in ("weight_sum", "goal"):
             raise ValueError(f"unknown normalize_by {normalize_by!r}")
-        self.state = state
-        self.goal = goal
         self.staleness_policy = staleness_policy or PolynomialStaleness(0.5)
         self.max_staleness = max_staleness
-        self.example_weighting = example_weighting
         self.normalize_by = normalize_by
-
-        self.version = 0
-        self.updates_received = 0
-        self._buffer: np.ndarray | None = None
-        self._weight_sum = 0.0
-        self._count = 0
-        self._staleness_acc: list[int] = []
-        self._contributors: list[int] = []
-        self._in_flight: dict[int, int] = {}  # client id -> initial version
-        self.step_history: list[ServerStepInfo] = []
-
-    # -- client protocol ------------------------------------------------------
-
-    def register_download(self, client_id: int) -> tuple[int, np.ndarray]:
-        """A client downloads the current model; returns (version, vector).
-
-        The aggregator records the client's initial model version, which is
-        how staleness is tracked (Appendix E.2: "For each client, the
-        aggregator records initial model version").
-        """
-        self._in_flight[client_id] = self.version
-        return self.version, self.state.current()
-
-    def client_failed(self, client_id: int) -> None:
-        """Drop an in-flight client (device failure, timeout, or abort)."""
-        self._in_flight.pop(client_id, None)
-
-    def in_flight_count(self) -> int:
-        """Number of clients currently training against this task."""
-        return len(self._in_flight)
 
     def stale_clients(self) -> list[int]:
         """In-flight clients whose staleness already exceeds the maximum.
@@ -150,12 +357,14 @@ class FedBuffAggregator:
 
     # -- aggregation ------------------------------------------------------------
 
-    def _example_weight(self, num_examples: int) -> float:
-        if self.example_weighting == "linear":
-            return float(num_examples)
-        if self.example_weighting == "log":
-            return float(np.log1p(num_examples))
-        return 1.0
+    def _take(self, result: TrainingResult) -> int:
+        initial = super()._take(result)
+        if initial != result.initial_version:
+            raise ValueError(
+                f"client {result.client_id} reported initial version "
+                f"{result.initial_version}, aggregator recorded {initial}"
+            )
+        return initial
 
     def _transform_result(self, result: TrainingResult) -> TrainingResult:
         """Hook applied to every incoming result before weighting/buffering.
@@ -166,96 +375,15 @@ class FedBuffAggregator:
         """
         return result
 
-    def _admit(self, result: TrainingResult) -> tuple[TrainingResult, ModelUpdate]:
+    def _admit(self, result: TrainingResult) -> ModelUpdate:
         """Validate in-flight state and compute one update's weight."""
-        initial = self._in_flight.pop(result.client_id, None)
-        if initial is None:
-            raise KeyError(
-                f"client {result.client_id} is not in flight; "
-                "updates must follow register_download"
-            )
-        if initial != result.initial_version:
-            raise ValueError(
-                f"client {result.client_id} reported initial version "
-                f"{result.initial_version}, aggregator recorded {initial}"
-            )
+        staleness = self.version - self._take(result)
         result = self._transform_result(result)
-        staleness = self.version - result.initial_version
         weight = self._example_weight(result.num_examples) * self.staleness_policy(
             staleness
         )
-        update = ModelUpdate(result=result, arrival_version=self.version, weight=weight)
-        self._weight_sum += weight
-        self._count += 1
-        self.updates_received += 1
-        self._staleness_acc.append(staleness)
-        self._contributors.append(result.client_id)
-        return result, update
-
-    def receive_update(
-        self, result: TrainingResult
-    ) -> tuple[ModelUpdate, ServerStepInfo | None]:
-        """Buffer one client update; maybe trigger a server step.
-
-        Returns the recorded :class:`ModelUpdate` (with the weight that was
-        applied) and, if the aggregation goal was reached, the
-        :class:`ServerStepInfo` for the step it triggered.
-        """
-        result, update = self._admit(result)
-        if self._buffer is None:
-            self._buffer = np.zeros_like(result.delta, dtype=np.float64)
-        self._buffer += update.weight * result.delta.astype(np.float64)
-
-        info = None
-        if self._count >= self.goal:
-            info = self._server_step()
-        return update, info
-
-    def receive_update_block(
-        self, results: list[TrainingResult]
-    ) -> list[tuple[ModelUpdate, ServerStepInfo | None]]:
-        """Buffer a vectorized block of client updates.
-
-        Semantically identical to calling :meth:`receive_update` once per
-        result, in order — including any server steps triggered mid-block
-        (staleness of later updates is measured against the version those
-        steps produced).  The accumulation itself is vectorized: each
-        goal-bounded chunk enters the float64 buffer as one
-        weights-by-deltas matrix product instead of per-update AXPYs, so
-        cohort-sized delta blocks (e.g. from the batched
-        :class:`~repro.core.cohort.CohortTrainer`) aggregate at GEMM
-        speed.  Weighted sums agree with the sequential path to float64
-        rounding (~1e-12 relative), far inside the 1e-8 equivalence bound
-        the differential suite enforces.
-        """
-        out: list[tuple[ModelUpdate, ServerStepInfo | None]] = []
-        pos = 0
-        while pos < len(results):
-            take = min(len(results) - pos, self.goal - self._count)
-            chunk = results[pos : pos + take]
-            pos += take
-            admitted: list[tuple[TrainingResult, ModelUpdate]] = []
-            try:
-                for r in chunk:
-                    admitted.append(self._admit(r))
-            finally:
-                # On a mid-chunk rejection, everything admitted so far is
-                # still buffered — the same state the sequential path
-                # would have left behind before raising.
-                if admitted:
-                    weights = np.array(
-                        [u.weight for _, u in admitted], dtype=np.float64
-                    )
-                    deltas = np.stack(
-                        [r.delta for r, _ in admitted]
-                    ).astype(np.float64)
-                    if self._buffer is None:
-                        self._buffer = np.zeros(deltas.shape[1], dtype=np.float64)
-                    self._buffer += weights @ deltas
-            info = self._server_step() if self._count >= self.goal else None
-            for i, (_, update) in enumerate(admitted):
-                out.append((update, info if i == len(admitted) - 1 else None))
-        return out
+        self._record(result.client_id, weight, staleness)
+        return ModelUpdate(result=result, arrival_version=self.version, weight=weight)
 
     def _server_step(self) -> ServerStepInfo:
         denom = self._weight_sum if self.normalize_by == "weight_sum" else float(self.goal)
@@ -265,52 +393,10 @@ class FedBuffAggregator:
             avg = np.zeros_like(self._buffer)
         else:
             avg = self._buffer / denom
-        self.state.apply(avg.astype(np.float32), self._count)
-        self.version += 1
-        info = ServerStepInfo(
-            version=self.version,
-            num_updates=self._count,
-            total_weight=self._weight_sum,
-            mean_staleness=float(np.mean(self._staleness_acc)),
-            max_staleness=int(np.max(self._staleness_acc)),
-            contributors=tuple(self._contributors),
-        )
-        self.step_history.append(info)
-        self._buffer = None
-        self._weight_sum = 0.0
-        self._count = 0
-        self._staleness_acc = []
-        self._contributors = []
-        return info
-
-    def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
-        """Discard buffered updates and in-flight registrations.
-
-        Models aggregator failure/reassignment (Appendix E.4): the task's
-        model state and version survive (they are checkpointed), but
-        updates sitting in the failed aggregator's in-memory queue and the
-        sessions it was driving are lost.  Returns (buffered updates lost,
-        in-flight client ids dropped).
-        """
-        lost = self._count
-        dropped = list(self._in_flight)
-        self._buffer = None
-        self._weight_sum = 0.0
-        self._count = 0
-        self._staleness_acc = []
-        self._contributors = []
-        self._in_flight.clear()
-        return lost, dropped
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def buffered_count(self) -> int:
-        """Updates currently sitting in the buffer."""
-        return self._count
+        return self._apply_step(avg.astype(np.float32), self._weight_sum)
 
     def __repr__(self) -> str:
         return (
-            f"FedBuffAggregator(goal={self.goal}, version={self.version}, "
-            f"buffered={self._count}, in_flight={len(self._in_flight)})"
+            f"{type(self).__name__}(goal={self.goal}, version={self.version}, "
+            f"buffered={self.buffered_count}, in_flight={len(self._in_flight)})"
         )

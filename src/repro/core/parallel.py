@@ -580,10 +580,10 @@ class ProcessExecutorMixin:
     Mixed in *before* a sharded aggregator core (float or secure): it
     owns the pool handle, the one ``WorkerPoolError`` → fallback
     translation (:meth:`_on_pool`), the ``executor_fallback`` event, and
-    the pool hooks on the failover paths.  The host supplies only
-    :meth:`_restore_inline_shards` — "rebuild my inline shard state from
-    the pool's dispatch log" — after which its inherited in-process code
-    continues from exactly the state the workers held.
+    the pool hooks on the epoch-reset and shard-failover paths.  The host
+    supplies only :meth:`_restore_inline_shards` — "rebuild my inline
+    shard state from the pool's dispatch log" — after which its inherited
+    in-process code continues from exactly the state the workers held.
     """
 
     # False until _attach_pool: host constructors run their inline setup
@@ -664,10 +664,9 @@ class ProcessExecutorMixin:
         self._on_pool(self._pool.discard_shard, shard_id)
         return super().drop_shard(shard_id)
 
-    def drop_buffer_and_inflight(self):
-        out = super().drop_buffer_and_inflight()
+    def _reset_epoch(self) -> None:
+        super()._reset_epoch()
         self._on_pool(self._pool.reset_epoch)
-        return out
 
     def drain(self) -> None:
         """Barrier on every outstanding worker task (perf-harness hook)."""
@@ -793,8 +792,3 @@ class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggreg
         if len(partials) == 1:
             return partials[0].copy()
         return np.add.reduce(partials)
-
-    def _server_step(self):
-        info = super()._server_step()
-        self._on_pool(self._pool.reset_epoch)
-        return info

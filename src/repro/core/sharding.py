@@ -57,6 +57,7 @@ __all__ = [
     "AggregationPlaneClock",
     "ShardRoutingMixin",
     "ShardedFedBuffAggregator",
+    "ROUTING_POLICIES",
     "make_routing",
     "merge_group_partials",
 ]
@@ -156,13 +157,16 @@ class LoadAwareShardRouting:
         return best
 
 
+# The one name -> zero-argument factory table of routing policies;
+# ``repro.system.planes.register_routing`` adds to it.
+ROUTING_POLICIES = {"hash": HashShardRouting, "load": LoadAwareShardRouting}
+
+
 def make_routing(policy: str):
     """Routing-policy factory for the ``shard_routing`` config knob."""
-    if policy == "hash":
-        return HashShardRouting()
-    if policy == "load":
-        return LoadAwareShardRouting()
-    raise ValueError(f"unknown shard routing policy {policy!r}")
+    if policy not in ROUTING_POLICIES:
+        raise ValueError(f"unknown shard routing policy {policy!r}")
+    return ROUTING_POLICIES[policy]()
 
 
 def merge_group_partials(group, partials, vector_length: int) -> np.ndarray:
@@ -232,6 +236,10 @@ class AggregationPlaneClock:
         return max(self.root, max(self.lanes))
 
 
+def _untimed(phase, shard_id=None, n=1) -> None:
+    """``ShardRoutingMixin._timer``'s stop when nothing is attached."""
+
+
 class ShardRoutingMixin:
     """Client→shard routing, slice bookkeeping, and per-shard failover.
 
@@ -240,10 +248,10 @@ class ShardRoutingMixin:
     (:class:`ShardedFedBuffAggregator`) and the secure plane
     (``repro.system.secure_sharding.SecureShardedAggregator``).  Mixed
     in *before* a FedBuff-protocol core, whose ``register_download`` /
-    ``client_failed`` / ``drop_buffer_and_inflight`` it extends and
-    whose ``_in_flight`` map it reads.  The host provides ``_shards`` (a
-    list of :class:`_ShardSlice` with a ``clear()``) and
-    :meth:`_keep_entries`.
+    ``client_failed`` / ``_take`` / ``_record`` / ``_reset_epoch`` /
+    ``drop_buffer_and_inflight`` it extends and whose ``_in_flight`` map
+    it reads.  The host provides ``_shards`` (a list of
+    :class:`_ShardSlice` with a ``clear()``), ``clock`` and ``profiler``.
     """
 
     def _init_routing(self, num_shards: int, routing, clock) -> None:
@@ -253,11 +261,10 @@ class ShardRoutingMixin:
         self.routing = make_routing(routing) if isinstance(routing, str) else routing
         self.clock = clock
         self._shard_of: dict[int, int] = {}  # client id -> shard id
-        # Per-buffered-entry bookkeeping, parallel to the host's
+        # Shard of each buffered entry, parallel to the host's
         # arrival-order lists; lets drop_shard() excise exactly one
         # shard's slice of the open epoch.
         self._entry_shards: list[int] = []
-        self._entry_weights: list = []
         self.shard_failovers = 0
 
     # -- client protocol ------------------------------------------------------
@@ -294,7 +301,7 @@ class ShardRoutingMixin:
         """Whether a shard is currently accepting contributions."""
         return self._shards[shard_id].alive
 
-    # -- slice bookkeeping ------------------------------------------------------
+    # -- routed admission ---------------------------------------------------------
 
     def _unroute(self, client_id: int) -> int | None:
         """Release the client's shard slot, if it holds one."""
@@ -303,28 +310,57 @@ class ShardRoutingMixin:
             self._shards[shard_id].in_flight -= 1
         return shard_id
 
-    def _require_routed(self, client_id: int) -> None:
-        """Reject an update whose client never got a shard (registered
-        while the whole plane was dead) *before* admission mutates any
-        buffer accounting."""
+    def _take(self, result: TrainingResult) -> int:
+        # Reject an update whose client never got a shard (registered
+        # while the whole plane was dead) *before* the host consumes its
+        # in-flight entry.
+        client_id = result.client_id
         if client_id in self._in_flight and client_id not in self._shard_of:
             raise KeyError(
                 f"client {client_id} registered while no shard was live; "
                 "its contribution is lost (plane-wide outage)"
             )
+        try:
+            return super()._take(result)
+        except ValueError:
+            # The host consumed the in-flight entry before its check
+            # failed; the shard slot goes with it.
+            self._unroute(client_id)
+            raise
 
-    def _note_fold(self, shard_id: int) -> None:
-        """One more buffered entry belongs to ``shard_id``'s slice."""
+    def _record(self, client_id: int, weight: float, staleness: int) -> None:
+        """One more buffered entry belongs to its routed shard's slice."""
+        super()._record(client_id, weight, staleness)
+        shard_id = self._unroute(client_id)
         shard = self._shards[shard_id]
         shard.count += 1
         shard.folds_total += 1
         self._entry_shards.append(shard_id)
 
-    def _keep_entries(self, keep: list[int], lost: int) -> None:
-        """Filter the host's arrival-order lists down to positions
-        ``keep`` and re-derive its weight total from ``_entry_weights``
-        (already filtered)."""
-        raise NotImplementedError
+    def _timer(self):
+        """Start timing one interval of shard-lane or root-lane work.
+
+        Returns ``stop(phase, shard_id=None, n=1)``, which charges the
+        elapsed wall-clock to the plane clock (``shard_id``'s lane as
+        ``n`` folds, or the root merge when ``None``) and to the
+        profiler's ``phase`` (skipped when ``None``).  With neither
+        attached nothing reads the clock.
+        """
+        if self.clock is None and self.profiler is None:
+            return _untimed
+        t0 = time.perf_counter()
+
+        def stop(phase: str | None, shard_id: int | None = None, n: int = 1) -> None:
+            dt = time.perf_counter() - t0
+            if self.clock is not None:
+                if shard_id is None:
+                    self.clock.record_merge(dt)
+                else:
+                    self.clock.record_fold(shard_id, dt, n)
+            if self.profiler is not None and phase is not None:
+                self.profiler.record(phase, dt)
+
+        return stop
 
     # -- failover (Appendix E.4, per shard) ------------------------------------
 
@@ -351,9 +387,8 @@ class ShardRoutingMixin:
         lost = shard.count
         if lost:
             keep = [i for i, sid in enumerate(self._entry_shards) if sid != shard_id]
-            self._entry_weights = [self._entry_weights[i] for i in keep]
             self._entry_shards = [self._entry_shards[i] for i in keep]
-            self._keep_entries(keep, lost)
+            self._keep_entries(keep)
         shard.clear()
         self.shard_failovers += 1
         return lost, dropped
@@ -365,15 +400,18 @@ class ShardRoutingMixin:
         shard.clear()
         shard.in_flight = 0
 
+    def _reset_epoch(self) -> None:
+        super()._reset_epoch()
+        for shard in self._shards:
+            shard.clear()
+        self._entry_shards = []
+
     def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
         """Whole-plane failure: every shard partial and session is lost."""
         out = super().drop_buffer_and_inflight()
         for shard in self._shards:
-            shard.clear()
             shard.in_flight = 0
         self._shard_of.clear()
-        self._entry_shards = []
-        self._entry_weights = []
         return out
 
     # -- introspection ------------------------------------------------------------
@@ -433,82 +471,29 @@ class ShardedFedBuffAggregator(ShardRoutingMixin, FedBuffAggregator):
 
     # -- aggregation ------------------------------------------------------------
 
-    def _admit_routed(self, result: TrainingResult):
-        """``_admit`` for a routed client; returns (shard id, result, update)."""
-        self._require_routed(result.client_id)
-        try:
-            result, update = self._admit(result)
-        except ValueError:
-            # _admit popped the client from the in-flight map before the
-            # version check failed; keep the shard slot consistent.
-            self._unroute(result.client_id)
-            raise
-        shard_id = self._unroute(result.client_id)
-        self._note_fold(shard_id)
-        self._entry_weights.append(update.weight)
-        return shard_id, result, update
-
     def receive_update(
         self, result: TrainingResult
     ) -> tuple[ModelUpdate, ServerStepInfo | None]:
         """Fold one update into its shard; maybe trigger the root merge."""
-        timed = self.clock is not None or self.profiler is not None
-        t0 = time.perf_counter() if timed else 0.0
-        shard_id, result, update = self._admit_routed(result)
-        self._fold_one(shard_id, result, update)
-        if timed:
-            # Admission + fold both run on the shard's thread.
-            dt = time.perf_counter() - t0
-            if self.clock is not None:
-                self.clock.record_fold(shard_id, dt)
-            if self.profiler is not None:
-                self.profiler.record("shard_fold", dt)
-
-        info = None
-        if self._count >= self.goal:
-            info = self._server_step()
+        stop = self._timer()
+        update = self._admit(result)
+        shard_id = self._entry_shards[-1]
+        self._fold_one(shard_id, update.result, update)
+        # Admission + fold both run on the shard's thread.
+        stop("shard_fold", shard_id)
+        info = self._finalize_epoch() if self.buffered_count >= self.goal else None
         return update, info
 
-    def receive_update_block(
-        self, results: list[TrainingResult]
-    ) -> list[tuple[ModelUpdate, ServerStepInfo | None]]:
-        """Vectorized block arrival: per-shard grouped matrix folds.
-
-        Semantics match calling :meth:`receive_update` per result in
-        order (mid-block server steps included); each goal-bounded chunk
-        is folded as one weights-by-deltas product *per shard*, so with
-        one shard this is exactly the single core's block fold.  With a
-        clock attached, each shard's grouped fold is charged to its lane
-        as one block of ``len(group)`` folds.
-        """
-        out: list[tuple[ModelUpdate, ServerStepInfo | None]] = []
-        pos = 0
-        while pos < len(results):
-            take = min(len(results) - pos, self.goal - self._count)
-            chunk = results[pos : pos + take]
-            pos += take
-            admitted: list[tuple[int, TrainingResult, ModelUpdate]] = []
-            try:
-                for r in chunk:
-                    admitted.append(self._admit_routed(r))
-            finally:
-                # Mirror the single core: everything admitted before a
-                # mid-chunk rejection is still folded.
-                for shard_id in sorted({s for s, _, _ in admitted}):
-                    group = [(r, u) for s, r, u in admitted if s == shard_id]
-                    timed = self.clock is not None or self.profiler is not None
-                    t0 = time.perf_counter() if timed else 0.0
-                    self._fold_group(shard_id, group)
-                    if timed:
-                        dt = time.perf_counter() - t0
-                        if self.clock is not None:
-                            self.clock.record_fold(shard_id, dt, n=len(group))
-                        if self.profiler is not None:
-                            self.profiler.record("shard_fold", dt)
-            info = self._server_step() if self._count >= self.goal else None
-            for i, (_, _, update) in enumerate(admitted):
-                out.append((update, info if i == len(admitted) - 1 else None))
-        return out
+    def _fold_chunk(self, admitted: list[ModelUpdate]) -> None:
+        """One weights-by-deltas product *per shard*, ascending shard order
+        (with one shard: exactly the single core's block fold); a clock
+        is charged each grouped fold as one block of ``len(group)``."""
+        shards = self._entry_shards[-len(admitted):]
+        for shard_id in sorted(set(shards)):
+            group = [(u.result, u) for s, u in zip(shards, admitted) if s == shard_id]
+            stop = self._timer()
+            self._fold_group(shard_id, group)
+            stop("shard_fold", shard_id, len(group))
 
     # -- fold kernels (the seam the process executor overrides) ----------------
 
@@ -555,35 +540,16 @@ class ShardedFedBuffAggregator(ShardRoutingMixin, FedBuffAggregator):
         return np.add.reduce(partials)
 
     def _server_step(self) -> ServerStepInfo:
-        timed = self.clock is not None or self.profiler is not None
-        t0 = time.perf_counter() if timed else 0.0
+        stop = self._timer()
         self._buffer = self._merge_shards()
         info = super()._server_step()
-        if timed:
-            dt = time.perf_counter() - t0
-            if self.clock is not None:
-                self.clock.record_merge(dt)
-            if self.profiler is not None:
-                self.profiler.record("root_merge", dt)
-        for shard in self._shards:
-            shard.clear()
-        self._entry_shards = []
-        self._entry_weights = []
+        stop("root_merge")
         return info
-
-    def _keep_entries(self, keep: list[int], lost: int) -> None:
-        self._staleness_acc = [self._staleness_acc[i] for i in keep]
-        self._contributors = [self._contributors[i] for i in keep]
-        # Sequential re-fold in arrival order: bit-identical to the
-        # weight sum a single aggregator fed only the survivors would
-        # have accumulated.
-        self._weight_sum = sum(self._entry_weights, 0.0)
-        self._count -= lost
 
     def __repr__(self) -> str:
         return (
             f"ShardedFedBuffAggregator(goal={self.goal}, "
             f"shards={self.num_shards}, routing={self.routing.name}, "
-            f"version={self.version}, buffered={self._count}, "
+            f"version={self.version}, buffered={self.buffered_count}, "
             f"in_flight={len(self._in_flight)})"
         )

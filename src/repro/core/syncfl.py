@@ -11,24 +11,27 @@ PAPAYA's SyncFL implementation additionally supports mid-round client
 replacement (Figure 1 caption): when a client fails mid-round, a new one
 can take its place — unlike GFL, where a failed client can doom a round.
 
-The core mirrors :class:`repro.core.fedbuff.FedBuffAggregator`'s interface
-so the system layer treats both modes uniformly (the paper's point that
-switching between SyncFL and AsyncFL is a configuration change,
-Appendix E.3).
+The core runs the same :class:`repro.core.fedbuff.AggregationCore`
+protocol as FedBuff, so the system layer treats both modes uniformly (the
+paper's point that switching between SyncFL and AsyncFL is a
+configuration change, Appendix E.3).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fedbuff import ServerStepInfo
+from repro.core.fedbuff import AggregationCore, ServerStepInfo
 from repro.core.types import ModelUpdate, TrainingResult
 
 __all__ = ["SyncRoundAggregator"]
 
 
-class SyncRoundAggregator:
+class SyncRoundAggregator(AggregationCore):
     """Round-based aggregation with over-selection discard.
+
+    Mid-round joins are allowed — this is PAPAYA's client-replacement
+    capability; a replacement simply trains on the current round's model.
 
     Parameters
     ----------
@@ -51,55 +54,16 @@ class SyncRoundAggregator:
         over_selection: float = 0.0,
         example_weighting: str = "linear",
     ):
-        if goal < 1:
-            raise ValueError("aggregation goal must be at least 1")
+        super().__init__(state, goal, example_weighting)
         if not (0.0 <= over_selection < 1.0):
             raise ValueError("over_selection must be in [0, 1)")
-        if example_weighting not in ("linear", "log", "none"):
-            raise ValueError(f"unknown example_weighting {example_weighting!r}")
-        self.state = state
-        self.goal = goal
         self.over_selection = over_selection
-        self.example_weighting = example_weighting
-
-        self.version = 0  # == completed rounds
-        self.updates_received = 0
         self.updates_discarded = 0
-        self._buffer: np.ndarray | None = None
-        self._weight_sum = 0.0
-        self._count = 0
-        self._contributors: list[int] = []
-        self._in_flight: dict[int, int] = {}  # client id -> round joined
-        self.step_history: list[ServerStepInfo] = []
 
     @property
     def cohort_size(self) -> int:
         """Clients trained per round including over-selection."""
         return int(np.ceil(self.goal * (1.0 + self.over_selection)))
-
-    # -- client protocol ------------------------------------------------------
-
-    def register_download(self, client_id: int) -> tuple[int, np.ndarray]:
-        """A client joins the current round and downloads the model.
-
-        Mid-round joins are allowed — this is PAPAYA's client-replacement
-        capability; the new client simply trains on the current round's
-        model.
-        """
-        self._in_flight[client_id] = self.version
-        return self.version, self.state.current()
-
-    def client_failed(self, client_id: int) -> None:
-        """Drop a failed client; the system layer may select a replacement."""
-        self._in_flight.pop(client_id, None)
-
-    def in_flight_count(self) -> int:
-        """Number of clients currently training in this round."""
-        return len(self._in_flight)
-
-    def stale_clients(self) -> list[int]:
-        """Interface parity with FedBuff — sync rounds have no staleness."""
-        return []
 
     def demand(self) -> int:
         """Clients the round still wants: cohort size minus in-flight.
@@ -108,161 +72,40 @@ class SyncRoundAggregator:
         (Appendix E.3): demand is high at round start and shrinks as
         clients report.
         """
-        outstanding = self.goal - self._count
+        outstanding = self.goal - self.buffered_count
         want = int(np.ceil(outstanding * (1.0 + self.over_selection)))
         return max(0, want - len(self._in_flight))
 
     # -- aggregation ------------------------------------------------------------
 
-    def _example_weight(self, num_examples: int) -> float:
-        if self.example_weighting == "linear":
-            return float(num_examples)
-        if self.example_weighting == "log":
-            return float(np.log1p(num_examples))
-        return 1.0
-
-    def receive_update(
-        self, result: TrainingResult
-    ) -> tuple[ModelUpdate, ServerStepInfo | None]:
-        """Accept one update; close the round when the goal is met.
+    def _admit(self, result: TrainingResult) -> ModelUpdate:
+        """Weigh one current-round update (sync rounds have no staleness).
 
         An update from a stale round (the client started before the last
         server step) is *discarded* — that is over-selection's waste, and
         it is counted in :attr:`updates_discarded`.
         """
-        joined = self._in_flight.pop(result.client_id, None)
-        if joined is None:
-            raise KeyError(f"client {result.client_id} is not in flight")
-        if joined != self.version:
+        if self._take(result) != self.version:
             # Late arrival from a closed round: discarded, never aggregated.
             self.updates_discarded += 1
-            update = ModelUpdate(result=result, arrival_version=self.version, weight=0.0)
-            return update, None
-
+            return ModelUpdate(result=result, arrival_version=self.version, weight=0.0)
         weight = self._example_weight(result.num_examples)
-        update = ModelUpdate(result=result, arrival_version=self.version, weight=weight)
-        if self._buffer is None:
-            self._buffer = np.zeros_like(result.delta, dtype=np.float64)
-        self._buffer += weight * result.delta.astype(np.float64)
-        self._weight_sum += weight
-        self._count += 1
-        self.updates_received += 1
-        self._contributors.append(result.client_id)
+        self._record(result.client_id, weight, 0)
+        return ModelUpdate(result=result, arrival_version=self.version, weight=weight)
 
-        info = None
-        if self._count >= self.goal:
-            info = self._close_round()
-        return update, info
-
-    def receive_update_block(
-        self, results: list[TrainingResult]
-    ) -> list[tuple[ModelUpdate, ServerStepInfo | None]]:
-        """Accept a vectorized block of updates, closing rounds as they fill.
-
-        Order-equivalent to sequential :meth:`receive_update` calls: stale
-        arrivals are discarded exactly as they would be one-by-one, and a
-        round close mid-block aborts the same in-flight clients.  Current-
-        round updates within each goal-bounded chunk enter the float64
-        buffer as one weights-by-deltas product (float64-rounding-level
-        agreement with the sequential path).
-        """
-        out: list[tuple[ModelUpdate, ServerStepInfo | None]] = []
-        pos = 0
-        while pos < len(results):
-            take = min(len(results) - pos, self.goal - self._count)
-            chunk = results[pos : pos + take]
-            pos += take
-            fresh: list[tuple[TrainingResult, ModelUpdate]] = []
-            pending: list[tuple[ModelUpdate, ServerStepInfo | None]] = []
-            for result in chunk:
-                joined = self._in_flight.pop(result.client_id, None)
-                if joined is None:
-                    self._flush_fresh(fresh)
-                    fresh = []
-                    raise KeyError(f"client {result.client_id} is not in flight")
-                if joined != self.version:
-                    self.updates_discarded += 1
-                    update = ModelUpdate(
-                        result=result, arrival_version=self.version, weight=0.0
-                    )
-                    pending.append((update, None))
-                    continue
-                weight = self._example_weight(result.num_examples)
-                update = ModelUpdate(
-                    result=result, arrival_version=self.version, weight=weight
-                )
-                self._weight_sum += weight
-                self._count += 1
-                self.updates_received += 1
-                self._contributors.append(result.client_id)
-                fresh.append((result, update))
-                pending.append((update, None))
-            self._flush_fresh(fresh)
-            if self._count >= self.goal:
-                info = self._close_round()
-                pending[-1] = (pending[-1][0], info)
-            out.extend(pending)
-        return out
-
-    def _flush_fresh(self, fresh: list[tuple[TrainingResult, ModelUpdate]]) -> None:
-        """Vectorized buffer accumulation for current-round updates."""
-        if not fresh:
-            return
-        weights = np.array([u.weight for _, u in fresh], dtype=np.float64)
-        deltas = np.stack([r.delta for r, _ in fresh]).astype(np.float64)
-        if self._buffer is None:
-            self._buffer = np.zeros(deltas.shape[1], dtype=np.float64)
-        self._buffer += weights @ deltas
-
-    def _close_round(self) -> ServerStepInfo:
+    def _server_step(self) -> ServerStepInfo:
         avg = self._buffer / self._weight_sum if self._weight_sum > 0 else np.zeros_like(self._buffer)
-        self.state.apply(avg.astype(np.float32), self._count)
         # Everyone still training is aborted and their effort wasted —
         # "once the aggregation goal is achieved, updates from other
         # devices still processing are discarded" (Figure 1 caption).
         aborted = tuple(self._in_flight)
         self.updates_discarded += len(aborted)
         self._in_flight.clear()
-        self.version += 1
-        info = ServerStepInfo(
-            version=self.version,
-            num_updates=self._count,
-            total_weight=self._weight_sum,
-            mean_staleness=0.0,
-            max_staleness=0,
-            contributors=tuple(self._contributors),
-            discarded=aborted,
-        )
-        self.step_history.append(info)
-        self._buffer = None
-        self._weight_sum = 0.0
-        self._count = 0
-        self._contributors = []
-        return info
-
-    def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
-        """Discard the open round's partial state (aggregator failure).
-
-        See :meth:`repro.core.fedbuff.FedBuffAggregator.drop_buffer_and_inflight`;
-        the round restarts from the surviving model state.
-        """
-        lost = self._count
-        dropped = list(self._in_flight)
-        self._buffer = None
-        self._weight_sum = 0.0
-        self._count = 0
-        self._contributors = []
-        self._in_flight.clear()
-        return lost, dropped
-
-    @property
-    def buffered_count(self) -> int:
-        """Updates received so far in the open round."""
-        return self._count
+        return self._apply_step(avg.astype(np.float32), self._weight_sum, aborted)
 
     def __repr__(self) -> str:
         return (
             f"SyncRoundAggregator(goal={self.goal}, o={self.over_selection}, "
-            f"round={self.version}, received={self._count}, "
+            f"round={self.version}, received={self.buffered_count}, "
             f"in_flight={len(self._in_flight)})"
         )

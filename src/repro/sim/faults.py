@@ -573,7 +573,7 @@ def recovery_report(fedsim: "FederatedSimulation", result: "RunResult") -> dict[
             if r.component == component
             and r.kind in ("task_reassigned", "shard_failed")
         )
-        buffered = int(getattr(rt.core, "_count", 0))
+        buffered = rt.core.buffered_count
         unaccounted = admitted - stepped - lost - buffered
         tasks[name] = {
             "admitted": admitted,

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.fedbuff import FedBuffAggregator
-from repro.core.staleness import PolynomialStaleness
 from repro.core.syncfl import SyncRoundAggregator
 from repro.core.types import TaskConfig, TrainingMode, TrainingResult
 from repro.system.secure import SecureBufferedAggregator
@@ -96,7 +95,6 @@ class FLTaskRuntime:
                 adapter.state,
                 goal=config.aggregation_goal,
                 vector_length=adapter.state.size,
-                staleness_policy=PolynomialStaleness(0.5),
                 max_staleness=config.max_staleness,
                 example_weighting=adapter.recommended_example_weighting,
             )
@@ -104,7 +102,6 @@ class FLTaskRuntime:
             return FedBuffAggregator(
                 adapter.state,
                 goal=config.aggregation_goal,
-                staleness_policy=PolynomialStaleness(0.5),
                 max_staleness=config.max_staleness,
                 example_weighting=adapter.recommended_example_weighting,
                 normalize_by=adapter.recommended_normalization,

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
-from repro.core.sharding import HashShardRouting, LoadAwareShardRouting
+from repro.core.sharding import ROUTING_POLICIES
 from repro.core.surrogate import SurrogateParams
 from repro.core.types import TaskConfig, TrainingMode
 from repro.system.adapters import SurrogateAdapter, TrainerAdapter
@@ -273,9 +273,11 @@ def resolve_plane(
 # Shard routing policies
 # ---------------------------------------------------------------------------
 
+# A view over the one routing table, ``repro.core.sharding.ROUTING_POLICIES``:
+# a policy registered here is also what ``ShardedFedBuffAggregator(routing=
+# "name")`` resolves.
 _ROUTINGS = Registry("shard routing policy")
-_ROUTINGS.register("hash", HashShardRouting)
-_ROUTINGS.register("load", LoadAwareShardRouting)
+_ROUTINGS._entries = ROUTING_POLICIES
 
 
 def register_routing(name: str, policy: Callable[[], Any], replace: bool = False):

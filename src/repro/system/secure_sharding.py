@@ -49,8 +49,6 @@ single secure aggregator fed only the surviving arrivals.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.fedbuff import ServerStepInfo
@@ -61,7 +59,6 @@ from repro.core.sharding import (
     _ShardSlice,
     merge_group_partials,
 )
-from repro.core.staleness import PolynomialStaleness
 from repro.core.types import ModelUpdate, TaskConfig, TrainingResult
 from repro.secagg.attestation import SigningAuthority
 from repro.secagg.fixedpoint import FixedPointCodec
@@ -275,11 +272,8 @@ class SecureShardedAggregator(ShardRoutingMixin, SecureBufferedAggregator):
         clock: AggregationPlaneClock | None = None,
         **kwargs,
     ):
+        # Before the base constructor, whose _stand_up builds the shards.
         self._init_routing(num_shards, routing, clock)
-        # Populated lazily by the first _begin_epoch (the base constructor
-        # calls it after the group/codec/authority exist).
-        self._shards: list[_SecureShard] = []
-        self._reducer: TrustedShardReducer | None = None
         self._reducer_mark = 0
         self.last_merged_masked_sum: np.ndarray | None = None
         self.last_unmask: np.ndarray | None = None
@@ -287,45 +281,32 @@ class SecureShardedAggregator(ShardRoutingMixin, SecureBufferedAggregator):
 
     # -- epoch management ------------------------------------------------------
 
-    def _begin_epoch(self) -> None:
-        """Open (or re-key) every live shard's Figure 16 session.
-
-        The first call stands up ``S`` long-lived shard TSAs plus the
-        root reducer, and publishes the one manifest entry (every shard
-        runs the same trusted binary).  Every later call re-keys each
-        live shard's round and re-arms the reducer; dead shards are
-        re-keyed at :meth:`revive_shard` time instead.
-        """
-        if not self._shards:
-            self._shards = [
-                _SecureShard(
-                    sid, self.seed, self.group, self.codec, self.authority,
-                    self.vector_length, self.goal, self._cache_masks,
-                )
-                for sid in range(self.num_shards)
-            ]
-            # The inherited client-side path reads the expected binary /
-            # params hashes off _epoch_tsa; every shard shares both.
-            self._epoch_tsa = self._shards[0].tsa
-            self._log_bundle = publish_manifest(self.log, self._epoch_tsa)
-            self._reducer = TrustedShardReducer(
-                self.group, self.vector_length, self.goal
+    def _stand_up(self) -> None:
+        """Stand up ``S`` long-lived shard TSAs plus the root reducer,
+        and publish the one manifest entry (every shard runs the same
+        trusted binary)."""
+        self._shards = [
+            _SecureShard(
+                sid, self.seed, self.group, self.codec, self.authority,
+                self.vector_length, self.goal, self._cache_masks,
             )
-        else:
-            for shard in self._shards:
-                if shard.alive:
-                    shard.rekey()
-            self._reducer.begin_round()
+            for sid in range(self.num_shards)
+        ]
+        self._log_bundle = publish_manifest(self.log, self._shards[0].tsa)
+        self._reducer = TrustedShardReducer(
+            self.group, self.vector_length, self.goal
+        )
+
+    def _rekey(self) -> None:
+        """Re-key each live shard's round and re-arm the reducer; dead
+        shards are re-keyed at :meth:`revive_shard` time instead."""
+        for shard in self._shards:
+            if shard.alive:
+                shard.rekey()
+        self._reducer.begin_round()
         for shard, mark in zip(self._shards, self._shard_meters()):
             shard.boundary_mark = mark
-            shard.clear()
         self._reducer_mark = self._reducer.boundary_bytes_out
-        self._epoch_weights = {}
-        self._epoch_weight_total = 0.0
-        self._epoch_staleness = []
-        self._epoch_contributors = []
-        self._entry_shards = []
-        self._entry_weights = []
 
     def _shard_meters(self) -> list[tuple[int, int]]:
         """Cumulative boundary bytes (in, out) per shard TSA."""
@@ -333,153 +314,61 @@ class SecureShardedAggregator(ShardRoutingMixin, SecureBufferedAggregator):
 
     # -- aggregation ------------------------------------------------------------
 
-    def _server_for(self, client_id: int) -> SecAggServer:
-        """The participating client's leg comes from its shard's TSA."""
-        return self._shards[self._shard_of[client_id]].server
-
-    def _fold_client(self, result: TrainingResult, w_int: int) -> int:
-        """Submit to the client's shard server; keep per-shard accounting."""
-        submission = self._participate(result)
-        shard_id = self._unroute(result.client_id)
-        timed = self.clock is not None or self.profiler is not None
-        t0 = time.perf_counter() if timed else 0.0
-        ok = self._shards[shard_id].server.submit(submission)
-        if timed:
-            dt = time.perf_counter() - t0
-            if self.clock is not None:
-                self.clock.record_fold(shard_id, dt)
-            if self.profiler is not None:
-                self.profiler.record("shard_fold", dt)
-        if not ok:
-            raise RuntimeError("secure submission rejected by honest TSA")
-        self._note_fold(shard_id)
-        return submission.leg_index
-
-    def _record_contribution(
-        self, result: TrainingResult, leg_index: int, w_int: int, staleness: int
-    ) -> None:
-        # The weight lands in the *shard's* leg->weight map (leg indices
-        # are a per-TSA namespace, so a flat epoch map would collide);
-        # the arrival-order lists stay global, like the single plane's.
+    def _fold_client(self, result: TrainingResult, w_int: int) -> bool:
+        """Submit to the client's shard server.  The weight lands in the
+        *shard's* leg->weight map: leg indices are a per-TSA namespace,
+        so a flat epoch map would collide."""
         shard_id = self._entry_shards[-1]
-        self._shards[shard_id].weights[leg_index] = w_int
-        self._entry_weights.append(w_int)
-        self._epoch_weight_total += w_int
-        self._epoch_staleness.append(staleness)
-        self._epoch_contributors.append(result.client_id)
-        self.updates_received += 1
+        shard = self._shards[shard_id]
+        submission = self._participate(
+            result, shard.server, self.updates_received - 1
+        )
+        stop = self._timer()
+        ok = shard.server.submit(submission)
+        stop("shard_fold", shard_id)
+        if ok:
+            shard.weights[submission.leg_index] = w_int
+        return ok
 
-    def receive_update(
-        self, result: TrainingResult
-    ) -> tuple[ModelUpdate, ServerStepInfo | None]:
-        self._require_routed(result.client_id)
-        try:
-            return super().receive_update(result)
-        except ValueError:
-            # The version check (or a malformed delta) failed after the
-            # in-flight pop; keep the shard slot consistent, as the float
-            # plane does.
-            self._unroute(result.client_id)
-            raise
-
-    def receive_update_block(
-        self, results: list[TrainingResult]
-    ) -> list[tuple[ModelUpdate, ServerStepInfo | None]]:
-        """Drain a cohort through per-shard block submissions.
-
-        Semantically identical to calling :meth:`receive_update` once
-        per result, in order (mid-block epochs included) — but each
-        goal-bounded chunk crosses each shard's secure boundary as one
-        ``submit_block``, reusing the block data plane per shard.
-        Aggregates are bit-identical to the per-arrival path: the block
-        fold only reassociates exact group sums.
-        """
-        out: list[tuple[ModelUpdate, ServerStepInfo | None]] = []
-        pos = 0
-        while pos < len(results):
-            take = min(
-                len(results) - pos, self.goal - len(self._epoch_contributors)
+    def _fold_chunk(self, admitted: list[ModelUpdate]) -> None:
+        """One ``submit_block`` per shard, ascending — the single
+        plane's block data plane, reused per shard; bit-identical to the
+        per-arrival path (the block fold only reassociates exact group
+        sums)."""
+        entry = self.buffered_count - len(admitted)
+        first = self.updates_received - len(admitted)
+        pending: dict[int, list] = {}  # shard id -> (entry, submission, w_int)
+        for i, update in enumerate(admitted):
+            shard_id = self._entry_shards[entry + i]
+            server = self._shards[shard_id].server
+            submission = self._participate(update.result, server, first + i)
+            server.complete_checkin(submission)
+            pending.setdefault(shard_id, []).append(
+                (entry + i, submission, self._w_int(update.weight))
             )
-            chunk = results[pos : pos + take]
-            pos += take
-            pending: dict[int, list] = {}   # shard id -> submissions
-            records: dict[int, list] = {}   # shard id -> (leg, w_int, entry)
-            doomed: list[tuple[int, int, int, int]] = []
-            try:
-                for result in chunk:
-                    self._require_routed(result.client_id)
-                    try:
-                        submission, weight, w_int, staleness = (
-                            self._prepare_submission(result)
-                        )
-                    except ValueError:
-                        self._unroute(result.client_id)
-                        raise
-                    shard_id = self._unroute(result.client_id)
-                    self._shards[shard_id].server.complete_checkin(submission)
-                    pending.setdefault(shard_id, []).append(submission)
-                    records.setdefault(shard_id, []).append(
-                        (submission.leg_index, w_int, len(self._epoch_contributors))
-                    )
-                    self._note_fold(shard_id)
-                    self._record_contribution(
-                        result, submission.leg_index, w_int, staleness
-                    )
-                    out.append(
-                        (
-                            ModelUpdate(
-                                result=result,
-                                arrival_version=self.version,
-                                weight=weight,
-                            ),
-                            None,
-                        )
-                    )
-            finally:
-                # Mirror the single plane: everything gathered before a
-                # mid-chunk validation error is still submitted, and
-                # TSA-rejected contributions are rolled back.  Rejections
-                # are collected across shards first and excised in
-                # descending entry order so earlier deletions never shift
-                # later recorded positions.
-                timed = self.clock is not None or self.profiler is not None
-                for shard_id in sorted(pending):
-                    t0 = time.perf_counter() if timed else 0.0
-                    flags = self._shards[shard_id].server.submit_block(
-                        pending[shard_id]
-                    )
-                    if timed:
-                        dt = time.perf_counter() - t0
-                        if self.clock is not None:
-                            self.clock.record_fold(
-                                shard_id, dt, n=len(pending[shard_id])
-                            )
-                        if self.profiler is not None:
-                            self.profiler.record("shard_fold", dt)
-                    for (leg_index, w_int, entry), ok in zip(
-                        records[shard_id], flags
-                    ):
-                        if not ok:
-                            doomed.append((entry, shard_id, leg_index, w_int))
-                for entry, shard_id, leg_index, w_int in sorted(
-                    doomed, reverse=True
-                ):
-                    shard = self._shards[shard_id]
-                    shard.weights.pop(leg_index, None)
-                    shard.count -= 1
-                    shard.folds_total -= 1
-                    self._epoch_weight_total -= w_int
-                    del self._epoch_staleness[entry]
-                    del self._epoch_contributors[entry]
-                    del self._entry_shards[entry]
-                    del self._entry_weights[entry]
-                    self.updates_received -= 1
-            if doomed:
-                raise RuntimeError("secure submission rejected by honest TSA")
-            if len(self._epoch_contributors) >= self.goal:
-                info = self._finalize_epoch()
-                out[-1] = (out[-1][0], info)
-        return out
+        rejected = []
+        for shard_id in sorted(pending):
+            shard = self._shards[shard_id]
+            stop = self._timer()
+            flags = shard.server.submit_block([sub for _, sub, _ in pending[shard_id]])
+            stop("shard_fold", shard_id, len(flags))
+            for (at, submission, w_int), ok in zip(pending[shard_id], flags):
+                if ok:
+                    shard.weights[submission.leg_index] = w_int
+                else:
+                    rejected.append(at)
+        if rejected:
+            self._reject(rejected)
+
+    def _reject(self, entries: list[int]) -> None:
+        for entry in entries:
+            shard = self._shards[self._entry_shards[entry]]
+            shard.count -= 1
+            shard.folds_total -= 1
+        self._entry_shards = [
+            sid for i, sid in enumerate(self._entry_shards) if i not in entries
+        ]
+        super()._reject(entries)
 
     def _collect_partials(self) -> list[tuple[int, np.ndarray, np.ndarray, int, int]]:
         """``(shard, masked sum, partial unmask, processed, |w|)`` per
@@ -489,20 +378,17 @@ class SecureShardedAggregator(ShardRoutingMixin, SecureBufferedAggregator):
         for sid, shard in enumerate(self._shards):
             if not shard.weights:
                 continue  # dead (excised at drop time) or simply empty
-            tp = time.perf_counter() if self.clock is not None else 0.0
+            stop = self._timer()
             out.append((sid, *shard.release_partial()))
-            if self.clock is not None:
-                # Partial extraction runs on the shard's lane; it adds no
-                # fold to the tally (those were counted per arrival).
-                self.clock.record_fold(sid, time.perf_counter() - tp, n=0)
+            # Partial extraction runs on the shard's lane; it adds no
+            # fold to the tally (those were counted per arrival).
+            stop(None, sid, 0)
         return out
 
-    def _finalize_epoch(self) -> ServerStepInfo:
-        """Merge shard partials, unmask once, step the model, re-key."""
-        timed = self.clock is not None or self.profiler is not None
-        t0 = time.perf_counter() if self.profiler is not None else 0.0
+    def _server_step(self) -> ServerStepInfo:
+        """Merge shard partials, unmask once, step the model."""
         partials = self._collect_partials()
-        tm = time.perf_counter() if timed else 0.0
+        stop = self._timer()
         merged_masked = merge_group_partials(
             self.group, [(sid, masked) for sid, masked, *_ in partials],
             self.vector_length,
@@ -519,12 +405,7 @@ class SecureShardedAggregator(ShardRoutingMixin, SecureBufferedAggregator):
         self.last_merged_masked_sum = merged_masked
         self.last_unmask = unmask
         info = self._step(weighted_sum)
-        if timed:
-            dt = time.perf_counter() - tm
-            if self.clock is not None:
-                self.clock.record_merge(dt)
-            if self.profiler is not None:
-                self.profiler.record("root_merge", dt)
+        stop("root_merge")
         # Long-lived shard TSAs have cumulative meters; the epoch's share
         # is each shard's delta since its round opened, plus the
         # reducer's one merged release.
@@ -535,9 +416,6 @@ class SecureShardedAggregator(ShardRoutingMixin, SecureBufferedAggregator):
         self.boundary_bytes_out_total += (
             self._reducer.boundary_bytes_out - self._reducer_mark
         )
-        self._begin_epoch()
-        if self.profiler is not None:
-            self.profiler.record("secagg_finalize", time.perf_counter() - t0)
         return info
 
     # -- failover (Appendix E.4, per shard) ------------------------------------
@@ -548,11 +426,6 @@ class SecureShardedAggregator(ShardRoutingMixin, SecureBufferedAggregator):
     # the epoch exactly as if a single secure aggregator had been fed
     # only the survivors' arrivals — the dead slice's masks cancel out of
     # nothing.
-
-    def _keep_entries(self, keep: list[int], lost: int) -> None:
-        self._epoch_staleness = [self._epoch_staleness[i] for i in keep]
-        self._epoch_contributors = [self._epoch_contributors[i] for i in keep]
-        self._epoch_weight_total = float(sum(self._entry_weights))
 
     def revive_shard(self, shard_id: int) -> None:
         """Bring a dead shard back empty, re-keying its TSA round.
@@ -633,7 +506,7 @@ class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureShardedAggregat
     def _restore_inline_shards(self) -> None:
         """Catch the dormant inline shards up to the workers' state.
 
-        The inline shards (built by ``_begin_epoch``, never fed while
+        The inline shards (built by ``_stand_up``, never fed while
         the pool was active) have virgin TSA RNGs and empty rounds.
         Burn each worker's pre-epoch leg mints off the inline pool so
         the mint RNG aligns, mark the boundary meters (pre-epoch traffic
@@ -660,23 +533,22 @@ class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureShardedAggregat
             return self._worker_meters
         return super()._shard_meters()
 
-    def _fold_client(self, result: TrainingResult, w_int: int) -> int:
+    def _fold_client(self, result: TrainingResult, w_int: int) -> bool:
         """Hand the client step + admit to the shard's worker."""
-        shard_id = self._shard_of[result.client_id]
-        args = (result.client_id, self.version, self.updates_received, w_int,
+        shard_id = self._entry_shards[-1]
+        args = (result.client_id, self.version, self.updates_received - 1, w_int,
                 result.num_examples)
         if not self._on_pool(
             self._pool.dispatch, shard_id, "participate", args, (result.delta,),
             shard=shard_id,
         ):
             return super()._fold_client(result, w_int)
-        self._unroute(result.client_id)
         # Demand minting is one leg per arrival, so per-shard leg
         # indices are sequential — the worker's assign_leg returns
-        # exactly this index.
-        leg_index = self._shards[shard_id].folds_total
-        self._note_fold(shard_id)
-        return leg_index
+        # exactly the index of this fold.
+        shard = self._shards[shard_id]
+        shard.weights[shard.folds_total - 1] = w_int
+        return True
 
     def receive_update_block(
         self, results: list[TrainingResult]
@@ -710,11 +582,6 @@ class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureShardedAggregat
         self._worker_meters = [
             self._pool.call(sid, "meters") for sid in range(self.num_shards)
         ]
-
-    def _finalize_epoch(self) -> ServerStepInfo:
-        info = super()._finalize_epoch()
-        self._on_pool(self._pool.reset_epoch)
-        return info
 
     def revive_shard(self, shard_id: int) -> None:
         super().revive_shard(shard_id)
@@ -751,7 +618,6 @@ class SecureShardedFLTaskRuntime(ShardedFLTaskRuntime):
             vector_length=adapter.state.size,
             num_shards=num_shards,
             routing=shard_routing,
-            staleness_policy=PolynomialStaleness(0.5),
             max_staleness=config.max_staleness,
             example_weighting=adapter.recommended_example_weighting,
         )

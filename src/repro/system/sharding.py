@@ -37,7 +37,6 @@ from repro.core.sharding import (
     LoadAwareShardRouting,
     ShardedFedBuffAggregator,
 )
-from repro.core.staleness import PolynomialStaleness
 from repro.core.types import TaskConfig, TrainingMode, TrainingResult
 from repro.sim.engine import Simulator
 from repro.sim.trace import MetricsTrace, Outcome
@@ -120,7 +119,6 @@ class ShardedFLTaskRuntime(FLTaskRuntime):
             goal=config.aggregation_goal,
             num_shards=num_shards,
             routing=shard_routing,
-            staleness_policy=PolynomialStaleness(0.5),
             max_staleness=config.max_staleness,
             example_weighting=adapter.recommended_example_weighting,
             normalize_by=adapter.recommended_normalization,

@@ -305,6 +305,24 @@ def test_recovery_invariants_hold_for_canned_spec(path):
                 close()
 
 
+def test_recovery_report_reads_the_buffered_count_contract():
+    """``buffered_now`` is the core's public ``buffered_count`` — a core
+    that has no ``_count`` private must not read as an empty buffer and
+    turn its buffered updates into a false ``unaccounted``."""
+    dep = Deployment.from_spec(small_spec(t_end_s=600.0))
+    result = dep.run()
+    rt = dep.simulation.task_runtimes["train"]
+    buffered = rt.core.buffered_count
+    assert buffered > 0, "pick a horizon that ends mid-epoch"
+
+    class PublicContractOnly:
+        buffered_count = buffered
+
+    rt.core = PublicContractOnly()
+    report = recovery_report(dep.simulation, result)["tasks"]["train"]
+    assert report["buffered_now"] == buffered and report["unaccounted"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Fault behaviours through the sim
 # ---------------------------------------------------------------------------

@@ -514,7 +514,7 @@ class TestSecureBlockDrain:
             agg.receive_update_block([_result(i, [0.1] * 6) for i in range(3)])
         monkeypatch.setattr(server, "submit_block", original)
         assert agg.buffered_count == 2
-        assert agg._epoch_contributors == [0, 2]
+        assert agg._contributors == [0, 2]
         assert len(agg._epoch_weights) == 2
         # The surviving epoch state is consistent: reaching the goal
         # finalizes cleanly (weights reference only processed legs).

@@ -249,7 +249,7 @@ class TestSecureShardFailover:
 
         survivors = set(
             cid for step in sharded.step_history for cid in step.contributors
-        ) | set(sharded._epoch_contributors)
+        ) | set(sharded._contributors)
         single = SecureBufferedAggregator(VecState(), 5, P, seed=9)
         for r in results:
             single.register_download(r.client_id)
