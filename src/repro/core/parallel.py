@@ -13,7 +13,10 @@ pool, pluggable lanes, and one fallback path**:
   whose rows belong to exactly one shard each, written **only** by that
   shard's worker (single-writer discipline; the parent only reads it at
   merge time).  Task messages carry slot indices and small scalars, so
-  no update payload is ever pickled.
+  no update payload is ever pickled; they travel on one pipe per shard,
+  written by the dispatching thread itself (:class:`_TaskPipe` — no
+  feeder thread between a dispatch and its worker), and the acks come
+  back on one shared queue.
 * What a worker *does* with a task is the pool's **lane**: a small
   picklable object that states its output rows/dtype and, inside the
   worker, turns ``(op, slots, args)`` into a state change plus an
@@ -34,8 +37,9 @@ The fold worker executes the *identical* float operation sequence as the
 in-process shard core — scalar ``partial += w * delta.astype(float64)``,
 grouped ``partial += weights @ deltas.astype(float64)`` on arrays of the
 same dtype, shape, and layout, accumulated in per-shard arrival order
-from a zeroed partial — and the root merge is the same
-ascending-shard-order ``np.add.reduce``.  The process-executor plane is
+from a zeroed partial — and the root merge is the same statement, not
+a copy of it: the in-process core's ascending-shard add (``p0 + p1``,
+then ``+= p_k``; no stacking copy).  The process-executor plane is
 therefore **bit-identical** to the in-process plane (pinned by
 ``tests/test_sharded_equivalence.py``), which in turn carries the PR-4
 contract against the single aggregator.
@@ -45,8 +49,9 @@ Worker lifecycle
 Workers are spawned at pool construction (``fork``/``spawn``/
 ``forkserver`` via ``start_method``), torn down by :meth:`close` (also
 registered as a GC finalizer so interrupted runs don't leak processes).
-A worker that dies — or an exhausted input slab — triggers a permanent
-fallback to the inline executor: the aggregator rebuilds its inline
+A worker that dies, a worker that stalls (no ack, or a task pipe that
+stays full, for ``ack_timeout_s``) or an exhausted input slab triggers a
+permanent fallback to the inline executor: the aggregator rebuilds its inline
 shard state from the current epoch's dispatch log and the still-live
 input slab, bit-identically, and surfaces a structured
 ``executor_fallback`` event (``on_event`` callback; the system layer
@@ -59,7 +64,10 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
+import pickle
 import queue as queue_mod
+import selectors
 import time
 import weakref
 from multiprocessing import shared_memory
@@ -149,6 +157,62 @@ class FoldLane:
         return "FoldLane()"
 
 
+# -- task channel --------------------------------------------------------------
+
+
+class _TaskPipe:
+    """One shard's task channel, written on the dispatching thread.
+
+    ``multiprocessing.Queue.put`` hands a message to a feeder thread,
+    which must win the GIL from a parent already running its next event
+    before the worker hears of the task; :meth:`put` pickles and writes
+    at once.  What the queue gave for free is restored by hand: a pipe
+    fills (~64 KiB unread), so the write end is non-blocking and a full
+    pipe is waited on for a bounded time; and the parent closes its read
+    end once the worker holds one (:meth:`close_reader`), so a dead
+    worker's pipe breaks instead of filling.
+    """
+
+    _stream = None  # the worker's buffered view of the read end
+
+    def __init__(self, ctx):
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        os.set_blocking(self._writer.fileno(), False)
+
+    def put(self, msg, timeout: float) -> bool:
+        """Parent side: write ``msg`` now; False if the pipe stayed full
+        for ``timeout`` seconds in all.  A broken pipe counts as written:
+        its worker is dead, the task could never run, and the next ack
+        wait names the worker."""
+        data = memoryview(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+        fd = self._writer.fileno()
+        deadline = time.monotonic() + timeout
+        while data:
+            try:
+                data = data[os.write(fd, data):]
+            except BrokenPipeError:
+                break
+            except BlockingIOError:
+                with selectors.DefaultSelector() as writable:
+                    writable.register(fd, selectors.EVENT_WRITE)
+                    if not writable.select(max(0.0, deadline - time.monotonic())):
+                        return False
+        return True
+
+    def get(self):
+        """Worker side: the next message (blocks until one arrives)."""
+        if self._stream is None:
+            self._stream = open(self._reader.fileno(), "rb", closefd=False)
+        return pickle.load(self._stream)
+
+    def close_reader(self) -> None:
+        self._reader.close()
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
 # -- worker process ------------------------------------------------------------
 
 
@@ -228,22 +292,20 @@ def _default_on_event(kind: str, fields: dict) -> None:
 def _cleanup(procs, task_queues, ack_queue, shms) -> None:
     """Idempotent teardown shared by close() and the GC finalizer."""
     for q in task_queues:
-        try:
-            q.put_nowait(None)
-        except Exception:
-            pass
+        q.put(None, 0.0)  # a worker whose pipe is full is killed below
     for p in procs:
         p.join(timeout=2.0)
     for p in procs:
-        if p.is_alive():  # pragma: no cover - stuck worker safety net
-            p.terminate()
+        if p.is_alive():  # stuck worker safety net (SIGKILL: it may be stopped)
+            p.kill()
             p.join(timeout=2.0)
-    for q in [*task_queues, ack_queue]:
-        try:
-            q.close()
-            q.cancel_join_thread()
-        except Exception:
-            pass
+    for q in task_queues:
+        q.close()
+    try:
+        ack_queue.close()
+        ack_queue.cancel_join_thread()
+    except Exception:
+        pass
     for shm in shms:
         try:
             shm.close()
@@ -324,10 +386,14 @@ class ShardWorkerPool:
             out_shape, dtype=self.lane.out_dtype, buffer=self._output_shm.buf
         )
         self._out[:] = 0  # workers are not running yet
-        self._task_queues = [ctx.Queue() for _ in range(num_shards)]
         self._ack_queue = ctx.Queue()
-        self._procs = [
-            ctx.Process(
+        self._task_queues: list[_TaskPipe] = []
+        self._procs = []
+        for sid in range(num_shards):
+            # Pipe, start, close — per shard, so that under ``fork`` no
+            # later worker inherits an earlier pipe's read end.
+            tasks = _TaskPipe(ctx)
+            proc = ctx.Process(
                 target=_worker_main,
                 args=(
                     sid,
@@ -337,16 +403,16 @@ class ShardWorkerPool:
                     num_shards,
                     vector_length,
                     slots,
-                    self._task_queues[sid],
+                    tasks,
                     self._ack_queue,
                 ),
                 daemon=True,
                 name=f"shard-worker-{sid}",
             )
-            for sid in range(num_shards)
-        ]
-        for p in self._procs:
-            p.start()
+            proc.start()
+            tasks.close_reader()
+            self._task_queues.append(tasks)
+            self._procs.append(proc)
 
         self._free_slots = list(range(slots - 1, -1, -1))
         self._epoch_slots: list[int] = []
@@ -385,7 +451,13 @@ class ShardWorkerPool:
         token = self._next_token
         self._next_token += 1
         self._outstanding[token] = shard_id
-        self._task_queues[shard_id].put((op, task_slots, args, token))
+        msg = (op, task_slots, args, token)
+        if not self._task_queues[shard_id].put(msg, self.ack_timeout_s):
+            self.healthy = False
+            raise WorkerPoolError(
+                f"shard {shard_id}'s task pipe stayed full for "
+                f"{self.ack_timeout_s}s (worker stalled)"
+            )
         return token
 
     def dispatch(self, shard_id: int, op: str, args: tuple, deltas) -> None:
@@ -398,9 +470,11 @@ class ShardWorkerPool:
         task_slots = tuple(self._take_slot() for _ in deltas)
         for slot, delta in zip(task_slots, deltas):
             self.inputs[slot, :] = delta
+        # Posted before it is logged: a task the pipe refused is the
+        # caller's to run inline, so a replay must not run it too.
+        self._post(shard_id, op, task_slots, args)
         self._log.append((shard_id, op, task_slots, args))
         self._dispatched[shard_id] += 1
-        self._post(shard_id, op, task_slots, args)
         if self.profiler is not None:
             self.profiler.record("pool_dispatch", time.perf_counter() - t0)
 
@@ -501,11 +575,13 @@ class ShardWorkerPool:
 
     def reset_epoch(self) -> None:
         """After a merged server step: reset every lane, free all slots."""
-        for shard_id in range(self.num_shards):
-            self._post(shard_id, self.lane.reset_op)
+        # The epoch is closed before the resets are posted: should a
+        # post fail, the fallback replays an empty log, not a merged one.
         self._free_slots.extend(self._epoch_slots)
         self._epoch_slots.clear()
         self._log.clear()
+        for shard_id in range(self.num_shards):
+            self._post(shard_id, self.lane.reset_op)
 
     def discard_shard(self, shard_id: int) -> None:
         """Shard failover: drop its epoch tasks and reset its lane.
@@ -787,8 +863,7 @@ class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggreg
             for sid, shard in enumerate(self._shards)
             if shard.count > 0
         ]
-        if not partials:
-            return np.zeros(self.state.size, dtype=np.float64)
-        if len(partials) == 1:
-            return partials[0].copy()
-        return np.add.reduce(partials)
+        merged = self._sum_partials(partials)
+        # A lone partial comes back as is — a view of the output slab,
+        # which the epoch reset is about to zero.
+        return merged.copy() if len(partials) == 1 else merged

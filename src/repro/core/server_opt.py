@@ -27,7 +27,13 @@ class ServerOptimizer(abc.ABC):
 
     @abc.abstractmethod
     def apply(self, model: np.ndarray, avg_delta: np.ndarray) -> np.ndarray:
-        """Return the new server model given the average client delta."""
+        """Return the new server model given the average client delta.
+
+        The result is a **new** array: never ``model`` itself, never a
+        view of it, never written after return.  ``model`` is the
+        read-only snapshot in-flight clients share
+        (:mod:`repro.core.state`), and the result becomes the next one.
+        """
 
     def reset(self) -> None:
         """Clear internal state (default: stateless)."""

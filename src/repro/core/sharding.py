@@ -532,12 +532,24 @@ class ShardedFedBuffAggregator(ShardRoutingMixin, FedBuffAggregator):
         identity, which is what makes ``num_shards=1`` bit-identical to
         the single aggregator.
         """
-        partials = [s.buffer for s in self._shards if s.buffer is not None]
+        return self._sum_partials(
+            [s.buffer for s in self._shards if s.buffer is not None]
+        )
+
+    def _sum_partials(self, partials: list[np.ndarray]) -> np.ndarray:
+        """The root reduce both executors share: ``p0 + p1``, then
+        ``+= p_k`` in list order.  Bit-identical to ``np.add.reduce``
+        over the list (the same left-to-right adds) without the
+        ``(S, L)`` array numpy would first stack it into.  One partial
+        is returned as is, not copied."""
         if not partials:  # all contributions were zero-weight-dropped shards
             return np.zeros(self.state.size, dtype=np.float64)
         if len(partials) == 1:
             return partials[0]
-        return np.add.reduce(partials)
+        merged = partials[0] + partials[1]
+        for partial in partials[2:]:
+            merged += partial
+        return merged
 
     def _server_step(self) -> ServerStepInfo:
         stop = self._timer()

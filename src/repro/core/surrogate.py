@@ -98,10 +98,16 @@ class SurrogateModelState:
     def __init__(self, params: SurrogateParams | None = None):
         self.params = params or SurrogateParams()
         self.progress = 0.0
+        self._snapshot = self._freeze()
+
+    def _freeze(self) -> np.ndarray:
+        vec = np.array([self.progress], dtype=np.float32)
+        vec.flags.writeable = False
+        return vec
 
     def current(self) -> np.ndarray:
-        """1-element vector holding the progress coordinate."""
-        return np.array([self.progress], dtype=np.float32)
+        """This version's 1-element progress vector (read-only, shared)."""
+        return self._snapshot
 
     @property
     def size(self) -> int:
@@ -119,6 +125,7 @@ class SurrogateModelState:
             raise ValueError("num_updates must be at least 1")
         quality = float(avg_delta[0])
         self.progress += quality * self.step_efficiency(num_updates)
+        self._snapshot = self._freeze()
 
     def loss(self) -> float:
         """Current training loss under the power-law decay."""

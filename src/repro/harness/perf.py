@@ -151,8 +151,9 @@ def _drive(agg, results, *, drain: bool = False) -> float:
     the plane's current version, so every arm admits with identical
     staleness and weights.  Only ``receive_update`` (admission + fold +
     any step or epoch finalize) is timed — the per-arrival
-    ``register_download`` model copy is selection-time control plane,
-    excluded from every arm identically.  With ``drain`` a final worker
+    ``register_download`` (in-flight bookkeeping; the model snapshot is
+    shared, not copied) is selection-time control plane, excluded from
+    every arm identically.  With ``drain`` a final worker
     barrier is paid for inside the measurement (process arms: dispatched
     folds of the trailing incomplete buffer are real work).  Arms with an
     :class:`~repro.core.sharding.AggregationPlaneClock` read its critical
@@ -786,7 +787,7 @@ class SecureShardsResult:
 def _secure_fingerprint(agg):
     """Everything the exactness contract compares between arms."""
     return (
-        agg.state.current().copy(),
+        agg.state.current(),
         [(i.version, i.num_updates, i.total_weight, i.contributors)
          for i in agg.step_history],
         agg.boundary_bytes_in_total,

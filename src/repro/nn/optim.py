@@ -142,6 +142,7 @@ class Adam:
         self.eps = check_positive(eps, "eps")
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
+        self._work: tuple[np.ndarray, np.ndarray] | None = None
         self._t = 0
 
     @property
@@ -150,23 +151,48 @@ class Adam:
         return self._t
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Return updated parameters after one Adam step on ``grad``."""
+        """Return updated parameters after one Adam step on ``grad``.
+
+        The moments and two float64 work vectors are created on the
+        first step and reused: every operation below writes through
+        ``out=``, so a step allocates only the array it returns.  The
+        expression tree is ``m*b1 + (1-b1)*g``, ``v*b2 + ((1-b2)*g)*g``,
+        ``(lr*m_hat) / (sqrt(v_hat) + eps)``,
+        ``float32(float64(params) - update)`` — operation for operation
+        the textbook form, so the bits do not depend on the buffering
+        (``tests/test_core_trainer_optim.py`` keeps that form as the
+        reference).
+        """
         if grad.shape != params.shape:
             raise ValueError("grad/param shape mismatch")
         if self._m is None:
             self._m = np.zeros_like(params, dtype=np.float64)
             self._v = np.zeros_like(params, dtype=np.float64)
+            self._work = (np.empty_like(self._m), np.empty_like(self._m))
         self._t += 1
-        g = grad.astype(np.float64)
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * g
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
-        m_hat = self._m / (1.0 - self.beta1**self._t)
-        v_hat = self._v / (1.0 - self.beta2**self._t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return (params.astype(np.float64) - update).astype(np.float32)
+        m, v = self._m, self._v
+        a, b = self._work
+        np.copyto(b, grad)  # g, in float64
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(b, 1.0 - self.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(b, 1.0 - self.beta2, out=a)
+        np.multiply(a, b, out=a)
+        np.add(v, a, out=v)  # g is spent: b is free from here
+        np.divide(m, 1.0 - self.beta1**self._t, out=a)  # m_hat
+        np.multiply(a, self.lr, out=a)
+        np.divide(v, 1.0 - self.beta2**self._t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.divide(a, b, out=a)  # the update
+        np.copyto(b, params)
+        np.subtract(b, a, out=b)
+        return b.astype(np.float32)
 
     def reset(self) -> None:
-        """Clear moment estimates and the step counter."""
+        """Clear moment estimates, work vectors and the step counter."""
         self._m = None
         self._v = None
+        self._work = None
         self._t = 0

@@ -47,7 +47,12 @@ class TrainerAdapter(abc.ABC):
         initial_version: int,
         participation: int,
     ) -> TrainingResult:
-        """Produce one client's training result."""
+        """Produce one client's training result.
+
+        ``initial_model`` is the downloaded version's snapshot: read-only
+        and shared with every other client on that version (see
+        :mod:`repro.core.state`) — copy it before training in place.
+        """
 
     def train_cohort(
         self,

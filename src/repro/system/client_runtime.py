@@ -248,6 +248,9 @@ class ClientSession:
     # -- terminal transitions ------------------------------------------------------
 
     def _deactivate(self) -> None:
+        # Every terminal path comes through here: a dead session must not
+        # pin its model version until its detection event fires.
+        self.initial_model = None
         if self._active:
             self._active = False
             self.trace.record_active_delta(self.sim.now, -1)

@@ -13,7 +13,11 @@ task's aggregation across nodes without changing an experimental number.
 """
 
 import multiprocessing
+import os
+import pickle
 import queue as queue_mod
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -968,3 +972,176 @@ class TestEndToEndProcessExecutor:
             "plane.executor": "process",
         })
         assert spec.system_config().shard_executor == "process"
+
+
+class TestRootMerge:
+    """The root reduce is ``p0 + p1`` then ``+= p_k`` in ascending shard
+    order — one statement shared by both executors — and equals
+    ``np.add.reduce`` over the same partials byte for byte (what it
+    replaced, minus the ``(S, L)`` stacking copy)."""
+
+    SHARD_COUNTS = [2, 3, 5, 8]
+
+    @staticmethod
+    def _fill(aggs, num_shards, seed):
+        """A partial on every shard, magnitudes spanning twelve decades."""
+        rng = np.random.default_rng(seed)
+        n = 12 * num_shards
+        for cid in range(n):
+            for agg in aggs:
+                agg.register_download(cid)
+        for cid in range(n):
+            r = make_result(rng, cid, scale=10.0 ** int(rng.integers(-6, 7)))
+            for agg in aggs:
+                agg.receive_update(r)
+        assert all(count > 0 for agg in aggs for count in agg.shard_buffered())
+        return n
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_inline_merge_equals_add_reduce(self, num_shards):
+        agg = ShardedFedBuffAggregator(fresh_state(), goal=10**6, num_shards=num_shards)
+        self._fill([agg], num_shards, seed=num_shards)
+        partials = [s.buffer.copy() for s in agg._shards]
+        merged = agg._merge_shards()
+        assert merged.tobytes() == np.add.reduce(partials).tobytes()
+        for shard, before in zip(agg._shards, partials):  # inputs untouched
+            assert shard.buffer.tobytes() == before.tobytes()
+            assert not np.shares_memory(merged, shard.buffer)
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_process_merge_equals_add_reduce_and_the_inline_merge(self, num_shards):
+        inline = ShardedFedBuffAggregator(fresh_state(), goal=10**6, num_shards=num_shards)
+        pool = ShardWorkerPool(num_shards=num_shards, vector_length=P,
+                               slots=12 * num_shards)
+        proc = ProcessShardedFedBuffAggregator(
+            fresh_state(), goal=10**6, num_shards=num_shards, pool=pool)
+        try:
+            self._fill([inline, proc], num_shards, seed=num_shards)
+            merged = proc._merge_shards()
+            partials = [pool.partial(sid).copy() for sid in range(num_shards)]
+            assert merged.tobytes() == np.add.reduce(partials).tobytes()
+            assert merged.tobytes() == inline._merge_shards().tobytes()
+            assert not np.shares_memory(merged, pool._out)
+            assert proc.pool_active and proc.executor_fallbacks == 0
+        finally:
+            pool.close()
+
+    def test_a_lone_process_partial_is_a_private_copy(self):
+        """With one non-empty shard the merge is the identity — which on
+        the process plane must not be a view of the output slab the
+        epoch reset then zeroes."""
+        with ShardWorkerPool(num_shards=1, vector_length=P, slots=12) as pool:
+            proc = ProcessShardedFedBuffAggregator(
+                fresh_state(), goal=10**6, num_shards=1, pool=pool)
+            self._fill([proc], 1, seed=1)
+            merged = proc._merge_shards()
+            assert proc.pool_active
+            assert not np.shares_memory(merged, pool._out)
+            kept = merged.tobytes()
+            assert kept == pool.partial(0).tobytes() != np.zeros(P).tobytes()
+            pool.reset_epoch()
+            pool.barrier()
+            assert merged.tobytes() == kept
+
+
+class TestTaskChannelBackpressure:
+    """Tasks are written on the dispatching thread into a pipe, which —
+    unlike the feeder-thread queue it replaced — fills once ~64 KiB are
+    unread.  A worker that stops reading, stalled or dead, with more
+    than that outstanding in one epoch must still cost exactly one
+    ``executor_fallback``, a wait bounded by ``ack_timeout_s`` and not
+    one bit of the step."""
+
+    GOAL = 4000
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    @pytest.mark.parametrize(
+        "sig, ack_timeout_s, reasons, bound_s",
+        [
+            # A stalled worker: the full pipe is waited on for
+            # ack_timeout_s, then the dispatch fails over (a platform
+            # with roomier pipes times out at the merge barrier instead).
+            (signal.SIGSTOP, 1.0, {"pool_error", "worker_dead"}, 1.0 + 3.0),
+            # A dead worker's pipe is broken, not full: nothing waits,
+            # and the merge barrier names the worker as it always did.
+            (signal.SIGKILL, 5.0, {"worker_dead"}, 5.0),
+        ],
+        ids=["stalled", "dead"],
+    )
+    def test_one_fallback_in_bounded_time_bit_identically(
+        self, start_method, sig, ack_timeout_s, reasons, bound_s
+    ):
+        events = []
+        pool = ShardWorkerPool(
+            num_shards=2, vector_length=P, slots=2 * self.GOAL,
+            start_method=start_method, ack_timeout_s=ack_timeout_s,
+        )
+        inline = ShardedFedBuffAggregator(fresh_state(), goal=self.GOAL, num_shards=2)
+        proc = ProcessShardedFedBuffAggregator(
+            fresh_state(), goal=self.GOAL, num_shards=2, pool=pool,
+            on_event=lambda kind, fields: events.append((kind, fields)),
+        )
+        try:
+            for cid in range(self.GOAL):
+                inline.register_download(cid)
+                proc.register_download(cid)
+            # More than a pipe's capacity is bound for the victim, even
+            # counting every task at its smallest possible pickle.
+            smallest = len(pickle.dumps(("fold", (0,), ((0.5,), False), 0),
+                                        pickle.HIGHEST_PROTOCOL))
+            to_victim = sum(proc.shard_of(cid) == 1 for cid in range(self.GOAL))
+            assert to_victim * smallest > 65_536
+
+            victim = pool._procs[1]
+            os.kill(victim.pid, sig)
+            if sig == signal.SIGKILL:
+                victim.join(timeout=5.0)
+                assert not victim.is_alive()
+            rng = np.random.default_rng(53)
+            start = time.monotonic()
+            for cid in range(self.GOAL):
+                r = make_result(rng, cid)
+                inline.receive_update(r)
+                proc.receive_update(r)
+            elapsed = time.monotonic() - start
+
+            assert elapsed < bound_s
+            assert inline.version == proc.version == 1
+            assert np.array_equal(inline.state.current(), proc.state.current())
+            assert [kind for kind, _ in events] == ["executor_fallback"]
+            assert events[0][1]["reason"] in reasons
+            assert proc.executor_fallbacks == 1 and not proc.pool_active
+            assert not pool.healthy
+        finally:
+            pool.close()
+        # close() reaps even a stopped worker (SIGTERM would stay pending).
+        assert not any(p.is_alive() for p in pool._procs)
+
+    def test_a_refused_task_is_not_replayed(self):
+        """Dispatch posts before it logs: the task a full pipe refuses is
+        folded inline by the caller, so the replay must not hold it too."""
+        with ShardWorkerPool(num_shards=1, vector_length=P, slots=4,
+                             ack_timeout_s=0.2) as pool:
+            delta = np.ones(P, np.float32)
+            pool.fold_scalar(0, delta, 1.0)
+
+            pool._task_queues[0].put = lambda msg, timeout: False  # stays full
+            with pytest.raises(WorkerPoolError):
+                pool.fold_scalar(0, delta, 2.0)
+            del pool._task_queues[0].put
+            assert not pool.healthy
+            assert [args for _, _, _, args in pool.epoch_log()] == [((1.0,), False)]
+            assert np.array_equal(pool.replay_partials()[0], np.ones(P))
+
+    def test_the_epoch_is_closed_before_its_resets_are_posted(self):
+        """Should a reset fail to post, the fallback replays an empty
+        log — not the epoch that was just merged."""
+        with ShardWorkerPool(num_shards=1, vector_length=P, slots=4) as pool:
+            pool.fold_scalar(0, np.ones(P, np.float32), 1.0)
+            pool.barrier()
+
+            pool._task_queues[0].put = lambda msg, timeout: False  # stays full
+            with pytest.raises(WorkerPoolError):
+                pool.reset_epoch()
+            del pool._task_queues[0].put
+            assert pool.epoch_log() == [] and pool.replay_partials() == {}
