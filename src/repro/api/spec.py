@@ -20,11 +20,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.types import TaskConfig, TrainingMode
-from repro.sim.faults import FaultParamError, validate_fault_params
+from repro.sim.faults import (
+    FaultParamError,
+    _boolean,
+    _integer,
+    _number,
+    _optional,
+    _string,
+    validate_fault_params,
+)
 from repro.sim.population import PopulationConfig
 from repro.system.orchestrator import SystemConfig
 
@@ -86,9 +94,8 @@ def _freeze_items(
             raise SpecError(field_name, f"keys must be non-empty strings, got {key!r}")
         out.append((key, _freeze_value(value, f"{field_name}.{key}")))
     out.sort(key=lambda kv: kv[0])
-    seen = [k for k, _ in out]
-    for k in set(seen):
-        if seen.count(k) > 1:
+    for (k, _), (after, _) in zip(out, out[1:]):
+        if k == after:
             raise SpecError(field_name, f"duplicate key {k!r}")
     return tuple(out)
 
@@ -102,19 +109,194 @@ def _thaw_items(items: tuple[tuple[str, Any], ...]) -> dict[str, Any]:
 
 
 def _expect_mapping(data: Any, field_name: str) -> dict:
-    if not isinstance(data, Mapping):
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise SpecError(field_name, f"expected a mapping, got {type(data).__name__}")
     return dict(data)
 
 
-def _check_keys(data: Mapping, allowed: Sequence[str], field_name: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise SpecError(
-            field_name,
-            f"unknown keys {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(allowed)}",
-        )
+def _join(section: str, name: str) -> str:
+    return f"{section}.{name}" if section else name
+
+
+# ---------------------------------------------------------------------------
+# Field kinds: how one field is coerced, read from and written to a document
+# ---------------------------------------------------------------------------
+
+class _Value:
+    """A scalar checked by one entry of the shared value vocabulary.
+
+    Scalars are the *leaves* a dotted override path may address.
+    """
+
+    def __init__(self, check: Callable[[Any], Any], *exact: type):
+        self.check = check
+        #: value types ``check`` returns unchanged, so construction skips it
+        self.exact = frozenset(exact)
+
+    def coerce(self, value: Any, spec: "_Spec", name: str) -> Any:
+        try:
+            return self.check(value)
+        except ValueError as exc:
+            raise SpecError(spec._path(name), str(exc)) from None
+
+
+class _Items(_Value):
+    """A JSON-able mapping, frozen to sorted ``(key, value)`` pairs."""
+
+    def coerce(self, value: Any, spec: "_Spec", name: str) -> Any:
+        return self.check(value, spec._path(name))
+
+    def load(self, value: Any, path: str) -> Any:
+        return _expect_mapping(value, path)
+
+    def dump(self, value: Any) -> Any:
+        return _thaw_items(value)
+
+
+class _Section(_Value):
+    """A nested spec section, serialized as its own document."""
+
+    def __init__(self, cls: type):
+        super().__init__(None, cls)
+        self.cls = cls
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        self.message = f"must be {article} {cls.__name__}"
+
+    def coerce(self, value: Any, spec: "_Spec", name: str) -> Any:
+        if not isinstance(value, self.cls):
+            raise SpecError(spec._path(name), self.message)
+        return value
+
+    def load(self, value: Any, path: str) -> Any:
+        return self.cls.from_dict(value)
+
+    def dump(self, value: Any) -> Any:
+        return value.to_dict()
+
+
+class _Sections(_Section):
+    """A list of nested sections (``tasks``, ``faults.events``)."""
+
+    def __init__(self, cls: type, noun: str):
+        super().__init__(cls)
+        self.exact = frozenset()  # a tuple is checked item by item
+        self.noun = noun
+
+    def coerce(self, value: Any, spec: "_Spec", name: str) -> Any:
+        value = tuple(value)
+        for i, item in enumerate(value):
+            if not isinstance(item, self.cls):
+                raise SpecError(f"{spec._path(name)}[{i}]", self.message)
+        return value
+
+    def load(self, value: Any, path: str) -> Any:
+        if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+            raise SpecError(path, f"must be a list of {self.noun} mappings")
+        return tuple(self.cls.from_dict(item) for item in value)
+
+    def dump(self, value: Any) -> Any:
+        return [item.to_dict() for item in value]
+
+
+_ANY = _Value(lambda value: value)  # checked by the section's _check
+_INT = _Value(_integer, int)
+_FLOAT = _Value(_number, float)
+_STR = _Value(_string)
+_BOOL = _Value(_boolean, bool)
+_OPT_INT = _Value(_optional(_integer), int, type(None))
+_OPT_FLOAT = _Value(_optional(_number), float, type(None))
+_ITEMS = _Items(_freeze_items)
+
+
+def _field(kind: _Value, default: Any = MISSING, *, factory: Any = MISSING,
+           omit: bool = False) -> Any:
+    """A dataclass field carrying its kind (and whether ``to_dict`` omits
+    it when at its default, so canonical JSON — and every sweep-cache
+    fingerprint — is unchanged by knobs added later)."""
+    return field(default=default, default_factory=factory,
+                 metadata={"kind": kind, "omit": omit})
+
+
+def _table(section: str):
+    """Class decorator: derive a spec dataclass's field table, once.
+
+    ``section`` prefixes the dotted field names in errors (``""`` for the
+    scenario itself).
+    """
+
+    def wrap(cls):
+        rows = []
+        for f in dataclasses.fields(cls):
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            required = f.default is MISSING and f.default_factory is MISSING
+            rows.append((f.name, f.metadata["kind"], default, f.metadata["omit"], required))
+        cls._SECTION = section
+        cls._TABLE = tuple(rows)  # (name, kind, default, omit, required)
+        cls._KINDS = {name: kind for name, kind, *_ in rows}
+        cls._LEAVES = frozenset(n for n, kind, *_ in rows if type(kind) is _Value)
+        return cls
+
+    return wrap
+
+
+class _Spec:
+    """Parsing, coercion and serialization shared by every spec section,
+    all driven by the section's field table (see :func:`_table`).
+
+    A section adds only its cross-field checks, as ``_check``.
+    """
+
+    def __post_init__(self) -> None:
+        for name, kind, _, _, _ in self._TABLE:
+            value = getattr(self, name)
+            if type(value) not in kind.exact:
+                coerced = kind.coerce(value, self, name)
+                if coerced is not value:
+                    object.__setattr__(self, name, coerced)
+        self._check()
+
+    def _check(self) -> None:
+        """Cross-field validation, after every field is coerced."""
+
+    def _path(self, name: str) -> str:
+        return _join(self._SECTION, name)
+
+    def to_dict(self) -> dict:
+        """JSON-able document; ``from_dict`` reconstructs an equal spec."""
+        doc = {}
+        for name, kind, default, omit, _ in self._TABLE:
+            value = getattr(self, name)
+            if type(kind) is _Value:
+                if not (omit and value == default):
+                    doc[name] = value
+            elif not (omit and not value):  # an omitted section is falsy
+                doc[name] = kind.dump(value)
+        return doc
+
+    @classmethod
+    def from_dict(cls, data: Any):
+        """Inverse of :meth:`to_dict` (absent keys take the defaults)."""
+        where = cls._SECTION or "scenario"
+        data = _expect_mapping(data, where)
+        unknown = sorted(set(data) - cls._KINDS.keys())
+        if unknown:
+            raise SpecError(
+                where,
+                f"unknown keys {', '.join(map(repr, unknown))}; "
+                f"allowed: {', '.join(cls._KINDS)}",
+            )
+        kwargs = {}
+        for name, kind, _, _, required in cls._TABLE:
+            if name not in data:
+                if required:
+                    raise SpecError(_join(cls._SECTION, name), "required section is missing")
+                continue
+            value = data[name]
+            if type(kind) is _Value:
+                kwargs[name] = value  # the constructor coerces it
+            elif value is not None or required:  # null structure means absent
+                kwargs[name] = kind.load(value, _join(cls._SECTION, name))
+        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +308,9 @@ _POPULATION_OVERRIDE_FIELDS = tuple(
 )
 
 
+@_table("population")
 @dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(_Spec):
     """The simulated device fleet.
 
     ``seed=None`` means "use the deployment seed"; ``overrides`` are
@@ -142,19 +325,12 @@ class PopulationSpec:
     byte-identical.
     """
 
-    n_devices: int = 100_000
-    seed: int | None = None
-    overrides: tuple[tuple[str, Any], ...] = ()
-    columnar: bool = False
+    n_devices: int = _field(_INT, 100_000)
+    seed: int | None = _field(_OPT_INT, None)
+    overrides: tuple[tuple[str, Any], ...] = _field(_ITEMS, ())
+    columnar: bool = _field(_BOOL, False, omit=True)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_devices", int(self.n_devices))
-        object.__setattr__(self, "columnar", bool(self.columnar))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(
-            self, "overrides", _freeze_items(self.overrides, "population.overrides")
-        )
+    def _check(self) -> None:
         for key, _ in self.overrides:
             if key not in _POPULATION_OVERRIDE_FIELDS:
                 raise SpecError(
@@ -164,8 +340,6 @@ class PopulationSpec:
                 )
         try:
             self.population_config()
-        except SpecError:
-            raise
         except ValueError as exc:
             raise SpecError("population", str(exc)) from exc
 
@@ -191,32 +365,10 @@ class PopulationSpec:
             columnar=isinstance(population, ColumnarDevicePopulation),
         )
 
-    def to_dict(self) -> dict:
-        doc = {
-            "n_devices": self.n_devices,
-            "seed": self.seed,
-            "overrides": _thaw_items(self.overrides),
-        }
-        # Omitted when default so canonical JSON — and therefore every
-        # existing sweep-cache fingerprint — is unchanged.
-        if self.columnar:
-            doc["columnar"] = True
-        return doc
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "PopulationSpec":
-        data = _expect_mapping(data, "population")
-        _check_keys(data, ("n_devices", "seed", "overrides", "columnar"), "population")
-        return cls(
-            n_devices=data.get("n_devices", 100_000),
-            seed=data.get("seed"),
-            overrides=_expect_mapping(data.get("overrides") or {}, "population.overrides"),
-            columnar=data.get("columnar", False),
-        )
-
-
+@_table("tasks[]")
 @dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(_Spec):
     """One FL task: its :class:`TaskConfig` fields plus a named trainer.
 
     ``trainer`` names a factory registered in
@@ -227,83 +379,46 @@ class TaskSpec:
     decision (``plane.name == "secure"``), not a per-task flag.
     """
 
-    name: str = "task"
-    mode: str = "async"
-    concurrency: int = 100
-    aggregation_goal: int = 10
-    over_selection: float = 0.0
-    max_staleness: int = 100
-    client_timeout_s: float = 240.0
-    local_epochs: int = 1
-    batch_size: int = 32
-    client_lr: float = 0.5
-    model_size_bytes: int = 20 * 1024 * 1024
-    trainer: str = "surrogate"
-    trainer_params: tuple[tuple[str, Any], ...] = ()
+    name: str = _field(_STR, "task")
+    mode: str = _field(_ANY, "async")
+    concurrency: int = _field(_INT, 100)
+    aggregation_goal: int = _field(_INT, 10)
+    over_selection: float = _field(_FLOAT, 0.0)
+    max_staleness: int = _field(_INT, 100)
+    client_timeout_s: float = _field(_FLOAT, 240.0)
+    local_epochs: int = _field(_INT, 1)
+    batch_size: int = _field(_INT, 32)
+    client_lr: float = _field(_FLOAT, 0.5)
+    model_size_bytes: int = _field(_INT, 20 * 1024 * 1024)
+    trainer: str = _field(_STR, "surrogate")
+    trainer_params: tuple[tuple[str, Any], ...] = _field(_ITEMS, ())
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise SpecError("tasks[].name", "must be a non-empty string")
+    def _path(self, name: str) -> str:
+        # Fields are named by task; the name itself cannot name them yet.
+        return "tasks[].name" if name == "name" else f"tasks[{self.name}].{name}"
+
+    def _check(self) -> None:
         if self.mode not in ("async", "sync"):
             raise SpecError(
                 f"tasks[{self.name}].mode",
                 f"must be 'async' or 'sync', got {self.mode!r}",
             )
-        if not self.trainer or not isinstance(self.trainer, str):
-            raise SpecError(f"tasks[{self.name}].trainer", "must be a non-empty string")
-        for attr in ("concurrency", "aggregation_goal", "max_staleness",
-                     "local_epochs", "batch_size", "model_size_bytes"):
-            object.__setattr__(self, attr, int(getattr(self, attr)))
-        for attr in ("over_selection", "client_timeout_s", "client_lr"):
-            object.__setattr__(self, attr, float(getattr(self, attr)))
-        object.__setattr__(
-            self,
-            "trainer_params",
-            _freeze_items(self.trainer_params, f"tasks[{self.name}].trainer_params"),
-        )
 
     def task_config(self, secure: bool = False) -> TaskConfig:
         """The validated :class:`TaskConfig` this spec describes."""
+        fields = {
+            n: getattr(self, n) for n in self._KINDS if n not in ("trainer", "trainer_params")
+        }
+        fields["mode"] = TrainingMode(self.mode)
         try:
-            return TaskConfig(
-                name=self.name,
-                mode=TrainingMode(self.mode),
-                concurrency=self.concurrency,
-                aggregation_goal=self.aggregation_goal,
-                over_selection=self.over_selection,
-                max_staleness=self.max_staleness,
-                client_timeout_s=self.client_timeout_s,
-                local_epochs=self.local_epochs,
-                batch_size=self.batch_size,
-                client_lr=self.client_lr,
-                secure_aggregation=secure,
-                model_size_bytes=self.model_size_bytes,
-            )
+            return TaskConfig(**fields, secure_aggregation=secure)
         except ValueError as exc:
             raise SpecError(f"tasks[{self.name}]", str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        out = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name != "trainer_params"
-        }
-        out["trainer_params"] = _thaw_items(self.trainer_params)
-        return out
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "TaskSpec":
-        data = _expect_mapping(data, "tasks[]")
-        _check_keys(data, [f.name for f in dataclasses.fields(cls)], "tasks[]")
-        params = data.pop("trainer_params", None)
-        return cls(
-            **data,
-            trainer_params=_expect_mapping(params or {}, "tasks[].trainer_params"),
-        )
-
-
+@_table("plane")
 @dataclass(frozen=True)
-class PlaneSpec:
+class PlaneSpec(_Spec):
     """Which aggregation plane hosts the deployment's tasks.
 
     ``"single"`` — one aggregation core per task on one node (default).
@@ -330,15 +445,12 @@ class PlaneSpec:
     planes take a non-default executor.
     """
 
-    name: str = "single"
-    num_shards: int = 1
-    shard_routing: str = "hash"
-    executor: str = "inline"
+    name: str = _field(_STR, "single")
+    num_shards: int = _field(_INT, 1)
+    shard_routing: str = _field(_STR, "hash")
+    executor: str = _field(_ANY, "inline", omit=True)
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise SpecError("plane.name", "must be a non-empty string")
-        object.__setattr__(self, "num_shards", int(self.num_shards))
+    def _check(self) -> None:
         if self.num_shards < 1:
             raise SpecError("plane.num_shards", "must be at least 1")
         if self.name not in SHARDED_PLANES and self.num_shards != 1:
@@ -355,10 +467,6 @@ class PlaneSpec:
                 "degenerate single-core plane, so a shard-count sweep "
                 "axis can span 1,2,4",
             )
-        if not self.shard_routing or not isinstance(self.shard_routing, str):
-            raise SpecError(
-                "plane.shard_routing", "must be a non-empty string"
-            )
         if self.executor not in ("inline", "process"):
             raise SpecError(
                 "plane.executor", "must be 'inline' or 'process'"
@@ -371,61 +479,27 @@ class PlaneSpec:
                 "takes executor='process'",
             )
 
-    def to_dict(self) -> dict:
-        doc = {
-            "name": self.name,
-            "num_shards": self.num_shards,
-            "shard_routing": self.shard_routing,
-        }
-        # Omitted when default so canonical JSON — and therefore every
-        # existing sweep-cache fingerprint — is unchanged.
-        if self.executor != "inline":
-            doc["executor"] = self.executor
-        return doc
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "PlaneSpec":
-        data = _expect_mapping(data, "plane")
-        _check_keys(
-            data, ("name", "num_shards", "shard_routing", "executor"), "plane"
-        )
-        return cls(**data)
-
-
+@_table("execution")
 @dataclass(frozen=True)
-class ExecutionSpec:
+class ExecutionSpec(_Spec):
     """How the deployment runs: seed, horizon, and stop conditions."""
 
-    seed: int = 0
-    t_end_s: float | None = None
-    target_loss: float | None = None
-    max_server_steps: int | None = None
+    seed: int = _field(_INT, 0)
+    t_end_s: float | None = _field(_OPT_FLOAT, None)
+    target_loss: float | None = _field(_OPT_FLOAT, None)
+    max_server_steps: int | None = _field(_OPT_INT, None)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.t_end_s is not None:
-            object.__setattr__(self, "t_end_s", float(self.t_end_s))
-            if self.t_end_s <= 0:
-                raise SpecError("execution.t_end_s", "must be positive")
-        if self.target_loss is not None:
-            object.__setattr__(self, "target_loss", float(self.target_loss))
-        if self.max_server_steps is not None:
-            object.__setattr__(self, "max_server_steps", int(self.max_server_steps))
-            if self.max_server_steps < 1:
-                raise SpecError("execution.max_server_steps", "must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ExecutionSpec":
-        data = _expect_mapping(data, "execution")
-        _check_keys(data, [f.name for f in dataclasses.fields(cls)], "execution")
-        return cls(**data)
+    def _check(self) -> None:
+        if self.t_end_s is not None and self.t_end_s <= 0:
+            raise SpecError("execution.t_end_s", "must be positive")
+        if self.max_server_steps is not None and self.max_server_steps < 1:
+            raise SpecError("execution.max_server_steps", "must be at least 1")
 
 
+@_table("faults.events[]")
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(_Spec):
     """One scheduled fault: a kind, a fire time, and its parameters.
 
     ``kind`` names an entry of :data:`repro.sim.faults.FAULT_KINDS` and
@@ -437,31 +511,22 @@ class FaultEvent:
     ``{"kind": ..., "at_s": ..., <params...>}``, a fault table row.
     """
 
-    kind: str
-    at_s: float = 0.0
-    params: tuple[tuple[str, Any], ...] = ()
+    kind: str = _field(_STR)
+    at_s: float = _field(_FLOAT, 0.0)
+    params: tuple[tuple[str, Any], ...] = _field(_ITEMS, ())
 
-    def __post_init__(self) -> None:
-        if not self.kind or not isinstance(self.kind, str):
-            raise SpecError("faults.events[].kind", "must be a non-empty string")
-        try:
-            at_s = float(self.at_s)
-        except (TypeError, ValueError):
-            raise SpecError(
-                "faults.events[].at_s", f"must be a number, got {self.at_s!r}"
-            ) from None
-        if not math.isfinite(at_s) or at_s < 0:
+    def _check(self) -> None:
+        if not math.isfinite(self.at_s) or self.at_s < 0:
             raise SpecError("faults.events[].at_s", "must be finite and non-negative")
-        object.__setattr__(self, "at_s", at_s)
-        frozen = _freeze_items(self.params, "faults.events[].params")
         try:
-            normalized = validate_fault_params(self.kind, dict(frozen))
+            normalized = validate_fault_params(self.kind, dict(self.params))
         except FaultParamError as exc:
             raise SpecError(f"faults.events[].{exc.param}", exc.message) from None
         object.__setattr__(
             self, "params", _freeze_items(normalized, "faults.events[].params")
         )
 
+    # The flat-row hook: params sit beside kind/at_s, not under a key.
     def to_dict(self) -> dict:
         doc: dict[str, Any] = {"kind": self.kind, "at_s": self.at_s}
         doc.update(_thaw_items(self.params))
@@ -477,8 +542,9 @@ class FaultEvent:
         return cls(kind=kind, at_s=at_s, params=data)
 
 
+@_table("faults")
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Spec):
     """The deployment's declarative fault schedule (default: none).
 
     ``seed=None`` means "use the deployment seed" for the injector's
@@ -489,41 +555,16 @@ class FaultSpec:
     default path.
     """
 
-    events: tuple[FaultEvent, ...] = ()
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        for i, event in enumerate(self.events):
-            if not isinstance(event, FaultEvent):
-                raise SpecError(f"faults.events[{i}]", "must be a FaultEvent")
-        if self.seed is not None:
-            object.__setattr__(self, "seed", int(self.seed))
+    events: tuple[FaultEvent, ...] = _field(_Sections(FaultEvent, "fault-event"), ())
+    seed: int | None = _field(_OPT_INT, None)
 
     def __bool__(self) -> bool:
         return bool(self.events) or self.seed is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "events": [e.to_dict() for e in self.events],
-            "seed": self.seed,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Any) -> "FaultSpec":
-        data = _expect_mapping(data, "faults")
-        _check_keys(data, ("events", "seed"), "faults")
-        events_data = data.get("events") or []
-        if not isinstance(events_data, Sequence) or isinstance(events_data, (str, bytes)):
-            raise SpecError("faults.events", "must be a list of fault-event mappings")
-        return cls(
-            events=tuple(FaultEvent.from_dict(e) for e in events_data),
-            seed=data.get("seed"),
-        )
-
-
+@_table("telemetry")
 @dataclass(frozen=True)
-class TelemetrySpec:
+class TelemetrySpec(_Spec):
     """The run's observability plane (default: off, constructing nothing).
 
     ``enabled=True`` makes ``Deployment.build`` attach a
@@ -539,36 +580,16 @@ class TelemetrySpec:
     per-name tallies survive eviction).
     """
 
-    enabled: bool = False
-    max_spans: int = 100_000
-    profiling: bool = True
+    enabled: bool = _field(_BOOL, False)
+    max_spans: int = _field(_INT, 100_000)
+    profiling: bool = _field(_BOOL, True)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "enabled", bool(self.enabled))
-        object.__setattr__(self, "max_spans", int(self.max_spans))
-        object.__setattr__(self, "profiling", bool(self.profiling))
+    def _check(self) -> None:
         if self.max_spans < 1:
             raise SpecError("telemetry.max_spans", "must be at least 1")
 
     def __bool__(self) -> bool:
         return self.enabled
-
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "max_spans": self.max_spans,
-            "profiling": self.profiling,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "TelemetrySpec":
-        data = _expect_mapping(data, "telemetry")
-        _check_keys(data, ("enabled", "max_spans", "profiling"), "telemetry")
-        return cls(
-            enabled=data.get("enabled", False),
-            max_spans=data.get("max_spans", 100_000),
-            profiling=data.get("profiling", True),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -576,22 +597,17 @@ class TelemetrySpec:
 # ---------------------------------------------------------------------------
 
 def _apply_override(doc: dict, path: str, value: Any) -> None:
-    """Write one dotted override path into a ``ScenarioSpec.to_dict`` doc."""
+    """Write one dotted override path into a ``ScenarioSpec.to_dict`` doc.
+
+    A path names a section and one of its scalar fields (the section's
+    ``_LEAVES``); the special cases are below.
+    """
     head, _, rest = path.partition(".")
     if head == "seed" and not rest:
-        doc["execution"]["seed"] = value
-        return
-    if head == "population":
-        if rest in ("n_devices", "seed", "columnar"):
-            doc["population"][rest] = value
-        elif rest in _POPULATION_OVERRIDE_FIELDS:
-            doc["population"]["overrides"][rest] = value
-        else:
-            raise SpecError(path, "unknown population field")
-        return
+        head, rest = "execution", "seed"
     if head == "tasks":
-        which, _, task_field = rest.partition(".")
-        if not task_field:
+        which, _, rest = rest.partition(".")
+        if not rest:
             raise SpecError(path, "expected tasks.<index-or-name>.<field>")
         names = [t["name"] for t in doc["tasks"]]
         if which.isdigit():
@@ -602,53 +618,48 @@ def _apply_override(doc: dict, path: str, value: Any) -> None:
             idx = names.index(which)
         else:
             raise SpecError(path, f"no task {which!r}; tasks: {', '.join(names)}")
-        if task_field.startswith("trainer_params."):
-            doc["tasks"][idx]["trainer_params"][
-                task_field[len("trainer_params."):]
-            ] = value
-        elif task_field in {f.name for f in dataclasses.fields(TaskSpec)}:
-            doc["tasks"][idx][task_field] = value
-        else:
-            raise SpecError(path, f"unknown TaskSpec field {task_field!r}")
-        return
-    if head in ("plane", "execution"):
-        # Check field names, not doc keys: fields omitted from to_dict()
-        # when at their default (e.g. plane.executor) are still
-        # overridable.
-        cls = PlaneSpec if head == "plane" else ExecutionSpec
-        if rest not in {f.name for f in dataclasses.fields(cls)}:
-            raise SpecError(path, f"unknown {head} field {rest!r}")
-        doc[head][rest] = value
-        return
-    if head == "system":
+        section, cls = doc["tasks"][idx], TaskSpec
+        if rest.startswith("trainer_params."):
+            section["trainer_params"][rest[len("trainer_params."):]] = value
+            return
+        unknown = f"unknown TaskSpec field {rest!r}"
+    elif head == "system":
         if not rest:
             raise SpecError(path, "expected system.<field>")
         doc["system"][rest] = value
         return
-    if head == "faults":
+    elif head == "faults" and rest != "seed":
         # Only the injector seed is sweepable; the event schedule is
         # structured (a list of kind/at_s/params rows), not a scalar a
         # dotted path can address — build a new FaultSpec instead.
-        if rest != "seed":
+        raise SpecError(
+            path,
+            "only faults.seed is overridable; edit the events list "
+            "via FaultSpec directly",
+        )
+    else:
+        kind = ScenarioSpec._KINDS.get(head)
+        if type(kind) is not _Section:
             raise SpecError(
                 path,
-                "only faults.seed is overridable; edit the events list "
-                "via FaultSpec directly",
+                f"unknown section; use {'/'.join(ScenarioSpec._KINDS)}/seed",
             )
-        doc.setdefault("faults", {"events": [], "seed": None})["seed"] = value
-        return
-    if head == "telemetry":
-        if rest not in {f.name for f in dataclasses.fields(TelemetrySpec)}:
-            raise SpecError(path, f"unknown telemetry field {rest!r}")
-        doc.setdefault(
-            "telemetry", {"enabled": False, "max_spans": 100_000, "profiling": True}
-        )[rest] = value
-        return
-    raise SpecError(
-        path,
-        "unknown section; use population/tasks/plane/system/execution/"
-        "faults/telemetry/seed",
-    )
+        cls = kind.cls
+        if head not in doc:  # an omitted section (faults, telemetry)
+            doc[head] = cls().to_dict()
+        section = doc[head]
+        if head == "population":
+            if rest in _POPULATION_OVERRIDE_FIELDS:
+                section["overrides"][rest] = value
+                return
+            unknown = "unknown population field"
+        else:
+            unknown = f"unknown {head} field {rest!r}"
+    # Check field names, not doc keys: fields omitted from to_dict() when
+    # at their default (e.g. plane.executor) are still overridable.
+    if rest not in cls._LEAVES:
+        raise SpecError(path, unknown)
+    section[rest] = value
 
 
 _SYSTEM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig))
@@ -657,8 +668,9 @@ _SYSTEM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig))
 _PLANE_OWNED = ("num_shards", "shard_routing", "shard_executor", "plane")
 
 
+@_table("")
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """A complete, declarative description of one simulated deployment.
 
     ``system`` holds :class:`~repro.system.orchestrator.SystemConfig`
@@ -668,35 +680,19 @@ class ScenarioSpec:
     and are rejected here with a pointer.
     """
 
-    population: PopulationSpec
-    tasks: tuple[TaskSpec, ...] = ()
-    plane: PlaneSpec = field(default_factory=PlaneSpec)
-    system: tuple[tuple[str, Any], ...] = ()
-    execution: ExecutionSpec = field(default_factory=ExecutionSpec)
-    faults: FaultSpec = field(default_factory=FaultSpec)
-    telemetry: TelemetrySpec = field(default_factory=TelemetrySpec)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.population, PopulationSpec):
-            raise SpecError("population", "must be a PopulationSpec")
-        if not isinstance(self.plane, PlaneSpec):
-            raise SpecError("plane", "must be a PlaneSpec")
-        if not isinstance(self.execution, ExecutionSpec):
-            raise SpecError("execution", "must be an ExecutionSpec")
-        if not isinstance(self.faults, FaultSpec):
-            raise SpecError("faults", "must be a FaultSpec")
-        if not isinstance(self.telemetry, TelemetrySpec):
-            raise SpecError("telemetry", "must be a TelemetrySpec")
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        for i, task in enumerate(self.tasks):
-            if not isinstance(task, TaskSpec):
-                raise SpecError(f"tasks[{i}]", "must be a TaskSpec")
-        object.__setattr__(self, "system", _freeze_items(self.system, "system"))
-        self._validate()
+    population: PopulationSpec = _field(_Section(PopulationSpec))
+    tasks: tuple[TaskSpec, ...] = _field(_Sections(TaskSpec, "task"), ())
+    plane: PlaneSpec = _field(_Section(PlaneSpec), factory=PlaneSpec)
+    system: tuple[tuple[str, Any], ...] = _field(_ITEMS, ())
+    execution: ExecutionSpec = _field(_Section(ExecutionSpec), factory=ExecutionSpec)
+    faults: FaultSpec = _field(_Section(FaultSpec), factory=FaultSpec, omit=True)
+    telemetry: TelemetrySpec = _field(
+        _Section(TelemetrySpec), factory=TelemetrySpec, omit=True
+    )
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _check(self) -> None:
         if not self.tasks:
             raise SpecError("tasks", "a scenario needs at least one task")
         names = [t.name for t in self.tasks]
@@ -751,8 +747,6 @@ class ScenarioSpec:
                 )
         try:
             system = self.system_config()
-        except SpecError:
-            raise
         except (ValueError, KeyError) as exc:
             raise SpecError("system", str(exc)) from exc
         self._validate_faults(system)
@@ -819,50 +813,6 @@ class ScenarioSpec:
         """The population's seed (defaults to the deployment seed)."""
         seed = self.population.seed
         return self.execution.seed if seed is None else seed
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-able document; ``from_dict`` reconstructs an equal spec."""
-        doc = {
-            "population": self.population.to_dict(),
-            "tasks": [t.to_dict() for t in self.tasks],
-            "plane": self.plane.to_dict(),
-            "system": _thaw_items(self.system),
-            "execution": self.execution.to_dict(),
-        }
-        # Omitted when default so canonical JSON — and therefore every
-        # existing sweep-cache fingerprint — is unchanged.
-        if self.faults:
-            doc["faults"] = self.faults.to_dict()
-        if self.telemetry:
-            doc["telemetry"] = self.telemetry.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict` (tolerant of omitted sections)."""
-        data = _expect_mapping(data, "scenario")
-        _check_keys(
-            data,
-            ("population", "tasks", "plane", "system", "execution", "faults",
-             "telemetry"),
-            "scenario",
-        )
-        if "population" not in data:
-            raise SpecError("population", "required section is missing")
-        tasks_data = data.get("tasks", [])
-        if not isinstance(tasks_data, Sequence) or isinstance(tasks_data, (str, bytes)):
-            raise SpecError("tasks", "must be a list of task mappings")
-        return cls(
-            population=PopulationSpec.from_dict(data["population"]),
-            tasks=tuple(TaskSpec.from_dict(t) for t in tasks_data),
-            plane=PlaneSpec.from_dict(data.get("plane") or {"name": "single"}),
-            system=_expect_mapping(data.get("system") or {}, "system"),
-            execution=ExecutionSpec.from_dict(data.get("execution") or {}),
-            faults=FaultSpec.from_dict(data.get("faults") or {}),
-            telemetry=TelemetrySpec.from_dict(data.get("telemetry") or {}),
-        )
 
     # -- declarative overrides (what sweeps grid over) ----------------------
 

@@ -121,6 +121,9 @@ def parse_grid(entries: list[str]) -> dict[str, list]:
 
 
 def _coerce(text: str):
+    # JSON's spelling of booleans, so boolean spec fields can be gridded.
+    if text in ("true", "false"):
+        return text == "true"
     for cast in (int, float):
         try:
             return cast(text)

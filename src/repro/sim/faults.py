@@ -36,6 +36,7 @@ behaviour at all.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -65,13 +66,23 @@ class FaultParamError(ValueError):
         self.message = message
 
 
+# The value vocabulary of fault params and ScenarioSpec fields alike: each
+# check returns the normalized value or raises ValueError(message).  Numbers
+# never accept bool or str; integers accept integral floats (numpy scalars
+# included); booleans accept only bool.
+
+
+def _integer(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("must be an integer")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError("must be an integer")
+    return int(value)
+
+
 def _int_ge(n: int) -> Callable[[Any], int]:
     def check(value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError("must be an integer")
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError("must be an integer")
-        value = int(value)
+        value = _integer(value)
         if value < n:
             raise ValueError(f"must be >= {n}")
         return value
@@ -79,15 +90,21 @@ def _int_ge(n: int) -> Callable[[Any], int]:
     return check
 
 
+def _number(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _float_pos(value: Any) -> float:
-    value = float(value)
+    value = _number(value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError("must be a positive number")
     return value
 
 
 def _fraction(value: Any) -> float:
-    value = float(value)
+    value = _number(value)
     if not (0.0 < value <= 1.0):
         raise ValueError("must be in (0, 1]")
     return value
@@ -97,6 +114,17 @@ def _string(value: Any) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError("must be a non-empty string")
     return value
+
+
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _optional(check: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``check``, except that ``None`` passes through unchanged."""
+    return lambda value: None if value is None else check(value)
 
 
 @dataclass(frozen=True)

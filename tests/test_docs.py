@@ -7,7 +7,8 @@ Two mechanisms, both also run by the CI docs job:
   with the registry description verbatim and a CLI invocation, and no
   section documents an unregistered experiment), and
   ``docs/OBSERVABILITY.md``'s catalog tables list exactly the
-  metrics/spans/phases the observability plane emits;
+  metrics/spans/phases the observability plane emits, and
+  ``docs/SPEC.md`` has one field table per ScenarioSpec section class;
 * doctests — every ``pycon`` block in the README and ``docs/*.md`` is
   an executable example, run here so the prose can't rot.
 """
@@ -139,6 +140,60 @@ class TestCatalogSync:
         assert check_docs.find_catalog_drift(tmp_path) == [
             "docs/OBSERVABILITY.md is missing"
         ]
+
+
+def drifted_spec_copy(tmp_path, mutate):
+    """A tmp repo root whose SPEC.md is ``mutate``-d."""
+    text = (REPO_ROOT / "docs" / "SPEC.md").read_text(encoding="utf-8")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "docs" / "SPEC.md").write_text(mutate(text), encoding="utf-8")
+    return tmp_path
+
+
+class TestSpecTableSync:
+    def test_repo_spec_tables_are_in_sync(self, check_docs):
+        problems = check_docs.find_spec_drift(REPO_ROOT)
+        assert problems == [], "\n".join(problems)
+
+    def test_undocumented_field_detected(self, check_docs, tmp_path):
+        root = drifted_spec_copy(
+            tmp_path,
+            lambda t: "\n".join(
+                row for row in t.splitlines() if not row.startswith("| `columnar`")
+            ),
+        )
+        problems = check_docs.find_spec_drift(root)
+        assert problems == ["docs/SPEC.md: PopulationSpec table is missing `columnar`"]
+
+    def test_phantom_field_detected(self, check_docs, tmp_path):
+        root = drifted_spec_copy(
+            tmp_path,
+            lambda t: t.replace(
+                "| `max_spans` |", "| `sample_rate` | number | `1.0` | no |\n| `max_spans` |"
+            ),
+        )
+        problems = check_docs.find_spec_drift(root)
+        assert any("`sample_rate`" in p and "not a field" in p for p in problems)
+
+    def test_omitted_at_default_column_checked(self, check_docs, tmp_path):
+        root = drifted_spec_copy(
+            tmp_path,
+            lambda t: t.replace(
+                "| `executor` | `\"inline\"` or `\"process\"` | `\"inline\"` | yes |",
+                "| `executor` | `\"inline\"` or `\"process\"` | `\"inline\"` | no |",
+            ),
+        )
+        problems = check_docs.find_spec_drift(root)
+        assert any("PlaneSpec.executor" in p for p in problems)
+
+    def test_missing_and_phantom_sections_detected(self, check_docs, tmp_path):
+        root = drifted_spec_copy(
+            tmp_path, lambda t: t.replace("## TelemetrySpec", "## ObserverSpec")
+        )
+        problems = check_docs.find_spec_drift(root)
+        assert "docs/SPEC.md: no ## TelemetrySpec section" in problems
+        assert any("## ObserverSpec is not a spec section class" in p for p in problems)
 
 
 class TestDoctests:

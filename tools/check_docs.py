@@ -20,6 +20,11 @@ metrics, spans, profiling phases — must list exactly the names the
 plane emits (``METRIC_CATALOG`` / ``SPAN_CATALOG`` / ``PHASE_CATALOG``),
 both directions.
 
+``docs/SPEC.md`` is held to the ScenarioSpec sections (``repro.api.spec``):
+one ``## ClassName`` table per section class listing exactly its
+``dataclasses.fields``, both directions, with an "omitted at default"
+column that matches each field's ``omit`` metadata.
+
 Run from the repository root (CI does, in the docs job)::
 
     python tools/check_docs.py
@@ -29,18 +34,26 @@ Exit status 0 when in sync; 1 with one diagnostic per drift otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import re
 import sys
 
 DOC_FILE = "docs/EXPERIMENTS.md"
 OBS_DOC_FILE = "docs/OBSERVABILITY.md"
+SPEC_DOC_FILE = "docs/SPEC.md"
 
 #: a catalogue section heading: ### `name`
 HEADING = re.compile(r"^### `([a-z0-9_]+)`\s*$", re.MULTILINE)
 
 #: a catalog table row: | `name` | ...
 TABLE_ROW = re.compile(r"^\| `([a-z0-9_]+)` \|", re.MULTILINE)
+
+#: a SPEC.md field row: | `name` | kind | default | yes/no |
+SPEC_ROW = re.compile(r"^\| `([a-z0-9_]+)` \|.*\| (yes|no) \|\s*$", re.MULTILINE)
+
+#: a SPEC.md section heading naming a class: ## ClassName
+CLASS_HEADING = re.compile(r"^## ([A-Z][A-Za-z]+)\s*$", re.MULTILINE)
 
 
 def load_registry(root: pathlib.Path):
@@ -102,14 +115,19 @@ def find_drift(root: pathlib.Path) -> list[str]:
     return problems
 
 
-def _doc_table_names(text: str, heading: str) -> set[str] | None:
-    """Backticked first-column entries of the table under ``## heading``."""
+def _doc_section(text: str, heading: str) -> str | None:
+    """The body under ``## heading``, up to the next ``## ``."""
     match = re.search(rf"^## {re.escape(heading)}\s*$", text, re.MULTILINE)
     if match is None:
         return None
     end = re.search(r"^## ", text[match.end():], re.MULTILINE)
-    section = text[match.end():match.end() + end.start() if end else len(text)]
-    return set(TABLE_ROW.findall(section))
+    return text[match.end():match.end() + end.start() if end else len(text)]
+
+
+def _doc_table_names(text: str, heading: str) -> set[str] | None:
+    """Backticked first-column entries of the table under ``## heading``."""
+    section = _doc_section(text, heading)
+    return None if section is None else set(TABLE_ROW.findall(section))
 
 
 def find_catalog_drift(root: pathlib.Path) -> list[str]:
@@ -145,10 +163,49 @@ def find_catalog_drift(root: pathlib.Path) -> list[str]:
     return problems
 
 
+def find_spec_drift(root: pathlib.Path) -> list[str]:
+    """Every way SPEC.md disagrees with the ScenarioSpec field tables."""
+    sys.path.insert(0, str(root / "src"))
+    from repro.api import spec as spec_module
+
+    doc_path = root / SPEC_DOC_FILE
+    if not doc_path.is_file():
+        return [f"{SPEC_DOC_FILE} is missing"]
+    text = doc_path.read_text(encoding="utf-8")
+    sections = {
+        name: cls
+        for name, cls in vars(spec_module).items()
+        if name in spec_module.__all__ and dataclasses.is_dataclass(cls)
+    }
+    headings = set(CLASS_HEADING.findall(text))
+    problems = [
+        f"{SPEC_DOC_FILE}: section ## {name} is not a spec section class"
+        for name in sorted(headings - sections.keys())
+    ]
+    for name, cls in sections.items():
+        if name not in headings:
+            problems.append(f"{SPEC_DOC_FILE}: no ## {name} section")
+            continue
+        rows = dict(SPEC_ROW.findall(_doc_section(text, name)))
+        fields = {f.name: f.metadata["omit"] for f in dataclasses.fields(cls)}
+        for field in sorted(fields.keys() - rows.keys()):
+            problems.append(f"{SPEC_DOC_FILE}: {name} table is missing `{field}`")
+        for field in sorted(rows.keys() - fields.keys()):
+            problems.append(
+                f"{SPEC_DOC_FILE}: {name} table documents `{field}`, which is not a field"
+            )
+        for field in sorted(rows.keys() & fields.keys()):
+            if (rows[field] == "yes") != fields[field]:
+                problems.append(
+                    f"{SPEC_DOC_FILE}: {name}.{field} is documented as omitted-at-default "
+                    f"{rows[field]!r}, the field table says {fields[field]}"
+                )
+    return problems
+
+
 def main(root: str | pathlib.Path = ".") -> int:
-    problems = find_drift(pathlib.Path(root)) + find_catalog_drift(
-        pathlib.Path(root)
-    )
+    root = pathlib.Path(root)
+    problems = find_drift(root) + find_catalog_drift(root) + find_spec_drift(root)
     if not problems:
         return 0
     print("docs are out of sync with the code:\n", file=sys.stderr)
@@ -160,7 +217,9 @@ def main(root: str | pathlib.Path = ".") -> int:
         " *italics*, a fenced CLI invocation; metadata lives next to each"
         " register() call in repro/harness/{figures,perf,scenario,chaos,obs}.py)"
         " and one table row per emitted metric/span/phase in"
-        " OBSERVABILITY.md (catalogs in repro/obs/telemetry.py).",
+        " OBSERVABILITY.md (catalogs in repro/obs/telemetry.py), and one"
+        " ## ClassName field table per spec section in SPEC.md (field"
+        " tables in repro/api/spec.py).",
         file=sys.stderr,
     )
     return 1
