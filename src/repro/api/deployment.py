@@ -21,6 +21,7 @@ Escape hatches for callers that already hold live objects:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Mapping
 
 from repro.api.spec import ScenarioSpec, SpecError
@@ -91,11 +92,10 @@ class Deployment:
     def population(self) -> DevicePopulation:
         """The device fleet (built once per deployment)."""
         if self._population is None:
-            pop_spec = self.spec.population
-            cls = ColumnarDevicePopulation if pop_spec.columnar else DevicePopulation
-            self._population = cls(
-                pop_spec.population_config(),
-                seed=self.spec.population_seed(),
+            self._population = build_population(
+                dataclasses.replace(
+                    self.spec.population, seed=self.spec.population_seed()
+                )
             )
         return self._population
 
@@ -140,6 +140,7 @@ class Deployment:
             population,
             network=self._network,
             system=spec.system_config(),
+            plane=spec.plane.factory(),
             seed=spec.execution.seed,
             target_loss=spec.execution.target_loss,
         )

@@ -34,6 +34,7 @@ from repro.sim.faults import (
     validate_fault_params,
 )
 from repro.sim.population import PopulationConfig
+from repro.system import planes
 from repro.system.orchestrator import SystemConfig
 
 __all__ = [
@@ -48,14 +49,11 @@ __all__ = [
     "ScenarioSpec",
 ]
 
-#: plane names with dedicated ScenarioSpec semantics (anything else is
-#: treated as a custom registered plane and pinned via SystemConfig.plane)
-BUILTIN_PLANES = ("single", "sharded", "secure", "secure_sharded")
-
 #: planes that fold across ``num_shards`` shard cores (and therefore
 #: accept ``num_shards > 1``, a ``shard_routing`` policy, and the
-#: ``process`` executor)
-SHARDED_PLANES = ("sharded", "secure_sharded")
+#: ``process`` executor), with the factory class each is built from
+SHARDED_PLANES = {"sharded": planes.ShardedPlane,
+                  "secure_sharded": planes.SecureShardedPlane}
 
 #: planes that run every task through Asynchronous SecAgg
 SECURE_PLANES = ("secure", "secure_sharded")
@@ -404,14 +402,14 @@ class TaskSpec(_Spec):
                 f"must be 'async' or 'sync', got {self.mode!r}",
             )
 
-    def task_config(self, secure: bool = False) -> TaskConfig:
+    def task_config(self) -> TaskConfig:
         """The validated :class:`TaskConfig` this spec describes."""
         fields = {
             n: getattr(self, n) for n in self._KINDS if n not in ("trainer", "trainer_params")
         }
         fields["mode"] = TrainingMode(self.mode)
         try:
-            return TaskConfig(**fields, secure_aggregation=secure)
+            return TaskConfig(**fields)
         except ValueError as exc:
             raise SpecError(f"tasks[{self.name}]", str(exc)) from exc
 
@@ -435,7 +433,7 @@ class PlaneSpec(_Spec):
     any shard count and routing (async tasks only, like both parents;
     its ``num_shards=1`` point is the degenerate single-TSA plane).
     Any other name must be a custom plane registered in
-    :mod:`repro.system.planes`; it is pinned for every task.
+    :mod:`repro.system.planes`; it hosts every task.
 
     ``executor`` picks where a sharded plane's fold work runs:
     ``"inline"`` (default — folds on the simulation thread, speedup
@@ -478,6 +476,27 @@ class PlaneSpec(_Spec):
                 f"{' or '.join(f'plane.name={p!r}' for p in SHARDED_PLANES)} "
                 "takes executor='process'",
             )
+
+    def factory(self) -> planes.PlaneFactory:
+        """The plane factory every task of the deployment is built by.
+
+        A sharded plane is constructed from this section's knobs (its
+        constructor validates the routing name); any other name is the
+        plane registered under it.
+        """
+        if self.name in SHARDED_PLANES:
+            return SHARDED_PLANES[self.name](
+                self.num_shards, self.shard_routing, self.executor
+            )
+        try:
+            return planes.get_plane(self.name)
+        except KeyError:
+            # The wording predates the one-decision plane model; it is
+            # pinned by the spec golden corpus.
+            raise ValueError(
+                f"plane must be 'auto' or a registered plane "
+                f"({', '.join(planes.plane_names())}); got {self.name!r}"
+            ) from None
 
 
 @_table("execution")
@@ -663,9 +682,14 @@ def _apply_override(doc: dict, path: str, value: Any) -> None:
 
 
 _SYSTEM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig))
-#: SystemConfig fields owned by PlaneSpec — setting them via ``system``
-#: would silently fight the plane section, so they are rejected by name.
-_PLANE_OWNED = ("num_shards", "shard_routing", "shard_executor", "plane")
+#: plane knobs a ``system`` mapping might still carry, with the plane
+#: field that owns each — rejected by name with a pointer there.
+_PLANE_OWNED = {
+    "num_shards": "plane.num_shards",
+    "shard_routing": "plane.shard_routing",
+    "shard_executor": "plane.executor",
+    "plane": "plane.name",
+}
 
 
 @_table("")
@@ -675,9 +699,9 @@ class ScenarioSpec(_Spec):
 
     ``system`` holds :class:`~repro.system.orchestrator.SystemConfig`
     overrides by field name (``n_aggregators``, ``cohort_batch_size``,
-    ``drain_threads``, ...); the plane-owned fields (``num_shards``,
-    ``shard_routing``, ``plane``) live in the ``plane`` section instead
-    and are rejected here with a pointer.
+    ``drain_threads``, ...); the plane knobs (``num_shards``,
+    ``shard_routing``, ``shard_executor``, ``plane``) live in the
+    ``plane`` section instead and are rejected here with a pointer.
     """
 
     population: PopulationSpec = _field(_Section(PopulationSpec))
@@ -710,7 +734,7 @@ class ScenarioSpec(_Spec):
                     "(Asynchronous SecAgg has no synchronous round "
                     "protocol)",
                 )
-            task.task_config(secure=secure)  # raises SpecError on bad combos
+            task.task_config()  # raises SpecError on bad combos
 
         if (
             self.plane.name == "sharded"
@@ -732,21 +756,18 @@ class ScenarioSpec(_Spec):
                     "count); aggregation-plane shards are plane.num_shards",
                 )
             if key in _PLANE_OWNED:
-                target = {
-                    "plane": "plane.name",
-                    "shard_executor": "plane.executor",
-                }.get(key, f"plane.{key}")
                 raise SpecError(
-                    f"system.{key}", f"owned by the plane section; set {target}"
+                    f"system.{key}",
+                    f"owned by the plane section; set {_PLANE_OWNED[key]}",
                 )
             if key not in _SYSTEM_FIELDS:
                 raise SpecError(
                     f"system.{key}",
-                    f"not a SystemConfig field; known: "
-                    f"{', '.join(n for n in _SYSTEM_FIELDS if n not in _PLANE_OWNED)}",
+                    f"not a SystemConfig field; known: {', '.join(_SYSTEM_FIELDS)}",
                 )
         try:
             system = self.system_config()
+            self.plane.factory()
         except (ValueError, KeyError) as exc:
             raise SpecError("system", str(exc)) from exc
         self._validate_faults(system)
@@ -795,19 +816,11 @@ class ScenarioSpec(_Spec):
 
     def system_config(self) -> SystemConfig:
         """The :class:`SystemConfig` the deployment is built with."""
-        kwargs = _thaw_items(self.system)
-        if self.plane.name in SHARDED_PLANES:
-            kwargs["num_shards"] = self.plane.num_shards
-            kwargs["shard_routing"] = self.plane.shard_routing
-            kwargs["shard_executor"] = self.plane.executor
-        elif self.plane.name not in BUILTIN_PLANES:
-            kwargs["plane"] = self.plane.name
-        return SystemConfig(**kwargs)
+        return SystemConfig(**_thaw_items(self.system))
 
     def task_configs(self) -> list[TaskConfig]:
         """Validated :class:`TaskConfig` objects, in task order."""
-        secure = self.plane.name in SECURE_PLANES
-        return [t.task_config(secure=secure) for t in self.tasks]
+        return [t.task_config() for t in self.tasks]
 
     def population_seed(self) -> int:
         """The population's seed (defaults to the deployment seed)."""

@@ -52,8 +52,6 @@ class TaskConfig:
         Hard cap on client execution time (the paper uses 4 minutes).
     local_epochs, batch_size, client_lr:
         Local-training hyperparameters (paper: 1 epoch, B=32, tuned lr).
-    secure_aggregation:
-        Whether updates are masked via Asynchronous SecAgg (Section 5).
     model_size_bytes:
         Serialized model size, used for workload estimation and the
         SecAgg boundary-cost model (paper example: 20 MB).
@@ -69,7 +67,6 @@ class TaskConfig:
     local_epochs: int = 1
     batch_size: int = 32
     client_lr: float = 0.5
-    secure_aggregation: bool = False
     model_size_bytes: int = 20 * 1024 * 1024
 
     def __post_init__(self) -> None:

@@ -13,7 +13,6 @@ import dataclasses
 from repro.api import (
     Deployment,
     ExecutionSpec,
-    PlaneSpec,
     PopulationSpec,
     ScenarioSpec,
     TaskSpec,
@@ -22,7 +21,7 @@ from repro.api import (
 from repro.core.surrogate import SurrogateParams
 from repro.harness.configs import CLIENT_TIMEOUT_S, OVER_SELECTION
 from repro.sim.population import DevicePopulation
-from repro.system.orchestrator import FederatedSimulation, SystemConfig
+from repro.system.orchestrator import FederatedSimulation
 
 __all__ = [
     "make_population",
@@ -59,36 +58,6 @@ def _trainer_params(surrogate: SurrogateParams | None) -> dict:
     }
 
 
-def _plane_and_system(system: SystemConfig | None) -> tuple[PlaneSpec, dict]:
-    """Split a SystemConfig into a PlaneSpec + plain system overrides."""
-    if system is None:
-        return PlaneSpec(), {}
-    if system.plane in ("auto", "sharded") and system.num_shards > 1:
-        plane = PlaneSpec(
-            name="sharded",
-            num_shards=system.num_shards,
-            shard_routing=system.shard_routing,
-        )
-    elif system.plane != "auto":
-        if system.num_shards > 1:
-            # A custom pinned plane carrying shard knobs has no ScenarioSpec
-            # representation; refusing beats silently dropping the shards.
-            raise ValueError(
-                f"cannot express SystemConfig(plane={system.plane!r}, "
-                f"num_shards={system.num_shards}) as a ScenarioSpec plane"
-            )
-        plane = PlaneSpec(name=system.plane)
-    else:
-        plane = PlaneSpec()
-    overrides = {
-        f.name: getattr(system, f.name)
-        for f in dataclasses.fields(SystemConfig)
-        if f.name not in ("num_shards", "shard_routing", "plane")
-        and getattr(system, f.name) != f.default
-    }
-    return plane, overrides
-
-
 def _population_spec(
     population: DevicePopulation | PopulationSpec,
 ) -> PopulationSpec:
@@ -104,12 +73,10 @@ def async_scenario(
     seed: int = 0,
     max_staleness: int = 100,
     surrogate: SurrogateParams | None = None,
-    system: SystemConfig | None = None,
     target_loss: float | None = None,
     t_end_s: float | None = None,
 ) -> ScenarioSpec:
     """An AsyncFL (FedBuff) deployment with a surrogate trainer, as a spec."""
-    plane, overrides = _plane_and_system(system)
     return ScenarioSpec(
         population=_population_spec(population),
         tasks=(
@@ -125,8 +92,6 @@ def async_scenario(
                 trainer_params=_trainer_params(surrogate),
             ),
         ),
-        plane=plane,
-        system=overrides,
         execution=ExecutionSpec(
             seed=seed, t_end_s=t_end_s, target_loss=target_loss
         ),
@@ -139,7 +104,6 @@ def sync_scenario(
     over_selection: float = OVER_SELECTION,
     seed: int = 0,
     surrogate: SurrogateParams | None = None,
-    system: SystemConfig | None = None,
     target_loss: float | None = None,
     t_end_s: float | None = None,
 ) -> ScenarioSpec:
@@ -147,7 +111,6 @@ def sync_scenario(
     import math
 
     cohort = int(math.ceil(goal * (1.0 + over_selection)))
-    plane, overrides = _plane_and_system(system)
     return ScenarioSpec(
         population=_population_spec(population),
         tasks=(
@@ -163,8 +126,6 @@ def sync_scenario(
                 trainer_params=_trainer_params(surrogate),
             ),
         ),
-        plane=plane,
-        system=overrides,
         execution=ExecutionSpec(
             seed=seed, t_end_s=t_end_s, target_loss=target_loss
         ),

@@ -92,7 +92,8 @@ class FixedPointCodec:
         ------
         FixedPointOverflowError
             If any scaled value falls outside the signed representable
-            range (only possible when ``clip_value`` is unset or too big).
+            range (only possible when ``clip_value`` is unset or too big),
+            or is NaN (clipping keeps a NaN a NaN).
         """
         # One private float64 buffer (the caller's array is never touched),
         # then clip -> scale -> rint in place.
@@ -101,13 +102,19 @@ class FixedPointCodec:
             np.clip(scaled, -self.clip_value, self.clip_value, out=scaled)
         np.multiply(scaled, self.scale, out=scaled)
         np.rint(scaled, out=scaled)
-        if scaled.size and (
-            scaled.min() < -self.half_low or scaled.max() >= self.half_high
-        ):
-            raise FixedPointOverflowError(
-                f"value out of fixed-point range ±{self.max_abs_value:.6g}; "
-                "lower `scale`, set `clip_value`, or widen the group"
-            )
+        if scaled.size:
+            low, high = scaled.min(), scaled.max()
+            # Written so that a NaN (which min/max propagate and every
+            # comparison rejects) fails the check instead of passing it.
+            if not (low >= -self.half_low and high < self.half_high):
+                if np.isnan(low):
+                    raise FixedPointOverflowError(
+                        "input contains NaN, which has no fixed-point encoding"
+                    )
+                raise FixedPointOverflowError(
+                    f"value out of fixed-point range ±{self.max_abs_value:.6g}; "
+                    "lower `scale`, set `clip_value`, or widen the group"
+                )
         # Two's-complement mapping: negatives wrap to the top of the group.
         # Viewing int64 as uint64 is that wrap mod 2^64, and 2^bits divides
         # 2^64, so the reduction is exact for every group width.

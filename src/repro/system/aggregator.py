@@ -13,6 +13,8 @@ An :class:`FLTaskRuntime` owns one task: its config, its aggregation core
 adapter, and the set of live client sessions.  It is where server steps
 trigger the paper's post-step actions: evaluating the new model, aborting
 stale clients (async) and round stragglers (sync).
+:class:`SecureFLTaskRuntime` is the same runtime with its FedBuff core
+behind Asynchronous SecAgg (Section 5).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.system.adapters import TrainerAdapter
 from repro.system.client_runtime import ClientSession, CohortDispatcher, PendingTraining
 from repro.utils.logging import EventLog
 
-__all__ = ["FLTaskRuntime", "AggregatorNode"]
+__all__ = ["FLTaskRuntime", "SecureFLTaskRuntime", "AggregatorNode"]
 
 
 class FLTaskRuntime:
@@ -69,12 +71,6 @@ class FLTaskRuntime:
         self.on_slot_free = on_slot_free or (lambda: None)
         self.cohort = cohort
 
-        if config.secure_aggregation and config.mode is not TrainingMode.ASYNC:
-            raise ValueError(
-                "secure aggregation is implemented via the Asynchronous "
-                "SecAgg protocol; set mode=ASYNC (the paper's SMPC-based "
-                "synchronous SecAgg is out of scope, Section 5)"
-            )
         self.core = self._build_core(config, adapter)
 
         self.sessions: dict[int, ClientSession] = {}
@@ -82,22 +78,12 @@ class FLTaskRuntime:
         self.node: "AggregatorNode | None" = None  # set on placement
 
     def _build_core(self, config: TaskConfig, adapter: TrainerAdapter):
-        """Construct the task's aggregation core (the mode/privacy switch).
+        """Construct the task's aggregation core (the mode switch).
 
-        Seam for the sharded runtimes: they override this to stand up a
-        sharded core instead, so the base constructor never builds (and
-        throws away) a single-core aggregator — for secure tasks that
-        construction mints a pool of DH legs, which is far too expensive
-        to waste.
+        Seam for the secure and sharded runtimes: they override this to
+        stand up their own core instead, so the base constructor never
+        builds (and throws away) a plain aggregator.
         """
-        if config.secure_aggregation:
-            return SecureBufferedAggregator(
-                adapter.state,
-                goal=config.aggregation_goal,
-                vector_length=adapter.state.size,
-                max_staleness=config.max_staleness,
-                example_weighting=adapter.recommended_example_weighting,
-            )
         if config.mode is TrainingMode.ASYNC:
             return FedBuffAggregator(
                 adapter.state,
@@ -265,6 +251,30 @@ class FLTaskRuntime:
         self.sessions.clear()
         self.pending_assignments = 0
         self.on_slot_free()
+
+
+class SecureFLTaskRuntime(FLTaskRuntime):
+    """Server-side runtime of one task aggregated through Asynchronous SecAgg.
+
+    The whole-task runtime with a masked core: FedBuff's buffer lives
+    inside a TSA (Section 5), so the server never sees an update in the
+    clear.
+    """
+
+    def _build_core(self, config: TaskConfig, adapter: TrainerAdapter):
+        if config.mode is not TrainingMode.ASYNC:
+            raise ValueError(
+                "secure aggregation is implemented via the Asynchronous "
+                "SecAgg protocol; set mode=ASYNC (the paper's SMPC-based "
+                "synchronous SecAgg is out of scope, Section 5)"
+            )
+        return SecureBufferedAggregator(
+            adapter.state,
+            goal=config.aggregation_goal,
+            vector_length=adapter.state.size,
+            max_staleness=config.max_staleness,
+            example_weighting=adapter.recommended_example_weighting,
+        )
 
 
 class AggregatorNode:

@@ -54,33 +54,15 @@ class SystemConfig:
     (bit-equivalent results, identical event order and timings — only the
     simulator's wall-clock drops).
 
-    ``num_shards`` / ``shard_routing`` switch every async task onto a
-    sharded hierarchical aggregation plane: ``num_shards`` shard cores
-    spread across the aggregator pool, clients routed to shards by a
-    routing policy registered in :mod:`repro.system.planes` (``"hash"``
-    and ``"load"`` built in), one root reducer merging shard partials
-    per server step (see :mod:`repro.system.sharding`; secure tasks
-    shard too — their root merges *masked group sums*, see
-    :mod:`repro.system.secure_sharding`).
-    The default ``num_shards=1`` never constructs any of it — the
-    single-aggregator path is byte-for-byte the pre-sharding code.
-    ``shard_executor`` picks where shard folds run: ``"inline"``
-    (default — on the simulation thread, parallelism modeled by the
-    plane clock) or ``"process"`` (real ``multiprocessing`` shard
-    workers over shared memory, bit-identical results; see
-    :mod:`repro.core.parallel`).
+    The aggregation plane (single, sharded, secure, secure_sharded or a
+    custom one, with its shard count, routing and executor) is not a
+    field here: it is the plane factory passed to
+    :class:`FederatedSimulation` as ``plane=`` (see
+    :mod:`repro.system.planes`).
 
     ``drain_threads`` is the size of each :class:`AggregatorNode`'s
     queue-draining thread pool — a per-node concurrency knob, unrelated
-    to ``num_shards``.
-
-    ``plane`` selects the aggregation-plane factory from
-    :mod:`repro.system.planes`: ``"auto"`` (default) derives it per task
-    — secure tasks → ``"secure"`` (``"secure_sharded"`` when
-    ``num_shards > 1``), ``num_shards > 1`` → ``"sharded"`` for async
-    non-secure tasks, else ``"single"`` — while an explicit
-    registered name pins every task to that plane (the extension point
-    for custom planes).
+    to the sharded planes' shard count.
 
     ``rebalance_queue_threshold_s`` is the aggregation-queue backpressure
     (seconds of backlog on a node's busiest drain thread) above which
@@ -108,11 +90,7 @@ class SystemConfig:
     pump_interval_s: float = 5.0
     min_reparticipation_interval_s: float = 0.0
     cohort_batch_size: int = 1
-    num_shards: int = 1
-    shard_routing: str = "hash"
-    shard_executor: str = "inline"
     rebalance_queue_threshold_s: float = 30.0
-    plane: str = "auto"
     selection_backoff: str = "fixed,jitter=0.5"
     checkin_backoff: str = "fixed"
     placement_retry: str = "always"
@@ -128,25 +106,8 @@ class SystemConfig:
             raise ValueError("min_reparticipation_interval_s must be non-negative")
         if self.cohort_batch_size < 1:
             raise ValueError("cohort_batch_size must be at least 1")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        if self.shard_routing not in planes.routing_names():
-            raise ValueError(
-                f"shard_routing must be one of "
-                f"{', '.join(planes.routing_names())} (got {self.shard_routing!r})"
-            )
-        if self.shard_executor not in ("inline", "process"):
-            raise ValueError(
-                "shard_executor must be 'inline' or 'process' "
-                f"(got {self.shard_executor!r})"
-            )
         if self.rebalance_queue_threshold_s <= 0:
             raise ValueError("rebalance_queue_threshold_s must be positive")
-        if self.plane != "auto" and self.plane not in planes.plane_names():
-            raise ValueError(
-                f"plane must be 'auto' or a registered plane "
-                f"({', '.join(planes.plane_names())}); got {self.plane!r}"
-            )
         # Parse-validate the policy strings now so a bad policy fails at
         # config construction, not mid-run.
         for label, text in (
@@ -220,7 +181,11 @@ class RunResult:
 
 
 class FederatedSimulation:
-    """A runnable simulated PAPAYA deployment."""
+    """A runnable simulated PAPAYA deployment.
+
+    ``plane`` is the aggregation-plane factory every task runtime is
+    built by (default: one :class:`~repro.system.planes.SinglePlane`).
+    """
 
     def __init__(
         self,
@@ -228,6 +193,7 @@ class FederatedSimulation:
         population: DevicePopulation,
         network: NetworkModel | None = None,
         system: SystemConfig | None = None,
+        plane: planes.PlaneFactory | None = None,
         seed: int = 0,
         target_loss: float | None = None,
     ):
@@ -240,6 +206,7 @@ class FederatedSimulation:
         self.population = population
         self.network = network or NetworkModel()
         self.system = system or SystemConfig()
+        self.plane = plane or planes.SinglePlane()
         self.seed = seed
         self.target_loss = target_loss
 
@@ -297,21 +264,11 @@ class FederatedSimulation:
                 dispatcher = CohortDispatcher(
                     adapter, max_cohort=self.system.cohort_batch_size
                 )
-            # Plane selection + construction go through the registry in
-            # repro.system.planes: new planes plug in by registration,
-            # not by editing this loop.
-            plane_name, fallback = planes.resolve_plane(cfg, self.system)
-            if fallback is not None:
-                self.log.emit(
-                    self.sim.now, f"task:{cfg.name}", "plane_fallback",
-                    task=cfg.name, requested=fallback["requested"],
-                    chosen=plane_name, reason=fallback["reason"],
-                )
-            rt: FLTaskRuntime = planes.get_plane(plane_name).build(
+            rt: FLTaskRuntime = self.plane.build(
                 planes.PlaneContext(
                     config=cfg, adapter=adapter, sim=self.sim,
                     trace=self.trace, log=self.log, on_slot_free=self._pump,
-                    cohort=dispatcher, system=self.system,
+                    cohort=dispatcher,
                 )
             )
             self.task_runtimes[cfg.name] = rt

@@ -7,13 +7,14 @@ here, keyed by name, so a new plane/routing/trainer plugs in with one
 ``register_*`` call instead of an orchestrator edit:
 
 * **Aggregation planes** — how one task's server-side aggregation is
-  laid out over aggregator nodes.  A :class:`PlaneFactory` builds the
-  task runtime; ``"single"`` (one :class:`~repro.system.aggregator.
-  FLTaskRuntime` on one node), ``"sharded"`` (S shard cores + root
-  reducer spread over the pool), ``"secure"`` (FedBuff through
-  Asynchronous SecAgg) and ``"secure_sharded"`` (S shard TSA+server
-  pairs under one trusted root reducer) are built in.
-* **Shard routings** — client→shard policies for the sharded plane
+  laid out over aggregator nodes.  A plane factory holds the plane's
+  knobs and builds each task's runtime; ``"single"`` (one
+  :class:`~repro.system.aggregator.FLTaskRuntime` on one node),
+  ``"sharded"`` (S shard cores + root reducer spread over the pool),
+  ``"secure"`` (FedBuff through Asynchronous SecAgg) and
+  ``"secure_sharded"`` (S shard TSA+server pairs under one trusted root
+  reducer) are built in.
+* **Shard routings** — client→shard policies for the sharded planes
   (``"hash"``, ``"load"``; see :mod:`repro.core.sharding`).
 * **Trainer adapters** — named factories building
   :class:`~repro.system.adapters.TrainerAdapter` backends from plain
@@ -21,15 +22,13 @@ here, keyed by name, so a new plane/routing/trainer plugs in with one
   can name its trainer (``"surrogate"``, ``"real_lstm"``, or
   ``"external"`` for adapters injected at deployment time).
 
-Plane *selection* (:func:`resolve_plane`) extends the orchestrator's
-historical derivation: secure tasks get the secure plane — hierarchical
-(``"secure_sharded"``) when ``num_shards > 1``, since masked group sums
-merge exactly across shards — ``num_shards > 1`` shards every async
-non-secure task, everything else runs single.  When a task cannot run
-on the requested plane the
-selection reports a structured fallback (task, requested plane, reason)
-that the orchestrator emits as a ``plane_fallback`` event — the
-misconfiguration is visible in the log instead of silently absorbed.
+The plane is decided once per deployment: ``ScenarioSpec.plane``
+names it (a custom plane by its registered name), and the simulation's
+``plane`` argument builds every task on that one factory.  The only
+per-task choice left is the sharded plane's: a sync task cannot be
+sharded, so it runs on ``"single"`` and the plane logs a structured
+``plane_fallback`` event (task, requested, chosen, reason) — the
+substitution is visible in the log instead of silently absorbed.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.core.sharding import ROUTING_POLICIES
 from repro.core.surrogate import SurrogateParams
 from repro.core.types import TaskConfig, TrainingMode
 from repro.system.adapters import SurrogateAdapter, TrainerAdapter
-from repro.system.aggregator import FLTaskRuntime
+from repro.system.aggregator import FLTaskRuntime, SecureFLTaskRuntime
 from repro.system.secure_sharding import SecureShardedFLTaskRuntime
 from repro.system.sharding import ShardedFLTaskRuntime
 
@@ -50,17 +49,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.population import DevicePopulation
     from repro.sim.trace import MetricsTrace
     from repro.system.client_runtime import CohortDispatcher
-    from repro.system.orchestrator import SystemConfig
     from repro.utils.logging import EventLog
 
 __all__ = [
     "Registry",
     "PlaneContext",
     "PlaneFactory",
+    "SinglePlane",
+    "SecurePlane",
+    "ShardedPlane",
+    "SecureShardedPlane",
     "register_plane",
     "get_plane",
     "plane_names",
-    "resolve_plane",
     "register_routing",
     "make_routing",
     "routing_names",
@@ -102,6 +103,32 @@ class Registry:
 
 
 # ---------------------------------------------------------------------------
+# Shard routing policies
+# ---------------------------------------------------------------------------
+
+# A view over the one routing table, ``repro.core.sharding.ROUTING_POLICIES``:
+# a policy registered here is also what ``ShardedFedBuffAggregator(routing=
+# "name")`` resolves.
+_ROUTINGS = Registry("shard routing policy")
+_ROUTINGS._entries = ROUTING_POLICIES
+
+
+def register_routing(name: str, policy: Callable[[], Any], replace: bool = False):
+    """Register a zero-argument routing-policy factory under ``name``."""
+    return _ROUTINGS.register(name, policy, replace=replace)
+
+
+def make_routing(name: str):
+    """Instantiate the routing policy registered under ``name``."""
+    return _ROUTINGS.get(name)()
+
+
+def routing_names() -> list[str]:
+    """Sorted names of all registered routing policies."""
+    return _ROUTINGS.names()
+
+
+# ---------------------------------------------------------------------------
 # Aggregation planes
 # ---------------------------------------------------------------------------
 
@@ -116,7 +143,6 @@ class PlaneContext:
     log: "EventLog"
     on_slot_free: Callable[[], None]
     cohort: "CohortDispatcher | None"
-    system: "SystemConfig"
 
 
 class PlaneFactory(Protocol):
@@ -133,52 +159,83 @@ class SinglePlane:
     """One aggregation core hosted whole on one aggregator node."""
 
     name = "single"
+    runtime = FLTaskRuntime
 
     def build(self, ctx: PlaneContext) -> FLTaskRuntime:
-        return FLTaskRuntime(
+        return self.runtime(
             ctx.config, ctx.adapter, ctx.sim, ctx.trace, ctx.log,
             on_slot_free=ctx.on_slot_free, cohort=ctx.cohort,
         )
 
 
-class SecurePlane:
-    """FedBuff through Asynchronous SecAgg (masked server-side buffer).
-
-    The secure core rides the whole-task runtime: :class:`FLTaskRuntime`
-    constructs :class:`~repro.system.secure.SecureBufferedAggregator`
-    when the task config demands secure aggregation.
-    """
+class SecurePlane(SinglePlane):
+    """FedBuff through Asynchronous SecAgg (masked server-side buffer)."""
 
     name = "secure"
-
-    def build(self, ctx: PlaneContext) -> FLTaskRuntime:
-        if not ctx.config.secure_aggregation:
-            raise ValueError(
-                f"task {ctx.config.name!r} is on the secure plane but its "
-                "TaskConfig has secure_aggregation=False"
-            )
-        return FLTaskRuntime(
-            ctx.config, ctx.adapter, ctx.sim, ctx.trace, ctx.log,
-            on_slot_free=ctx.on_slot_free, cohort=ctx.cohort,
-        )
+    runtime = SecureFLTaskRuntime
 
 
 class ShardedPlane:
-    """S shard cores + a root reducer spread across the aggregator pool."""
+    """S shard cores + a root reducer spread across the aggregator pool.
+
+    The plane's knobs are validated here, once: ``num_shards`` shard
+    cores, clients routed to them by the ``shard_routing`` policy
+    registered below, shard folds run by the ``"inline"`` or
+    ``"process"`` ``executor`` (see :mod:`repro.core.parallel`).
+    ``num_shards=1`` is the degenerate point: tasks run on the
+    ``unsharded`` plane and no shard machinery is constructed.  Sharding
+    partially evaluates FedBuff's buffered fold, so a sync task in a
+    mixed workload runs on the unsharded plane too, logged as a
+    ``plane_fallback`` event.
+    """
 
     name = "sharded"
+    runtime = ShardedFLTaskRuntime
+    unsharded = SinglePlane()
+
+    def __init__(
+        self, num_shards: int = 2, shard_routing: str = "hash", executor: str = "inline"
+    ):
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
+        if shard_routing not in routing_names():
+            raise ValueError(
+                f"shard_routing must be one of "
+                f"{', '.join(routing_names())} (got {shard_routing!r})"
+            )
+        if executor not in ("inline", "process"):
+            raise ValueError(
+                f"executor must be 'inline' or 'process' (got {executor!r})"
+            )
+        self.num_shards = num_shards
+        self.shard_routing = shard_routing
+        self.executor = executor
 
     def build(self, ctx: PlaneContext) -> FLTaskRuntime:
-        return ShardedFLTaskRuntime(
-            ctx.config, ctx.adapter, ctx.sim, ctx.trace, ctx.log,
+        if self.num_shards == 1:
+            return self.unsharded.build(ctx)
+        config = ctx.config
+        if config.mode is not TrainingMode.ASYNC:
+            # Built before the event is logged: the secure plane rejects
+            # a sync task outright.
+            rt = self.unsharded.build(ctx)
+            ctx.log.emit(
+                ctx.sim.now, f"task:{config.name}", "plane_fallback",
+                task=config.name, requested=self.name, chosen=self.unsharded.name,
+                reason="sharded aggregation requires mode=ASYNC "
+                       f"(task mode is {config.mode.value!r})",
+            )
+            return rt
+        return self.runtime(
+            config, ctx.adapter, ctx.sim, ctx.trace, ctx.log,
             on_slot_free=ctx.on_slot_free, cohort=ctx.cohort,
-            num_shards=ctx.system.num_shards,
-            shard_routing=make_routing(ctx.system.shard_routing),
-            executor=ctx.system.shard_executor,
+            num_shards=self.num_shards,
+            shard_routing=make_routing(self.shard_routing),
+            executor=self.executor,
         )
 
 
-class SecureShardedPlane:
+class SecureShardedPlane(ShardedPlane):
     """Hierarchical secure aggregation: shard TSAs under one trusted root.
 
     Each shard runs its own long-lived TSA + server pair over its
@@ -189,20 +246,8 @@ class SecureShardedPlane:
     """
 
     name = "secure_sharded"
-
-    def build(self, ctx: PlaneContext) -> FLTaskRuntime:
-        if not ctx.config.secure_aggregation:
-            raise ValueError(
-                f"task {ctx.config.name!r} is on the secure_sharded plane "
-                "but its TaskConfig has secure_aggregation=False"
-            )
-        return SecureShardedFLTaskRuntime(
-            ctx.config, ctx.adapter, ctx.sim, ctx.trace, ctx.log,
-            on_slot_free=ctx.on_slot_free, cohort=ctx.cohort,
-            num_shards=ctx.system.num_shards,
-            shard_routing=make_routing(ctx.system.shard_routing),
-            executor=ctx.system.shard_executor,
-        )
+    runtime = SecureShardedFLTaskRuntime
+    unsharded = SecurePlane()
 
 
 _PLANES = Registry("aggregation plane")
@@ -227,72 +272,6 @@ register_plane(SinglePlane())
 register_plane(ShardedPlane())
 register_plane(SecurePlane())
 register_plane(SecureShardedPlane())
-
-
-def resolve_plane(
-    config: TaskConfig, system: "SystemConfig"
-) -> tuple[str, dict[str, str] | None]:
-    """Which plane hosts this task, and whether that is a fallback.
-
-    With ``system.plane == "auto"`` (the default) this extends the
-    derivation the orchestrator hard-coded before the registry existed:
-
-    * ``secure_aggregation`` tasks → ``"secure"``, or
-      ``"secure_sharded"`` when ``num_shards > 1`` (group sums merge
-      exactly across shards, so sharding composes with SecAgg);
-    * ``num_shards > 1`` → ``"sharded"`` for async non-secure tasks;
-    * everything else → ``"single"``.
-
-    A non-``"auto"`` ``system.plane`` pins every task to that registered
-    plane by name (the extension point for custom planes).
-
-    Returns ``(plane_name, fallback)`` where ``fallback`` is ``None`` on
-    a direct match, or ``{"requested": ..., "reason": ...}`` when the
-    deployment asked for a plane this task cannot run on and a
-    compatible one was substituted — the orchestrator logs it as a
-    structured ``plane_fallback`` event.
-    """
-    if system.plane != "auto":
-        return system.plane, None
-    if config.secure_aggregation:
-        if system.num_shards > 1:
-            return "secure_sharded", None
-        return "secure", None
-    if system.num_shards > 1:
-        if config.mode is TrainingMode.ASYNC:
-            return "sharded", None
-        return "single", {
-            "requested": "sharded",
-            "reason": "sharded aggregation requires mode=ASYNC "
-                      f"(task mode is {config.mode.value!r})",
-        }
-    return "single", None
-
-
-# ---------------------------------------------------------------------------
-# Shard routing policies
-# ---------------------------------------------------------------------------
-
-# A view over the one routing table, ``repro.core.sharding.ROUTING_POLICIES``:
-# a policy registered here is also what ``ShardedFedBuffAggregator(routing=
-# "name")`` resolves.
-_ROUTINGS = Registry("shard routing policy")
-_ROUTINGS._entries = ROUTING_POLICIES
-
-
-def register_routing(name: str, policy: Callable[[], Any], replace: bool = False):
-    """Register a zero-argument routing-policy factory under ``name``."""
-    return _ROUTINGS.register(name, policy, replace=replace)
-
-
-def make_routing(name: str):
-    """Instantiate the routing policy registered under ``name``."""
-    return _ROUTINGS.get(name)()
-
-
-def routing_names() -> list[str]:
-    """Sorted names of all registered routing policies."""
-    return _ROUTINGS.names()
 
 
 # ---------------------------------------------------------------------------

@@ -607,11 +607,6 @@ class SecureShardedFLTaskRuntime(ShardedFLTaskRuntime):
     """
 
     def _build_core(self, config: TaskConfig, adapter: TrainerAdapter):
-        if not config.secure_aggregation:
-            raise ValueError(
-                "SecureShardedFLTaskRuntime requires secure_aggregation; "
-                "plain sharded tasks use ShardedFLTaskRuntime"
-            )
         num_shards, shard_routing, executor = self._shard_core_opts
         core_kwargs = dict(
             goal=config.aggregation_goal,

@@ -22,9 +22,9 @@ cores, and this module spreads those shards across *multiple*
   live node available the shard simply stays dead — its slice remains
   re-routed — until a recovery sweep finds capacity.
 
-``SystemConfig(num_shards=1)`` (the default) never constructs any of
-this: the single-aggregator path is the untouched, bit-identical code
-that existed before sharding.
+Only the two sharded planes with ``num_shards > 1`` construct any of
+this (:class:`repro.system.planes.ShardedPlane`); their ``num_shards=1``
+point runs the unsharded code, untouched.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class ShardedFLTaskRuntime(FLTaskRuntime):
         shard_routing: str = "hash",
         executor: str = "inline",
     ):
-        if executor not in ("inline", "process"):
-            raise ValueError(
-                f"executor must be 'inline' or 'process' (got {executor!r})"
-            )
         if config.mode is not TrainingMode.ASYNC:
             raise ValueError(
                 "sharded aggregation requires mode=ASYNC: FedBuff's "
@@ -108,12 +104,6 @@ class ShardedFLTaskRuntime(FLTaskRuntime):
 
     def _build_core(self, config: TaskConfig, adapter: TrainerAdapter):
         """Stand up the sharded float core (inline or process executor)."""
-        if config.secure_aggregation:
-            raise ValueError(
-                "secure tasks shard through the secure_sharded plane "
-                "(SecureShardedFLTaskRuntime): this runtime folds float "
-                "partials, not masked group sums"
-            )
         num_shards, shard_routing, executor = self._shard_core_opts
         core_kwargs = dict(
             goal=config.aggregation_goal,

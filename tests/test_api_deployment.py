@@ -5,7 +5,7 @@ The equivalence contract of the api_redesign PR: for every deployment
 shape the repo runs (async, sync, sharded, secure, mixed multi-tenant),
 ``Deployment.from_spec(spec)`` must produce *byte-identical* traces —
 participation records, server steps, and event-log lines — to wiring the
-same ``TaskConfig`` + adapter + ``SystemConfig`` into
+same ``TaskConfig`` + adapter + ``SystemConfig`` + plane factory into
 ``FederatedSimulation`` by hand.
 """
 
@@ -25,7 +25,6 @@ from repro.api import (
     build_population,
 )
 from repro.core.types import TaskConfig, TrainingMode
-from repro.harness.runner import async_scenario, deploy
 from repro.harness.scenario import run_scenario
 from repro.sim.population import DevicePopulation, PopulationConfig
 from repro.system import planes
@@ -52,13 +51,13 @@ def make_pop(n=800, seed=0, **kw):
 class TestTraceEquivalence:
     """Spec-built == hand-wired, byte for byte."""
 
-    def run_both(self, spec, tasks, system, seed, t_end, **run_kw):
+    def run_both(self, spec, tasks, system, seed, t_end, plane=None, **run_kw):
         """Run the spec path and the hand-wired path on fresh populations."""
         spec_res = Deployment.from_spec(spec).run(t_end=t_end, **run_kw)
         pop = DevicePopulation(
             spec.population.population_config(), seed=spec.population_seed()
         )
-        hand = FederatedSimulation(tasks, pop, system=system, seed=seed)
+        hand = FederatedSimulation(tasks, pop, system=system, plane=plane, seed=seed)
         hand_res = hand.run(t_end=t_end, **run_kw)
         return spec_res, hand_res
 
@@ -103,9 +102,10 @@ class TestTraceEquivalence:
         )
         cfg = TaskConfig(name="t", mode=TrainingMode.ASYNC, concurrency=24,
                          aggregation_goal=6, model_size_bytes=100_000)
-        system = SystemConfig(n_aggregators=3, num_shards=4, shard_routing="hash")
+        system = SystemConfig(n_aggregators=3)
         spec_res, hand_res = self.run_both(
-            spec, [(cfg, SurrogateAdapter(seed=0))], system, 0, 2000.0
+            spec, [(cfg, SurrogateAdapter(seed=0))], system, 0, 2000.0,
+            plane=planes.ShardedPlane(num_shards=4, shard_routing="hash"),
         )
         assert trace_fingerprint(spec_res) == trace_fingerprint(hand_res)
         assert isinstance(
@@ -122,11 +122,10 @@ class TestTraceEquivalence:
             execution=ExecutionSpec(seed=0),
         )
         cfg = TaskConfig(name="secure", mode=TrainingMode.ASYNC, concurrency=12,
-                         aggregation_goal=4, secure_aggregation=True,
-                         model_size_bytes=100_000)
+                         aggregation_goal=4, model_size_bytes=100_000)
         spec_res, hand_res = self.run_both(
             spec, [(cfg, SurrogateAdapter(seed=0))], None, 0, 1200.0,
-            max_server_steps=8,
+            plane=planes.SecurePlane(), max_server_steps=8,
         )
         assert trace_fingerprint(spec_res) == trace_fingerprint(hand_res)
 
@@ -155,40 +154,8 @@ class TestTraceEquivalence:
         assert trace_fingerprint(spec_res) == trace_fingerprint(hand_res)
 
 
-class TestShimEquivalence:
-    """``async_scenario`` carries a legacy ``SystemConfig`` into the spec
-    path faithfully (the surface the removed ``build_*`` shims rode)."""
-
-    def test_build_async_carries_system_config(self):
-        pop = make_pop(400, seed=0)
-        system = SystemConfig(n_aggregators=3, num_shards=2,
-                              heartbeat_interval_s=5.0)
-        sim = deploy(async_scenario(16, 4, pop, seed=0, system=system), pop)
-        assert isinstance(sim.task_runtimes["async"], ShardedFLTaskRuntime)
-        assert sim.system.n_aggregators == 3
-        assert sim.system.heartbeat_interval_s == 5.0
-
-    def test_build_async_keeps_shards_of_pinned_sharded_plane(self):
-        # A SystemConfig that pins the sharded plane explicitly must not
-        # have its shard count silently dropped by the shim.
-        pop = make_pop(400, seed=0)
-        system = SystemConfig(plane="sharded", num_shards=4)
-        sim = deploy(async_scenario(16, 4, pop, seed=0, system=system), pop)
-        assert sim.task_runtimes["async"].core.num_shards == 4
-
-    def test_build_async_rejects_unrepresentable_custom_plane_shards(self):
-        planes.register_plane(type("P", (), {"name": "custom-p", "build": None})())
-        try:
-            pop = make_pop(100, seed=0)
-            system = SystemConfig(plane="custom-p", num_shards=4)
-            with pytest.raises(ValueError, match="cannot express"):
-                async_scenario(8, 4, pop, seed=0, system=system)
-        finally:
-            planes._PLANES._entries.pop("custom-p")
-
-
 class TestPlaneFallback:
-    """num_shards > 1 with an ineligible task logs a structured event."""
+    """A sharded plane with an ineligible task logs a structured event."""
 
     def test_sync_task_falls_back_with_event(self):
         pop = make_pop(200, seed=0)
@@ -196,7 +163,7 @@ class TestPlaneFallback:
                          aggregation_goal=10, model_size_bytes=1000)
         fs = FederatedSimulation(
             [(cfg, SurrogateAdapter(seed=0))], pop,
-            system=SystemConfig(num_shards=4), seed=0,
+            plane=planes.ShardedPlane(num_shards=4), seed=0,
         )
         assert type(fs.task_runtimes["s"]) is FLTaskRuntime
         [event] = fs.log.of_kind("plane_fallback")
@@ -210,11 +177,10 @@ class TestPlaneFallback:
 
         pop = make_pop(200, seed=0)
         cfg = TaskConfig(name="sec", mode=TrainingMode.ASYNC, concurrency=12,
-                         aggregation_goal=4, secure_aggregation=True,
-                         model_size_bytes=1000)
+                         aggregation_goal=4, model_size_bytes=1000)
         fs = FederatedSimulation(
             [(cfg, SurrogateAdapter(seed=0))], pop,
-            system=SystemConfig(num_shards=4), seed=0,
+            plane=planes.SecureShardedPlane(num_shards=4), seed=0,
         )
         rt = fs.task_runtimes["sec"]
         assert type(rt) is SecureShardedFLTaskRuntime
@@ -227,7 +193,7 @@ class TestPlaneFallback:
                          aggregation_goal=4, model_size_bytes=1000)
         fs = FederatedSimulation(
             [(cfg, SurrogateAdapter(seed=0))], pop,
-            system=SystemConfig(num_shards=2), seed=0,
+            plane=planes.ShardedPlane(num_shards=2), seed=0,
         )
         assert fs.log.count("plane_fallback") == 0
 
@@ -264,7 +230,7 @@ class TestPlaneRegistry:
                              aggregation_goal=4, model_size_bytes=1000)
             fs = FederatedSimulation(
                 [(cfg, SurrogateAdapter(seed=0))], pop,
-                system=SystemConfig(plane="recording"), seed=0,
+                plane=planes.get_plane("recording"), seed=0,
             )
             assert factory.built == ["t"]
             assert type(fs.task_runtimes["t"]) is FLTaskRuntime

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
+    Deployment,
     ExecutionSpec,
     PlaneSpec,
     PopulationSpec,
@@ -27,6 +28,8 @@ from repro.api import (
 )
 from repro.core.types import TrainingMode
 from repro.sim.population import DevicePopulation, PopulationConfig
+from repro.system import planes
+from repro.system.aggregator import FLTaskRuntime
 
 
 def simple_spec(**kw) -> ScenarioSpec:
@@ -65,9 +68,9 @@ class TestValidation:
         # The S=1 point of a shard-count sweep: allowed, and it builds the
         # bit-identical single-aggregator path.
         spec = simple_spec(plane=PlaneSpec(name="sharded", num_shards=1))
-        cfg = spec.system_config()
-        assert cfg.num_shards == 1
-        assert cfg.plane == "auto"
+        assert spec.plane.factory().num_shards == 1
+        runtime = Deployment.from_spec(spec).build().task_runtimes["async"]
+        assert type(runtime) is FLTaskRuntime
 
     def test_executor_value_validated(self):
         with pytest.raises(SpecError, match=r"plane\.executor"):
@@ -104,6 +107,11 @@ class TestValidation:
     def test_unknown_plane_name_rejected(self):
         with pytest.raises(SpecError, match="registered plane"):
             simple_spec(plane=PlaneSpec(name="quantum"))
+
+    def test_unknown_shard_routing_rejected(self):
+        with pytest.raises(SpecError, match="shard_routing must be one of"):
+            simple_spec(plane=PlaneSpec(name="sharded", num_shards=2,
+                                        shard_routing="roulette"))
 
     def test_system_rejects_plane_owned_fields(self):
         with pytest.raises(SpecError, match=r"system\.num_shards"):
@@ -148,29 +156,36 @@ class TestValidation:
 
 
 class TestDerivedConfigs:
-    def test_single_plane_system_config(self):
-        cfg = simple_spec().system_config()
-        assert cfg.num_shards == 1
-        assert cfg.plane == "auto"
+    def test_single_plane_factory(self):
+        assert type(simple_spec().plane.factory()) is planes.SinglePlane
 
-    def test_sharded_plane_system_config(self):
+    def test_sharded_plane_factory(self):
         spec = simple_spec(plane=PlaneSpec(name="sharded", num_shards=4,
                                            shard_routing="load"))
-        cfg = spec.system_config()
-        assert cfg.num_shards == 4
-        assert cfg.shard_routing == "load"
-        assert cfg.shard_executor == "inline"
+        plane = spec.plane.factory()
+        assert type(plane) is planes.ShardedPlane
+        assert plane.num_shards == 4
+        assert plane.shard_routing == "load"
+        assert plane.executor == "inline"
 
-    def test_process_executor_system_config(self):
+    def test_process_executor_plane_factory(self):
         spec = simple_spec(plane=PlaneSpec(name="sharded", num_shards=4,
                                            executor="process"))
-        assert spec.system_config().shard_executor == "process"
+        assert spec.plane.factory().executor == "process"
 
-    def test_secure_plane_sets_task_secure_flag(self):
+    def test_secure_plane_factory(self):
         spec = simple_spec(plane=PlaneSpec(name="secure"))
+        assert type(spec.plane.factory()) is planes.SecurePlane
         [cfg] = spec.task_configs()
-        assert cfg.secure_aggregation
         assert cfg.mode is TrainingMode.ASYNC
+
+    def test_custom_plane_factory_is_the_registered_one(self):
+        custom = type("P", (), {"name": "custom-p", "build": None})()
+        planes.register_plane(custom)
+        try:
+            assert simple_spec(plane=PlaneSpec(name="custom-p")).plane.factory() is custom
+        finally:
+            planes._PLANES._entries.pop("custom-p")
 
     def test_population_seed_defaults_to_execution_seed(self):
         spec = simple_spec(population=PopulationSpec(n_devices=10),
@@ -213,7 +228,7 @@ class TestOverrides:
             "plane.executor": "process",
         })
         assert spec.plane.executor == "process"
-        assert spec.system_config().shard_executor == "process"
+        assert spec.plane.factory().executor == "process"
 
     def test_seed_alias(self):
         assert simple_spec().override("seed", 9).execution.seed == 9

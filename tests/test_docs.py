@@ -195,6 +195,33 @@ class TestSpecTableSync:
         assert "docs/SPEC.md: no ## TelemetrySpec section" in problems
         assert any("## ObserverSpec is not a spec section class" in p for p in problems)
 
+    def test_system_keys_held_to_system_config(self, check_docs, tmp_path):
+        root = drifted_spec_copy(
+            tmp_path,
+            lambda t: "\n".join(
+                row for row in t.splitlines() if not row.startswith("| `n_selectors`")
+            ).replace(
+                "| `drain_threads` | `4` |", "| `drain_threads` | `8` |"
+            ).replace(
+                "| `placement_retry` |", "| `num_shards` | `1` | x |\n| `placement_retry` |"
+            ),
+        )
+        assert check_docs.find_spec_drift(root) == [
+            "docs/SPEC.md: System keys table is missing `n_selectors`",
+            "docs/SPEC.md: System keys table documents `num_shards`, "
+            "which is not a SystemConfig field",
+            "docs/SPEC.md: system.drain_threads is documented with default 8, "
+            "SystemConfig says 4",
+        ]
+
+    def test_missing_system_keys_section_detected(self, check_docs, tmp_path):
+        root = drifted_spec_copy(
+            tmp_path, lambda t: t.replace("## System keys", "## Other keys")
+        )
+        assert check_docs.find_spec_drift(root) == [
+            "docs/SPEC.md: no ## System keys section"
+        ]
+
 
 class TestDoctests:
     def test_docs_exist(self):

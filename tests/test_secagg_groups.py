@@ -304,6 +304,18 @@ class TestFixedPoint:
         with pytest.raises(FixedPointOverflowError):
             codec.encode(np.array([100.0]))  # 100*1024 > 2^15
 
+    @pytest.mark.parametrize("clip_value", [None, 4.0])
+    def test_nan_rejected_on_encode(self, clip_value):
+        # NaN fails every comparison, so a range check written as
+        # "min < low or max >= high" would let it through; clipping keeps
+        # a NaN a NaN.
+        codec = FixedPointCodec(PowerOfTwoGroup(64), scale=2**16,
+                                clip_value=clip_value)
+        with pytest.raises(FixedPointOverflowError, match="NaN"):
+            codec.encode(np.array([np.nan, 1.0]))
+        with pytest.raises(FixedPointOverflowError, match="NaN"):
+            codec.encode_block(np.array([[0.5, 1.0], [1.0, np.nan]]))
+
     def test_clip_prevents_overflow(self):
         codec = FixedPointCodec(PowerOfTwoGroup(16), scale=2**10, clip_value=10.0)
         out = codec.decode(codec.encode(np.array([100.0])))

@@ -516,6 +516,7 @@ class TestEndToEndShardedSimulation:
         from repro.sim.population import DevicePopulation, PopulationConfig
         from repro.system.adapters import SurrogateAdapter
         from repro.system.orchestrator import FederatedSimulation, SystemConfig
+        from repro.system.planes import ShardedPlane
 
         pop = DevicePopulation(PopulationConfig(n_devices=400), seed=0)
         cfg = TaskConfig(
@@ -524,7 +525,8 @@ class TestEndToEndShardedSimulation:
         )
         fs = FederatedSimulation(
             [(cfg, SurrogateAdapter(seed=0))], pop, seed=0,
-            system=SystemConfig(n_aggregators=1, num_shards=num_shards),
+            system=SystemConfig(n_aggregators=1),
+            plane=ShardedPlane(num_shards=num_shards),
         )
         res = fs.run(t_end=3e5, max_server_steps=max_steps)
         return res, fs
@@ -916,6 +918,7 @@ class TestEndToEndProcessExecutor:
         from repro.sim.population import DevicePopulation, PopulationConfig
         from repro.system.adapters import SurrogateAdapter
         from repro.system.orchestrator import FederatedSimulation, SystemConfig
+        from repro.system.planes import ShardedPlane
 
         pop = DevicePopulation(PopulationConfig(n_devices=300), seed=0)
         cfg = TaskConfig(
@@ -924,9 +927,8 @@ class TestEndToEndProcessExecutor:
         )
         fs = FederatedSimulation(
             [(cfg, SurrogateAdapter(seed=0))], pop, seed=0,
-            system=SystemConfig(
-                n_aggregators=1, num_shards=3, shard_executor=executor
-            ),
+            system=SystemConfig(n_aggregators=1),
+            plane=ShardedPlane(num_shards=3, executor=executor),
         )
         res = fs.run(t_end=2e5, max_server_steps=max_steps)
         return res, fs
@@ -971,7 +973,7 @@ class TestEndToEndProcessExecutor:
             "plane.num_shards": 2,
             "plane.executor": "process",
         })
-        assert spec.system_config().shard_executor == "process"
+        assert spec.plane.factory().executor == "process"
 
 
 class TestRootMerge:

@@ -21,6 +21,7 @@ from repro.system import (
     SecureBufferedAggregator,
     SurrogateAdapter,
 )
+from repro.system.planes import SecurePlane, SinglePlane
 
 
 def make_state(dim=8):
@@ -154,10 +155,10 @@ class TestSecureSystemIntegration:
         pop = DevicePopulation(PopulationConfig(n_devices=500), seed=0)
         cfg = TaskConfig(
             name="secure", mode=TrainingMode.ASYNC, concurrency=12,
-            aggregation_goal=4, secure_aggregation=True,
-            model_size_bytes=100_000,
+            aggregation_goal=4, model_size_bytes=100_000,
         )
-        fs = FederatedSimulation([(cfg, SurrogateAdapter(seed=0))], pop, seed=0)
+        fs = FederatedSimulation([(cfg, SurrogateAdapter(seed=0))], pop,
+                                 plane=SecurePlane(), seed=0)
         res = fs.run(t_end=1200.0, max_server_steps=8)
         s = res.stats()
         assert s.server_steps == 8
@@ -167,10 +168,11 @@ class TestSecureSystemIntegration:
         pop = DevicePopulation(PopulationConfig(n_devices=100), seed=0)
         cfg = TaskConfig(
             name="bad", mode=TrainingMode.SYNC, concurrency=12,
-            aggregation_goal=4, secure_aggregation=True,
+            aggregation_goal=4,
         )
         with pytest.raises(ValueError, match="Asynchronous SecAgg"):
-            FederatedSimulation([(cfg, SurrogateAdapter(seed=0))], pop, seed=0)
+            FederatedSimulation([(cfg, SurrogateAdapter(seed=0))], pop,
+                                plane=SecurePlane(), seed=0)
 
     def test_secure_real_training_improves_loss(self):
         model_cfg = ModelConfig(vocab_size=16, embed_dim=6, hidden_dim=8)
@@ -189,10 +191,9 @@ class TestSecureSystemIntegration:
         )
         cfg = TaskConfig(
             name="secure-real", mode=TrainingMode.ASYNC, concurrency=8,
-            aggregation_goal=3, secure_aggregation=True,
-            model_size_bytes=100_000,
+            aggregation_goal=3, model_size_bytes=100_000,
         )
-        fs = FederatedSimulation([(cfg, adapter)], pop, seed=1)
+        fs = FederatedSimulation([(cfg, adapter)], pop, plane=SecurePlane(), seed=1)
         res = fs.run(t_end=3e6, max_server_steps=6)
         _, losses = res.trace.loss_curve("secure-real")
         assert len(losses) == 6
@@ -207,10 +208,11 @@ class TestSecureSystemIntegration:
         def run(secure):
             cfg = TaskConfig(
                 name="t", mode=TrainingMode.ASYNC, concurrency=12,
-                aggregation_goal=4, secure_aggregation=secure,
-                model_size_bytes=100_000,
+                aggregation_goal=4, model_size_bytes=100_000,
             )
-            fs = FederatedSimulation([(cfg, SurrogateAdapter(seed=3))], pop, seed=3)
+            plane = SecurePlane() if secure else SinglePlane()
+            fs = FederatedSimulation([(cfg, SurrogateAdapter(seed=3))], pop,
+                                     plane=plane, seed=3)
             res = fs.run(t_end=3600.0, max_server_steps=10)
             return res.stats().final_loss
 

@@ -20,6 +20,7 @@ from repro.system.aggregator import AggregatorNode
 from repro.system.client_runtime import ClientSession
 from repro.system.coordinator import Coordinator
 from repro.system.orchestrator import FederatedSimulation, SystemConfig
+from repro.system.planes import ShardedPlane
 from repro.system.sharding import ShardedFLTaskRuntime
 from repro.utils import EventLog, child_rng
 
@@ -71,14 +72,6 @@ class TestShardedRuntimeConstruction:
         cfg = TaskConfig(name="t", mode=TrainingMode.SYNC, concurrency=8,
                          aggregation_goal=4, model_size_bytes=1000)
         with pytest.raises(ValueError, match="ASYNC"):
-            ShardedFLTaskRuntime(cfg, SurrogateAdapter(seed=0), sim,
-                                 MetricsTrace(), log, num_shards=2)
-
-    def test_rejects_secure_aggregation(self, sim, log):
-        cfg = TaskConfig(name="t", mode=TrainingMode.ASYNC, concurrency=8,
-                         aggregation_goal=4, secure_aggregation=True,
-                         model_size_bytes=1000)
-        with pytest.raises(ValueError, match="secure"):
             ShardedFLTaskRuntime(cfg, SurrogateAdapter(seed=0), sim,
                                  MetricsTrace(), log, num_shards=2)
 
@@ -324,14 +317,17 @@ class TestShardedRebalance:
 class TestShardedSystemConfig:
     def test_knob_validation(self):
         with pytest.raises(ValueError):
-            SystemConfig(num_shards=0)
+            ShardedPlane(num_shards=0)
         with pytest.raises(ValueError):
-            SystemConfig(shard_routing="roulette")
+            ShardedPlane(shard_routing="roulette")
+        with pytest.raises(ValueError):
+            ShardedPlane(executor="threads")
         with pytest.raises(ValueError):
             SystemConfig(rebalance_queue_threshold_s=0.0)
-        cfg = SystemConfig(num_shards=8, shard_routing="load",
-                           rebalance_queue_threshold_s=12.5)
-        assert cfg.num_shards == 8
+        plane = ShardedPlane(num_shards=8, shard_routing="load")
+        assert plane.num_shards == 8
+        cfg = SystemConfig(rebalance_queue_threshold_s=12.5)
+        assert cfg.rebalance_queue_threshold_s == 12.5
 
     def test_default_config_builds_unsharded_runtime(self):
         from repro.system.aggregator import FLTaskRuntime
@@ -357,7 +353,7 @@ class TestShardedSystemConfig:
         fs = FederatedSimulation(
             [(async_cfg, SurrogateAdapter(seed=0)),
              (sync_cfg, SurrogateAdapter(seed=1))],
-            pop, seed=0, system=SystemConfig(num_shards=2),
+            pop, seed=0, plane=ShardedPlane(num_shards=2),
         )
         assert isinstance(fs.task_runtimes["a"], ShardedFLTaskRuntime)
         assert type(fs.task_runtimes["s"]) is FLTaskRuntime
@@ -369,8 +365,8 @@ class TestShardedSystemConfig:
                          aggregation_goal=6, model_size_bytes=100_000)
         fs = FederatedSimulation(
             [(cfg, SurrogateAdapter(seed=0))], pop, seed=0,
-            system=SystemConfig(n_aggregators=3, num_shards=4,
-                                shard_routing=routing),
+            system=SystemConfig(n_aggregators=3),
+            plane=ShardedPlane(num_shards=4, shard_routing=routing),
         )
         res = fs.run(t_end=3e5, max_server_steps=15)
         stats = res.stats()
@@ -386,7 +382,8 @@ class TestShardedSystemConfig:
                          aggregation_goal=6, model_size_bytes=100_000)
         fs = FederatedSimulation(
             [(cfg, SurrogateAdapter(seed=0))], pop, seed=0,
-            system=SystemConfig(n_aggregators=3, num_shards=4),
+            system=SystemConfig(n_aggregators=3),
+            plane=ShardedPlane(num_shards=4),
         )
         rt = fs.task_runtimes["t"]
         victim = rt.shard_nodes[0].node_id

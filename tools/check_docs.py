@@ -23,7 +23,9 @@ both directions.
 ``docs/SPEC.md`` is held to the ScenarioSpec sections (``repro.api.spec``):
 one ``## ClassName`` table per section class listing exactly its
 ``dataclasses.fields``, both directions, with an "omitted at default"
-column that matches each field's ``omit`` metadata.
+column that matches each field's ``omit`` metadata; and its
+``## System keys`` table lists exactly the fields of ``SystemConfig``,
+each with its default (as JSON).
 
 Run from the repository root (CI does, in the docs job)::
 
@@ -35,6 +37,7 @@ Exit status 0 when in sync; 1 with one diagnostic per drift otherwise.
 from __future__ import annotations
 
 import dataclasses
+import json
 import pathlib
 import re
 import sys
@@ -54,6 +57,12 @@ SPEC_ROW = re.compile(r"^\| `([a-z0-9_]+)` \|.*\| (yes|no) \|\s*$", re.MULTILINE
 
 #: a SPEC.md section heading naming a class: ## ClassName
 CLASS_HEADING = re.compile(r"^## ([A-Z][A-Za-z]+)\s*$", re.MULTILINE)
+
+#: the SPEC.md section listing the ``system`` keys
+SYSTEM_HEADING = "System keys"
+
+#: a System keys row: | `key` | `default` | meaning |
+SYSTEM_ROW = re.compile(r"^\| `([a-z0-9_]+)` \| `([^`]*)` \|", re.MULTILINE)
 
 
 def load_registry(root: pathlib.Path):
@@ -200,6 +209,33 @@ def find_spec_drift(root: pathlib.Path) -> list[str]:
                     f"{SPEC_DOC_FILE}: {name}.{field} is documented as omitted-at-default "
                     f"{rows[field]!r}, the field table says {fields[field]}"
                 )
+    return problems + _system_key_drift(text)
+
+
+def _system_key_drift(text: str) -> list[str]:
+    """Every way the System keys table disagrees with ``SystemConfig``."""
+    from repro.system.orchestrator import SystemConfig
+
+    section = _doc_section(text, SYSTEM_HEADING)
+    if section is None:
+        return [f"{SPEC_DOC_FILE}: no ## {SYSTEM_HEADING} section"]
+    rows = dict(SYSTEM_ROW.findall(section))
+    defaults = {f.name: json.dumps(f.default) for f in dataclasses.fields(SystemConfig)}
+    problems = [
+        f"{SPEC_DOC_FILE}: {SYSTEM_HEADING} table is missing `{key}`"
+        for key in sorted(defaults.keys() - rows.keys())
+    ]
+    problems += [
+        f"{SPEC_DOC_FILE}: {SYSTEM_HEADING} table documents `{key}`, "
+        "which is not a SystemConfig field"
+        for key in sorted(rows.keys() - defaults.keys())
+    ]
+    problems += [
+        f"{SPEC_DOC_FILE}: system.{key} is documented with default "
+        f"{rows[key]}, SystemConfig says {defaults[key]}"
+        for key in sorted(rows.keys() & defaults.keys())
+        if rows[key] != defaults[key]
+    ]
     return problems
 
 
@@ -219,7 +255,8 @@ def main(root: str | pathlib.Path = ".") -> int:
         " and one table row per emitted metric/span/phase in"
         " OBSERVABILITY.md (catalogs in repro/obs/telemetry.py), and one"
         " ## ClassName field table per spec section in SPEC.md (field"
-        " tables in repro/api/spec.py).",
+        " tables in repro/api/spec.py) plus its ## System keys table"
+        " (SystemConfig in repro/system/orchestrator.py).",
         file=sys.stderr,
     )
     return 1
