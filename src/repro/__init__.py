@@ -34,13 +34,12 @@ Subpackage layout:
   server optimizers, client trainer, staleness policies, the DP
   extension, and the surrogate convergence model.
 * :mod:`repro.secagg` — Asynchronous Secure Aggregation (TEE-style trusted
-  aggregator, DH channels, one-time-pad masking, attestation, verifiable log).
+  aggregator, DH channels, additive masking, attestation, verifiable log).
 * :mod:`repro.system` — Coordinator / Selector / Aggregator / client runtime,
   the SecAgg-integrated buffered aggregator, and the plane/routing/trainer
   registries (:mod:`repro.system.planes`).
 * :mod:`repro.sim` — discrete-event simulator and heterogeneous device
   population (substitute for the paper's ~100M-device fleet).
-* :mod:`repro.client` — Edge Training Engine (Example Store, Executor).
 * :mod:`repro.nn` / :mod:`repro.data` — NumPy LSTM language model and the
   synthetic non-IID federated corpus it trains on.
 * :mod:`repro.harness` — regeneration of every figure and table in the paper

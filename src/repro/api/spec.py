@@ -491,10 +491,8 @@ class PlaneSpec(_Spec):
         try:
             return planes.get_plane(self.name)
         except KeyError:
-            # The wording predates the one-decision plane model; it is
-            # pinned by the spec golden corpus.
             raise ValueError(
-                f"plane must be 'auto' or a registered plane "
+                f"plane must be a registered plane "
                 f"({', '.join(planes.plane_names())}); got {self.name!r}"
             ) from None
 

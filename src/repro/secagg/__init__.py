@@ -1,9 +1,11 @@
 """Asynchronous Secure Aggregation (paper Section 5, Appendices A–D).
 
-Additive one-time-pad masking over a finite Abelian group, Diffie–Hellman
-channels between clients and a Trusted Secure Aggregator (simulated TEE),
-remote attestation, a verifiable (Merkle) log for trusted-binary updates,
-and fixed-point conversion between real model updates and group elements.
+Additive masking over a finite Abelian group (a PRNG-expanded seed added
+to each update, paper Figure 14), Diffie–Hellman channels between clients
+and a Trusted Secure Aggregator (simulated TEE), remote attestation, a
+verifiable (Merkle) log whose inclusion proofs clients check before
+trusting a TSA binary, and fixed-point conversion between real model
+updates and group elements.
 """
 
 from repro.secagg.attestation import (
@@ -12,12 +14,6 @@ from repro.secagg.attestation import (
     SigningAuthority,
     hash_binary,
     hash_params,
-)
-from repro.secagg.auditor import (
-    AuditFailure,
-    BinaryReleaseProcess,
-    LogAuditor,
-    LogSnapshot,
 )
 from repro.secagg.client import ClientSubmission, LogBundle, SecAggClient
 from repro.secagg.dh import DH_GENERATOR, DH_PRIME, DHKeyPair, shared_key
@@ -34,7 +30,6 @@ from repro.secagg.merkle import (
     verify_consistency,
     verify_inclusion,
 )
-from repro.secagg.otp import otp_add, otp_decrypt_sum, otp_encrypt
 from repro.secagg.prng import SEED_BYTES, expand_mask, expand_mask_block, generate_seed
 from repro.secagg.protocol import (
     BoundaryCostModel,
@@ -48,10 +43,6 @@ from repro.secagg.tsa import KeyExchangeLeg, ProtocolError, TrustedSecureAggrega
 
 __all__ = [
     "AttestationError",
-    "AuditFailure",
-    "BinaryReleaseProcess",
-    "LogAuditor",
-    "LogSnapshot",
     "Quote",
     "SigningAuthority",
     "hash_binary",
@@ -72,9 +63,6 @@ __all__ = [
     "node_hash",
     "verify_consistency",
     "verify_inclusion",
-    "otp_add",
-    "otp_decrypt_sum",
-    "otp_encrypt",
     "SEED_BYTES",
     "expand_mask",
     "expand_mask_block",

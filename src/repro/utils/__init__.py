@@ -1,14 +1,7 @@
-"""Shared infrastructure: RNG streams, serialization, validation, logging."""
+"""Shared infrastructure: RNG streams, validation, logging, backoff."""
 
 from repro.utils.logging import EventLog, EventRecord
 from repro.utils.rng import child_rng, make_rng, spawn_rngs, stable_hash64
-from repro.utils.serialization import (
-    SerializationError,
-    chunk_payload,
-    deserialize_vector,
-    reassemble_chunks,
-    serialize_vector,
-)
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -24,11 +17,6 @@ __all__ = [
     "make_rng",
     "spawn_rngs",
     "stable_hash64",
-    "SerializationError",
-    "chunk_payload",
-    "deserialize_vector",
-    "reassemble_chunks",
-    "serialize_vector",
     "check_in_range",
     "check_non_negative",
     "check_positive",

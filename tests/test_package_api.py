@@ -13,7 +13,6 @@ SUBPACKAGES = [
     "repro.secagg",
     "repro.sim",
     "repro.system",
-    "repro.client",
     "repro.harness",
     "repro.obs",
     "repro.utils",

@@ -23,8 +23,6 @@ from repro.secagg import (
     FixedPointCodec,
     PowerOfTwoGroup,
     expand_mask,
-    otp_decrypt_sum,
-    otp_encrypt,
 )
 from repro.sim import Simulator
 from repro.utils import child_rng
@@ -136,10 +134,11 @@ class TestSecureAlgebra:
         rng = child_rng(seed, "prop-otp")
         values = [group.random(rng, length) for _ in range(n_parties)]
         seeds = [bytes(rng.integers(0, 256, 16, dtype=np.uint8)) for _ in range(n_parties)]
-        cipher = group.sum([otp_encrypt(v, s, group) for v, s in zip(values, seeds)])
-        np.testing.assert_array_equal(
-            otp_decrypt_sum(cipher, seeds, group), group.sum(values)
+        cipher = group.sum(
+            [group.add(v, expand_mask(s, length, group)) for v, s in zip(values, seeds)]
         )
+        masks = group.sum([expand_mask(s, length, group) for s in seeds])
+        np.testing.assert_array_equal(group.sub(cipher, masks), group.sum(values))
 
     @settings(max_examples=25, deadline=None)
     @given(

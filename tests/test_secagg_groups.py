@@ -16,9 +16,6 @@ from repro.secagg import (
     build_deployment,
     expand_mask,
     generate_seed,
-    otp_add,
-    otp_decrypt_sum,
-    otp_encrypt,
     recommend_codec,
 )
 from repro.utils import child_rng
@@ -439,19 +436,35 @@ class TestMaskExpansion:
 
 
 class TestOTP:
+    """Figure 14's one-time pad on the live masking primitives.
+
+    A client hides ``v`` as ``v + expand_mask(seed)``; masked vectors add in
+    the group, and subtracting the sum of every contributor's mask recovers
+    the plaintext sum — the arithmetic ``SecAggClient`` and the TSA run.
+    """
+
+    @staticmethod
+    def mask(v, seed, g):
+        return g.add(v, expand_mask(seed, len(v), g))
+
+    @staticmethod
+    def unmask_sum(masked_sum, seeds, g):
+        masks = [expand_mask(s, len(masked_sum), g) for s in seeds]
+        return g.sub(masked_sum, g.sum(masks))
+
     def test_figure14_roundtrip(self):
         # Enc, homomorphic Add, Dec — the exact scheme of Figure 14.
         g = PowerOfTwoGroup(32)
         rng = child_rng(0, "otp")
         v1, v2 = g.random(rng, 64), g.random(rng, 64)
         s1, s2 = generate_seed(rng), generate_seed(rng)
-        c = otp_add(otp_encrypt(v1, s1, g), otp_encrypt(v2, s2, g), g)
-        np.testing.assert_array_equal(otp_decrypt_sum(c, [s1, s2], g), g.add(v1, v2))
+        c = g.add(self.mask(v1, s1, g), self.mask(v2, s2, g))
+        np.testing.assert_array_equal(self.unmask_sum(c, [s1, s2], g), g.add(v1, v2))
 
     def test_single_ciphertext_hides_plaintext(self):
         g = PowerOfTwoGroup(32)
         v = g.zeros(64)  # extremely structured plaintext
-        c = otp_encrypt(v, generate_seed(child_rng(1, "otp")), g)
+        c = self.mask(v, generate_seed(child_rng(1, "otp")), g)
         assert not np.array_equal(c, v)
 
     def test_wrong_seed_fails_to_decrypt(self):
@@ -459,13 +472,13 @@ class TestOTP:
         rng = child_rng(2, "otp")
         v = g.random(rng, 16)
         s, wrong = generate_seed(rng), generate_seed(rng)
-        c = otp_encrypt(v, s, g)
-        assert not np.array_equal(otp_decrypt_sum(c, [wrong], g), v)
+        c = self.mask(v, s, g)
+        assert not np.array_equal(self.unmask_sum(c, [wrong], g), v)
 
     def test_many_party_aggregation(self):
         g = PowerOfTwoGroup(32)
         rng = child_rng(3, "otp")
         vs = [g.random(rng, 32) for _ in range(20)]
         seeds = [generate_seed(rng) for _ in range(20)]
-        csum = g.sum([otp_encrypt(v, s, g) for v, s in zip(vs, seeds)])
-        np.testing.assert_array_equal(otp_decrypt_sum(csum, seeds, g), g.sum(vs))
+        csum = g.sum([self.mask(v, s, g) for v, s in zip(vs, seeds)])
+        np.testing.assert_array_equal(self.unmask_sum(csum, seeds, g), g.sum(vs))
