@@ -37,11 +37,10 @@ __all__ = ["EventRecord", "EventLog"]
 
 def _json_default(value: Any) -> Any:
     """JSON fallback for event details (numpy scalars, sets, arrays)."""
-    item = getattr(value, "item", None)
-    if callable(item):  # numpy scalar
-        return item()
+    # ``tolist`` covers scalars and arrays alike; ``item`` would raise on
+    # any array of more than one element.
     tolist = getattr(value, "tolist", None)
-    if callable(tolist):  # numpy array
+    if callable(tolist):  # numpy scalar or array
         return tolist()
     if isinstance(value, (set, frozenset, tuple)):
         return sorted(value) if isinstance(value, (set, frozenset)) else list(value)

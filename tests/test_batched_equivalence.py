@@ -193,6 +193,64 @@ class TestBatchedKernels:
             for name in gk:
                 np.testing.assert_allclose(grads[name][k], gk[name], rtol=0, atol=ATOL)
 
+    def test_batched_embedding_kernels_per_slice(self):
+        K, V, D, B, T = 3, 9, 4, 5, 6
+        params = {"weight": self.rng.standard_normal((K, V, D)).astype(np.float32)}
+        tokens = self.rng.integers(0, V, size=(K, B, T))
+        d_out = self.rng.standard_normal((K, B, T, D)).astype(np.float32)
+        out, cache = layers.batched_embedding_forward(params, tokens)
+        grads = layers.batched_embedding_backward(cache, d_out)
+        for k in range(K):
+            pk = {"weight": params["weight"][k]}
+            ok, ck = layers.embedding_forward(pk, tokens[k])
+            np.testing.assert_array_equal(out[k], ok)
+            gk = layers.embedding_backward(ck, d_out[k])
+            np.testing.assert_array_equal(grads["weight"][k], gk["weight"])
+
+    def test_batched_linear_kernels_per_slice(self):
+        K, B, T, D, O = 3, 4, 6, 5, 7
+        params = {
+            "weight": self.rng.standard_normal((K, D, O)).astype(np.float32),
+            "bias": self.rng.standard_normal((K, O)).astype(np.float32),
+        }
+        x = self.rng.standard_normal((K, B, T, D)).astype(np.float32)
+        d_out = self.rng.standard_normal((K, B, T, O)).astype(np.float32)
+        y, cache = layers.batched_linear_forward(params, x)
+        d_x, grads = layers.batched_linear_backward(cache, d_out)
+        for k in range(K):
+            pk = {n: params[n][k] for n in params}
+            yk, ck = layers.linear_forward(pk, x[k])
+            np.testing.assert_allclose(y[k], yk, rtol=0, atol=ATOL)
+            dxk, gk = layers.linear_backward(ck, d_out[k])
+            np.testing.assert_allclose(d_x[k], dxk, rtol=0, atol=ATOL)
+            for name in gk:
+                np.testing.assert_allclose(grads[name][k], gk[name], rtol=0, atol=ATOL)
+
+    def test_batched_linear_kernels_ragged_valid_rows(self):
+        K, B, T, D, O = 3, 5, 4, 6, 3
+        params = {
+            "weight": self.rng.standard_normal((K, D, O)).astype(np.float32),
+            "bias": self.rng.standard_normal((K, O)).astype(np.float32),
+        }
+        valid = np.array([1, 3, 5])
+        x = np.zeros((K, B, T, D), dtype=np.float32)
+        d_out = np.zeros((K, B, T, O), dtype=np.float32)
+        for k, b in enumerate(valid):
+            x[k, :b] = self.rng.standard_normal((b, T, D))
+            d_out[k, :b] = self.rng.standard_normal((b, T, O))
+        y, cache = layers.batched_linear_forward(params, x, valid_rows=valid)
+        d_x, grads = layers.batched_linear_backward(cache, d_out, valid_rows=valid)
+        for k, b in enumerate(valid):
+            pk = {n: params[n][k] for n in params}
+            yk, ck = layers.linear_forward(pk, x[k, :b])
+            np.testing.assert_array_equal(y[k, :b], yk)
+            np.testing.assert_array_equal(y[k, b:], 0.0)
+            dxk, gk = layers.linear_backward(ck, d_out[k, :b])
+            np.testing.assert_array_equal(d_x[k, :b], dxk)
+            np.testing.assert_array_equal(d_x[k, b:], 0.0)
+            for name in gk:
+                np.testing.assert_array_equal(grads[name][k], gk[name])
+
     def test_batched_cross_entropy_per_slice(self):
         K, B, T, V = 4, 3, 5, 12
         logits = (self.rng.standard_normal((K, B, T, V)) * 3).astype(np.float32)

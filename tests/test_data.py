@@ -59,6 +59,18 @@ class TestCorpusStructure:
     def test_no_transition_into_bos(self, corpus):
         assert np.all(corpus.kernels[:, :, BOS_ID] == 0.0)
 
+    def test_stationary_sample_never_emits_bos(self, corpus):
+        tokens = corpus.stationary_sample(child_rng(0, "eval"), 2_000)
+        assert tokens.shape == (2_000,)
+        assert tokens.min() > BOS_ID and tokens.max() < corpus.spec.vocab_size
+
+    def test_stationary_sample_follows_unigram(self, corpus):
+        tokens = corpus.stationary_sample(child_rng(1, "eval"), 50_000)
+        freq = np.bincount(tokens, minlength=corpus.spec.vocab_size) / tokens.size
+        np.testing.assert_allclose(freq, corpus.unigram, atol=0.01)
+        again = corpus.stationary_sample(child_rng(1, "eval"), 50_000)
+        np.testing.assert_array_equal(tokens, again)
+
     def test_client_mixture_is_distribution(self, corpus):
         mix = corpus.client_topic_mixture(123)
         assert mix.shape == (3,)

@@ -54,6 +54,26 @@ class TestReport:
         out = format_series("c", [0, 1], [5.0, 5.0])
         assert "[5..5]" in out
 
+    def test_print_points_reads_attributes_and_callables(self, capsys):
+        from types import SimpleNamespace
+
+        from repro.harness.report import print_points
+
+        points = [SimpleNamespace(k=1, loss=0.25), SimpleNamespace(k=10, loss=0.5)]
+        print_points([("k", "k"), ("2x loss", lambda p: 2 * p.loss)], points, title="T")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "T"
+        assert lines[1].split() == ["k", "2x", "loss"]
+        assert [line.split() for line in lines[3:5]] == [["1", "0.5"], ["10", "1"]]
+        assert lines[5] == ""  # blank separator after each table
+
+    def test_series_downsampling_keeps_both_endpoints(self):
+        ys = [float(i) for i in range(100)]
+        out = format_series("s", list(range(100)), ys, width=10)
+        line = out.split(": ", 1)[1]
+        assert len(line) == 10
+        assert line[0] == "▁" and line[-1] == "█"
+
 
 class TestKS:
     def test_identical_samples_match(self):

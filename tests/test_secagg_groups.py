@@ -313,6 +313,25 @@ class TestFixedPoint:
         with pytest.raises(FixedPointOverflowError, match="NaN"):
             codec.encode_block(np.array([[0.5, 1.0], [1.0, np.nan]]))
 
+    def test_signed_range_splits_the_group(self):
+        codec = FixedPointCodec(PowerOfTwoGroup(16), scale=2**4)
+        assert codec.half_low == 2**15 and codec.half_high == 2**15
+        assert codec.half_low + codec.half_high == codec.group.order
+        assert codec.max_abs_value == (2**15 - 1) / 2**4
+
+    def test_range_edges_roundtrip(self):
+        codec = FixedPointCodec(PowerOfTwoGroup(16), scale=2**4)
+        lowest = -codec.half_low / codec.scale  # two's-complement minimum
+        v = np.array([codec.max_abs_value, lowest])
+        np.testing.assert_array_equal(codec.decode(codec.encode(v)), v)
+
+    def test_one_past_the_positive_edge_overflows(self):
+        codec = FixedPointCodec(PowerOfTwoGroup(16), scale=2**4)
+        with pytest.raises(FixedPointOverflowError, match="fixed-point range"):
+            codec.encode(np.array([codec.half_high / codec.scale]))
+        with pytest.raises(FixedPointOverflowError):
+            codec.encode(np.array([-(codec.half_low + 1) / codec.scale]))
+
     def test_clip_prevents_overflow(self):
         codec = FixedPointCodec(PowerOfTwoGroup(16), scale=2**10, clip_value=10.0)
         out = codec.decode(codec.encode(np.array([100.0])))

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.secagg import (
+    AttestationError,
     BoundaryCostModel,
+    LogBundle,
     ProtocolError,
     SecAggClient,
+    VerifiableLog,
     build_deployment,
     run_secure_aggregation,
 )
@@ -178,3 +181,55 @@ class TestBoundaryCostModel:
             1000, self.MODEL_20MB
         )
         assert r1000 > r100 > 1
+
+
+class TestVerifiableLogBundle:
+    """Figure 20 on a log holding several releases (Appendix C.2)."""
+
+    @staticmethod
+    def released_log(dep, before=1):
+        """A log with ``before`` older releases, then the deployment's binary."""
+        log = VerifiableLog()
+        for v in range(before):
+            log.append(f"manifest|papaya-tsa-v{v}".encode())
+        entry = b"manifest|" + dep.tsa.binary_hash
+        return log, entry, log.append(entry)
+
+    @staticmethod
+    def participate(dep, bundle):
+        client = SecAggClient(0, dep.codec, dep.authority, dep.tsa.binary_hash,
+                              dep.tsa.params_hash, child_rng(0, "log-client"))
+        return client.participate(np.zeros(4), dep.server.assign_leg(), log_bundle=bundle)
+
+    def test_binary_released_after_earlier_versions_accepted(self):
+        dep = build_deployment(vector_length=4, threshold=1, trusted_binary=b"papaya-tsa-v2")
+        log, entry, index = self.released_log(dep, before=2)
+        bundle = LogBundle(entry, index, log.size, log.root(), log.inclusion_proof(index))
+        assert dep.server.submit(self.participate(dep, bundle)) is True
+
+    def test_bundle_from_older_snapshot_still_accepted(self):
+        # Later releases do not invalidate a proof against its own root.
+        dep = build_deployment(vector_length=4, threshold=1)
+        log, entry, index = self.released_log(dep)
+        size, root, proof = log.size, log.root(), log.inclusion_proof(index)
+        for v in range(3):
+            log.append(f"manifest|later-{v}".encode())
+        assert dep.server.submit(self.participate(dep, LogBundle(entry, index, size, root, proof)))
+
+    def test_proof_against_a_rewritten_log_rejected(self):
+        dep = build_deployment(vector_length=4, threshold=1)
+        honest, entry, index = self.released_log(dep)
+        rewritten = VerifiableLog()
+        rewritten.append(b"manifest|backdoored-v0")
+        rewritten.append(entry)
+        bundle = LogBundle(entry, index, honest.size, rewritten.root(),
+                           honest.inclusion_proof(index))
+        with pytest.raises(AttestationError, match="verifiable log"):
+            self.participate(dep, bundle)
+
+    def test_wrong_index_rejected(self):
+        dep = build_deployment(vector_length=4, threshold=1)
+        log, entry, index = self.released_log(dep, before=3)
+        bundle = LogBundle(entry, index - 1, log.size, log.root(), log.inclusion_proof(index))
+        with pytest.raises(AttestationError, match="verifiable log"):
+            self.participate(dep, bundle)

@@ -186,6 +186,28 @@ class TestNetworkModel:
         with pytest.raises(ValueError):
             NetworkModel(chunk_bytes=0)
 
+    def test_invalid_cdn_speedup(self):
+        with pytest.raises(ValueError):
+            NetworkModel(cdn_speedup=0)
+
+    def test_download_time_scales_with_cdn_speedup(self, pop):
+        p = pop.profile(0)
+        nbytes = 8 * 1024 * 1024
+        slow = NetworkModel(rtt_s=0.0, cdn_speedup=1.0).download_time(p, nbytes)
+        fast = NetworkModel(rtt_s=0.0, cdn_speedup=4.0).download_time(p, nbytes)
+        assert slow == pytest.approx(nbytes / p.download_bandwidth)
+        assert fast == pytest.approx(slow / 4.0)
+
+    def test_upload_time_charges_ceil_chunks(self, pop):
+        net = NetworkModel(rtt_s=0.5, chunk_bytes=1000)
+        p = pop.profile(0)
+        for nbytes, chunks in [(0, 1), (1, 1), (1000, 1), (1001, 2), (3000, 3)]:
+            expected = chunks * 0.5 + nbytes / p.upload_bandwidth
+            assert net.upload_time(p, nbytes) == pytest.approx(expected), nbytes
+
+    def test_roundtrip_is_one_rtt(self):
+        assert NetworkModel(rtt_s=0.25).roundtrip() == 0.25
+
 
 @pytest.fixture(scope="module")
 def cpop():

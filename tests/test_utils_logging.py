@@ -1,6 +1,11 @@
 """Tests for the structured event log."""
 
-from repro.utils import EventLog
+import json
+
+import numpy as np
+import pytest
+
+from repro.utils import EventLog, EventRecord
 
 
 class TestEventLog:
@@ -45,3 +50,72 @@ class TestEventLog:
         log.emit(0.0, "c", "a")
         log.clear()
         assert len(log) == 0
+
+
+class TestBoundedRetention:
+    def test_invalid_bound_rejected(self):
+        with pytest.raises(ValueError, match="max_records"):
+            EventLog(max_records=0)
+
+    def test_keeps_newest_records(self):
+        log = EventLog(max_records=3)
+        for t in range(5):
+            log.emit(float(t), "c", "tick")
+        assert len(log) == 3
+        assert [r.time for r in log] == [2.0, 3.0, 4.0]
+        assert log.evicted == 2
+
+    def test_tallies_survive_eviction(self):
+        log = EventLog(max_records=2)
+        for t in range(4):
+            log.emit(float(t), "c", "a" if t % 2 == 0 else "b")
+        assert log.count("a") == 2 and log.count("b") == 2
+        # Only the retained window is visible to the record queries.
+        assert [r.time for r in log.of_kind("a")] == [2.0]
+        assert [r.time for r in log.of_kind("b")] == [3.0]
+
+    def test_kind_totals_sorted_and_exact(self):
+        log = EventLog(max_records=1)
+        for kind in ("zeta", "alpha", "zeta"):
+            log.emit(0.0, "c", kind)
+        assert list(log.kind_totals().items()) == [("alpha", 1), ("zeta", 2)]
+
+    def test_clear_resets_eviction_counter(self):
+        log = EventLog(max_records=1)
+        log.emit(0.0, "c", "a")
+        log.emit(1.0, "c", "a")
+        log.clear()
+        assert log.evicted == 0 and log.count("a") == 0 and log.kind_totals() == {}
+
+
+class TestJsonExport:
+    def test_record_envelope(self):
+        rec = EventRecord(1.5, "aggregator:0", "server_step", {"version": 3})
+        assert json.loads(rec.to_json()) == {
+            "time": 1.5,
+            "component": "aggregator:0",
+            "kind": "server_step",
+            "detail": {"version": 3},
+        }
+
+    def test_numpy_and_container_details_degrade_to_json(self):
+        rec = EventRecord(0.0, "c", "k", {
+            "scalar": np.int64(7),
+            "array": np.arange(3),
+            "members": {3, 1, 2},
+            "pair": (1, 2),
+            "other": object,
+        })
+        detail = json.loads(rec.to_json())["detail"]
+        assert detail["scalar"] == 7
+        assert detail["array"] == [0, 1, 2]
+        assert detail["members"] == [1, 2, 3]
+        assert detail["pair"] == [1, 2]
+        assert detail["other"] == repr(object)
+
+    def test_to_jsonl_is_one_line_per_retained_record(self):
+        log = EventLog(max_records=2)
+        for t in range(3):
+            log.emit(float(t), "c", "tick", step=t)
+        lines = log.to_jsonl().splitlines()
+        assert [json.loads(line)["detail"]["step"] for line in lines] == [1, 2]
