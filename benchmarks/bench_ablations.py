@@ -16,8 +16,8 @@ from repro.core import (
     SurrogateParams,
     SurrogateTrainer,
 )
+from repro.api import Deployment
 from repro.harness import SMOKE, async_scenario, make_population, sync_scenario
-from repro.harness.runner import deploy
 from repro.harness.report import print_table
 
 
@@ -64,7 +64,9 @@ class TestOverSelectionAblation:
             pop = make_population(SMOKE.population, seed=0)
             rows = []
             for o in (0.0, 0.1, 0.3, 0.5):
-                sim = deploy(sync_scenario(16, pop, over_selection=o, seed=0), pop)
+                sim = Deployment.from_spec(
+                    sync_scenario(16, pop, over_selection=o, seed=0), population=pop
+                ).build()
                 res = sim.run(t_end=3600.0)
                 s = res.stats("sync")
                 steps = s.server_steps
@@ -101,9 +103,10 @@ class TestMaxStalenessAblation:
             pop = make_population(SMOKE.population, seed=0)
             rows = []
             for bound in (1, 4, 1000):
-                sim = deploy(
-                    async_scenario(32, 4, pop, seed=0, max_staleness=bound), pop
-                )
+                sim = Deployment.from_spec(
+                    async_scenario(32, 4, pop, seed=0, max_staleness=bound),
+                    population=pop,
+                ).build()
                 res = sim.run(t_end=3600.0)
                 s = res.stats("async")
                 rows.append((bound, s.aborted, s.mean_staleness, s.aggregated))
@@ -135,9 +138,10 @@ class TestGoalFractionAblation:
             rows = []
             for frac in (0.05, 0.15, 0.5, 1.0):
                 goal = max(1, int(32 * frac))
-                sim = deploy(
-                    async_scenario(32, goal, pop, seed=0, surrogate=params), pop
-                )
+                sim = Deployment.from_spec(
+                    async_scenario(32, goal, pop, seed=0, surrogate=params),
+                    population=pop,
+                ).build()
                 res = sim.run(t_end=3600.0 * 6, target_loss=2.55)
                 t = res.stats("async").time_to_target
                 rows.append((frac, goal, None if t is None else t / 3600.0))

@@ -25,22 +25,13 @@ a regression in failover or recovery fails CI, not just a dashboard.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from repro.api import (
-    Deployment,
-    ExecutionSpec,
-    FaultEvent,
-    FaultSpec,
-    PlaneSpec,
-    PopulationSpec,
-    ScenarioSpec,
-    SpecError,
-    TaskSpec,
-)
+from repro.api import Deployment, FaultEvent, FaultSpec, ScenarioSpec, SpecError
 from repro.harness import registry
-from repro.harness.report import print_table
-from repro.harness.runner import SIM_MODEL_BYTES
+from repro.harness.report import print_points
+from repro.harness.runner import train_scenario
 from repro.sim.faults import recovery_report
 
 __all__ = [
@@ -116,27 +107,14 @@ class ChaosResult:
 def _chaos_spec(
     schedule: str, plane: str, n_devices: int, seed: int, t_end_s: float
 ) -> ScenarioSpec:
+    """The ``train`` workload on ``plane`` under one canned schedule."""
+    spec = train_scenario(n_devices, seed, t_end_s)
+    if plane == "sharded":
+        spec = spec.with_overrides({"plane.name": "sharded", "plane.num_shards": 2})
     events = tuple(
         FaultEvent(kind, at_s, params) for kind, at_s, params in SCHEDULES[schedule]
     )
-    plane_spec = (
-        PlaneSpec(name="sharded", num_shards=2) if plane == "sharded" else PlaneSpec()
-    )
-    return ScenarioSpec(
-        population=PopulationSpec(n_devices=n_devices),
-        tasks=(
-            TaskSpec(
-                name="train",
-                mode="async",
-                concurrency=48,
-                aggregation_goal=8,
-                model_size_bytes=SIM_MODEL_BYTES,
-            ),
-        ),
-        plane=plane_spec,
-        execution=ExecutionSpec(seed=seed, t_end_s=t_end_s),
-        faults=FaultSpec(events=events),
-    )
+    return dataclasses.replace(spec, faults=FaultSpec(events=events))
 
 
 def _run_cell(spec: ScenarioSpec):
@@ -241,31 +219,34 @@ def chaos_experiment(
     )
 
 
+def _flag(ok: bool | None) -> str | None:
+    """A contract verdict as ``ok``/``VIOLATED``; None (``n/a``) if unchecked."""
+    if ok is None:
+        return None
+    return "ok" if ok else "VIOLATED"
+
+
+_CHAOS_COLUMNS = (
+    ("schedule", "schedule"),
+    ("plane", "plane"),
+    ("steps", "server_steps"),
+    ("aggregated", "aggregated"),
+    ("goodput", "goodput_retention"),
+    ("recovery (s)", "recovery_s"),
+    ("lost buf", "lost_buffered"),
+    ("unacct", "unaccounted"),
+    ("conserved",
+     lambda p: _flag(p.device_conservation_ok and p.updates_conservation_ok)),
+    ("replay", lambda p: _flag(p.replay_identical)),
+)
+
+
 def print_chaos(res: ChaosResult) -> None:
     """Render a chaos run as text."""
-
-    def _flag(ok: bool) -> str:
-        return "ok" if ok else "VIOLATED"
-
-    print_table(
-        ["schedule", "plane", "steps", "aggregated", "goodput", "recovery (s)",
-         "lost buf", "unacct", "conserved", "replay"],
-        [
-            [
-                p.schedule, p.plane, p.server_steps, p.aggregated,
-                p.goodput_retention,
-                "n/a" if p.recovery_s is None else p.recovery_s,
-                p.lost_buffered, p.unaccounted,
-                _flag(p.device_conservation_ok and p.updates_conservation_ok),
-                "n/a" if p.replay_identical is None else _flag(p.replay_identical),
-            ]
-            for p in res.points
-        ],
-        title=(
-            f"Chaos — {res.n_devices} devices, "
-            f"{res.t_end_s / 3600.0:.1f} h horizon, seed {res.seed}"
-        ),
-    )
+    print_points(_CHAOS_COLUMNS, res.points, title=(
+        f"Chaos — {res.n_devices} devices, "
+        f"{res.t_end_s / 3600.0:.1f} h horizon, seed {res.seed}"
+    ))
 
 
 registry.register(

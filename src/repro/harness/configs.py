@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.surrogate import SurrogateParams
+
 __all__ = ["Scale", "PAPER", "DEFAULT", "SMOKE",
            "OVER_SELECTION", "CLIENT_TIMEOUT_S", "MODEL_BYTES_20MB"]
 
@@ -63,6 +65,11 @@ class Scale:
     def sim_seconds(self) -> float:
         """Horizon in simulated seconds."""
         return self.sim_hours * 3600.0
+
+    @property
+    def surrogate(self) -> SurrogateParams:
+        """The surrogate convergence model's calibration at this scale."""
+        return SurrogateParams(critical_goal=self.critical_goal)
 
 
 PAPER = Scale(

@@ -42,19 +42,10 @@ import hashlib
 import time
 from dataclasses import dataclass
 
-from repro.api import (
-    Deployment,
-    ExecutionSpec,
-    PlaneSpec,
-    PopulationSpec,
-    ScenarioSpec,
-    TaskSpec,
-    TelemetrySpec,
-    build_population,
-)
+from repro.api import Deployment, PopulationSpec, ScenarioSpec, build_population
 from repro.harness import registry
 from repro.harness.report import print_points
-from repro.harness.runner import SIM_MODEL_BYTES
+from repro.harness.runner import train_scenario
 from repro.obs.telemetry import RunTelemetry
 from repro.sim.fleet import FleetConfig, FleetSimulation
 from repro.sim.trace import BoundedMetricsTrace
@@ -104,21 +95,12 @@ def _obs_spec(
     n_devices: int, seed: int, t_end_s: float, telemetry: bool, max_spans: int
 ) -> ScenarioSpec:
     """The system-plane workload: async training on the sharded core."""
-    return ScenarioSpec(
-        population=PopulationSpec(n_devices=n_devices),
-        tasks=(
-            TaskSpec(
-                name="train",
-                mode="async",
-                concurrency=48,
-                aggregation_goal=8,
-                model_size_bytes=SIM_MODEL_BYTES,
-            ),
-        ),
-        plane=PlaneSpec(name="sharded", num_shards=2),
-        execution=ExecutionSpec(seed=seed, t_end_s=t_end_s),
-        telemetry=TelemetrySpec(enabled=telemetry, max_spans=max_spans),
-    )
+    return train_scenario(n_devices, seed, t_end_s).with_overrides({
+        "plane.name": "sharded",
+        "plane.num_shards": 2,
+        "telemetry.enabled": telemetry,
+        "telemetry.max_spans": max_spans,
+    })
 
 
 def _fleet_fingerprint(fleet: FleetSimulation) -> str:

@@ -54,14 +54,17 @@ def print_points(
     """Print one table row per point from a declarative column table.
 
     ``columns`` is a sequence of ``(header, getter)`` rows: ``getter`` is
-    an attribute name of the point, or a callable taking the point.
+    an attribute name of the point, or a callable taking the point.  A
+    ``None`` cell (e.g. a target never reached) renders as ``n/a``.
     """
+
+    def cell(point: object, get: Any) -> object:
+        value = get(point) if callable(get) else getattr(point, get)
+        return "n/a" if value is None else value
+
     print_table(
         [header for header, _ in columns],
-        [
-            [get(p) if callable(get) else getattr(p, get) for _, get in columns]
-            for p in points
-        ],
+        [[cell(p, get) for _, get in columns] for p in points],
         title,
     )
 

@@ -1,14 +1,19 @@
 """Scenario builders shared by every figure regenerator.
 
-The figure functions describe their deployments as
-:class:`~repro.api.ScenarioSpec` values via :func:`async_scenario` /
-:func:`sync_scenario` and build them through the :mod:`repro.api`
-façade (:func:`deploy` reuses an already-built population).
+Every simulated figure arm is one complete :class:`~repro.api.ScenarioSpec`
+from :func:`async_scenario` / :func:`sync_scenario`, horizon and stop
+conditions included (:func:`sync_vs_async` and :func:`four_configs` are
+the arm sets several figures share), run as
+``Deployment.from_spec(spec, population=pop).run()`` with the figure's
+already-built population; :func:`run_to_target` is the time-to-target
+reducer.  :func:`train_scenario` is the plain async workload the
+``chaos`` and ``obs`` experiments perturb.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.api import (
     Deployment,
@@ -19,15 +24,19 @@ from repro.api import (
     build_population,
 )
 from repro.core.surrogate import SurrogateParams
-from repro.harness.configs import CLIENT_TIMEOUT_S, OVER_SELECTION
+from repro.harness.configs import CLIENT_TIMEOUT_S, OVER_SELECTION, Scale
 from repro.sim.population import DevicePopulation
-from repro.system.orchestrator import FederatedSimulation
+from repro.sim.trace import Outcome
 
 __all__ = [
     "make_population",
     "async_scenario",
     "sync_scenario",
-    "deploy",
+    "sync_goal",
+    "sync_vs_async",
+    "four_configs",
+    "run_to_target",
+    "train_scenario",
     "DEFAULT_TARGET_LOSS",
 ]
 
@@ -48,22 +57,33 @@ def make_population(n_devices: int, seed: int = 0, **overrides) -> DevicePopulat
     )
 
 
-def _trainer_params(surrogate: SurrogateParams | None) -> dict:
-    """Serialize surrogate calibration constants for a TaskSpec."""
-    if surrogate is None:
-        return {}
-    return {
-        f.name: getattr(surrogate, f.name)
-        for f in dataclasses.fields(SurrogateParams)
-    }
-
-
-def _population_spec(
+def _surrogate_scenario(
     population: DevicePopulation | PopulationSpec,
-) -> PopulationSpec:
-    if isinstance(population, PopulationSpec):
-        return population
-    return PopulationSpec.from_population(population)
+    seed: int,
+    surrogate: SurrogateParams | None,
+    target_loss: float | None,
+    t_end_s: float | None,
+    **task,
+) -> ScenarioSpec:
+    """One surrogate-trained task at the figures' timeout and wire size."""
+    if not isinstance(population, PopulationSpec):
+        population = PopulationSpec.from_population(population)
+    params = {} if surrogate is None else dataclasses.asdict(surrogate)
+    return ScenarioSpec(
+        population=population,
+        tasks=(
+            TaskSpec(
+                client_timeout_s=CLIENT_TIMEOUT_S,
+                model_size_bytes=SIM_MODEL_BYTES,
+                trainer="surrogate",
+                trainer_params=params,
+                **task,
+            ),
+        ),
+        execution=ExecutionSpec(
+            seed=seed, t_end_s=t_end_s, target_loss=target_loss
+        ),
+    )
 
 
 def async_scenario(
@@ -77,24 +97,10 @@ def async_scenario(
     t_end_s: float | None = None,
 ) -> ScenarioSpec:
     """An AsyncFL (FedBuff) deployment with a surrogate trainer, as a spec."""
-    return ScenarioSpec(
-        population=_population_spec(population),
-        tasks=(
-            TaskSpec(
-                name="async",
-                mode="async",
-                concurrency=concurrency,
-                aggregation_goal=goal,
-                max_staleness=max_staleness,
-                client_timeout_s=CLIENT_TIMEOUT_S,
-                model_size_bytes=SIM_MODEL_BYTES,
-                trainer="surrogate",
-                trainer_params=_trainer_params(surrogate),
-            ),
-        ),
-        execution=ExecutionSpec(
-            seed=seed, t_end_s=t_end_s, target_loss=target_loss
-        ),
+    return _surrogate_scenario(
+        population, seed, surrogate, target_loss, t_end_s,
+        name="async", mode="async", concurrency=concurrency,
+        aggregation_goal=goal, max_staleness=max_staleness,
     )
 
 
@@ -108,32 +114,69 @@ def sync_scenario(
     t_end_s: float | None = None,
 ) -> ScenarioSpec:
     """A SyncFL deployment spec; concurrency = the over-selected cohort."""
-    import math
-
-    cohort = int(math.ceil(goal * (1.0 + over_selection)))
-    return ScenarioSpec(
-        population=_population_spec(population),
-        tasks=(
-            TaskSpec(
-                name="sync",
-                mode="sync",
-                concurrency=cohort,
-                aggregation_goal=goal,
-                over_selection=over_selection,
-                client_timeout_s=CLIENT_TIMEOUT_S,
-                model_size_bytes=SIM_MODEL_BYTES,
-                trainer="surrogate",
-                trainer_params=_trainer_params(surrogate),
-            ),
-        ),
-        execution=ExecutionSpec(
-            seed=seed, t_end_s=t_end_s, target_loss=target_loss
-        ),
+    return _surrogate_scenario(
+        population, seed, surrogate, target_loss, t_end_s,
+        name="sync", mode="sync",
+        concurrency=int(math.ceil(goal * (1.0 + over_selection))),
+        aggregation_goal=goal, over_selection=over_selection,
     )
 
 
-def deploy(
-    spec: ScenarioSpec, population: DevicePopulation | None = None
-) -> FederatedSimulation:
-    """Build a spec through the façade, reusing a built population."""
-    return Deployment.from_spec(spec, population=population).build()
+def sync_goal(concurrency: int, over_selection: float = OVER_SELECTION) -> int:
+    """The paper's convention: concurrency = goal × (1 + over-selection).
+
+    Floored so the over-selected cohort never exceeds the concurrency cap
+    (ceil(floor(C/1.3) × 1.3) ≤ C).
+    """
+    return max(1, int(concurrency / (1.0 + over_selection)))
+
+
+def sync_vs_async(scale: Scale, pop: DevicePopulation, conc: int, seed: int,
+                  **execution) -> tuple[ScenarioSpec, ScenarioSpec]:
+    """Figures 7–9's arms at one concurrency: SyncFL w/ OS, AsyncFL at the base K."""
+    arm = dict(surrogate=scale.surrogate, **execution)
+    return (sync_scenario(sync_goal(conc), pop, seed=seed, **arm),
+            async_scenario(conc, scale.base_goal, pop, seed=seed + 1, **arm))
+
+
+def four_configs(scale: Scale, pop: DevicePopulation, seed: int,
+                 **execution) -> dict[str, ScenarioSpec]:
+    """Figures 12–13's four configurations (paper: goal=1000 at C=1300)."""
+    conc = scale.base_concurrency
+    big_goal = sync_goal(conc)  # e.g. 1000 at paper scale
+    arm = dict(seed=seed, surrogate=scale.surrogate, **execution)
+    return {
+        "async_small_k": async_scenario(conc, scale.base_goal, pop, **arm),
+        "async_big_k": async_scenario(conc, big_goal, pop, **arm),
+        "sync_with_os": sync_scenario(big_goal, pop, **arm),
+        "sync_without_os": sync_scenario(big_goal, pop, over_selection=0.0, **arm),
+    }
+
+
+def run_to_target(
+    spec: ScenarioSpec, pop: DevicePopulation
+) -> tuple[float | None, int, float]:
+    """Run one arm: (seconds to target, comm trips until then, steps/h).
+
+    Comm trips are the client updates the server received (aggregated or
+    discarded) by the time the target was reached, or by the horizon.
+    """
+    res = Deployment.from_spec(spec, population=pop).run()
+    (task,) = res.task_stats
+    t = res.task_stats[task].time_to_target
+    horizon = math.inf if t is None else t
+    trips = sum(
+        1
+        for p in res.trace.participations
+        if p.task == task
+        and p.outcome in (Outcome.AGGREGATED, Outcome.DISCARDED)
+        and p.end_time <= horizon
+    )
+    return t, trips, res.trace.steps_per_hour(task)
+
+
+def train_scenario(n_devices: int, seed: int, t_end_s: float) -> ScenarioSpec:
+    """The async ``train`` task (48 concurrent clients, K=8) on a fresh fleet."""
+    return async_scenario(
+        48, 8, PopulationSpec(n_devices=n_devices), seed=seed, t_end_s=t_end_s
+    ).override("tasks.async.name", "train")

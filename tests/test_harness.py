@@ -15,9 +15,9 @@ from repro.harness import (
     make_population,
     sync_scenario,
 )
+from repro.api import Deployment
 from repro.harness.configs import DEFAULT, PAPER, Scale
-from repro.harness.figures import _sync_goal
-from repro.harness.runner import deploy
+from repro.harness.runner import sync_goal
 from repro.utils import child_rng
 
 
@@ -66,6 +66,16 @@ class TestReport:
         assert lines[1].split() == ["k", "2x", "loss"]
         assert [line.split() for line in lines[3:5]] == [["1", "0.5"], ["10", "1"]]
         assert lines[5] == ""  # blank separator after each table
+
+    def test_print_points_renders_none_as_na(self, capsys):
+        from types import SimpleNamespace
+
+        from repro.harness.report import print_points
+
+        points = [SimpleNamespace(h=None, r=2.0), SimpleNamespace(h=0.5, r=None)]
+        print_points([("hours", "h"), ("ratio", lambda p: p.r)], points)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines[2:4]] == [["n/a", "2"], ["0.5", "n/a"]]
 
     def test_series_downsampling_keeps_both_endpoints(self):
         ys = [float(i) for i in range(100)]
@@ -118,22 +128,24 @@ class TestScales:
         import math
 
         for c in (8, 13, 32, 130, 1300, 2600):
-            goal = _sync_goal(c)
+            goal = sync_goal(c)
             assert math.ceil(goal * 1.3) <= c
             assert goal >= 1
-        assert _sync_goal(1300) == 1000  # the paper's headline pairing
+        assert sync_goal(1300) == 1000  # the paper's headline pairing
 
 
 class TestRunners:
     def test_build_async_runs(self):
         pop = make_population(2000, seed=0)
-        sim = deploy(async_scenario(16, 4, pop, seed=0), pop)
+        sim = Deployment.from_spec(async_scenario(16, 4, pop, seed=0), population=pop).build()
         res = sim.run(t_end=600.0)
         assert res.stats("async").server_steps > 0
 
     def test_build_sync_cohort_sizing(self):
         pop = make_population(2000, seed=0)
-        sim = deploy(sync_scenario(10, pop, over_selection=0.3, seed=0), pop)
+        sim = Deployment.from_spec(
+            sync_scenario(10, pop, over_selection=0.3, seed=0), population=pop
+        ).build()
         cfg = sim.task_runtimes["sync"].config
         assert cfg.concurrency == 13
         assert cfg.aggregation_goal == 10
