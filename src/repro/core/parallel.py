@@ -516,7 +516,7 @@ class ShardWorkerPool:
         deadline = time.monotonic() + self.ack_timeout_s
         while self._outstanding if token is None else token in self._outstanding:
             try:
-                sid, got, *payload = self._ack_queue.get(timeout=0.1)
+                sid, got, *acked = self._ack_queue.get(timeout=0.1)
             except queue_mod.Empty:
                 dead = self.dead_workers()
                 if dead:
@@ -533,11 +533,11 @@ class ShardWorkerPool:
                     ) from None
             else:
                 self._outstanding.pop(got, None)
-                if payload:
-                    if isinstance(payload[0], WorkerPoolError):
+                if acked:
+                    if isinstance(acked[0], WorkerPoolError):
                         self.healthy = False
-                        raise payload[0]
-                    self._results[got] = payload[0]
+                        raise acked[0]
+                    self._results[got] = acked[0]
 
     def barrier(self) -> None:
         """Wait until every dispatched task has been acked.

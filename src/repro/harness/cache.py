@@ -105,14 +105,14 @@ class ResultCache:
         p = self.path(fingerprint)
         try:
             with open(p, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                stored = json.load(fh)
         except (OSError, ValueError):
             # ValueError covers both JSONDecodeError and the
             # UnicodeDecodeError a byte-corrupt entry raises.
             return None
-        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
+        if not isinstance(stored, dict) or stored.get("version") != CACHE_VERSION:
             return None
-        return payload
+        return stored
 
     def store(self, fingerprint: str, payload: dict) -> Path:
         """Atomically persist a cell payload; returns its path."""

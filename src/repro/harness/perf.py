@@ -214,8 +214,8 @@ def cohort_speedup(
     """Measure batched-vs-scalar cohort training on the real workload.
 
     Both engines train identical client sets from identical initial
-    models; the scalar path is timed as the K sequential ``LocalTrainer``
-    calls the simulator would otherwise make.
+    models.  The scalar arm, K sequential ``LocalTrainer`` calls, is the
+    reference the batched engine (the simulator's one path) is held to.
     """
     model_cfg = ModelConfig(vocab_size=vocab_size, embed_dim=8, hidden_dim=16)
     corpus = TopicMarkovCorpus(

@@ -1,6 +1,6 @@
 """Discrete-event substrate: simulator, device population, network, trace."""
 
-from repro.sim.engine import DeferredQueue, EventHandle, Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.fleet import FleetConfig, FleetSimulation
 from repro.sim.network import NetworkModel
 from repro.sim.population import (
@@ -18,7 +18,6 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "DeferredQueue",
     "EventHandle",
     "Simulator",
     "NetworkModel",

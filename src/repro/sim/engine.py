@@ -21,14 +21,6 @@ The engine keeps cancellable handles (cancellation is how the system
 layer models aborting in-flight clients when a synchronous round closes
 or staleness bounds trip); cancelled entries are pruned lazily when
 their bucket is drained, never paying an eager O(n) removal.
-
-:class:`DeferredQueue` is the engine's cohort-dispatch primitive: work
-whose *result* is not needed at schedule time (client training compute,
-whose simulated duration is already fixed by the device profile) is
-parked in FIFO order and drained in batches when the first result is
-demanded.  The system layer uses it to group concurrently-in-flight
-client trainings into one vectorized call without moving any event or
-timestamp.
 """
 
 from __future__ import annotations
@@ -36,71 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import insort
-from typing import Callable, Generic, TypeVar
+from typing import Callable
 
-__all__ = ["EventHandle", "Simulator", "DeferredQueue"]
-
-T = TypeVar("T")
-
-
-class DeferredQueue(Generic[T]):
-    """FIFO queue of deferred work items with batched, deterministic draining.
-
-    Items are compared by identity; an item can be discarded (e.g. its
-    session aborted) any time before it is drained.  ``drain`` returns a
-    batch in submission order, which keeps cohort composition — and
-    therefore everything downstream — independent of dictionary/hash
-    order.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: list[T] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def submit(self, item: T) -> T:
-        """Park one work item; returns it for caller convenience."""
-        self._items.append(item)
-        return item
-
-    def discard(self, item: T) -> bool:
-        """Remove a parked item (no-op if already drained or discarded)."""
-        for pos, queued in enumerate(self._items):
-            if queued is item:
-                del self._items[pos]
-                return True
-        return False
-
-    def drain(self, required: T, limit: int | None = None) -> list[T]:
-        """Take a FIFO batch of up to ``limit`` items including ``required``.
-
-        ``required`` (the item whose result is being demanded right now)
-        is always part of the batch even when it sits beyond the limit;
-        the rest of the batch is the oldest parked work.
-        """
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be at least 1")
-        batch: list[T] = []
-        taken: list[int] = []
-        for pos, item in enumerate(self._items):
-            if limit is not None and len(batch) >= limit:
-                break
-            batch.append(item)
-            taken.append(pos)
-        if not any(item is required for item in batch):
-            for pos, item in enumerate(self._items):
-                if item is required:
-                    batch[-1] = item
-                    taken[-1] = pos
-                    break
-            else:
-                raise ValueError("required item is not queued")
-        for pos in reversed(taken):
-            del self._items[pos]
-        return batch
+__all__ = ["EventHandle", "Simulator"]
 
 
 class EventHandle:

@@ -34,7 +34,12 @@ __all__ = ["TrainerAdapter", "SurrogateAdapter", "RealTrainingAdapter"]
 
 
 class TrainerAdapter(abc.ABC):
-    """Backend contract for the system layer."""
+    """Backend contract for the system layer.
+
+    A result must be a pure function of ``train``'s arguments: the
+    dispatcher calls it late (when the upload is processed), in batches
+    through :meth:`train_cohort`, and never for an aborted session.
+    """
 
     #: the model-state object the aggregation core mutates
     state: object
@@ -158,7 +163,6 @@ class RealTrainingAdapter(TrainerAdapter):
         eval_clients: list[int],
         eval_examples: list[int],
         eval_every: int = 1,
-        cohort_trainer: CohortTrainer | None = None,
     ):
         if eval_every < 1:
             raise ValueError("eval_every must be at least 1")
@@ -167,9 +171,8 @@ class RealTrainingAdapter(TrainerAdapter):
         self.state = state
         self.eval_every = eval_every
         # The batched engine shares every hyperparameter with the scalar
-        # trainer (bit-equivalent by construction), so it can always be
-        # derived; an explicit instance is accepted for tests/tuning.
-        self.cohort_trainer = cohort_trainer or CohortTrainer(
+        # trainer (bit-equivalent by construction), so it is derived.
+        self.cohort_trainer = CohortTrainer(
             trainer.model_config,
             lr=trainer.lr,
             batch_size=trainer.batch_size,

@@ -23,7 +23,7 @@ from typing import Callable
 
 from repro.core.fedbuff import FedBuffAggregator
 from repro.core.syncfl import SyncRoundAggregator
-from repro.core.types import TaskConfig, TrainingMode, TrainingResult
+from repro.core.types import TaskConfig, TrainingMode
 from repro.system.secure import SecureBufferedAggregator
 from repro.sim.engine import Simulator
 from repro.sim.trace import MetricsTrace, Outcome, ServerStepRecord
@@ -37,10 +37,9 @@ __all__ = ["FLTaskRuntime", "SecureFLTaskRuntime", "AggregatorNode"]
 class FLTaskRuntime:
     """Server-side runtime of one FL task.
 
-    ``cohort`` (optional) switches the task to cohort-dispatch mode:
-    client trainings are deferred and executed in batched calls through
-    the dispatcher instead of one by one at training-complete time (see
-    :mod:`repro.system.client_runtime`).
+    ``cohort`` is the dispatcher every client training of the task runs
+    through (see :mod:`repro.system.client_runtime`); without one the
+    runtime builds a cap-1 dispatcher over ``adapter``.
     """
 
     # Set (per instance) by repro.sim.faults.FaultInjector when a
@@ -69,7 +68,7 @@ class FLTaskRuntime:
         self.trace = trace
         self.log = log
         self.on_slot_free = on_slot_free or (lambda: None)
-        self.cohort = cohort
+        self.cohort = CohortDispatcher(adapter) if cohort is None else cohort
 
         self.core = self._build_core(config, adapter)
 
@@ -153,7 +152,7 @@ class FLTaskRuntime:
     # -- upload path ------------------------------------------------------------
 
     def upload_arrived(
-        self, session: ClientSession, payload: "TrainingResult | PendingTraining"
+        self, session: ClientSession, payload: PendingTraining
     ) -> None:
         """An update reached the server; hand it to the hosting node's queue."""
         if self.fault_gate is not None and self.fault_gate.intercept_upload(
@@ -163,28 +162,25 @@ class FLTaskRuntime:
         if self.node is None or not self.node.alive:
             # Hosting aggregator died while the update was in flight: the
             # update is lost; the client will be re-routed next time (the
-            # abort also drops any still-deferred training).
+            # abort also drops its parked training).
             self.core.client_failed(session.device_id)
             session.abort(Outcome.ABORTED)
             return
         self.node.enqueue_update(self, session, payload)
 
     def process_update(
-        self, session: ClientSession, payload: "TrainingResult | PendingTraining"
+        self, session: ClientSession, payload: PendingTraining
     ) -> None:
         """Deserialize + aggregate one update (runs on an aggregation shard)."""
         if self.sessions.get(session.device_id) is not session:
-            # Aborted while queued (any deferred training was dropped at
+            # Aborted while queued (its parked training was dropped at
             # abort time).  Identity check, not membership: the device may
             # already be back under a NEW session, which must not let this
             # stale upload through.
             return
-        if isinstance(payload, PendingTraining):
-            # Cohort dispatch: demanding this result trains a whole batch
-            # of deferred clients in one vectorized call.
-            result = self.cohort.resolve(payload)
-        else:
-            result = payload
+        # Demanding this result trains a cohort of parked clients in one
+        # batched call.
+        result = self.cohort.resolve(payload)
         try:
             update, step = self.core.receive_update(result)
         except KeyError:
@@ -329,7 +325,7 @@ class AggregatorNode:
         self,
         task_rt: FLTaskRuntime,
         session: ClientSession,
-        payload: "TrainingResult | PendingTraining",
+        payload: PendingTraining,
     ) -> None:
         """Push an uploaded update into the in-memory queue.
 

@@ -17,27 +17,28 @@ slot frees up for a replacement client.
 
 Cohort dispatch
 ---------------
-With a :class:`CohortDispatcher` attached to the task runtime, the
-training stage is *deferred*: the session parks a :class:`PendingTraining`
-(snapshot of everything the trainer needs) instead of computing the
-result at training-complete time, and schedules its upload as usual.
-When the first deferred result is actually demanded — at
-upload-processing time — the dispatcher drains a cohort of parked
-trainings and computes them in one batched adapter call.  Deferral is
-invisible to the simulation: a result is a pure function of its snapshot,
-every event keeps its timestamp, and the batched engine is bit-equivalent
-to the scalar one (see :mod:`repro.core.cohort`), so traces, losses, and
-timings are identical to scalar dispatch.
+Every training goes through the task runtime's :class:`CohortDispatcher`.
+At training-complete time the session parks a :class:`PendingTraining`
+(snapshot of everything the trainer needs) and schedules its upload; the
+result is computed only when the upload is processed, when the
+dispatcher drains up to ``max_cohort`` parked trainings into one
+``train_cohort`` call.  A session that aborts first discards its parked
+training, which is then never computed.  Deferral is invisible to the
+simulation: a result is a pure function of its snapshot, every event
+keeps its timestamp, and the batched engine is bit-equivalent to the
+scalar one at every cohort size (see :mod:`repro.core.cohort`), so the
+batch cap moves only the simulator's wall-clock.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.types import TrainingResult
-from repro.sim.engine import DeferredQueue, EventHandle, Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import NetworkModel
 from repro.sim.population import DevicePopulation, DeviceProfile
 from repro.sim.trace import MetricsTrace, Outcome, ParticipationRecord
@@ -50,7 +51,7 @@ __all__ = ["PendingTraining", "CohortDispatcher", "ClientSession"]
 
 
 class PendingTraining:
-    """A deferred client training: the inputs, and eventually the result."""
+    """A parked client training: the inputs, and eventually the result."""
 
     __slots__ = ("profile", "initial_model", "initial_version", "participation",
                  "result")
@@ -70,7 +71,14 @@ class PendingTraining:
 
 
 class CohortDispatcher:
-    """Groups deferred client trainings into batched adapter calls.
+    """Groups parked client trainings into batched adapter calls.
+
+    Parked trainings live in an insertion-ordered dict keyed by the
+    :class:`PendingTraining` itself (hashed by identity), so ``discard``
+    and the lookup of the demanded training are O(1).  A drain takes the
+    oldest ``max_cohort`` parked trainings in submission order; when the
+    demanded one is not among them it replaces the last.  Cohort
+    composition therefore depends only on event order, never on hashing.
 
     Parameters
     ----------
@@ -78,20 +86,20 @@ class CohortDispatcher:
         The task's trainer backend; its ``train_cohort`` runs the batch.
     max_cohort:
         Upper bound on clients per batched call (the ``cohort_batch_size``
-        operating-point knob).
+        knob).
     """
 
-    def __init__(self, adapter: "TrainerAdapter", max_cohort: int):
+    def __init__(self, adapter: "TrainerAdapter", max_cohort: int = 1):
         if max_cohort < 1:
             raise ValueError("max_cohort must be at least 1")
         self.adapter = adapter
         self.max_cohort = max_cohort
-        self._queue: DeferredQueue[PendingTraining] = DeferredQueue()
+        self._parked: dict[PendingTraining, None] = {}
         self.batches_run = 0
         self.trainings_run = 0
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._parked)
 
     def submit(
         self,
@@ -101,18 +109,19 @@ class CohortDispatcher:
         participation: int,
     ) -> PendingTraining:
         """Park one client's training for batched execution."""
-        return self._queue.submit(
-            PendingTraining(profile, initial_model, initial_version, participation)
-        )
+        pending = PendingTraining(profile, initial_model, initial_version, participation)
+        self._parked[pending] = None
+        return pending
 
     def discard(self, pending: PendingTraining) -> None:
         """Drop a parked training whose session aborted (never computed)."""
-        self._queue.discard(pending)
+        self._parked.pop(pending, None)
+        pending.initial_model = None  # cancelled events may still hold it
 
     def resolve(self, pending: PendingTraining) -> TrainingResult:
         """Return ``pending``'s result, computing a cohort batch if needed."""
         if pending.result is None:
-            batch = self._queue.drain(pending, limit=self.max_cohort)
+            batch = self._drain(pending)
             results = self.adapter.train_cohort(
                 [p.profile for p in batch],
                 [p.initial_model for p in batch],
@@ -125,6 +134,17 @@ class CohortDispatcher:
             self.batches_run += 1
             self.trainings_run += len(batch)
         return pending.result
+
+    def _drain(self, required: PendingTraining) -> list[PendingTraining]:
+        """Unpark the oldest ``max_cohort`` trainings, ``required`` among them."""
+        if required not in self._parked:
+            raise ValueError("required training is not parked")
+        batch = list(islice(self._parked, self.max_cohort))
+        if required not in batch:  # identity: PendingTraining has no __eq__
+            batch[-1] = required
+        for p in batch:
+            del self._parked[p]
+        return batch
 
 
 class ClientSession:
@@ -222,20 +242,13 @@ class ClientSession:
     # -- stages 3-4: report + upload --------------------------------------------
 
     def _training_complete(self) -> None:
-        if self.task_rt.cohort is not None:
-            # Cohort-dispatch mode: park the training inputs; the batched
-            # engine computes the result when the upload is processed.
-            payload: TrainingResult | PendingTraining = self.task_rt.cohort.submit(
-                self.profile, self.initial_model, self.initial_version,
-                self.participation,
-            )
-            self._pending = payload
-        else:
-            payload = self.task_rt.adapter.train(
-                self.profile, self.initial_model, self.initial_version,
-                self.participation,
-            )
-        self.initial_model = None  # free the snapshot
+        # Park the training inputs; the dispatcher computes the result
+        # when the upload is processed.
+        payload = self._pending = self.task_rt.cohort.submit(
+            self.profile, self.initial_model, self.initial_version,
+            self.participation,
+        )
+        self.initial_model = None  # the parked training holds the snapshot
         upload_bytes = self.task_rt.config.model_size_bytes
         delay = self.network.roundtrip() + self.network.upload_time(
             self.profile, upload_bytes
@@ -282,7 +295,7 @@ class ClientSession:
             return
         for h in self._handles:
             h.cancel()
-        if self._pending is not None and self.task_rt.cohort is not None:
+        if self._pending is not None:
             # Never computed and never will be: drop the parked training.
             self.task_rt.cohort.discard(self._pending)
             self._pending = None

@@ -47,12 +47,12 @@ class SystemConfig:
     which spreads participation fairly across the population instead of
     repeatedly drafting the fastest devices.
 
-    ``cohort_batch_size`` is the cohort-dispatch operating point: at 1
-    (default) every client trains through the scalar path at its
-    training-complete event; above 1, concurrently-in-flight trainings
-    are deferred and executed in batched calls of up to this many clients
-    (bit-equivalent results, identical event order and timings — only the
-    simulator's wall-clock drops).
+    ``cohort_batch_size`` caps how many parked client trainings one
+    batched ``train_cohort`` call runs (see
+    :mod:`repro.system.client_runtime`).  Every training is parked and
+    computed when its upload is processed; the cap changes only how many
+    are computed together, never a result, an event or a timestamp, so
+    it moves the simulator's wall-clock and nothing else.
 
     The aggregation plane (single, sharded, secure, secure_sharded or a
     custom one, with its shard count, routing and executor) is not a
@@ -259,16 +259,13 @@ class FederatedSimulation:
 
         self.task_runtimes: dict[str, FLTaskRuntime] = {}
         for cfg, adapter in tasks:
-            dispatcher = None
-            if self.system.cohort_batch_size > 1:
-                dispatcher = CohortDispatcher(
-                    adapter, max_cohort=self.system.cohort_batch_size
-                )
             rt: FLTaskRuntime = self.plane.build(
                 planes.PlaneContext(
                     config=cfg, adapter=adapter, sim=self.sim,
                     trace=self.trace, log=self.log, on_slot_free=self._pump,
-                    cohort=dispatcher,
+                    cohort=CohortDispatcher(
+                        adapter, max_cohort=self.system.cohort_batch_size
+                    ),
                 )
             )
             self.task_runtimes[cfg.name] = rt

@@ -142,7 +142,7 @@ class PlaneContext:
     trace: "MetricsTrace"
     log: "EventLog"
     on_slot_free: Callable[[], None]
-    cohort: "CohortDispatcher | None"
+    cohort: "CohortDispatcher"
 
 
 class PlaneFactory(Protocol):

@@ -37,7 +37,7 @@ from repro.core.sharding import (
     LoadAwareShardRouting,
     ShardedFedBuffAggregator,
 )
-from repro.core.types import TaskConfig, TrainingMode, TrainingResult
+from repro.core.types import TaskConfig, TrainingMode
 from repro.sim.engine import Simulator
 from repro.sim.trace import MetricsTrace, Outcome
 from repro.system.adapters import TrainerAdapter
@@ -197,7 +197,7 @@ class ShardedFLTaskRuntime(FLTaskRuntime):
     # -- upload path ------------------------------------------------------------
 
     def upload_arrived(
-        self, session: ClientSession, payload: "TrainingResult | PendingTraining"
+        self, session: ClientSession, payload: PendingTraining
     ) -> None:
         """Route the upload to the node hosting the client's shard."""
         if self.fault_gate is not None and self.fault_gate.intercept_upload(

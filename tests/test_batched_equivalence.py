@@ -439,14 +439,22 @@ class TestVectorizedDeltaBlocks:
 
 
 class TestEndToEndCohortDispatch:
-    """Full-simulation differential test: cohort dispatch vs scalar."""
+    """Full-simulation differential test: cohort dispatch vs scalar.
+
+    The reference arm (cap 1) trains every client through the scalar
+    :class:`LocalTrainer` path: its adapter keeps the base per-client
+    ``train_cohort`` loop over ``RealTrainingAdapter.train``.
+    """
 
     @staticmethod
     def _run(mode, cohort_batch_size, max_steps=25):
         from repro.core.server_opt import FedAdam as _FedAdam
         from repro.harness.runner import make_population
-        from repro.system.adapters import RealTrainingAdapter
+        from repro.system.adapters import RealTrainingAdapter, TrainerAdapter
         from repro.system.orchestrator import FederatedSimulation, SystemConfig
+
+        class ScalarOracleAdapter(RealTrainingAdapter):
+            train_cohort = TrainerAdapter.train_cohort
 
         model_cfg = ModelConfig(vocab_size=24, embed_dim=8, hidden_dim=16)
         corpus = TopicMarkovCorpus(
@@ -460,7 +468,8 @@ class TestEndToEndCohortDispatch:
         state = GlobalModelState(model.get_flat(), _FedAdam(lr=0.05))
         trainer = LocalTrainer(model_cfg, lr=1.0, batch_size=8, seed=0)
         ids = list(range(24))
-        adapter = RealTrainingAdapter(
+        adapter_cls = ScalarOracleAdapter if cohort_batch_size == 1 else RealTrainingAdapter
+        adapter = adapter_cls(
             trainer, dataset, state, eval_clients=ids,
             eval_examples=[pop.profile(i).n_examples for i in ids], eval_every=5,
         )
@@ -499,9 +508,31 @@ class TestEndToEndCohortDispatch:
         # Batching actually grouped clients (not all singleton batches).
         assert dispatcher.trainings_run > dispatcher.batches_run
 
-    def test_scalar_dispatch_has_no_dispatcher(self):
-        _, fs = self._run(TrainingMode.ASYNC, 1, max_steps=2)
-        assert fs.task_runtimes["t"].cohort is None
+    @pytest.mark.parametrize("plane", [
+        {"name": "single"},
+        {"name": "sharded", "num_shards": 2},
+        {"name": "secure"},
+        {"name": "secure_sharded", "num_shards": 2},
+    ])
+    def test_every_plane_runtime_holds_a_dispatcher(self, plane):
+        from repro.api import Deployment, ScenarioSpec
+        from repro.system.client_runtime import CohortDispatcher
+
+        tasks = [{"name": "a", "mode": "async", "concurrency": 8, "aggregation_goal": 2}]
+        if plane["name"] == "sharded":
+            # The sync task falls back to the single plane.
+            tasks.append({"name": "s", "mode": "sync", "concurrency": 8,
+                          "aggregation_goal": 2})
+        spec = ScenarioSpec.from_dict({
+            "population": {"n_devices": 50}, "tasks": tasks, "plane": plane,
+            "system": {"cohort_batch_size": 3},
+        })
+        sim = Deployment.from_spec(spec).build()
+        assert len(sim.task_runtimes) == len(tasks)
+        for rt in sim.task_runtimes.values():
+            assert isinstance(rt.cohort, CohortDispatcher)
+            assert rt.cohort.adapter is rt.adapter
+            assert rt.cohort.max_cohort == 3
 
 
 class TestCohortDispatchSafety:

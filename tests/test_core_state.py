@@ -193,7 +193,9 @@ class TestSnapshotsThroughTheFacade:
         finally:
             getattr(runtime, "close", lambda: None)()
         assert result.task_stats["train"].server_steps == 10
-        assert adapter.calls > 80 and len(adapter.buffers) > 5
+        # Trainings run when their upload is processed, so the adapter
+        # trains exactly the 10 x 8 updates the steps aggregate.
+        assert adapter.calls == 80 and len(adapter.buffers) > 5
         assert adapter.private_copies == 0
         # A buffer lives only while a client on its version is in flight.
         assert adapter.excess_buffers <= 0

@@ -10,6 +10,8 @@ stats.  The corpus is
   workload whose sync task falls back to single), secure, and
   secure_sharded (inline and process), plus one telemetry-on twin;
   the secure cells are capped with ``execution.max_server_steps``;
+* three small ``real_lstm`` cells (async and sync at the default batch
+  cap, and the async cell at cap 16, which carries the same digest);
 * every ``examples/scenarios/*.json``, at a horizon shortened to just
   past its last fault window.
 
@@ -34,6 +36,7 @@ import pytest
 
 from repro.api import Deployment, ScenarioSpec
 from repro.harness.cache import CACHE_VERSION
+from repro.sim.faults import recovery_report
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -64,6 +67,24 @@ def _secure(plane: dict) -> dict:
                                    "max_server_steps": _SECURE_STEPS})
 
 
+#: a small real-training task: NumPy-LSTM clients on synthetic text
+_LSTM = {"trainer": "real_lstm",
+         "trainer_params": {"vocab_size": 16, "embed_dim": 8, "hidden_dim": 12}}
+#: server steps a real-training cell runs
+_LSTM_STEPS = 10
+
+
+def _real(task: dict, **system) -> dict:
+    doc = _cell(tasks=(dict(task, **_LSTM),),
+                population={"n_devices": 400, "seed": 0,
+                            "overrides": {"mean_examples": 16, "max_examples": 40}},
+                execution={"seed": 0, "t_end_s": 900.0,
+                           "max_server_steps": _LSTM_STEPS})
+    if system:
+        doc["system"] = system
+    return doc
+
+
 _SHARDED = {"name": "sharded", "num_shards": 2}
 _SECURE_SHARDED = {"name": "secure_sharded", "num_shards": 2}
 
@@ -77,6 +98,14 @@ PLANE_CELLS = {
     "plane/secure_sharded/inline": _secure(_SECURE_SHARDED),
     "plane/secure_sharded/process": _secure(dict(_SECURE_SHARDED, executor="process")),
     "plane/single/async/telemetry": _cell(telemetry={"enabled": True}),
+}
+
+#: real training at the default batch cap and a batched twin that must
+#: carry the same digest (every training runs through the cohort engine)
+TRAINER_CELLS = {
+    "trainer/real_lstm/async": _real(_ASYNC),
+    "trainer/real_lstm/async/cap16": _real(_ASYNC, cohort_batch_size=16),
+    "trainer/real_lstm/sync": _real(_SYNC),
 }
 
 #: shortened horizon per shipped scenario: just past its last fault window
@@ -93,7 +122,8 @@ SCENARIO_HORIZONS_S = {
 
 
 def _corpus() -> dict[str, ScenarioSpec]:
-    out = {name: ScenarioSpec.from_dict(doc) for name, doc in PLANE_CELLS.items()}
+    cells = {**PLANE_CELLS, **TRAINER_CELLS}
+    out = {name: ScenarioSpec.from_dict(doc) for name, doc in cells.items()}
     paths = sorted((ROOT / "examples" / "scenarios").glob("*.json"))
     assert sorted(p.stem for p in paths) == sorted(SCENARIO_HORIZONS_S)
     for path in paths:
@@ -104,15 +134,23 @@ def _corpus() -> dict[str, ScenarioSpec]:
     return out
 
 
-def _digest(spec: ScenarioSpec) -> str:
+def _run(spec: ScenarioSpec, check=None):
+    """Run ``spec`` and return its result (``check(sim, result)`` first)."""
     dep = Deployment.from_spec(spec)
     try:
-        return dep.run().sim_digest()
+        result = dep.run()
+        if check is not None:
+            check(dep.simulation, result)
+        return result
     finally:
         for rt in dep.simulation.task_runtimes.values():
             close = getattr(rt, "close", None)
             if close is not None:
                 close()
+
+
+def _digest(spec: ScenarioSpec) -> str:
+    return _run(spec).sim_digest()
 
 
 def _numpy_version() -> str:
@@ -144,6 +182,29 @@ def test_digest_is_pinned(name):
         f"(file written with numpy {golden['numpy']}, running "
         f"{_numpy_version()})"
     )
+
+
+def _assert_parked_conserved(sim, result) -> None:
+    """Every parked training belongs to a session still attached, and
+    every attached session's unresolved training is parked: no abort
+    path (failover, shard drop, network loss, round close) leaks one."""
+    for name, rt in sim.task_runtimes.items():
+        unresolved = {
+            id(s._pending) for s in rt.sessions.values()
+            if s._pending is not None and s._pending.result is None
+        }
+        assert {id(p) for p in rt.cohort._parked} == unresolved, name
+    report = recovery_report(sim, result)
+    assert report["device_conservation_ok"], report
+    assert report["updates_conservation_ok"], report
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_parked_trainings_are_conserved_at_cap_4(name):
+    # The batch cap moves no digest, so the cap-4 run is also pinned.
+    spec = _CORPUS[name].override("system.cohort_batch_size", 4)
+    result = _run(spec, check=_assert_parked_conserved)
+    assert result.sim_digest() == _golden()["digests"][name]
 
 
 def _write() -> None:

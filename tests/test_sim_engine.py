@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import DeferredQueue, Simulator
+from repro.sim import Simulator
 
 
 class TestScheduling:
@@ -239,66 +239,6 @@ class TestEdgeCases:
         end = sim.run_until(10.0, stop=lambda: True)
         assert fired == [1]
         assert end == 1.0  # clock NOT advanced to the horizon on early stop
-
-
-class TestDeferredQueue:
-    def test_fifo_drain_includes_required(self):
-        q = DeferredQueue()
-        items = [object() for _ in range(5)]
-        for item in items:
-            q.submit(item)
-        batch = q.drain(items[0], limit=3)
-        assert batch == items[:3]
-        assert len(q) == 2
-
-    def test_required_beyond_limit_replaces_last_slot(self):
-        q = DeferredQueue()
-        items = [object() for _ in range(5)]
-        for item in items:
-            q.submit(item)
-        batch = q.drain(items[4], limit=2)
-        assert batch == [items[0], items[4]]
-        assert len(q) == 3  # items 1, 2, 3 remain
-
-    def test_drain_without_limit_takes_everything(self):
-        q = DeferredQueue()
-        items = [object() for _ in range(4)]
-        for item in items:
-            q.submit(item)
-        assert q.drain(items[2]) == items
-        assert len(q) == 0
-
-    def test_discard_removes_only_that_item(self):
-        q = DeferredQueue()
-        a, b = object(), object()
-        q.submit(a)
-        q.submit(b)
-        assert q.discard(a) is True
-        assert q.discard(a) is False  # already gone
-        assert q.drain(b) == [b]
-
-    def test_drain_unknown_required_raises(self):
-        q = DeferredQueue()
-        q.submit(object())
-        with pytest.raises(ValueError):
-            q.drain(object())
-
-    def test_drain_bad_limit_rejected(self):
-        q = DeferredQueue()
-        item = object()
-        q.submit(item)
-        with pytest.raises(ValueError):
-            q.drain(item, limit=0)
-
-    def test_identity_not_equality(self):
-        # Two equal-but-distinct items are tracked separately.
-        q = DeferredQueue()
-        a, b = [1], [1]
-        q.submit(a)
-        q.submit(b)
-        q.discard(a)
-        assert len(q) == 1
-        assert q.drain(b) == [b]
 
 
 class TestCalendarQueue:

@@ -1,11 +1,14 @@
-"""Unit tests for Coordinator, Selector, and AggregatorNode in isolation."""
+"""Unit tests for Coordinator, Selector, AggregatorNode and CohortDispatcher
+in isolation."""
 
 import pytest
 
 from repro.core import TaskConfig, TrainingMode
 from repro.sim import MetricsTrace, Simulator
 from repro.system import SurrogateAdapter
+from repro.system.adapters import TrainerAdapter
 from repro.system.aggregator import AggregatorNode, FLTaskRuntime
+from repro.system.client_runtime import CohortDispatcher, PendingTraining
 from repro.system.coordinator import Coordinator
 from repro.system.selector import Selector
 from repro.utils import EventLog, child_rng
@@ -342,3 +345,105 @@ class TestSystemConfigDrainThreadsRename:
             system=SystemConfig(drain_threads=2), seed=0,
         )
         assert all(node.drain_threads == 2 for node in fs.aggregators)
+
+
+class _RecordingAdapter(TrainerAdapter):
+    """Each result is the participation number; records every batch."""
+
+    state = None
+
+    def __init__(self):
+        self.batches: list[list[int]] = []
+
+    def train(self, profile, initial_model, initial_version, participation):
+        return participation
+
+    def train_cohort(self, profiles, initial_models, initial_versions, participations):
+        self.batches.append(list(participations))
+        return super().train_cohort(profiles, initial_models, initial_versions,
+                                    participations)
+
+    def current_loss(self):
+        return 0.0
+
+
+def park(dispatcher, count):
+    return [dispatcher.submit(None, None, 0, i) for i in range(count)]
+
+
+class TestCohortDispatcher:
+    def test_fifo_drain_includes_required(self):
+        adapter = _RecordingAdapter()
+        cohort = CohortDispatcher(adapter, max_cohort=3)
+        items = park(cohort, 5)
+        assert cohort.resolve(items[0]) == 0
+        assert adapter.batches == [[0, 1, 2]]
+        assert [p.result for p in items] == [0, 1, 2, None, None]
+        assert len(cohort) == 2
+        assert cohort.resolve(items[1]) == 1  # already computed: no new batch
+        assert adapter.batches == [[0, 1, 2]]
+
+    def test_required_beyond_limit_replaces_last_slot(self):
+        adapter = _RecordingAdapter()
+        cohort = CohortDispatcher(adapter, max_cohort=2)
+        items = park(cohort, 5)
+        assert cohort.resolve(items[4]) == 4
+        assert adapter.batches == [[0, 4]]
+        assert len(cohort) == 3  # items 1, 2, 3 remain
+        cohort.resolve(items[3])
+        assert adapter.batches == [[0, 4], [1, 3]]
+
+    def test_default_cap_trains_one_by_one(self):
+        adapter = _RecordingAdapter()
+        cohort = CohortDispatcher(adapter)
+        items = park(cohort, 3)
+        for item in reversed(items):
+            cohort.resolve(item)
+        assert adapter.batches == [[2], [1], [0]]
+        assert (cohort.batches_run, cohort.trainings_run) == (3, 3)
+
+    def test_discard_removes_only_that_item(self):
+        adapter = _RecordingAdapter()
+        cohort = CohortDispatcher(adapter, max_cohort=4)
+        a, b = park(cohort, 2)
+        cohort.discard(a)
+        cohort.discard(a)  # already gone: no-op
+        assert len(cohort) == 1
+        cohort.resolve(b)
+        assert adapter.batches == [[1]]
+        assert a.result is None
+
+    def test_resolve_unparked_raises(self):
+        cohort = CohortDispatcher(_RecordingAdapter())
+        park(cohort, 1)
+        with pytest.raises(ValueError):
+            cohort.resolve(PendingTraining(None, None, 0, 9))
+
+    def test_resolve_discarded_raises(self):
+        cohort = CohortDispatcher(_RecordingAdapter())
+        (item,) = park(cohort, 1)
+        cohort.discard(item)
+        with pytest.raises(ValueError):
+            cohort.resolve(item)
+
+    def test_bad_cap_rejected(self):
+        with pytest.raises(ValueError):
+            CohortDispatcher(_RecordingAdapter(), max_cohort=0)
+
+    def test_identity_not_equality(self):
+        # Two trainings with equal inputs are tracked separately.
+        adapter = _RecordingAdapter()
+        cohort = CohortDispatcher(adapter, max_cohort=4)
+        a = cohort.submit(None, None, 0, 7)
+        b = cohort.submit(None, None, 0, 7)
+        cohort.discard(a)
+        assert len(cohort) == 1
+        cohort.resolve(b)
+        assert adapter.batches == [[7]]
+        assert (a.result, b.result) == (None, 7)
+
+    def test_runtime_built_without_one_gets_a_cap_1_dispatcher(self, sim, log):
+        rt = make_runtime(sim, log)
+        assert isinstance(rt.cohort, CohortDispatcher)
+        assert rt.cohort.adapter is rt.adapter
+        assert rt.cohort.max_cohort == 1

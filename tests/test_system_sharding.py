@@ -54,6 +54,12 @@ def make_coordinator(sim, log, n_aggs=2):
     return coord, nodes
 
 
+def park_training(rt, session):
+    """Park ``session``'s training the way its training-complete event does."""
+    session._pending = rt.cohort.submit(session.profile, None, rt.core.version, 0)
+    return session._pending
+
+
 def attach_session(sim, rt, device_id):
     pop = DevicePopulation(PopulationConfig(n_devices=device_id + 1), seed=0)
     session = ClientSession(
@@ -140,8 +146,7 @@ class TestShardedUploadRouting:
         shard = rt.core.shard_of(session.device_id)
         host = rt.shard_nodes[shard]
         other = nodes[1 - host.node_id]
-        result = rt.adapter.train(session.profile, None, rt.core.version, 0)
-        rt.upload_arrived(session, result)
+        rt.upload_arrived(session, park_training(rt, session))
         assert host.updates_processed == 1
         assert other.updates_processed == 0
         sim.run_until_idle()
@@ -156,8 +161,7 @@ class TestShardedUploadRouting:
         rt.core.register_download(session.device_id)
         shard = rt.core.shard_of(session.device_id)
         rt.shard_nodes[shard].fail()
-        result = rt.adapter.train(session.profile, None, rt.core.version, 0)
-        rt.upload_arrived(session, result)
+        rt.upload_arrived(session, park_training(rt, session))
         assert session.finished
         assert rt.core.updates_received == 0
         assert rt.core.in_flight_count() == 0
@@ -234,8 +238,7 @@ class TestShardFailover:
         rt.core.register_download(77)
         assert rt.core.shard_of(77) is None
         session = attach_session(sim, rt, 77)
-        result = rt.adapter.train(session.profile, None, rt.core.version, 0)
-        rt.upload_arrived(session, result)
+        rt.upload_arrived(session, park_training(rt, session))
         assert session.finished
         assert rt.core.updates_received == 0
 
