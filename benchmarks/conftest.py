@@ -14,20 +14,20 @@ Use the harness directly (``repro.harness``) with ``DEFAULT`` or ``PAPER``
 scales for higher-fidelity regeneration.
 
 When ``$REPRO_SWEEP_CACHE`` is set (CI does this), the ``cached_run``
-fixture serves experiment results from the content-addressed sweep cache
-(see ``repro.harness.cache``): a benchmark whose cell was already produced
-by ``python -m repro.harness sweep`` only pays for JSON deserialization,
-and cells computed here are stored back for the sweep jobs to reuse.
+fixture runs experiments against that arm store (see
+``repro.harness.cache``): a figure whose arms were already produced by
+``python -m repro.harness sweep`` only pays for loading and reducing
+them, and arms run here are stored for the sweep jobs to reuse.  Direct
+experiments (perf, chaos, obs) always run.
 """
 
 import os
-import time
 
 import pytest
 
 from repro.harness import SMOKE, registry
-from repro.harness.cache import CACHE_ENV_VAR, ResultCache, cell_fingerprint
-from repro.harness.sweep import SweepCell, cell_payload
+from repro.harness.cache import CACHE_ENV_VAR, ResultCache
+from repro.harness.sweep import build_cells, run_sweep
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -51,14 +51,16 @@ def once(benchmark):
 
 @pytest.fixture
 def cached_run(benchmark):
-    """Run a registered experiment, consulting the sweep result cache.
+    """Run a registered experiment, consulting the arm store.
 
     ``cached_run("fig9")`` dispatches through the experiment registry.
     Without ``$REPRO_SWEEP_CACHE`` in the environment this is exactly
-    ``once(spec.run, SMOKE, seed)``; with it, cache hits skip the
-    simulation (the timer then measures deserialization) and misses are
-    stored for subsequent sweep/benchmark runs.  ``extra_info`` records
-    which path was taken so the JSON report stays honest.
+    ``once(spec.run, SMOKE, seed)``; with it, the run goes through the
+    sweep executor against ``ResultCache($REPRO_SWEEP_CACHE)``: stored arms
+    skip their simulation (the timer then measures loading and reducing)
+    and missing ones are run and stored.  ``extra_info["sweep_cache"]``
+    records how many arms were stored and how many ran, so the JSON
+    report stays honest.
     """
 
     def _run(name, scale=SMOKE, seed=0, **params):
@@ -66,17 +68,9 @@ def cached_run(benchmark):
         root = os.environ.get(CACHE_ENV_VAR)
         if not root:
             return run_once(benchmark, spec.run, scale, seed, **params)
-        cache = ResultCache(root)
-        fp = cell_fingerprint(name, scale, seed, params)
-        payload = cache.load(fp)
-        if payload is not None:
-            benchmark.extra_info["sweep_cache"] = "hit"
-            return run_once(benchmark, spec.deserialize, payload["result"])
-        benchmark.extra_info["sweep_cache"] = "miss"
-        start = time.perf_counter()
-        result = run_once(benchmark, spec.run, scale, seed, **params)
-        cell = SweepCell(name, scale, seed, tuple(sorted(params.items())))
-        cache.store(fp, cell_payload(cell, result, time.perf_counter() - start))
-        return result
+        cells = build_cells([name], scale, [seed], grid={k: [v] for k, v in params.items()})
+        sweep = run_once(benchmark, run_sweep, cells, cache=ResultCache(root))
+        benchmark.extra_info["sweep_cache"] = {"stored": sweep.stored, "ran": sweep.ran}
+        return sweep.cells[0].result
 
     return _run

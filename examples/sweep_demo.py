@@ -2,9 +2,11 @@
 
 Fans a small grid of sweep cells — (experiment × seed × operating point)
 — out across worker processes via ``repro.harness.sweep``, then prints
-the mean / stddev / min-max aggregate across seeds.  A second run (same
-cache directory) completes almost instantly because every cell result is
-stored content-addressed on disk.
+the mean / stddev / min-max aggregate across seeds.  The executor runs
+each distinct arm (one complete scenario spec) once: the two
+``target_loss`` points share no arm, but a second run (same store
+directory) completes almost instantly because every arm is stored
+content-addressed on disk.
 
 The CLI front-end to the same machinery::
 
@@ -46,7 +48,7 @@ def main() -> None:
     )
     print(f"sweeping {len(cells)} cells on 2 worker processes...")
     sweep = run_sweep(cells, jobs=2, cache=cache, progress=print)
-    print(f"\n[{sweep.misses} cells computed, {sweep.hits} from cache, "
+    print(f"\n[{sweep.ran} arms run, {sweep.stored} from the store, "
           f"{sweep.duration_s:.1f}s]\n")
 
     for group in sweep.groups():
@@ -55,9 +57,9 @@ def main() -> None:
             title=f"{group.describe()} — mean/std/min/max over {len(group.cells)} seeds",
         )
 
-    # Re-run the identical sweep: every cell is now a cache hit.
+    # Re-run the identical sweep: every arm is now stored.
     again = run_sweep(cells, jobs=2, cache=cache)
-    print(f"re-run: {again.hits}/{len(cells)} cells served from cache "
+    print(f"re-run: {again.stored}/{again.arms} arms served from the store "
           f"in {again.duration_s:.2f}s")
 
     # --- declarative scenario sweeps -------------------------------------

@@ -1,10 +1,10 @@
 """Experiment harness: regenerate every figure and table of the paper.
 
 Experiments are first-class :class:`~repro.harness.registry.ExperimentSpec`
-entries in a process-wide registry; ``repro.harness.sweep`` fans
-(experiment × seed × operating point) grids out across worker processes
-with a content-addressed on-disk result cache and mean/std/min-max
-multi-seed aggregation.  From the command line::
+entries in a process-wide registry; ``repro.harness.sweep`` runs each
+distinct arm (one complete scenario spec) of an (experiment × seed ×
+operating point) grid once across worker processes, through the
+content-addressed arm store, with multi-seed aggregation.  From the CLI::
 
     python -m repro.harness fig9 --scale default
     python -m repro.harness sweep fig9 --seeds 0..4 --jobs 8
@@ -52,7 +52,7 @@ from repro.harness.report import (
     print_series,
     print_table,
 )
-from repro.harness.cache import ResultCache, cell_fingerprint
+from repro.harness.cache import ResultCache, arm_key
 from repro.harness.sweep import (
     SweepCell,
     SweepResult,
@@ -120,7 +120,7 @@ __all__ = [
     "ks_two_sample",
     "ExperimentSpec",
     "ResultCache",
-    "cell_fingerprint",
+    "arm_key",
     "SweepCell",
     "SweepResult",
     "aggregate_payloads",

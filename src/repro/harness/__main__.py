@@ -1,23 +1,27 @@
 """Command-line regeneration of the paper's figures and tables.
 
-Single experiments (one seed, rendered immediately)::
+Single experiments (one seed, in-process, no arm store)::
 
     python -m repro.harness fig9                 # one experiment, smoke scale
     python -m repro.harness fig9 --scale default # 10x larger operating points
     python -m repro.harness all                  # the whole evaluation section
     python -m repro.harness table1 --seed 3
 
-Multi-seed parallel sweeps (cached, aggregated mean/std/min-max)::
+Multi-seed parallel sweeps (stored arms, aggregated mean/std/min-max)::
 
     python -m repro.harness sweep fig9 --seeds 0..4 --jobs 8
     python -m repro.harness sweep fig9 fig10 --seeds 0,1,2 --scale smoke
     python -m repro.harness sweep all --seeds 0..2 --json sweep.json
     python -m repro.harness sweep fig9 --grid target_loss=2.5,2.6 --jobs 4
 
-Sweep cells are cached content-addressed under ``.sweep-cache/`` (or
-``$REPRO_SWEEP_CACHE``), so re-runs and resumes only pay for missing
-cells; aggregated output is identical whatever ``--jobs`` is.  ``--json``
-dumps the machine-readable sweep report CI uploads as an artifact.
+Both forms go through one executor (:func:`repro.harness.sweep.run_sweep`),
+which runs each distinct arm (one complete scenario spec) once, so
+``all`` runs the arms figures share once.  A sweep also stores every arm
+under ``.sweep-cache/`` (or ``$REPRO_SWEEP_CACHE``), keyed by its spec
+and the source tree, so re-runs, resumes and other experiments sharing
+an arm only pay for missing arms; aggregated output is identical
+whatever ``--jobs`` is.  ``--json`` dumps the machine-readable sweep
+report CI uploads as an artifact.
 
 Declarative scenario runs/sweeps (any ``repro.api.ScenarioSpec``)::
 
@@ -53,9 +57,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import traceback
 
+from repro.api import SpecError
 from repro.harness import configs, registry
 from repro.harness import chaos  # noqa: F401  (registers the chaos experiment)
 from repro.harness import figures  # noqa: F401  (imports register the experiments)
@@ -64,12 +68,7 @@ from repro.harness import perf  # noqa: F401  (registers the five perf experimen
 from repro.harness import scenario  # noqa: F401  (registers the scenario experiment)
 from repro.harness.cache import ResultCache
 from repro.harness.report import print_aggregate
-from repro.harness.sweep import (
-    SweepError,
-    build_cells,
-    build_scenario_cells,
-    run_sweep,
-)
+from repro.harness.sweep import SweepError, build_cells, run_sweep
 
 _SCALES = {"smoke": configs.SMOKE, "default": configs.DEFAULT, "paper": configs.PAPER}
 
@@ -157,47 +156,21 @@ def _load_spec_doc(path: str) -> dict:
 
 def _run_main(args: argparse.Namespace) -> int:
     scale = _SCALES[args.scale]
-    params = {}
+    grid = {}
     # A scenario run honors the spec document's own execution.seed unless
     # the user explicitly passes --seed; other experiments default to 0.
     seed = args.seed
     if args.experiment == "scenario":
         if not args.spec:
             raise SystemExit("error: the scenario experiment requires --spec PATH")
-        params["spec"] = _load_spec_doc(args.spec)
+        grid["spec"] = [json.dumps(_load_spec_doc(args.spec), sort_keys=True)]
     else:
         if args.spec:
             raise SystemExit("error: --spec only applies to the scenario experiment")
         seed = 0 if seed is None else seed
-    failures = []
-    for name in _resolve_experiments([args.experiment]):
-        spec = registry.get(name)
-        seed_label = "spec" if seed is None else seed
-        print(f"=== {name} (scale={scale.name}, seed={seed_label}) ===")
-        start = time.perf_counter()
-        try:
-            result = spec.run(scale, seed, **params)
-            spec.printer(result)  # a broken renderer is a failure too
-        except Exception:
-            failures.append(name)
-            print(f"ERROR: {name} failed:\n{traceback.format_exc()}", file=sys.stderr)
-            continue
-        print(f"[{name} took {time.perf_counter() - start:.1f}s]\n")
-    if failures:
-        print(f"FAILED: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _write_report(path, sweep, scale, seeds, failures=None) -> None:
-    """Dump the machine-readable sweep report (shared by success/failure paths)."""
-    report = sweep.to_jsonable()
-    report["scale"] = scale.name
-    report["seeds"] = seeds
-    if failures is not None:
-        report["failures"] = failures
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    experiments = _resolve_experiments([args.experiment])
+    return _drive(build_cells(experiments, scale, [seed], grid=grid), experiments,
+                  scale, [seed], jobs=1, cache=None)
 
 
 def _sweep_main(args: argparse.Namespace) -> int:
@@ -225,55 +198,55 @@ def _sweep_main(args: argparse.Namespace) -> int:
             print("error: sweeping 'scenario' requires --spec PATH",
                   file=sys.stderr)
             return 2
-        from repro.api import ScenarioSpec, SpecError
-
-        try:
-            base = ScenarioSpec.from_dict(_load_spec_doc(args.spec))
-            cells = build_scenario_cells(base, seeds, grid=grid, scale=scale)
-        except SpecError as exc:
-            print(f"error: invalid scenario spec: {exc}", file=sys.stderr)
-            return 2
-    else:
-        cells = build_cells(experiments, scale, seeds, grid=grid)
+        spec_doc = json.dumps(_load_spec_doc(args.spec), sort_keys=True)
+        grid = {"spec": [spec_doc], **(grid or {})}
+    cells = build_cells(experiments, scale, seeds, grid=grid)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    print(
-        f"=== sweep {' '.join(experiments)} (scale={scale.name}, "
-        f"seeds={seeds}, cells={len(cells)}, jobs={args.jobs}) ==="
-    )
+    return _drive(cells, experiments, scale, seeds, args.jobs, cache, args.json)
 
+
+def _drive(cells, experiments, scale, seeds, jobs, cache, json_path=None) -> int:
+    """Run ``cells`` through the sweep executor, report and render; the exit code.
+
+    A failed cell does not stop its siblings from rendering; any failure,
+    a renderer's included, makes the exit code nonzero.
+    """
+    print(f"=== {' '.join(experiments)} (scale={scale.name}, "
+          f"seeds={seeds}, cells={len(cells)}, jobs={jobs}) ===")
+    failures = []
     try:
-        sweep = run_sweep(cells, jobs=args.jobs, cache=cache,
-                          use_cache=not args.no_cache, progress=print)
+        sweep = run_sweep(cells, jobs=jobs, cache=cache, progress=print)
     except SweepError as err:
+        sweep, failures = err.result, err.failures
         print(f"ERROR: {err}", file=sys.stderr)
         for tb in err.tracebacks:
             print(tb, file=sys.stderr)
-        # The sibling cells that succeeded are still worth a report.
-        if args.json and err.result is not None:
-            _write_report(args.json, err.result, scale, seeds,
-                          failures=[cell.label() for cell, _ in err.failures])
-            print(f"[wrote partial sweep report to {args.json}]", file=sys.stderr)
-        return 1
+    except SpecError as exc:
+        # Planning applies every cell's overrides before any arm runs.
+        print(f"error: invalid scenario spec: {exc}", file=sys.stderr)
+        return 2
     except Exception:
         print(f"ERROR: sweep failed:\n{traceback.format_exc()}", file=sys.stderr)
         return 1
-
-    print(f"[swept {len(cells)} cells in {sweep.duration_s:.1f}s: "
-          f"{sweep.hits} cached, {sweep.misses} ran]\n")
+    print(f"[swept {len(sweep.cells)} cells in {sweep.duration_s:.1f}s: {sweep.arms} arms, "
+          f"{sweep.stored} stored, {sweep.ran} ran, {sweep.direct} direct]\n")
 
     # Write the machine-readable report before rendering: a broken
     # renderer must not cost CI its artifact — the results are computed.
-    if args.json:
-        _write_report(args.json, sweep, scale, seeds)
-        print(f"[wrote sweep report to {args.json}]")
+    if json_path:
+        report = {**sweep.to_jsonable(), "scale": scale.name, "seeds": seeds}
+        if failures:
+            report["failures"] = [cell.label() for cell, _ in failures]
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+        print(f"[wrote sweep report to {json_path}]")
 
-    render_failures = []
+    failed = [cell.experiment for cell, _ in failures]
     for group in sweep.groups():
         try:
             if len(group.cells) == 1:
-                spec = registry.get(group.experiment)
                 print(f"--- {group.describe()} ---")
-                spec.printer(group.cells[0].result())
+                registry.get(group.experiment).printer(group.cells[0].result)
             else:
                 print_aggregate(
                     group.aggregate,
@@ -281,12 +254,11 @@ def _sweep_main(args: argparse.Namespace) -> int:
                           f"{len(group.cells)} seeds) ---",
                 )
         except Exception:
-            render_failures.append(group.experiment)
+            failed.append(group.experiment)
             print(f"ERROR: rendering {group.describe()} failed:\n"
                   f"{traceback.format_exc()}", file=sys.stderr)
-
-    if render_failures:
-        print(f"FAILED rendering: {', '.join(render_failures)}", file=sys.stderr)
+    if failed:
+        print(f"FAILED: {', '.join(dict.fromkeys(failed))}", file=sys.stderr)
         return 1
     return 0
 
@@ -381,7 +353,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     )
     sweep_parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for cache misses (1 = in-process)",
+        help="worker processes for missing arms and direct cells (1 = in-process)",
     )
     sweep_parser.add_argument(
         "--grid", action="append", default=[], metavar="KEY=V1,V2",
@@ -389,10 +361,10 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     )
     sweep_parser.add_argument(
         "--cache-dir", default=None,
-        help="result cache directory (default .sweep-cache or $REPRO_SWEEP_CACHE)",
+        help="arm store directory (default .sweep-cache or $REPRO_SWEEP_CACHE)",
     )
     sweep_parser.add_argument(
-        "--no-cache", action="store_true", help="neither read nor write the cache"
+        "--no-cache", action="store_true", help="neither read nor write the arm store"
     )
     sweep_parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -441,8 +413,7 @@ def _list_main() -> int:
     metadata that ``docs/EXPERIMENTS.md`` catalogues (and that
     ``tools/check_docs.py`` keeps in sync): the one-line description,
     plus bracketed flags for specs that ignore ``--scale``
-    (``scale-free``), ignore ``--seed`` (``deterministic``), or sweep a
-    default ``--grid`` axis.
+    (``scale-free``) or ignore ``--seed`` (``deterministic``).
     """
     specs = registry.specs()
     width = max((len(spec.name) for spec in specs), default=0)
@@ -452,8 +423,6 @@ def _list_main() -> int:
             flags.append("scale-free")
         if not spec.uses_seed:
             flags.append("deterministic")
-        if spec.default_grid:
-            flags.append("grid: " + ", ".join(sorted(spec.default_grid)))
         suffix = f"  [{'; '.join(flags)}]" if flags else ""
         print(f"{spec.name:<{width}}  {spec.description}{suffix}")
     return 0

@@ -1,39 +1,56 @@
-"""Content-addressed on-disk cache for sweep cell results.
+"""The arm store: one content-addressed record per simulated arm.
 
-Each sweep cell — one (experiment × scale × seed × params) combination —
-is addressed by the SHA-256 fingerprint of its canonical JSON description,
-so re-running a sweep (or resuming an interrupted one) skips every cell
-whose result is already on disk, regardless of the order or parallelism
-of the original run.
+An *arm* is one complete :class:`~repro.api.ScenarioSpec`, run as
+``Deployment.from_spec(spec).run()``.  Its key (:func:`arm_key`) hashes
+the spec's canonical JSON, :data:`CACHE_VERSION` and every ``*.py`` file
+of the imported ``repro`` package: coarse, but any source edit — in
+``core/`` as much as in the harness — invalidates every stored arm.
 
-Payloads are self-describing JSON documents::
+A record (:func:`to_record`) holds what the figure reducers read:
+``duration_s``, the task stats, ``sim_digest`` and the whole
+:class:`~repro.sim.trace.MetricsTrace` as typed columns, in one
+``np.savez_compressed`` file read back with ``allow_pickle=False``.
+:func:`from_record` rebuilds a :class:`~repro.system.orchestrator.RunResult`
+(with an empty event log) and refuses a record whose rebuilt
+``sim_digest`` differs from the stored one.  Freshly run arms take the
+same conversion, so reducers always see a rebuilt result.
 
-    {"version": 1, "experiment": "fig9", "scale": {...}, "seed": 0,
-     "params": {...}, "elapsed_s": 3.2, "result": {...}}
-
-The cache root defaults to ``.sweep-cache/`` under the current directory
-and can be redirected with the ``REPRO_SWEEP_CACHE`` environment variable
-(CI points the sweep and benchmark steps of one workflow run at a shared
-workspace path so cells computed by the sweep are reused within that run;
-runner workspaces are ephemeral, so each run starts cold).  Writes are
-atomic (temp file + rename) so a killed sweep never leaves a truncated
-entry behind.
+The store root defaults to ``.sweep-cache/`` under the current directory
+and can be redirected with the ``REPRO_SWEEP_CACHE`` environment variable.
+Writes are atomic (temp file + rename), so a killed sweep never leaves a
+truncated entry behind.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping
 
-__all__ = ["CACHE_VERSION", "CACHE_ENV_VAR", "cell_fingerprint", "ResultCache"]
+import numpy as np
 
-# Bump for cross-cutting changes outside harness/ (core/, sim/, nn/) that
-# alter results — code_digest only tracks the harness package itself.
+import repro
+from repro.sim.trace import MetricsTrace
+from repro.system.orchestrator import RunResult, TaskStats
+from repro.utils.logging import EventLog
+
+__all__ = [
+    "CACHE_VERSION",
+    "CACHE_ENV_VAR",
+    "source_digest",
+    "arm_key",
+    "to_record",
+    "from_record",
+    "ResultCache",
+]
+
+# The source tree is part of every key, so code edits need no bump.
+# Bump only to mark an intended numerics change: the golden corpora
+# (tests/golden_*.json) record the version they were written at.
 # v2: cohort-engine PR reassociated scalar LSTM arithmetic (bias folded
 # into zx, gate-derivative parenthesization), shifting results by ulps.
 # v3: fleet-scheduler fixes (re-bookings clamped to the next unfired
@@ -44,85 +61,81 @@ CACHE_ENV_VAR = "REPRO_SWEEP_CACHE"
 _DEFAULT_ROOT = ".sweep-cache"
 
 
-def _canonical(obj: Any) -> Any:
-    """Normalize a value for fingerprinting (dataclasses → sorted dicts)."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, Mapping):
-        return {str(k): _canonical(obj[k]) for k in sorted(obj, key=str)}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
+@functools.cache
+def source_digest() -> str:
+    """sha256 over every ``*.py`` file of the imported ``repro`` package."""
+    root = Path(repro.__file__).parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
-def cell_fingerprint(
-    experiment: str, scale: Any, seed: int, params: Mapping[str, Any] | None = None
-) -> str:
-    """Stable content address of one sweep cell.
+def arm_key(spec) -> str:
+    """Content address of one arm: its spec, the cache version, the source."""
+    doc = json.dumps(
+        {"spec": spec.to_dict(), "version": CACHE_VERSION, "source": source_digest()},
+        sort_keys=True,
+    )
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
-    The scale participates with all of its fields (not just its name), so
-    a custom scale never collides with a preset of the same name.  For a
-    registered experiment the fingerprint also folds in:
 
-    * the experiment's code identity (``registry.code_digest``) — editing
-      the module that defines a runner invalidates its cached results, so
-      a warm cache can never serve numbers computed by old code;
-    * its seed/scale invariances — a runner declared ``uses_seed=False``
-      fingerprints identically for every seed (and likewise for scale),
-      so invariant experiments are cached exactly once.
-    """
-    from repro.harness import registry  # runtime import: no cycle at load time
-
-    spec = registry.find(experiment)
-    uses_seed = spec.uses_seed if spec is not None else True
-    uses_scale = spec.uses_scale if spec is not None else True
-    doc = {
-        "version": CACHE_VERSION,
-        "experiment": experiment,
-        "code": registry.code_digest(experiment),
-        "scale": _canonical(scale) if uses_scale else None,
-        "seed": int(seed) if uses_seed else 0,
-        "params": _canonical(dict(params or {})),
+def to_record(result: RunResult) -> dict[str, np.ndarray]:
+    """What reducers read of a run, as pickle-free numpy arrays."""
+    stats = [dataclasses.asdict(s) for s in result.task_stats.values()]
+    return {
+        **result.trace.to_columns(),
+        "duration_s": np.float64(result.duration_s),
+        "task_stats": np.str_(json.dumps(stats)),
+        "sim_digest": np.str_(result.sim_digest()),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def from_record(record) -> RunResult:
+    """Rebuild a run from :func:`to_record` output; check its ``sim_digest``."""
+    stats = [TaskStats(**s) for s in json.loads(str(record["task_stats"]))]
+    result = RunResult(
+        duration_s=float(record["duration_s"]),
+        trace=MetricsTrace.from_columns(record),
+        log=EventLog(),
+        task_stats={s.name: s for s in stats},
+    )
+    if result.sim_digest() != str(record["sim_digest"]):
+        raise ValueError("arm record does not reproduce its sim_digest")
+    return result
 
 
 class ResultCache:
-    """A directory of ``<fingerprint>.json`` cell payloads."""
+    """A directory of ``<key>.npz`` arm records."""
 
     def __init__(self, root: str | os.PathLike | None = None):
         if root is None:
             root = os.environ.get(CACHE_ENV_VAR) or _DEFAULT_ROOT
         self.root = Path(root)
 
-    def path(self, fingerprint: str) -> Path:
-        """Where a cell payload lives (two-level fan-out keeps dirs small)."""
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
+    def path(self, key: str) -> Path:
+        """Where an arm record lives (two-level fan-out keeps dirs small)."""
+        return self.root / key[:2] / f"{key}.npz"
 
-    def load(self, fingerprint: str) -> dict | None:
-        """The stored payload, or ``None`` on miss / version mismatch / corruption."""
-        p = self.path(fingerprint)
+    def load(self, key: str) -> RunResult | None:
+        """The stored arm, or ``None`` on a miss, corruption or digest mismatch."""
         try:
-            with open(p, "r", encoding="utf-8") as fh:
-                stored = json.load(fh)
-        except (OSError, ValueError):
-            # ValueError covers both JSONDecodeError and the
-            # UnicodeDecodeError a byte-corrupt entry raises.
+            with np.load(self.path(key), allow_pickle=False) as data:
+                return from_record({name: data[name] for name in data.files})
+        except Exception:
+            # A missing, truncated or foreign file fails in np.load, the
+            # zip layer or the record schema; a tampered one in the digest.
             return None
-        if not isinstance(stored, dict) or stored.get("version") != CACHE_VERSION:
-            return None
-        return stored
 
-    def store(self, fingerprint: str, payload: dict) -> Path:
-        """Atomically persist a cell payload; returns its path."""
-        p = self.path(fingerprint)
+    def store(self, key: str, record: dict[str, np.ndarray]) -> Path:
+        """Atomically persist an arm record; returns its path."""
+        p = self.path(key)
         p.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"version": CACHE_VERSION, **payload}
         fd, tmp = tempfile.mkstemp(dir=p.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+            with os.fdopen(fd, "wb") as fh:
+                np.savez_compressed(fh, **record)
             os.replace(tmp, p)
         except BaseException:
             try:
@@ -132,21 +145,5 @@ class ResultCache:
             raise
         return p
 
-    def __contains__(self, fingerprint: str) -> bool:
-        return self.path(fingerprint).is_file()
-
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for p in list(self.root.glob("*/*.json")):
-            try:
-                p.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return sum(1 for _ in self.root.glob("*/*.npz"))

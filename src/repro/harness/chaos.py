@@ -260,7 +260,6 @@ registry.register(
             "time, and conservation contracts under canned adversarial "
             "schedules"
         ),
-        default_grid={},
         uses_scale=False,
     ),
     replace=True,

@@ -7,15 +7,16 @@ text.  The pytest-benchmark modules under ``benchmarks/`` call these with
 the SMOKE scale and assert the paper's qualitative claims (who wins, by
 roughly what factor, where the crossovers are).
 
-Every simulated arm is one complete :class:`~repro.api.ScenarioSpec` from
-the :mod:`repro.harness.runner` templates, horizon and stop conditions
-included, run as ``Deployment.from_spec(spec, population=pop).run()``
-against the figure's one built population; a reducer turns each
-:class:`~repro.system.orchestrator.RunResult` into a row.
+Figures 3 and 7–13 are arm sets: ``_figN_arms`` names complete
+:class:`~repro.api.ScenarioSpec` s (the :mod:`repro.harness.runner`
+templates) and ``_figN_reduce`` turns their runs into the figure's rows;
+the sweep executor runs an arm that several figures share once.  Figures
+2 and 6 run no simulation and table1's arms carry an LSTM adapter no
+spec describes, so those three run directly.
 
 The registry table at the end of this module indexes them: experiment
-name (``fig2`` … ``fig13``, ``table1``) → regenerator, printer, result
-type and one-line description of the paper's figure.
+name (``fig2`` … ``fig13``, ``table1``) → arm set or regenerator,
+printer, result type and one-line description of the paper's figure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import Deployment, ScenarioSpec
+from repro.api import Deployment, PopulationSpec
 from repro.core.server_opt import FedAdam
 from repro.core.state import GlobalModelState
 from repro.core.client_trainer import LocalTrainer
@@ -39,16 +40,17 @@ from repro.harness.runner import (
     async_scenario,
     four_configs,
     make_population,
-    run_to_target,
     sync_goal,
     sync_scenario,
     sync_vs_async,
+    to_target,
 )
 from repro.nn.model import LSTMLanguageModel, ModelConfig
 from repro.secagg.protocol import BoundaryCostModel
 from repro.sim.population import DevicePopulation
 from repro.sim.trace import Outcome
 from repro.system.adapters import RealTrainingAdapter
+from repro.system.orchestrator import RunResult
 from repro.utils.rng import child_rng
 
 __all__ = [
@@ -152,14 +154,19 @@ class Fig3Result:
 def figure3(scale: Scale = DEFAULT, target_loss: float = DEFAULT_TARGET_LOSS,
             seed: int = 0) -> Fig3Result:
     """SyncFL-only concurrency sweep (the motivation experiment)."""
-    pop = make_population(scale.population, seed=seed)
+    return registry.get("fig3").run(scale, seed, target_loss=target_loss)
+
+
+def _fig3_arms(scale, seed, target_loss=DEFAULT_TARGET_LOSS):
+    """Figure 9's sync arms."""
+    return {k: v for k, v in _fig9_arms(scale, seed, target_loss).items() if k.startswith("sync")}
+
+
+def _fig3_reduce(runs, scale, seed, target_loss=DEFAULT_TARGET_LOSS) -> Fig3Result:
     points = []
     for conc in scale.concurrency_sweep:
-        goal = sync_goal(conc)
-        t, trips, rate = run_to_target(sync_scenario(
-            goal, pop, seed=seed, surrogate=scale.surrogate,
-            target_loss=target_loss, t_end_s=scale.sim_seconds * 4), pop)
-        points.append(SweepPoint(conc, goal, _hours(t), trips, rate))
+        t, trips, rate = to_target(runs[f"sync@{conc}"])
+        points.append(SweepPoint(conc, sync_goal(conc), _hours(t), trips, rate))
     return Fig3Result(points=points, target_loss=target_loss)
 
 
@@ -224,13 +231,19 @@ class Fig7Result:
 def figure7(scale: Scale = DEFAULT, duration_h: float | None = None,
             seed: int = 0) -> Fig7Result:
     """Active clients over time at equal max concurrency (paper: 1300)."""
+    return registry.get("fig7").run(scale, seed, duration_h=duration_h)
+
+
+def _fig7_arms(scale, seed, duration_h=None):
+    """Figure 8's base-concurrency pair."""
+    return sync_vs_async(scale, seed, [scale.base_concurrency],
+                         t_end_s=(duration_h or scale.sim_hours / 2) * 3600.0)
+
+
+def _fig7_reduce(runs, scale, seed, duration_h=None) -> Fig7Result:
     duration = (duration_h or scale.sim_hours / 2) * 3600.0
     conc = scale.base_concurrency
-    pop = make_population(scale.population, seed=seed)
-    sync_res, async_res = (
-        Deployment.from_spec(spec, population=pop).run()
-        for spec in sync_vs_async(scale, pop, conc, seed, t_end_s=duration)
-    )
+    sync_res, async_res = runs[f"sync@{conc}"], runs[f"async@{conc}"]
     st, sc = sync_res.trace.active_series()
     at, ac = async_res.trace.active_series()
     warmup = duration * 0.2
@@ -270,18 +283,23 @@ class Fig8Result:
 def figure8(scale: Scale = DEFAULT, duration_h: float | None = None,
             seed: int = 0) -> Fig8Result:
     """Update-rate sweep; the paper sees ~30× at concurrency 2300."""
-    duration = (duration_h or scale.sim_hours / 2) * 3600.0
-    pop = make_population(scale.population, seed=seed)
-    sync_rates, async_rates = [], []
-    for conc in scale.concurrency_sweep:
-        arms = sync_vs_async(scale, pop, conc, seed, t_end_s=duration)
-        for rates, spec in zip((sync_rates, async_rates), arms):
-            res = Deployment.from_spec(spec, population=pop).run()
-            rates.append(res.trace.steps_per_hour(spec.tasks[0].name))
+    return registry.get("fig8").run(scale, seed, duration_h=duration_h)
+
+
+def _fig8_arms(scale, seed, duration_h=None):
+    return sync_vs_async(scale, seed, scale.concurrency_sweep,
+                         t_end_s=(duration_h or scale.sim_hours / 2) * 3600.0)
+
+
+def _fig8_reduce(runs, scale, seed, duration_h=None) -> Fig8Result:
+    def rates(mode: str) -> list[float]:
+        arms = [runs[f"{mode}@{conc}"] for conc in scale.concurrency_sweep]
+        return [res.trace.steps_per_hour(res.stats().name) for res in arms]
+
     return Fig8Result(
         concurrencies=scale.concurrency_sweep,
-        sync_steps_per_hour=sync_rates,
-        async_steps_per_hour=async_rates,
+        sync_steps_per_hour=rates("sync"),
+        async_steps_per_hour=rates("async"),
         async_goal=scale.base_goal,
     )
 
@@ -321,14 +339,19 @@ class Fig9Result:
 def figure9(scale: Scale = DEFAULT, target_loss: float = DEFAULT_TARGET_LOSS,
             seed: int = 0) -> Fig9Result:
     """The paper's headline: async up to 5× faster, 8× fewer trips."""
-    pop = make_population(scale.population, seed=seed)
+    return registry.get("fig9").run(scale, seed, target_loss=target_loss)
+
+
+def _fig9_arms(scale, seed, target_loss=DEFAULT_TARGET_LOSS):
+    return sync_vs_async(scale, seed, scale.concurrency_sweep,
+                         target_loss=target_loss, t_end_s=scale.sim_seconds * 4)
+
+
+def _fig9_reduce(runs, scale, seed, target_loss=DEFAULT_TARGET_LOSS) -> Fig9Result:
     rows = []
     for conc in scale.concurrency_sweep:
-        (sync_t, sync_trips, _), (async_t, async_trips, _) = (
-            run_to_target(spec, pop)
-            for spec in sync_vs_async(scale, pop, conc, seed, target_loss=target_loss,
-                                       t_end_s=scale.sim_seconds * 4)
-        )
+        sync_t, sync_trips, _ = to_target(runs[f"sync@{conc}"])
+        async_t, async_trips, _ = to_target(runs[f"async@{conc}"])
         rows.append(Fig9Row(
             concurrency=conc,
             sync_hours=_hours(sync_t),
@@ -377,16 +400,25 @@ class Fig10Result:
 def figure10(scale: Scale = DEFAULT, target_loss: float = DEFAULT_TARGET_LOSS,
              seed: int = 0) -> Fig10Result:
     """K sweep at fixed concurrency (paper: C=1300, K=100…1300)."""
-    pop = make_population(scale.population, seed=seed)
-    conc = scale.base_concurrency
+    return registry.get("fig10").run(scale, seed, target_loss=target_loss)
+
+
+def _fig10_arms(scale, seed, target_loss=DEFAULT_TARGET_LOSS):
+    conc, pop = scale.base_concurrency, PopulationSpec(n_devices=scale.population, seed=seed)
+    return {
+        f"K={goal}": async_scenario(conc, goal, pop, seed=seed, surrogate=scale.surrogate,
+                                    target_loss=target_loss, t_end_s=scale.sim_seconds * 4)
+        for goal in scale.goal_sweep if goal <= conc
+    }
+
+
+def _fig10_reduce(runs, scale, seed, target_loss=DEFAULT_TARGET_LOSS) -> Fig10Result:
     rows = []
-    for goal in scale.goal_sweep:
-        if goal <= conc:
-            t, _, rate = run_to_target(async_scenario(
-                conc, goal, pop, seed=seed, surrogate=scale.surrogate,
-                target_loss=target_loss, t_end_s=scale.sim_seconds * 4), pop)
-            rows.append(Fig10Row(goal, _hours(t), rate))
-    return Fig10Result(rows=rows, concurrency=conc, target_loss=target_loss)
+    for name, res in runs.items():
+        t, _, rate = to_target(res)
+        rows.append(Fig10Row(int(name.removeprefix("K=")), _hours(t), rate))
+    return Fig10Result(rows=rows, concurrency=scale.base_concurrency,
+                       target_loss=target_loss)
 
 
 def print_figure10(res: Fig10Result) -> None:
@@ -420,27 +452,30 @@ class Fig11Result:
 def figure11(scale: Scale = DEFAULT, duration_h: float | None = None,
              seed: int = 0) -> Fig11Result:
     """Who actually gets aggregated, with and without over-selection."""
-    duration = (duration_h or scale.sim_hours) * 3600.0
-    pop = make_population(scale.population, seed=seed)
-    conc = scale.base_concurrency
-    arm = dict(seed=seed, surrogate=scale.surrogate, t_end_s=duration)
+    return registry.get("fig11").run(scale, seed, duration_h=duration_h)
 
-    def aggregated(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
+
+def _fig11_arms(scale, seed, duration_h=None):
+    """Three of Figure 12's four configurations."""
+    return {k: v for k, v in _fig12_arms(scale, seed, duration_h).items() if k != "async_big_k"}
+
+
+def _fig11_reduce(runs, scale, seed, duration_h=None) -> Fig11Result:
+    def aggregated(res: RunResult) -> tuple[np.ndarray, np.ndarray]:
         """Execution times and example counts of the aggregated clients."""
-        res = Deployment.from_spec(spec, population=pop).run()
+        task = res.stats().name
         parts = [
             p for p in res.trace.participations
-            if p.task == spec.tasks[0].name and p.outcome is Outcome.AGGREGATED
+            if p.task == task and p.outcome is Outcome.AGGREGATED
         ]
         return (
             np.array([p.execution_time for p in parts]),
             np.array([p.n_examples for p in parts], dtype=float),
         )
 
-    truth_exec, truth_n = aggregated(
-        sync_scenario(sync_goal(conc), pop, over_selection=0.0, **arm))
-    os_exec, os_n = aggregated(sync_scenario(sync_goal(conc), pop, **arm))
-    a_exec, a_n = aggregated(async_scenario(conc, scale.base_goal, pop, **arm))
+    truth_exec, truth_n = aggregated(runs["sync_without_os"])
+    os_exec, os_n = aggregated(runs["sync_with_os"])
+    a_exec, a_n = aggregated(runs["async_small_k"])
     return Fig11Result(
         truth_exec=truth_exec, sync_os_exec=os_exec, async_exec=a_exec,
         truth_examples=truth_n, sync_os_examples=os_n, async_examples=a_n,
@@ -493,14 +528,16 @@ class Fig12Result:
 def figure12(scale: Scale = DEFAULT, duration_h: float | None = None,
              seed: int = 0) -> Fig12Result:
     """Training curves: frequent steps vs staleness vs sampling bias."""
-    duration = (duration_h or scale.sim_hours) * 3600.0
-    pop = make_population(scale.population, seed=seed)
-    curves = {}
-    for name, spec in four_configs(scale, pop, seed, t_end_s=duration).items():
-        res = Deployment.from_spec(spec, population=pop).run()
-        curves[name] = res.trace.loss_curve(spec.tasks[0].name)
+    return registry.get("fig12").run(scale, seed, duration_h=duration_h)
+
+
+def _fig12_arms(scale, seed, duration_h=None):
+    return four_configs(scale, seed, t_end_s=(duration_h or scale.sim_hours) * 3600.0)
+
+
+def _fig12_reduce(runs, scale, seed, duration_h=None) -> Fig12Result:
     return Fig12Result(
-        curves=curves,
+        curves={name: res.trace.loss_curve(res.stats().name) for name, res in runs.items()},
         concurrency=scale.base_concurrency,
         small_goal=scale.base_goal,
         big_goal=sync_goal(scale.base_concurrency),
@@ -531,11 +568,16 @@ class Fig13Result:
 def figure13(scale: Scale = DEFAULT, target_loss: float = DEFAULT_TARGET_LOSS,
              seed: int = 0) -> Fig13Result:
     """Time to target for the four Figure 12 configurations."""
-    pop = make_population(scale.population, seed=seed)
-    specs = four_configs(scale, pop, seed, target_loss=target_loss,
-                          t_end_s=scale.sim_seconds * 6)
-    hours = {name: _hours(run_to_target(spec, pop)[0]) for name, spec in specs.items()}
-    return Fig13Result(hours=hours, target_loss=target_loss)
+    return registry.get("fig13").run(scale, seed, target_loss=target_loss)
+
+
+def _fig13_arms(scale, seed, target_loss=DEFAULT_TARGET_LOSS):
+    return four_configs(scale, seed, target_loss=target_loss, t_end_s=scale.sim_seconds * 6)
+
+
+def _fig13_reduce(runs, scale, seed, target_loss=DEFAULT_TARGET_LOSS) -> Fig13Result:
+    return Fig13Result(hours={name: _hours(to_target(res)[0]) for name, res in runs.items()},
+                       target_loss=target_loss)
 
 
 def print_figure13(res: Fig13Result) -> None:
@@ -653,9 +695,10 @@ def print_table1(res: Table1Result) -> None:
 
 # Registry wiring — every figure/table becomes a first-class experiment
 #
-# Runners are the figure functions themselves (module-level, so sweep
-# worker processes can pickle and re-import them); ``ExperimentSpec.run``
-# passes ``scale=`` / ``seed=`` only to the ones that declare a use for them.
+# Arm sets register their planner and reducer; fig2, fig6 and table1
+# register their regenerator as a direct runner (module-level, so sweep
+# worker processes can re-import it).  ``ExperimentSpec`` passes
+# ``scale=`` / ``seed=`` only to the ones that declare a use for them.
 
 def _run_table1(seed: int = 0, **params) -> Table1Result:
     params.setdefault("update_budget", 800)
@@ -664,36 +707,34 @@ def _run_table1(seed: int = 0, **params) -> Table1Result:
 
 
 def _register_all() -> None:
-    for name, runner, printer, result, description, flags in (
-        ("fig2", figure2, print_figure2, Fig2Result,
-         "client execution-time distribution vs round duration", {"uses_scale": False}),
-        ("fig3", figure3, print_figure3, Fig3Result,
-         "SyncFL time-to-target & comm trips vs concurrency", {}),
-        ("fig6", figure6, print_figure6, Fig6Result,
-         "host-TEE transfer time vs aggregation goal",
-         {"uses_seed": False, "uses_scale": False}),
-        ("fig7", figure7, print_figure7, Fig7Result,
-         "active clients over time, Sync vs Async", {}),
-        ("fig8", figure8, print_figure8, Fig8Result,
-         "server model updates per hour vs concurrency", {}),
-        ("fig9", figure9, print_figure9, Fig9Result,
-         "time-to-target, speedup, comm trips vs concurrency", {}),
-        ("fig10", figure10, print_figure10, Fig10Result,
-         "time-to-target & update rate vs aggregation goal K", {}),
-        ("fig11", figure11, print_figure11, Fig11Result,
-         "participant distributions ± over-selection, KS tests", {}),
-        ("fig12", figure12, print_figure12, Fig12Result,
-         "training curves for the four configurations", {}),
-        ("fig13", figure13, print_figure13, Fig13Result,
-         "hours-to-target for the four configurations", {}),
-        ("table1", _run_table1, print_table1, Table1Result,
-         "test perplexity by data-volume percentile", {"uses_scale": False}),
+    Spec = registry.ExperimentSpec
+    for spec in (
+        Spec("fig2", figure2, print_figure2, Fig2Result, uses_scale=False,
+             description="client execution-time distribution vs round duration"),
+        Spec("fig3", None, print_figure3, Fig3Result, arms=_fig3_arms, reduce=_fig3_reduce,
+             description="SyncFL time-to-target & comm trips vs concurrency"),
+        Spec("fig6", figure6, print_figure6, Fig6Result, uses_seed=False, uses_scale=False,
+             description="host-TEE transfer time vs aggregation goal"),
+        Spec("fig7", None, print_figure7, Fig7Result, arms=_fig7_arms, reduce=_fig7_reduce,
+             description="active clients over time, Sync vs Async"),
+        Spec("fig8", None, print_figure8, Fig8Result, arms=_fig8_arms, reduce=_fig8_reduce,
+             description="server model updates per hour vs concurrency"),
+        Spec("fig9", None, print_figure9, Fig9Result, arms=_fig9_arms, reduce=_fig9_reduce,
+             description="time-to-target, speedup, comm trips vs concurrency"),
+        Spec("fig10", None, print_figure10, Fig10Result, arms=_fig10_arms,
+             reduce=_fig10_reduce,
+             description="time-to-target & update rate vs aggregation goal K"),
+        Spec("fig11", None, print_figure11, Fig11Result, arms=_fig11_arms,
+             reduce=_fig11_reduce,
+             description="participant distributions ± over-selection, KS tests"),
+        Spec("fig12", None, print_figure12, Fig12Result, arms=_fig12_arms,
+             reduce=_fig12_reduce, description="training curves for the four configurations"),
+        Spec("fig13", None, print_figure13, Fig13Result, arms=_fig13_arms,
+             reduce=_fig13_reduce, description="hours-to-target for the four configurations"),
+        Spec("table1", _run_table1, print_table1, Table1Result, uses_scale=False,
+             description="test perplexity by data-volume percentile"),
     ):
-        registry.register(
-            registry.ExperimentSpec(name, runner, printer, result,
-                                    description=description, **flags),
-            replace=True,
-        )
+        registry.register(spec, replace=True)
 
 
 _register_all()

@@ -287,7 +287,6 @@ registry.register(
             "telemetry off vs on per workload: observer overhead %, "
             "bit-identity, span-tree completeness"
         ),
-        default_grid={},
         uses_scale=False,
     ),
     replace=True,

@@ -6,26 +6,21 @@ registered in a process-wide registry.  The CLI (``repro.harness.__main__``),
 the sweep executor (``repro.harness.sweep``) and the benchmark suite all
 dispatch through this registry instead of ad-hoc lambda tables, so new
 experiments only need one ``register()`` call to become runnable,
-sweepable, cacheable and benchmarkable.
+sweepable and benchmarkable.
 
 Results are plain (frozen) dataclasses; the registry provides a generic,
 type-driven JSON codec (:func:`to_jsonable` / :func:`from_jsonable`) so
-every result can be serialized to a machine-readable form for the on-disk
-sweep cache and CI artifacts, and reconstructed losslessly for the
-``print_*`` renderers.
+every result can be serialized to a machine-readable form for the
+``--json`` sweep reports and CI artifacts, and reconstructed losslessly
+for the ``print_*`` renderers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import hashlib
-import importlib
-import inspect
-import pathlib
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -34,10 +29,8 @@ __all__ = [
     "ExperimentSpec",
     "register",
     "get",
-    "find",
     "names",
     "specs",
-    "code_digest",
     "to_jsonable",
     "from_jsonable",
 ]
@@ -123,51 +116,67 @@ def from_jsonable(tp: Any, data: Any) -> Any:
 class ExperimentSpec:
     """One registered experiment (a figure or table of the paper).
 
+    An experiment is either an *arm set* or *direct*.  An arm set
+    declares ``arms(scale=..., seed=..., **params) -> {name:
+    ScenarioSpec}``, complete specs the sweep executor runs once each
+    through the arm store, and ``reduce({name: RunResult}, scale=...,
+    seed=..., **params) -> result``.  A direct experiment declares
+    ``runner(scale=..., seed=..., **params) -> result`` and runs as is,
+    unstored: it runs no simulation, carries state no spec describes, or
+    measures wall clocks.  ``scale`` / ``seed`` are passed (by keyword)
+    only when ``uses_scale`` / ``uses_seed`` say the experiment depends
+    on them.
+
     Attributes
     ----------
     name:
         Registry key, e.g. ``"fig9"``.
     runner:
-        ``runner(scale=..., seed=..., **params) -> result`` — usually the
-        experiment function itself; ``scale`` / ``seed`` are passed (by
-        keyword) only when ``uses_scale`` / ``uses_seed`` say the runner
-        depends on them.  Must be a module-level callable whose defining
-        module performs the ``register()`` call at import time: sweep
-        worker processes import that module (recorded on each cell as
-        ``runner_module``) to rebuild the registry under spawn-start
-        multiprocessing.
+        A direct experiment's function (``None`` for an arm set).
     printer:
         Renders a result as text (the ``print_*`` companion).
     result_type:
-        The result dataclass, used to reconstruct cached JSON results.
-    default_grid:
-        Optional parameter grid the sweep executor fans out over in
-        addition to seeds; maps runner keyword names to value tuples.
+        The result dataclass, used to reconstruct JSON results.
     description:
         One-line summary shown by ``--list``.
     uses_seed / uses_scale:
-        Whether the runner's output actually depends on the seed / scale.
-        ``build_cells`` collapses the invariant axis to a single cell so a
-        deterministic experiment (e.g. a closed-form cost model) isn't
-        recomputed and aggregated once per seed.
+        Whether the result actually depends on the seed / scale.
+        ``build_cells`` collapses the invariant seed axis to a single cell
+        so a deterministic experiment (e.g. a closed-form cost model)
+        isn't recomputed and aggregated once per seed.
+    arms / reduce:
+        An arm set's planner and reducer (``None`` for a direct one).
     """
 
     name: str
-    runner: Callable[..., Any]
+    runner: Callable[..., Any] | None
     printer: Callable[[Any], None]
     result_type: type | None = None
-    default_grid: Mapping[str, tuple] = field(default_factory=dict)
     description: str = ""
     uses_seed: bool = True
     uses_scale: bool = True
+    arms: Callable[..., Mapping[str, Any]] | None = None
+    reduce: Callable[..., Any] | None = None
 
-    def run(self, scale, seed: int = 0, **params) -> Any:
-        """Execute the experiment at ``scale`` with ``seed`` and grid params."""
+    def kwargs(self, scale, seed, params: Mapping[str, Any]) -> dict[str, Any]:
+        """The keywords ``runner`` / ``arms`` / ``reduce`` are called with."""
+        kw = dict(params)
         if self.uses_scale:
-            params["scale"] = scale
+            kw["scale"] = scale
         if self.uses_seed:
-            params["seed"] = seed
-        return self.runner(**params)
+            kw["seed"] = seed
+        return kw
+
+    def run(self, scale, seed: int | None = 0, **params) -> Any:
+        """Execute the experiment in-process through the sweep executor, unstored."""
+        from repro.harness.sweep import SweepError, build_cells, run_sweep
+
+        (cell,) = build_cells([self.name], scale, [seed],
+                              grid={k: [v] for k, v in params.items()})
+        try:
+            return run_sweep([cell]).cells[0].result
+        except SweepError as err:
+            raise err.failures[0][1]
 
     def serialize(self, result: Any) -> Any:
         """Result object → JSON-serializable payload."""
@@ -178,47 +187,6 @@ class ExperimentSpec:
         if self.result_type is None:
             return payload
         return from_jsonable(self.result_type, payload)
-
-
-@functools.lru_cache(maxsize=None)
-def _module_digest(module_name: str) -> str | None:
-    """SHA-256 (truncated) of the source of a module's whole package.
-
-    Hashing every ``.py`` sibling of the module (not just its own file)
-    means an edit anywhere in the package — e.g. ``harness/runner.py`` or
-    ``harness/configs.py``, which the figure runners call into — changes
-    the digest, not only edits to the defining file itself.
-    """
-    try:
-        mod = importlib.import_module(module_name)
-        path = inspect.getsourcefile(mod)
-        if path is None:
-            return None
-        h = hashlib.sha256()
-        for p in sorted(pathlib.Path(path).parent.glob("*.py")):
-            h.update(p.name.encode())
-            h.update(p.read_bytes())
-        return h.hexdigest()[:16]
-    except Exception:
-        return None
-
-
-def code_digest(name: str) -> str | None:
-    """Code-identity fingerprint of an experiment.
-
-    Folded into every cache fingerprint so editing the package that
-    defines an experiment's runner invalidates its cached results — a
-    reproduction harness must never serve numbers computed by old code.
-    Coarse by design (any edit in the defining package invalidates all of
-    its experiments); dependencies outside the package (``core/``,
-    ``sim/``) are not tracked, so bump ``CACHE_VERSION`` in
-    :mod:`repro.harness.cache` for cross-cutting changes there.
-    """
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        return None
-    module = getattr(spec.runner, "__module__", None)
-    return _module_digest(module) if module else None
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
@@ -235,11 +203,6 @@ def register(spec: ExperimentSpec, replace: bool = False) -> ExperimentSpec:
 def unregister(name: str) -> None:
     """Remove a spec (used by tests injecting temporary experiments)."""
     _REGISTRY.pop(name, None)
-
-
-def find(name: str) -> ExperimentSpec | None:
-    """Like :func:`get` but returns None for unknown names."""
-    return _REGISTRY.get(name)
 
 
 def get(name: str) -> ExperimentSpec:

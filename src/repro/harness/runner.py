@@ -1,13 +1,13 @@
 """Scenario builders shared by every figure regenerator.
 
 Every simulated figure arm is one complete :class:`~repro.api.ScenarioSpec`
-from :func:`async_scenario` / :func:`sync_scenario`, horizon and stop
-conditions included (:func:`sync_vs_async` and :func:`four_configs` are
-the arm sets several figures share), run as
-``Deployment.from_spec(spec, population=pop).run()`` with the figure's
-already-built population; :func:`run_to_target` is the time-to-target
-reducer.  :func:`train_scenario` is the plain async workload the
-``chaos`` and ``obs`` experiments perturb.
+from :func:`async_scenario` / :func:`sync_scenario`, population, horizon
+and stop conditions included, so it runs from the spec alone as
+``Deployment.from_spec(spec).run()``.  :func:`sync_vs_async` and
+:func:`four_configs` are the arm templates several figures share, which
+is what lets the sweep executor run a shared arm once; :func:`to_target`
+is the time-to-target reducer.  :func:`train_scenario` is the plain
+async workload the ``chaos`` and ``obs`` experiments perturb.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import dataclasses
 import math
 
 from repro.api import (
-    Deployment,
     ExecutionSpec,
     PopulationSpec,
     ScenarioSpec,
@@ -27,6 +26,7 @@ from repro.core.surrogate import SurrogateParams
 from repro.harness.configs import CLIENT_TIMEOUT_S, OVER_SELECTION, Scale
 from repro.sim.population import DevicePopulation
 from repro.sim.trace import Outcome
+from repro.system.orchestrator import RunResult
 
 __all__ = [
     "make_population",
@@ -35,7 +35,7 @@ __all__ = [
     "sync_goal",
     "sync_vs_async",
     "four_configs",
-    "run_to_target",
+    "to_target",
     "train_scenario",
     "DEFAULT_TARGET_LOSS",
 ]
@@ -131,17 +131,21 @@ def sync_goal(concurrency: int, over_selection: float = OVER_SELECTION) -> int:
     return max(1, int(concurrency / (1.0 + over_selection)))
 
 
-def sync_vs_async(scale: Scale, pop: DevicePopulation, conc: int, seed: int,
-                  **execution) -> tuple[ScenarioSpec, ScenarioSpec]:
-    """Figures 7–9's arms at one concurrency: SyncFL w/ OS, AsyncFL at the base K."""
+def sync_vs_async(scale: Scale, seed: int, concurrencies, **execution) -> dict[str, ScenarioSpec]:
+    """Figures 3 and 7–9's arms: ``sync@C`` (SyncFL w/ OS) and ``async@C``
+    (AsyncFL at the base K) for each concurrency ``C``."""
+    pop = PopulationSpec(n_devices=scale.population, seed=seed)
     arm = dict(surrogate=scale.surrogate, **execution)
-    return (sync_scenario(sync_goal(conc), pop, seed=seed, **arm),
-            async_scenario(conc, scale.base_goal, pop, seed=seed + 1, **arm))
+    arms = {}
+    for conc in concurrencies:
+        arms[f"sync@{conc}"] = sync_scenario(sync_goal(conc), pop, seed=seed, **arm)
+        arms[f"async@{conc}"] = async_scenario(conc, scale.base_goal, pop, seed=seed + 1, **arm)
+    return arms
 
 
-def four_configs(scale: Scale, pop: DevicePopulation, seed: int,
-                 **execution) -> dict[str, ScenarioSpec]:
-    """Figures 12–13's four configurations (paper: goal=1000 at C=1300)."""
+def four_configs(scale: Scale, seed: int, **execution) -> dict[str, ScenarioSpec]:
+    """Figures 11–13's four configurations (paper: goal=1000 at C=1300)."""
+    pop = PopulationSpec(n_devices=scale.population, seed=seed)
     conc = scale.base_concurrency
     big_goal = sync_goal(conc)  # e.g. 1000 at paper scale
     arm = dict(seed=seed, surrogate=scale.surrogate, **execution)
@@ -153,17 +157,13 @@ def four_configs(scale: Scale, pop: DevicePopulation, seed: int,
     }
 
 
-def run_to_target(
-    spec: ScenarioSpec, pop: DevicePopulation
-) -> tuple[float | None, int, float]:
-    """Run one arm: (seconds to target, comm trips until then, steps/h).
+def to_target(res: RunResult) -> tuple[float | None, int, float]:
+    """One arm's (seconds to target, comm trips until then, steps/h).
 
     Comm trips are the client updates the server received (aggregated or
     discarded) by the time the target was reached, or by the horizon.
     """
-    res = Deployment.from_spec(spec, population=pop).run()
-    (task,) = res.task_stats
-    t = res.task_stats[task].time_to_target
+    task, t = res.stats().name, res.stats().time_to_target
     horizon = math.inf if t is None else t
     trips = sum(
         1

@@ -14,18 +14,22 @@ writing a new runner::
 Grid keys are dotted :meth:`ScenarioSpec.override` paths applied on top
 of the base spec (the sweep seed always overrides ``execution.seed``),
 so sweeps grid directly over scenario fields.  The spec must carry an
-``execution.t_end_s`` horizon.
+``execution.t_end_s`` horizon.  The experiment is an arm set of one arm
+(the spec with its overrides applied), so the arm store serves a
+repeated scenario like any figure arm.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.api import Deployment, ScenarioSpec, SpecError
+from repro.api import ScenarioSpec, SpecError
 from repro.harness import registry
-from repro.harness.report import print_table
+from repro.harness.configs import SMOKE
+from repro.harness.report import print_points
 
 __all__ = [
     "ScenarioTaskSummary",
@@ -63,23 +67,19 @@ class ScenarioRunSummary:
     tasks: list[ScenarioTaskSummary]
 
 
-def run_scenario(
-    spec: ScenarioSpec | Mapping[str, Any] | str,
-    seed: int | None = None,
-    overrides: Mapping[str, Any] | None = None,
-) -> ScenarioRunSummary:
-    """Build + run one scenario through :class:`~repro.api.Deployment`.
-
-    ``spec`` may be a :class:`ScenarioSpec`, its ``to_dict`` document,
-    or that document as a JSON string (how sweep cells carry it).
-    ``seed`` (when given) replaces ``execution.seed``; ``overrides`` are
-    dotted :meth:`ScenarioSpec.override` paths applied atomically.
-    """
+def _scenario_spec(spec, seed: int | None, overrides: Mapping[str, Any]) -> ScenarioSpec:
+    """The one arm: ``spec`` with ``overrides`` and (when given) ``seed`` applied."""
+    if spec is None:
+        raise SpecError(
+            "spec",
+            "the scenario experiment needs a spec document "
+            "(CLI: --spec scenario.json)",
+        )
     if isinstance(spec, str):
         spec = json.loads(spec)
     if not isinstance(spec, ScenarioSpec):
         spec = ScenarioSpec.from_dict(spec)
-    merged = dict(overrides or {})
+    merged = dict(overrides)
     if seed is not None:
         merged["execution.seed"] = int(seed)
     if merged:
@@ -89,43 +89,56 @@ def run_scenario(
             "execution.t_end_s",
             "the scenario experiment needs a time horizon in the spec",
         )
-    result = Deployment.from_spec(spec).run()
-    tasks = [
-        ScenarioTaskSummary(
-            name=stats.name,
-            server_steps=stats.server_steps,
-            final_loss=stats.final_loss,
-            time_to_target_s=stats.time_to_target,
-            comm_trips=stats.comm_trips,
-            downloads=stats.downloads,
-            aggregated=stats.aggregated,
-            discarded=stats.discarded,
-            failed=stats.failed,
-            timeouts=stats.timeouts,
-            aborted=stats.aborted,
-            mean_staleness=stats.mean_staleness,
-        )
-        for stats in result.task_stats.values()
-    ]
+    return spec
+
+
+def run_scenario(
+    spec: ScenarioSpec | Mapping[str, Any] | str,
+    seed: int | None = None,
+    overrides: Mapping[str, Any] | None = None,
+) -> ScenarioRunSummary:
+    """Run one scenario through the sweep executor (unstored).
+
+    ``spec`` may be a :class:`ScenarioSpec`, its ``to_dict`` document,
+    or that document as a JSON string (how sweep cells carry it).
+    ``seed`` (when given) replaces ``execution.seed``; ``overrides`` are
+    dotted :meth:`ScenarioSpec.override` paths applied atomically.
+    """
+    return registry.get("scenario").run(SMOKE, seed, spec=spec, **dict(overrides or {}))
+
+
+def _scenario_arms(seed: int | None = None, spec=None, **overrides) -> dict[str, ScenarioSpec]:
+    return {"scenario": _scenario_spec(spec, seed, overrides)}
+
+
+def _scenario_reduce(runs, seed: int | None = None, spec=None,
+                     **overrides) -> ScenarioRunSummary:
+    spec, result = _scenario_spec(spec, seed, overrides), runs["scenario"]
     return ScenarioRunSummary(
         duration_s=result.duration_s,
         plane=spec.plane.name,
         num_shards=spec.plane.num_shards,
-        tasks=tasks,
+        # ScenarioTaskSummary is TaskStats field for field.
+        tasks=[ScenarioTaskSummary(*dataclasses.astuple(stats))
+               for stats in result.task_stats.values()],
     )
+
+
+#: ``print_scenario``'s columns (``report.print_points``)
+_COLUMNS = (
+    ("task", "name"), ("steps", "server_steps"), ("final loss", "final_loss"),
+    ("to target (h)", lambda t: None if t.time_to_target_s is None
+     else t.time_to_target_s / 3600.0),
+    ("aggregated", "aggregated"), ("discarded", "discarded"), ("failed", "failed"),
+    ("aborted", "aborted"), ("mean staleness", "mean_staleness"),
+)
 
 
 def print_scenario(res: ScenarioRunSummary) -> None:
     """Render a scenario run as text."""
-    print_table(
-        ["task", "steps", "final loss", "to target (h)", "aggregated",
-         "discarded", "failed", "aborted", "mean staleness"],
-        [
-            [t.name, t.server_steps, t.final_loss,
-             "n/a" if t.time_to_target_s is None else t.time_to_target_s / 3600.0,
-             t.aggregated, t.discarded, t.failed, t.aborted, t.mean_staleness]
-            for t in res.tasks
-        ],
+    print_points(
+        _COLUMNS,
+        res.tasks,
         title=(
             f"Scenario — plane={res.plane}"
             + (f" (S={res.num_shards})" if res.num_shards > 1 else "")
@@ -134,26 +147,16 @@ def print_scenario(res: ScenarioRunSummary) -> None:
     )
 
 
-def _run_scenario(seed: int | None = None, spec=None, **overrides) -> ScenarioRunSummary:
-    """Registry runner: ``spec`` is a ScenarioSpec document (dict)."""
-    if spec is None:
-        raise SpecError(
-            "spec",
-            "the scenario experiment needs a spec document "
-            "(CLI: --spec scenario.json)",
-        )
-    return run_scenario(spec, seed=seed, overrides=overrides)
-
-
 registry.register(
     registry.ExperimentSpec(
         "scenario",
-        _run_scenario,
+        None,
         print_scenario,
         ScenarioRunSummary,
         description="run/sweep an arbitrary declarative ScenarioSpec deployment",
-        default_grid={},
         uses_scale=False,
+        arms=_scenario_arms,
+        reduce=_scenario_reduce,
     ),
     replace=True,
 )

@@ -1,43 +1,44 @@
-"""Parallel experiment-sweep executor with multi-seed aggregation.
+"""The sweep executor: plan arms, run each distinct arm once, reduce cells.
 
-A sweep fans a grid of cells — (experiment × seed × operating point) —
-out across worker processes, caches every cell result as content-addressed
-JSON (see :mod:`repro.harness.cache`), and folds the per-seed results into
-mean / stddev / min-max aggregates that the text renderers and CI
-artifacts consume.
+A sweep is a list of cells — (experiment × scale × seed × operating
+point).  :func:`run_sweep` is the one executor every run goes through (the
+CLI, ``ExperimentSpec.run`` and so every ``figureN`` function, the
+benchmarks).  It works in four steps:
 
-Typical use::
+1. plan every cell: an arm set names its arms, complete
+   :class:`~repro.api.ScenarioSpec` s keyed by
+   :func:`~repro.harness.cache.arm_key` (a bad grid value or override
+   fails here, before any arm runs);
+2. dedupe the arms by key (fig3's arms are fig9's sync arms, for one)
+   and serve the stored ones from the arm store;
+3. run the missing arms and the direct cells on one process pool across
+   ``jobs``, storing each fresh arm as it lands;
+4. reduce each cell once its arms are all there, and drop an arm once no
+   cell still needs it.
 
-    from repro.harness import SMOKE
-    from repro.harness.sweep import build_cells, run_sweep
-
-    cells = build_cells(["fig9"], SMOKE, seeds=[0, 1, 2])
-    sweep = run_sweep(cells, jobs=4)
-    for group in sweep.groups():
-        print(group.describe())
-
-Determinism: each cell is seeded independently, so the aggregated output
-of a sweep is identical whatever ``jobs`` is, and re-runs are free once
-the cache is warm.  The CLI front-end lives in ``repro.harness.__main__``
+Seeds fold into mean / stddev / min-max aggregates for the renderers and
+CI artifacts.  Each arm is seeded by its spec, so a sweep's output is
+identical whatever ``jobs`` is, and re-runs are free once the store is
+warm.  The CLI front-end lives in ``repro.harness.__main__``
 (``python -m repro.harness sweep fig9 --seeds 0..4 --jobs 8``).
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import itertools
 import json
 import math
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.api import Deployment
 from repro.harness import registry
-from repro.harness.cache import CACHE_VERSION, ResultCache, cell_fingerprint
-from repro.harness.configs import Scale
+from repro.harness.cache import ResultCache, arm_key, from_record, to_record
+from repro.harness.configs import SMOKE, Scale
 
 __all__ = [
     "SweepCell",
@@ -45,7 +46,6 @@ __all__ = [
     "SweepGroup",
     "SweepResult",
     "SweepError",
-    "cell_payload",
     "expand_grid",
     "build_cells",
     "build_scenario_cells",
@@ -60,28 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One unit of sweep work: an experiment at one (scale, seed, params).
-
-    ``runner_module`` records where the experiment's runner is defined so
-    worker processes on spawn-start platforms (macOS/Windows) can import
-    it — importing the defining module re-runs its ``registry.register``
-    side effect, which fork-start workers get for free by inheritance.
-    It does not participate in the cache fingerprint.
-    """
+    """One unit of sweep work: an experiment at one (scale, seed, params)."""
 
     experiment: str
     scale: Scale
-    seed: int
+    seed: int | None
     params: tuple[tuple[str, Any], ...] = ()
-    runner_module: str | None = None
-
-    @property
-    def params_dict(self) -> dict[str, Any]:
-        return dict(self.params)
-
-    @property
-    def fingerprint(self) -> str:
-        return cell_fingerprint(self.experiment, self.scale, self.seed, self.params_dict)
 
     def label(self) -> str:
         extra = "".join(f" {k}={_fmt_param(v)}" for k, v in self.params)
@@ -105,34 +89,27 @@ def expand_grid(grid: Mapping[str, Sequence[Any]] | None) -> list[dict[str, Any]
 def build_cells(
     experiments: Iterable[str],
     scale: Scale,
-    seeds: Sequence[int],
+    seeds: Sequence[int | None],
     grid: Mapping[str, Sequence[Any]] | None = None,
 ) -> list[SweepCell]:
     """The full cell list for a sweep.
 
-    ``grid`` overrides each spec's ``default_grid``; cells are ordered
+    ``grid`` maps keyword names to value lists; cells are ordered
     (experiment, operating point, seed) so serial runs group naturally.
+    A ``None`` seed leaves the choice to the experiment (the scenario
+    experiment then keeps its spec's own ``execution.seed``).
     """
     cells = []
     for name in experiments:
         spec = registry.get(name)  # raises KeyError for unknown names up-front
-        points = expand_grid(grid if grid is not None else spec.default_grid)
+        points = expand_grid(grid)
         # A seed-invariant experiment gets exactly one cell per point,
-        # pinned to the canonical seed 0 the fingerprint uses — labeling
-        # it seeds[0] would let a cell badged "seed=3" serve a payload
-        # recorded (and cached) as seed 0, and vice versa.
+        # pinned to seed 0, so its one result is never badged with a
+        # seed it does not depend on.
         seed_axis = list(seeds) if spec.uses_seed else [0]
-        for params in points:
-            for seed in seed_axis:
-                cells.append(
-                    SweepCell(
-                        experiment=name,
-                        scale=scale,
-                        seed=int(seed),
-                        params=tuple(sorted(params.items())),
-                        runner_module=getattr(spec.runner, "__module__", None),
-                    )
-                )
+        cells += [SweepCell(name, scale, None if seed is None else int(seed),
+                            tuple(sorted(params.items())))
+                  for params in points for seed in seed_axis]
     return cells
 
 
@@ -148,42 +125,17 @@ def build_scenario_cells(
     are dotted ``spec.override`` paths (``plane.num_shards``,
     ``tasks.0.concurrency``, ``system.cohort_batch_size``, ...) fanned
     out as a cartesian product on top of it.  Every cell runs the
-    ``scenario`` experiment with the serialized spec as a parameter, so
-    caching, parallel execution, and multi-seed aggregation work exactly
-    as for the figure experiments.  Grid paths are validated up-front
-    against the spec (a typo fails before any cell runs).
+    ``scenario`` experiment with the spec as canonical JSON (cells stay
+    hashable for result grouping).  :func:`run_sweep` applies every
+    cell's overrides when it plans, so a typo'd path or an invalid
+    combination fails before any arm runs.
     """
-    from repro.harness import scenario as scenario_module
-    from repro.harness.configs import SMOKE
-
-    if grid:
-        for path, values in grid.items():
-            if not values:
-                raise ValueError(f"scenario grid axis {path!r} has no values")
-    points = expand_grid(grid)
-    # Validate every actual cell's override combination atomically, so a
-    # typo'd path or an invalid combination fails before any cell runs —
-    # and interdependent multi-axis grids (plane.name × plane.num_shards)
-    # are judged as the cells will apply them, not axis-by-axis.
-    for params in points:
-        spec.with_overrides(params)
-    # The spec rides along as canonical JSON (cells must stay hashable
-    # for result grouping, and the fingerprint must not depend on dict
-    # ordering).
+    for path, values in (grid or {}).items():
+        if not values:
+            raise ValueError(f"scenario grid axis {path!r} has no values")
     spec_doc = json.dumps(spec.to_dict(), sort_keys=True)
-    cells = []
-    for params in points:
-        for seed in seeds:
-            cells.append(
-                SweepCell(
-                    experiment="scenario",
-                    scale=scale if scale is not None else SMOKE,
-                    seed=int(seed),
-                    params=tuple(sorted({"spec": spec_doc, **params}.items())),
-                    runner_module=scenario_module.__name__,
-                )
-            )
-    return cells
+    return build_cells(["scenario"], scale if scale is not None else SMOKE, seeds,
+                       grid={"spec": [spec_doc], **(grid or {})})
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +143,7 @@ def build_scenario_cells(
 # ---------------------------------------------------------------------------
 
 class SweepError(RuntimeError):
-    """One or more sweep cells failed (successful cells were still cached).
+    """One or more sweep cells failed (every arm that ran was still stored).
 
     ``result`` holds the partial :class:`SweepResult` over the cells that
     did complete, so callers (the CLI's ``--json`` path, CI) can still
@@ -217,52 +169,74 @@ class SweepError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-def cell_payload(cell: SweepCell, result: Any, elapsed_s: float) -> dict:
-    """The canonical cached-payload document for one finished cell.
-
-    Every cache writer (sweep workers, the benchmark ``cached_run``
-    fixture) must build payloads through this function so the schema
-    cannot drift between them.
-    """
-    return {
-        "version": CACHE_VERSION,
-        "experiment": cell.experiment,
-        "scale": cell.scale.name,
-        "seed": cell.seed,
-        "params": cell.params_dict,
-        "elapsed_s": elapsed_s,
-        "result": registry.get(cell.experiment).serialize(result),
-    }
-
-
-def _execute_cell(cell: SweepCell) -> dict:
-    """Run one cell and return its JSON payload (runs in worker processes)."""
-    if cell.runner_module and cell.experiment not in registry.names():
-        # Spawn-start workers only have the registrations that package
-        # imports perform; importing the runner's defining module re-runs
-        # its register() side effect.
-        importlib.import_module(cell.runner_module)
+def _plan(cell: SweepCell) -> dict[str, tuple[str, Any]] | None:
+    """A cell's arms as ``{name: (key, spec)}``; ``None`` for a direct cell."""
     spec = registry.get(cell.experiment)
+    if spec.arms is None:
+        return None
+    arms = spec.arms(**spec.kwargs(cell.scale, cell.seed, cell.params))
+    return {name: (arm_key(arm), arm) for name, arm in arms.items()}
+
+
+def _run_arm(spec) -> dict:
+    """Run one arm and return its record (runs in worker processes)."""
+    return to_record(Deployment.from_spec(spec).run())
+
+
+def _run_direct(cell: SweepCell) -> Any:
+    """Run one direct cell and return its result (runs in worker processes).
+
+    A spawn- or forkserver-start worker rebuilds the registry when it
+    unpickles this function: importing ``repro.harness`` registers every
+    experiment.
+    """
+    spec = registry.get(cell.experiment)
+    return spec.runner(**spec.kwargs(cell.scale, cell.seed, cell.params))
+
+
+def _timed(fn: Callable[[Any], Any], arg: Any) -> tuple[Any, float]:
     start = time.perf_counter()
-    result = spec.run(cell.scale, cell.seed, **cell.params_dict)
-    return cell_payload(cell, result, time.perf_counter() - start)
+    return fn(arg), time.perf_counter() - start
+
+
+def _outcome(fn: Callable, *args, **kwargs) -> tuple[Any, Exception | None]:
+    try:
+        return fn(*args, **kwargs), None
+    except Exception as exc:
+        return None, exc
+
+
+def _execute(tasks: dict, jobs: int) -> Iterator[tuple[Any, Any, Exception | None]]:
+    """Run ``{tag: (fn, arg)}``; yield ``(tag, (value, seconds), error)`` each.
+
+    In-process and in order for ``jobs <= 1`` (easier to debug, and what
+    the determinism tests compare the parallel path against); otherwise
+    on one process pool, in completion order.
+    """
+    if jobs <= 1 or not tasks:
+        for tag, (fn, arg) in tasks.items():
+            yield (tag, *_outcome(_timed, fn, arg))
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        futures = {pool.submit(_timed, fn, arg): tag for tag, (fn, arg) in tasks.items()}
+        for fut in as_completed(futures):
+            yield (futures[fut], *_outcome(fut.result))
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """One finished cell: its JSON payload plus provenance."""
+    """One finished cell: its result, its arms' keys by name, and the wall
+    time this sweep spent on it (a direct run, or its arms that ran here)."""
 
     cell: SweepCell
-    payload: dict
-    cached: bool
+    result: Any
+    arms: dict[str, str] = field(default_factory=dict)
+    elapsed_s: float = 0.0
 
-    @property
-    def elapsed_s(self) -> float:
-        return float(self.payload.get("elapsed_s", 0.0))
-
-    def result(self) -> Any:
-        """The reconstructed result object (for ``print_*`` renderers)."""
-        return registry.get(self.cell.experiment).deserialize(self.payload["result"])
+    @functools.cached_property
+    def payload(self) -> Any:
+        """The result as JSON (what ``--json`` reports and aggregates read)."""
+        return registry.to_jsonable(self.result)
 
 
 @dataclass(frozen=True)
@@ -281,7 +255,7 @@ class SweepGroup:
     @functools.cached_property
     def aggregate(self) -> Any:
         """Mean/std/min/max over seeds of every numeric field of the result."""
-        return aggregate_payloads([c.payload["result"] for c in self.cells])
+        return aggregate_payloads([c.payload for c in self.cells])
 
     def describe(self) -> str:
         extra = "".join(f" {k}={_fmt_param(v)}" for k, v in self.params)
@@ -293,14 +267,20 @@ class SweepGroup:
 
 @dataclass
 class SweepResult:
-    """Everything a finished sweep produced."""
+    """Everything a finished sweep produced.
+
+    ``arms`` counts the distinct arms the cells planned; ``stored`` of
+    them came from the arm store and ``ran`` were run here.  ``direct``
+    counts the direct cells, which always run.
+    """
 
     cells: list[CellResult]
     jobs: int
     duration_s: float
-    hits: int = 0
-    misses: int = 0
-    extra: dict = field(default_factory=dict)
+    arms: int = 0
+    stored: int = 0
+    ran: int = 0
+    direct: int = 0
 
     @functools.cached_property
     def _groups(self) -> list[SweepGroup]:
@@ -330,10 +310,14 @@ class SweepResult:
         return {
             "jobs": self.jobs,
             "duration_s": self.duration_s,
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
+            "arms": self.arms,
+            "arms_stored": self.stored,
+            "arms_ran": self.ran,
+            "direct_cells": self.direct,
             "cells": [
-                {**c.payload, "cached": c.cached, "fingerprint": c.cell.fingerprint}
+                {"experiment": c.cell.experiment, "scale": c.cell.scale.name,
+                 "seed": c.cell.seed, "params": dict(c.cell.params),
+                 "elapsed_s": c.elapsed_s, "arms": c.arms, "result": c.payload}
                 for c in self.cells
             ],
             "aggregates": [
@@ -353,89 +337,110 @@ def run_sweep(
     cells: Sequence[SweepCell],
     jobs: int = 1,
     cache: ResultCache | None = None,
-    use_cache: bool = True,
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
-    """Execute a sweep, fanning cache misses out over ``jobs`` processes.
+    """Plan, dedupe, serve or run, and reduce ``cells`` over ``jobs`` processes.
 
-    With ``jobs <= 1`` everything runs in-process (easier to debug, and
-    what the determinism tests compare the parallel path against).  Cell
-    order in the returned result matches the input order regardless of
-    completion order.
-
-    A failing cell does not abandon its siblings: every other cell still
-    runs and is cached, then a :class:`SweepError` naming the failed
-    cells is raised — so a resume after fixing the bug only pays for the
-    cells that actually failed.
+    ``cache`` is the arm store to serve from and store into (``None``:
+    run every arm, store nothing).  Cell order in the result matches the
+    input order regardless of completion order.  A planning error (a bad
+    grid value or spec override) raises before any arm runs.  A failing
+    arm or direct cell fails only the cells that need it: every other arm
+    still runs and is stored, then a :class:`SweepError` naming the
+    failed cells is raised — so a resume after fixing the bug only pays
+    for what failed.
     """
     say = progress or (lambda _msg: None)
-    cache = cache if cache is not None else (ResultCache() if use_cache else None)
     start = time.perf_counter()
 
+    # 1. Plan every cell; dedupe its arms by key, in first-seen order.
+    plans = [_plan(cell) for cell in cells]
+    arms: dict[str, tuple[str, Any]] = {}  # key -> (label, spec)
+    users: dict[str, set[int]] = {}        # key -> open cells that reduce it
+    for i, plan in enumerate(plans):
+        for name, (key, spec) in (plan or {}).items():
+            arms.setdefault(key, (f"{cells[i].experiment}/{name}", spec))
+            users.setdefault(key, set()).add(i)
+    runs: dict = {}  # key -> RunResult, dropped once no open cell needs it
+    seconds: dict[str, float] = {}
     results: dict[int, CellResult] = {}
-    pending: list[int] = []
-    hits = 0
-    for i, cell in enumerate(cells):
-        payload = cache.load(cell.fingerprint) if cache is not None else None
-        if payload is not None:
-            results[i] = CellResult(cell=cell, payload=payload, cached=True)
-            hits += 1
-            say(f"[cache hit ] {cell.label()}")
-        else:
-            pending.append(i)
+    failures: dict[int, Exception] = {}
 
-    def finish(i: int, payload: dict) -> None:
-        cell = cells[i]
+    def close(i: int, exc: Exception | None = None) -> None:
+        if exc is not None:
+            failures[i] = exc
+            say(f"[FAILED    ] {cells[i].label()}: {exc!r}")
+        for key, _ in (plans[i] or {}).values():
+            users[key].discard(i)
+            if not users[key]:
+                runs.pop(key, None)
+
+    def arrived(key: str, run) -> None:
+        if users[key]:
+            runs[key] = run
+        for i in sorted(users[key]):
+            keys = {name: k for name, (k, _) in plans[i].items()}
+            if all(k in runs for k in keys.values()):  # 4. reduce
+                cell, spec = cells[i], registry.get(cells[i].experiment)
+                kw = spec.kwargs(cell.scale, cell.seed, cell.params)
+                result, exc = _outcome(spec.reduce, {n: runs[k] for n, k in keys.items()}, **kw)
+                if exc is None:
+                    elapsed = sum(seconds.get(k, 0.0) for k in set(keys.values()))
+                    results[i] = CellResult(cell, result, keys, elapsed)
+                close(i, exc)
+
+    # 2. Serve the stored arms.
+    stored = set()
+    for key, (label, _) in arms.items():
+        run = cache.load(key) if cache is not None else None
+        if run is not None:
+            stored.add(key)
+            say(f"[stored    ] {label}")
+            arrived(key, run)
+
+    # 3. Run the missing arms and the direct cells on one pool.
+    tasks = {key: (_run_arm, spec) for key, (_, spec) in arms.items() if key not in stored}
+    tasks.update({i: (_run_direct, cells[i]) for i, plan in enumerate(plans) if plan is None})
+    ran = 0
+    for ref, out, exc in _execute(tasks, jobs):
+        if isinstance(ref, int):  # a direct cell
+            if exc is None:
+                results[ref] = CellResult(cells[ref], out[0], {}, out[1])
+                say(f"[ran {out[1]:6.1f}s] {cells[ref].label()}")
+            close(ref, exc)
+            continue
+        if exc is None:
+            record, seconds[ref] = out
+            # A fresh arm takes the stored arms' path: record -> rebuilt run.
+            run, exc = _outcome(from_record, record)
+        if exc is not None:
+            say(f"[FAILED    ] arm {arms[ref][0]}: {exc!r}")
+            for i in sorted(users[ref]):
+                close(i, exc)
+            continue
         if cache is not None:
             try:
-                cache.store(cell.fingerprint, payload)
-            except OSError as exc:
-                # A cache-write problem must not discard a computed result
-                # or masquerade as an experiment failure.
-                say(f"[cache-store failed] {cell.label()}: {exc!r}")
-        results[i] = CellResult(cell=cell, payload=payload, cached=False)
-        say(f"[ran {payload['elapsed_s']:6.1f}s] {cell.label()}")
+                cache.store(ref, record)
+            except OSError as err:
+                # A store problem must not discard a computed arm or
+                # masquerade as an experiment failure.
+                say(f"[cache-store failed] {arms[ref][0]}: {err!r}")
+        ran += 1
+        say(f"[ran {seconds[ref]:6.1f}s] arm {arms[ref][0]}")
+        arrived(ref, run)
 
-    failures: list[tuple[SweepCell, Exception]] = []
-    if pending and jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = {pool.submit(_execute_cell, cells[i]): i for i in pending}
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    i = futures[fut]
-                    try:
-                        finish(i, fut.result())
-                    except Exception as exc:
-                        failures.append((cells[i], exc))
-                        say(f"[FAILED    ] {cells[i].label()}: {exc!r}")
-    else:
-        for i in pending:
-            try:
-                finish(i, _execute_cell(cells[i]))
-            except Exception as exc:
-                failures.append((cells[i], exc))
-                say(f"[FAILED    ] {cells[i].label()}: {exc!r}")
-
-    if failures:
-        partial = SweepResult(
-            cells=[results[i] for i in sorted(results)],
-            jobs=jobs,
-            duration_s=time.perf_counter() - start,
-            hits=hits,
-            # Failed cells produced no result; count only completed runs.
-            misses=len(results) - hits,
-        )
-        raise SweepError(failures, result=partial)
-
-    return SweepResult(
-        cells=[results[i] for i in range(len(cells))],
+    sweep = SweepResult(
+        cells=[results[i] for i in sorted(results)],
         jobs=jobs,
         duration_s=time.perf_counter() - start,
-        hits=hits,
-        misses=len(pending),
+        arms=len(arms),
+        stored=len(stored),
+        ran=ran,
+        direct=sum(plan is None for plan in plans),
     )
+    if failures:
+        raise SweepError([(cells[i], failures[i]) for i in sorted(failures)], result=sweep)
+    return sweep
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ counts, trip/byte counters, peak concurrency) stay exact.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from collections import deque
 from dataclasses import dataclass
@@ -187,35 +188,18 @@ class MetricsTrace:
 
     def to_dict(self) -> dict:
         """Plain-data view of the whole trace (for JSON/dataframe export)."""
+        cols = self.to_columns()
+
+        def rows(prefix: str) -> list[dict]:
+            names = [k for k in cols if k.startswith(prefix)]
+            fields = [k[len(prefix):] for k in names]
+            return [dict(zip(fields, row)) for row in zip(*(cols[k].tolist() for k in names))]
+
         return {
-            "participations": [
-                {
-                    "device_id": p.device_id,
-                    "task": p.task,
-                    "start_time": p.start_time,
-                    "end_time": p.end_time,
-                    "n_examples": p.n_examples,
-                    "execution_time": p.execution_time,
-                    "outcome": p.outcome.value,
-                    "staleness": p.staleness,
-                }
-                for p in self.participations
-            ],
-            "server_steps": [
-                {
-                    "time": s.time,
-                    "task": s.task,
-                    "version": s.version,
-                    "num_updates": s.num_updates,
-                    "mean_staleness": s.mean_staleness,
-                    "loss": s.loss,
-                }
-                for s in self.server_steps
-            ],
-            "uploads": self.uploads,
-            "downloads": self.downloads,
-            "upload_bytes": self.upload_bytes,
-            "download_bytes": self.download_bytes,
+            "participations": rows("p."),
+            "server_steps": rows("s."),
+            **dict(zip(("uploads", "downloads", "upload_bytes", "download_bytes"),
+                       cols["counters"].tolist())),
         }
 
     def export_json(self, path: str) -> None:
@@ -224,6 +208,49 @@ class MetricsTrace:
 
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh)
+
+    def to_columns(self) -> dict[str, np.ndarray]:
+        """The whole trace as numpy columns, one per record field.
+
+        Exact and pickle-free (no object arrays); :meth:`from_columns`
+        rebuilds an equal trace.
+        """
+        cols = {}
+        for prefix, kind, records in (("p.", ParticipationRecord, self.participations),
+                                      ("s.", ServerStepRecord, self.server_steps)):
+            for f in dataclasses.fields(kind):
+                values = [getattr(r, f.name) for r in records]
+                cols[prefix + f.name] = np.array(
+                    [v.value for v in values] if f.type == "Outcome" else values)
+        cols["active.time"] = np.array([t for t, _ in self._active_deltas])
+        cols["active.delta"] = np.array([d for _, d in self._active_deltas])
+        cols["counters"] = np.array([self.uploads, self.downloads,
+                                     self.upload_bytes, self.download_bytes])
+        return cols
+
+    @classmethod
+    def from_columns(cls, columns) -> "MetricsTrace":
+        """Rebuild a trace from :meth:`to_columns` output.
+
+        Values come back as Python scalars (``tolist``), as a run records
+        them, so ``repr``-based digests of the records do not move.
+        """
+        def records(prefix: str, kind: type) -> list:
+            fields = []
+            for f in dataclasses.fields(kind):
+                values = columns[prefix + f.name].tolist()
+                fields.append(list(map(Outcome, values)) if f.type == "Outcome" else values)
+            return list(map(kind, *fields))
+
+        trace = cls()
+        trace.participations = records("p.", ParticipationRecord)
+        for step in records("s.", ServerStepRecord):
+            trace.record_server_step(step)
+        trace._active_deltas = list(zip(columns["active.time"].tolist(),
+                                        columns["active.delta"].tolist()))
+        (trace.uploads, trace.downloads,
+         trace.upload_bytes, trace.download_bytes) = columns["counters"].tolist()
+        return trace
 
 
 class BoundedMetricsTrace(MetricsTrace):

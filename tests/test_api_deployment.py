@@ -411,7 +411,7 @@ class TestScenarioExperiment:
         assert run_scenario(spec.to_dict()) != run_scenario(spec, seed=0)
 
     def test_scenario_cells_validate_interdependent_grids_atomically(self):
-        from repro.harness.sweep import build_scenario_cells
+        from repro.harness.sweep import build_scenario_cells, run_sweep
 
         base = ScenarioSpec(
             population=PopulationSpec(n_devices=300, seed=0),
@@ -426,12 +426,15 @@ class TestScenarioExperiment:
             grid={"plane.name": ["sharded"], "plane.num_shards": [2, 4]},
         )
         assert len(cells) == 2
-        # ... and a combination that is invalid in every cell fails up-front.
+        assert run_sweep(cells).ran == 2
+        # ... and a combination that is invalid in every cell fails when
+        # the sweep executor plans, before any arm runs.
+        bad = build_scenario_cells(
+            base, seeds=[0],
+            grid={"tasks.0.mode": ["sync"], "plane.name": ["secure"]},
+        )
         with pytest.raises(SpecError):
-            build_scenario_cells(
-                base, seeds=[0],
-                grid={"tasks.0.mode": ["sync"], "plane.name": ["secure"]},
-            )
+            run_sweep(bad)
 
     def test_run_scenario_requires_horizon(self):
         spec = ScenarioSpec(

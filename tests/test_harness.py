@@ -178,7 +178,7 @@ class TestCLI:
         assert main(["fig6"]) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out
-        assert "took" in out
+        assert "[swept 1 cells" in out
 
     def test_cli_rejects_unknown(self):
         from repro.harness.__main__ import main

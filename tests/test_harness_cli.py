@@ -1,22 +1,33 @@
-"""CLI, registry, sweep-executor and cache tests for the harness.
+"""CLI, registry, sweep-executor and arm-store tests for the harness.
 
 Covers argument parsing (``--seeds`` ranges, ``--grid``), experiment
-dispatch through the registry, cache hit/miss behavior, failure isolation
-(one broken experiment no longer kills an ``all`` run), and the core
-determinism contract: a parallel sweep aggregates to exactly the same
-JSON as the serial sweep.
+dispatch through the registry, the arm store (keys that see every source
+edit, exact pickle-free records, corrupt records as misses), arm
+deduplication across experiments, failure isolation (one broken
+experiment or arm no longer kills an ``all`` run or its siblings), and
+the core determinism contract: a parallel sweep aggregates to exactly
+the same JSON as the serial sweep.
 """
 
 import dataclasses
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.api import Deployment, ExecutionSpec, PopulationSpec, ScenarioSpec, TaskSpec
 from repro.harness import SMOKE, Scale
+from repro.harness import cache as cache_module
 from repro.harness import registry
+from repro.harness import sweep as sweep_module
 from repro.harness.__main__ import main, parse_grid, parse_seeds
-from repro.harness.cache import ResultCache, cell_fingerprint
+from repro.harness.cache import ResultCache, arm_key, from_record, to_record
 from repro.harness.figures import Fig12Result, Fig9Result
 from repro.harness.registry import ExperimentSpec, from_jsonable, to_jsonable
 from repro.harness.sweep import (
@@ -151,97 +162,118 @@ class TestCodec:
         assert isinstance(back.curves["a"][0], np.ndarray)
 
 
+def _tiny_spec(seed: int = 0, t_end_s: float = 600.0) -> ScenarioSpec:
+    """A one-task async arm that runs in a fraction of a second."""
+    return ScenarioSpec(
+        population=PopulationSpec(n_devices=200, seed=0),
+        tasks=(TaskSpec(name="t", mode="async", concurrency=8,
+                        aggregation_goal=2, model_size_bytes=1000),),
+        execution=ExecutionSpec(seed=seed, t_end_s=t_end_s),
+    )
+
+
+_KEY_SCRIPT = (
+    "from repro.harness import SMOKE, registry; "
+    "from repro.harness.cache import arm_key; "
+    "print(arm_key(registry.get('fig9').arms(scale=SMOKE, seed=0)['sync@8']))"
+)
+
+
+def _key_under(src_root: Path) -> str:
+    """The fig9 sync@8 arm key computed by a fresh interpreter on ``src_root``."""
+    out = subprocess.run(
+        [sys.executable, "-c", _KEY_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src_root)},
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
 class TestCache:
-    def test_fingerprint_stable_and_sensitive(self):
-        fp = cell_fingerprint("fig9", SMOKE, 0, {})
-        assert fp == cell_fingerprint("fig9", SMOKE, 0, {})
-        assert fp != cell_fingerprint("fig9", SMOKE, 1, {})
-        assert fp != cell_fingerprint("fig8", SMOKE, 0, {})
-        assert fp != cell_fingerprint("fig9", MICRO, 0, {})
-        assert fp != cell_fingerprint("fig9", SMOKE, 0, {"target_loss": 2.6})
+    def test_arm_key_stable_and_sensitive(self):
+        spec = _tiny_spec()
+        assert arm_key(spec) == arm_key(_tiny_spec())
+        assert arm_key(spec) != arm_key(_tiny_spec(seed=1))
+        assert arm_key(spec) != arm_key(spec.override("tasks.0.concurrency", 16))
 
-    def test_fingerprint_tracks_code_identity(self, monkeypatch):
-        fp_real = cell_fingerprint("fig9", SMOKE, 0, {})
-        monkeypatch.setattr(registry, "code_digest", lambda name: "0" * 16)
-        fp_other_code = cell_fingerprint("fig9", SMOKE, 0, {})
-        assert fp_real != fp_other_code, \
-            "editing the runner's module must invalidate cached cells"
+    def test_arm_key_tracks_cache_version(self, monkeypatch):
+        before = arm_key(_tiny_spec())
+        monkeypatch.setattr(cache_module, "CACHE_VERSION", cache_module.CACHE_VERSION + 1)
+        assert arm_key(_tiny_spec()) != before
 
-    def test_code_digest_covers_whole_package(self, tmp_path, monkeypatch):
-        # An edit to any sibling module of the runner (e.g. harness/runner.py)
-        # must change the digest, not just the defining file.
-        pkg = tmp_path / "fakepkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "mod.py").write_text("x = 1\n")
-        (pkg / "sibling.py").write_text("y = 1\n")
-        monkeypatch.syspath_prepend(str(tmp_path))
-        registry._module_digest.cache_clear()
-        d1 = registry._module_digest("fakepkg.mod")
-        (pkg / "sibling.py").write_text("y = 2\n")
-        registry._module_digest.cache_clear()
-        d2 = registry._module_digest("fakepkg.mod")
-        registry._module_digest.cache_clear()
-        assert d1 is not None and d1 != d2
+    @pytest.mark.parametrize("edited", ["core/fedbuff.py", "harness/ks.py"])
+    def test_any_source_edit_moves_the_key(self, tmp_path, edited):
+        # The key hashes the whole imported package: an edit outside the
+        # harness (core/) must invalidate stored arms as surely as one in it.
+        copy = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        original = arm_key(registry.get("fig9").arms(scale=SMOKE, seed=0)["sync@8"])
+        assert _key_under(tmp_path) == original, "a verbatim copy keys the same"
+        with open(copy / edited, "a", encoding="utf-8") as fh:
+            fh.write("\n_NO_OP = None\n")
+        assert _key_under(tmp_path) != original
 
-    def test_invariant_experiment_fingerprints_collapse(self):
-        # fig6 declares uses_seed=False and uses_scale=False.
-        fp = cell_fingerprint("fig6", SMOKE, 0, {})
-        assert fp == cell_fingerprint("fig6", SMOKE, 7, {})
-        assert fp == cell_fingerprint("fig6", MICRO, 0, {})
-        assert fp != cell_fingerprint("fig6", SMOKE, 0, {"model_bytes": 1})
+    def test_record_round_trip_is_exact(self, tmp_path):
+        run = Deployment.from_spec(_tiny_spec()).run()
+        cache = ResultCache(tmp_path)
+        key = arm_key(_tiny_spec())
+        assert cache.load(key) is None
+        cache.store(key, to_record(run))
+        assert cache.path(key).is_file() and len(cache) == 1
+        back = cache.load(key)
+        assert back.sim_digest() == run.sim_digest()
+        assert back.task_stats == run.task_stats
+        assert back.duration_s == run.duration_s
+        assert back.trace.participations == run.trace.participations
+        assert back.trace.to_dict() == run.trace.to_dict()
+        for query in ("active_series", "loss_curve"):
+            for a, b in zip(getattr(back.trace, query)(), getattr(run.trace, query)()):
+                np.testing.assert_array_equal(a, b)
+        assert back.trace.step_counts == run.trace.step_counts
+        assert back.trace.last_loss == run.trace.last_loss
+        with np.load(cache.path(key), allow_pickle=False) as data:
+            assert all(data[name].dtype != object for name in data.files)
+
+    def _stored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = arm_key(_tiny_spec())
+        record = to_record(Deployment.from_spec(_tiny_spec()).run())
+        cache.store(key, record)
+        return cache, key, record
+
+    def test_byte_corrupt_record_is_a_miss(self, tmp_path):
+        cache, key, _ = self._stored(tmp_path)
+        cache.path(key).write_bytes(b"\xff\xfe\x00garbage\x80")
+        assert cache.load(key) is None
+
+    def test_truncated_record_is_a_miss(self, tmp_path):
+        cache, key, _ = self._stored(tmp_path)
+        data = cache.path(key).read_bytes()
+        cache.path(key).write_bytes(data[: len(data) // 2])
+        assert cache.load(key) is None
+
+    def test_digest_mismatched_record_is_a_miss(self, tmp_path):
+        cache, key, record = self._stored(tmp_path)
+        record["p.n_examples"] = record["p.n_examples"] + 1
+        cache.store(key, record)
+        assert cache.load(key) is None
+        with pytest.raises(ValueError, match="sim_digest"):
+            from_record(record)
 
     def test_invariant_experiment_gets_one_cell(self):
         assert len(build_cells(["fig6"], SMOKE, seeds=[0, 1, 2])) == 1
         assert len(build_cells(["fig9"], SMOKE, seeds=[0, 1, 2])) == 3
 
     def test_invariant_experiment_cell_pins_seed_zero(self):
-        # The fingerprint of a uses_seed=False experiment pins seed 0;
-        # the constructed cell must agree even when the sweep's seed
-        # list doesn't contain 0 (seeds[:1] used to leak seed 3 in).
+        # A uses_seed=False experiment gets one cell at seed 0, even when
+        # the sweep's seed list doesn't contain 0.
         cells = build_cells(["fig6"], SMOKE, seeds=[3, 4])
         assert len(cells) == 1
         assert cells[0].seed == 0
-        assert cells[0].fingerprint == cell_fingerprint("fig6", SMOKE, 0, {})
         # Seed-using experiments keep the requested seeds verbatim.
         assert [c.seed for c in build_cells(["fig9"], SMOKE, seeds=[3, 4])] \
             == [3, 4]
-
-    def test_store_load_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        fp = cell_fingerprint("fig6", SMOKE, 0, {})
-        assert cache.load(fp) is None
-        cache.store(fp, {"experiment": "fig6", "result": {"x": 1}})
-        assert fp in cache
-        assert cache.load(fp)["result"] == {"x": 1}
-        assert len(cache) == 1
-        assert cache.clear() == 1
-        assert cache.load(fp) is None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        fp = cell_fingerprint("fig6", SMOKE, 0, {})
-        p = cache.path(fp)
-        p.parent.mkdir(parents=True)
-        p.write_text("{not json")
-        assert cache.load(fp) is None
-
-    def test_byte_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        fp = cell_fingerprint("fig6", SMOKE, 0, {})
-        p = cache.path(fp)
-        p.parent.mkdir(parents=True)
-        p.write_bytes(b"\xff\xfe\x00garbage\x80")
-        assert cache.load(fp) is None
-
-    def test_version_mismatch_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        fp = cell_fingerprint("fig6", SMOKE, 0, {})
-        cache.store(fp, {"result": 1})
-        data = json.loads(cache.path(fp).read_text())
-        data["version"] = -1
-        cache.path(fp).write_text(json.dumps(data))
-        assert cache.load(fp) is None
 
 
 class TestAggregation:
@@ -354,7 +386,7 @@ class TestAggregation:
 
 
 def _register_probe(runs):
-    """A cheap injected experiment (function is module-level for pickling)."""
+    """A cheap injected direct experiment (runs in-process, never stored)."""
     def runner(scale, seed, **params):
         runs.append(seed)
         return {"seed_echo": seed}
@@ -388,19 +420,66 @@ def failing():
     registry.unregister("failing")
 
 
+def _armprobe_arms(seed, extra=None):
+    """Two tiny arms per seed; ``extra`` adds one more (its horizon in s)."""
+    arms = {"a": _tiny_spec(seed), "b": _tiny_spec(seed, t_end_s=300.0)}
+    if extra is not None:
+        arms["extra"] = _tiny_spec(seed, t_end_s=float(extra))
+    return arms
+
+
+def _armprobe_reduce(runs, seed, extra=None):
+    return {name: res.stats().server_steps for name, res in runs.items()}
+
+
+@pytest.fixture
+def armprobe():
+    registry.register(
+        ExperimentSpec("armprobe", None, print, description="test arm set",
+                       uses_scale=False, arms=_armprobe_arms, reduce=_armprobe_reduce),
+        replace=True,
+    )
+    yield
+    registry.unregister("armprobe")
+
+
+@pytest.fixture
+def spec_runs(monkeypatch):
+    """Every ``Deployment.from_spec`` the sweep executor makes, in order."""
+    made = []
+    real = Deployment.from_spec
+
+    def counting(spec, **kwargs):
+        made.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(sweep_module.Deployment, "from_spec", counting)
+    return made
+
+
 class TestSweepExecutor:
-    def test_serial_sweep_and_cache_hits(self, tmp_path, probe):
+    def test_shared_arms_run_once(self, spec_runs):
+        fig9 = run_sweep(build_cells(["fig9"], MICRO, seeds=[0]))
+        assert len(spec_runs) == fig9.arms == fig9.ran == 2 * len(MICRO.concurrency_sweep)
+        del spec_runs[:]
+        both = run_sweep(build_cells(["fig3", "fig9"], MICRO, seeds=[0]))
+        # fig3's arms are fig9's sync arms: fig3 adds no run.
+        assert len(spec_runs) == both.arms == fig9.arms
+        assert both.cells[1].payload == fig9.cells[0].payload
+        assert both.cells[0].result == registry.get("fig3").run(MICRO, 0)
+        assert set(both.cells[0].arms.values()) < set(both.cells[1].arms.values())
+
+    def test_second_sweep_runs_no_arm(self, tmp_path, armprobe, spec_runs):
         cache = ResultCache(tmp_path)
-        cells = build_cells(["probe"], MICRO, seeds=[0, 1, 2])
+        cells = build_cells(["armprobe"], MICRO, seeds=[0, 1])
         sweep = run_sweep(cells, jobs=1, cache=cache)
-        assert sweep.misses == 3 and sweep.hits == 0
-        assert probe == [0, 1, 2]
+        assert (sweep.arms, sweep.stored, sweep.ran) == (4, 0, 4)
+        assert len(spec_runs) == 4 and len(cache) == 4
 
         again = run_sweep(cells, jobs=1, cache=cache)
-        assert again.hits == 3 and again.misses == 0
-        assert probe == [0, 1, 2], "cache hits must not re-run the experiment"
-        assert [c.payload["result"] for c in again.cells] == \
-               [c.payload["result"] for c in sweep.cells]
+        assert (again.arms, again.stored, again.ran) == (4, 4, 0)
+        assert len(spec_runs) == 4, "stored arms must not run again"
+        assert [c.payload for c in again.cells] == [c.payload for c in sweep.cells]
 
     def test_grid_cells_and_grouping(self, tmp_path, probe):
         cells = build_cells(["probe"], MICRO, seeds=[0, 1], grid={"k": [1, 2]})
@@ -410,55 +489,83 @@ class TestSweepExecutor:
         assert len(groups) == 2
         assert all(len(g.cells) == 2 for g in groups)
         assert groups[0].params == (("k", 1),)
+        assert sweep.direct == 4 and sweep.arms == 0
+
+    def test_direct_cells_are_not_stored(self, tmp_path, probe):
+        cache = ResultCache(tmp_path)
+        cells = build_cells(["probe"], MICRO, seeds=[0, 1])
+        run_sweep(cells, jobs=1, cache=cache)
+        run_sweep(cells, jobs=1, cache=cache)
+        assert probe == [0, 1, 0, 1] and len(cache) == 0
 
     def test_unknown_experiment_rejected_upfront(self):
         with pytest.raises(KeyError):
             build_cells(["does-not-exist"], MICRO, seeds=[0])
 
-    def test_cache_store_failure_keeps_result(self, tmp_path, probe):
-        # An unwritable cache must not turn a computed result into a
-        # cell failure — the sweep completes, merely uncached.
+    def test_bad_grid_value_fails_before_any_arm_runs(self, armprobe, spec_runs):
+        cells = build_cells(["armprobe"], MICRO, seeds=[0], grid={"bogus": [1]})
+        with pytest.raises(TypeError, match="bogus"):
+            run_sweep(cells)
+        assert spec_runs == []
+
+    def test_cache_store_failure_keeps_result(self, tmp_path, armprobe):
+        # An unwritable store must not turn a computed arm into a cell
+        # failure — the sweep completes, merely unstored.
         class BrokenStoreCache(ResultCache):
-            def store(self, fingerprint, payload):
+            def store(self, key, record):
                 raise OSError("disk full")
 
         messages = []
-        cells = build_cells(["probe"], MICRO, seeds=[0, 1])
+        cells = build_cells(["armprobe"], MICRO, seeds=[0])
         sweep = run_sweep(cells, jobs=1, cache=BrokenStoreCache(tmp_path),
                           progress=messages.append)
-        assert len(sweep.cells) == 2 and sweep.misses == 2
+        assert len(sweep.cells) == 1 and sweep.ran == 2
         assert any("cache-store failed" in m for m in messages)
 
-    def test_failing_cell_keeps_siblings_cached(self, tmp_path, probe, failing):
+    def test_failing_arm_fails_only_its_cells(self, tmp_path, armprobe, monkeypatch):
         cache = ResultCache(tmp_path)
+        # Cell 0 needs arms a, b; cell 1 needs a, b and a third that fails.
+        cells = build_cells(["armprobe"], MICRO, seeds=[0]) + \
+            build_cells(["armprobe"], MICRO, seeds=[0], grid={"extra": [900]})
+        real = Deployment.from_spec
+
+        def breaking(spec, **kwargs):
+            if spec.execution.t_end_s == 900.0:
+                raise RuntimeError("arm exploded")
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(sweep_module.Deployment, "from_spec", breaking)
+        with pytest.raises(SweepError, match="extra=900") as excinfo:
+            run_sweep(cells, jobs=1, cache=cache)
+        err = excinfo.value
+        assert [cell for cell, _ in err.failures] == [cells[1]]
+        assert [c.cell for c in err.result.cells] == [cells[0]]
+        assert (err.result.arms, err.result.ran) == (3, 2)
+        # The sibling arms were stored despite the failure...
+        assert len(cache) == 2
+        # ...so a resume after the fix only runs the broken arm.
+        monkeypatch.setattr(sweep_module.Deployment, "from_spec", real)
+        resumed = run_sweep(cells, jobs=1, cache=cache)
+        assert (resumed.stored, resumed.ran) == (2, 1)
+
+    def test_failing_direct_cell_keeps_siblings(self, tmp_path, probe, failing):
         cells = build_cells(["probe", "failing"], MICRO, seeds=[0, 1])
         with pytest.raises(SweepError, match="failing") as excinfo:
-            run_sweep(cells, jobs=1, cache=cache)
-        # The error carries the partial result over the completed cells,
-        # and its miss count excludes the failed cells.
-        assert excinfo.value.result is not None
-        assert len(excinfo.value.result.cells) == 2
-        assert excinfo.value.result.misses == 2
-        # The probe cells were cached despite the failures after them...
-        assert cells[0].fingerprint in cache and cells[1].fingerprint in cache
+            run_sweep(cells, jobs=1, cache=ResultCache(tmp_path))
+        # The error carries the partial result over the completed cells.
+        assert [c.cell for c in excinfo.value.result.cells] == cells[:2]
         assert probe == [0, 1]
-        # ...so a resume after the fix only re-runs the broken cells.
-        ok = ExperimentSpec("failing", lambda scale, seed, **p: {"fixed": 1.0},
-                            print, description="fixed")
-        registry.register(ok, replace=True)
-        resumed = run_sweep(cells, jobs=1, cache=cache)
-        assert resumed.hits == 2 and resumed.misses == 2
-        assert probe == [0, 1], "probe must not re-run on resume"
 
     def test_parallel_equals_serial(self, tmp_path):
         cells = build_cells(["fig9"], MICRO, seeds=[0, 1])
         serial = run_sweep(cells, jobs=1, cache=ResultCache(tmp_path / "s"))
         parallel = run_sweep(cells, jobs=2, cache=ResultCache(tmp_path / "p"))
-        a = json.dumps([c.payload["result"] for c in serial.cells], sort_keys=True)
-        b = json.dumps([c.payload["result"] for c in parallel.cells], sort_keys=True)
+        assert parallel.ran == serial.ran == 2 * 2 * len(MICRO.concurrency_sweep)
+        a = json.dumps([c.payload for c in serial.cells], sort_keys=True)
+        b = json.dumps([c.payload for c in parallel.cells], sort_keys=True)
         assert a == b
-        agg_a = json.dumps(serial.groups()[0].aggregate, sort_keys=True)
-        agg_b = json.dumps(parallel.groups()[0].aggregate, sort_keys=True)
+        agg_a = json.dumps(serial.to_jsonable()["aggregates"], sort_keys=True)
+        agg_b = json.dumps(parallel.to_jsonable()["aggregates"], sort_keys=True)
         assert agg_a == agg_b
 
 
@@ -466,7 +573,7 @@ class TestCLI:
     def test_run_single(self, capsys):
         assert main(["fig6"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 6" in out and "took" in out
+        assert "Figure 6" in out and "[swept 1 cells" in out
 
     def test_unknown_rejected(self):
         with pytest.raises(SystemExit):
@@ -532,19 +639,19 @@ class TestCLI:
         assert "render exploded" in captured.err
         assert "FAILED: fig6" in captured.err
 
-    def test_sweep_cli_cache_roundtrip(self, capsys, tmp_path, probe):
+    def test_sweep_cli_cache_roundtrip(self, capsys, tmp_path, armprobe, spec_runs):
         cache_dir = str(tmp_path / "c")
-        args = ["sweep", "probe", "--seeds", "0,1", "--jobs", "1",
+        args = ["sweep", "armprobe", "--seeds", "0,1", "--jobs", "1",
                 "--cache-dir", cache_dir]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert "0 cached, 2 ran" in first
+        assert "4 arms, 0 stored, 4 ran" in first
         assert "mean/std/min/max over 2 seeds" in first
 
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert "2 cached, 0 ran" in second
-        assert probe == [0, 1], "second CLI run must be served from cache"
+        assert "4 arms, 4 stored, 0 ran" in second
+        assert len(spec_runs) == 4, "second CLI run must be served from the store"
 
     def test_sweep_json_report(self, tmp_path, probe):
         out = tmp_path / "report.json"
@@ -554,8 +661,7 @@ class TestCLI:
         assert report["seeds"] == [0, 1, 2]
         assert len(report["cells"]) == 3
         assert report["aggregates"][0]["aggregate"]["seed_echo"]["mean"] == 1.0
-        # Cold-run and cache-hit cells must share one schema: all versioned.
-        assert all("version" in c for c in report["cells"])
+        assert report["direct_cells"] == 3 and report["arms"] == 0
 
     def test_sweep_all_with_unknown_name_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -604,19 +710,10 @@ class TestCLI:
 
 
 class TestSweepCell:
-    def test_label_and_fingerprint(self):
+    def test_label(self):
         cell = SweepCell("fig9", SMOKE, 3, (("target_loss", 2.6),))
         assert "fig9" in cell.label() and "seed=3" in cell.label()
-        assert cell.fingerprint == cell_fingerprint(
-            "fig9", SMOKE, 3, {"target_loss": 2.6}
-        )
-
-    def test_runner_module_recorded_but_not_fingerprinted(self):
-        # Spawn-start workers import this module to rebuild the registry.
-        cells = build_cells(["fig9"], SMOKE, seeds=[0])
-        assert cells[0].runner_module == "repro.harness.figures"
-        bare = SweepCell("fig9", SMOKE, 0)
-        assert cells[0].fingerprint == bare.fingerprint
+        assert "target_loss=2.6" in cell.label()
 
 
 class TestListCommand:
@@ -641,4 +738,3 @@ class TestListCommand:
             )
             assert ("scale-free" in line) == (not spec.uses_scale)
             assert ("deterministic" in line) == (not spec.uses_seed)
-            assert ("grid:" in line) == bool(spec.default_grid)
