@@ -2,7 +2,7 @@
 
 Regenerates the ``million`` experiment (see ``repro/harness/perf.py``)
 through the registry/cache layer: the columnar struct-of-arrays fleet
-driven by the batched tick loop over the calendar-queue engine, swept
+driven by the batched tick loop over the binary-heap engine, swept
 from 10k to 1M devices with demand scaling alongside the population.
 
 The floors are deliberately far below locally measured values (~40-85k
@@ -57,5 +57,5 @@ class TestMillionFleet:
         assert largest.trace_records <= res.max_trace_records
         assert largest.total_participations >= largest.trace_records
 
-        # The struct-of-arrays fleet stays compact: ~50 bytes/device.
+        # The struct-of-arrays fleet stays compact: 36 bytes/device.
         assert largest.columns_mb < 100.0

@@ -508,8 +508,11 @@ class ExecutionSpec(_Spec):
     max_server_steps: int | None = _field(_OPT_INT, None)
 
     def _check(self) -> None:
-        if self.t_end_s is not None and self.t_end_s <= 0:
-            raise SpecError("execution.t_end_s", "must be positive")
+        if self.t_end_s is not None:
+            if self.t_end_s <= 0:
+                raise SpecError("execution.t_end_s", "must be positive")
+            if not math.isfinite(self.t_end_s):
+                raise SpecError("execution.t_end_s", "must be finite")
         if self.max_server_steps is not None and self.max_server_steps < 1:
             raise SpecError("execution.max_server_steps", "must be at least 1")
 

@@ -991,11 +991,12 @@ def million_scaling(
     (``population // demand_divisor``) so the event load grows with the
     fleet — the claim under test is that the *per-event* cost does not:
     arrivals, eligibility and session setup are batched per tick over the
-    struct-of-arrays columns, and the calendar queue keeps scheduling
-    O(1) as the pending-event count grows.  ``peak_rss_mb`` is the
-    process-lifetime high-water mark (``ru_maxrss``), so within one sweep
-    it is non-decreasing across points; the 1M point's value is the
-    honest fleet-scale figure.
+    struct-of-arrays columns, and the event heap holds at most ``demand``
+    session completions plus one tick (it grows with demand, never with
+    the device count).  ``peak_rss_mb`` is the process-lifetime
+    high-water mark (``ru_maxrss``), so within one sweep it is
+    non-decreasing across points; the 1M point's value is the honest
+    fleet-scale figure.
     """
     points: list[MillionPoint] = []
     for population in populations:

@@ -28,9 +28,9 @@ truth; ``repro.api.FaultSpec`` validates against it):
 Interception hooks are installed lazily, only for the kinds actually
 scheduled: the network proxy only exists when a delay/straggler window
 was declared, the upload gate only for loss windows, the check-in gate
-only for blackout/wave windows.  A lazily created injector with no
-events (the deprecated ``inject_*`` shim path) therefore changes no
-behaviour at all.
+only for blackout/wave windows.  The ``Deployment`` façade constructs an
+injector only for a non-empty schedule, so a spec without fault events
+changes no behaviour at all.
 """
 
 from __future__ import annotations

@@ -6,16 +6,17 @@ cost out of the event loop.  This driver batches everything that scales
 with the population into one vectorized pass per fixed-width tick —
 which devices wake, their eligibility rolls, their session durations and
 dropout points — and leaves only O(active sessions) scalar events for
-the calendar queue, so cost per fired event stays flat from 10k to 1M
+the event queue: at most ``demand`` session completions plus one tick
+are ever pending, so cost per fired event stays flat from 10k to 1M
 devices.
 
 The pieces it composes:
 
 * :class:`~repro.sim.population.ColumnarDevicePopulation` — the fleet's
-  struct-of-arrays state (speed, data, payload, next-wake, availability);
-* :class:`~repro.sim.engine.Simulator` — the calendar-queue event loop;
-  one completion event per admitted session is the load that queue
-  absorbs;
+  struct-of-arrays state (speed, data, bandwidth, payload);
+* :class:`~repro.sim.engine.Simulator` — the binary-heap event loop;
+  one completion event per admitted session is the load that heap
+  holds;
 * :class:`~repro.sim.trace.BoundedMetricsTrace` — sampled participation
   records plus exact tallies, so a 1M-client run never holds its full
   trace in RAM.
@@ -155,7 +156,6 @@ class FleetSimulation:
         """Draw every device's first check-in in one vectorized pass."""
         n = self.population.config.n_devices
         wakes = self.rng.exponential(self.config.mean_sleep_s, n)
-        self.population.next_wake_s[:] = wakes
         self._bucket_bulk(np.arange(n, dtype=np.int64), wakes)
 
     def _bucket_bulk(self, ids: np.ndarray, wakes: np.ndarray) -> None:
@@ -173,7 +173,6 @@ class FleetSimulation:
             )
 
     def _bucket_one(self, device_id: int, wake: float) -> None:
-        self.population.next_wake_s[device_id] = wake
         tick = max(int(wake / self.config.tick_s), self._next_tick)
         self._buckets.setdefault(tick, []).append(device_id)
 
@@ -225,7 +224,6 @@ class FleetSimulation:
         if len(ids) == 0:
             return
         wakes = now + self._backoff_policy.delay_block(len(ids), self.rng)
-        self.population.next_wake_s[ids] = wakes
         self._bucket_bulk(ids, wakes)
 
     def _start_sessions(self, ids: np.ndarray, now: float) -> None:
@@ -238,7 +236,6 @@ class FleetSimulation:
         failed = ~np.isnan(drop_frac)
         durations = transfer + np.where(failed, drop_frac * exec_times, exec_times)
         deep = self.rng.random(len(ids)) < cfg.deep_trace_fraction
-        pop.available[ids] = False
         self.in_flight += len(ids)
         self.sessions_started += len(ids)
         n_examples = pop.n_examples[ids]
@@ -270,7 +267,6 @@ class FleetSimulation:
         pop = self.population
         self.in_flight -= 1
         self.sessions_completed += 1
-        pop.available[device_id] = True
         payload = int(pop.payload_bytes[device_id])
         self.trace.record_download(payload)
         if not failed:

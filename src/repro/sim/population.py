@@ -268,8 +268,8 @@ class ColumnarDevicePopulation(DevicePopulation):
     The object-per-device :class:`DevicePopulation` tops out around 10^5
     clients — each profile is a Python object plus a per-device SHA-256
     seed derivation, and a million of them is ~1 GB of interpreter heap.
-    Here the whole fleet lives in eight numpy columns (~50 bytes/device,
-    so a 1M fleet is ~50 MB) generated vectorized in fixed-size chunks,
+    Here the whole fleet lives in five numpy columns (36 bytes/device,
+    so a 1M fleet is 36 MB) generated vectorized in fixed-size chunks,
     and :class:`DeviceProfile` objects exist only while a client is in an
     active session (``checkout``/``release``).
 
@@ -283,15 +283,9 @@ class ColumnarDevicePopulation(DevicePopulation):
     (object) path is therefore byte-identical to before, and the
     columnar path is its own reproducible fleet.
 
-    Extra fleet-dynamics columns beyond the scalar profile fields:
-
-    * ``speed_tier`` — population speed quartile (0 fastest … 3
-      slowest), the paper's Figure 2 banding, cheap to group by;
-    * ``payload_bytes`` — per-device serialized-update size (log-normal
-      around ``payload_base_bytes``);
-    * ``next_wake_s`` — mutable: when each device next checks in;
-    * ``available`` — mutable: whether the device is currently idle,
-      charging and unmetered.
+    One column goes beyond the scalar profile fields: ``payload_bytes``,
+    the per-device serialized-update size (log-normal around
+    ``payload_base_bytes``).
     """
 
     #: devices generated per vectorized RNG draw
@@ -349,12 +343,6 @@ class ColumnarDevicePopulation(DevicePopulation):
         self.download_bandwidth = 2e6 * bw
         self.upload_bandwidth = 1e6 * bw
         self.payload_bytes = payload
-        # Quartile banding over the realized speed distribution.
-        edges = np.quantile(sec, [0.25, 0.5, 0.75])
-        self.speed_tier = np.searchsorted(edges, sec).astype(np.uint8)
-        # Fleet-dynamics state, owned by the driver (FleetSimulation).
-        self.next_wake_s = np.zeros(n, dtype=np.float64)
-        self.available = np.ones(n, dtype=bool)
 
     def columns_nbytes(self) -> int:
         """Total bytes held by the fleet columns (the SoA footprint)."""
@@ -362,8 +350,7 @@ class ColumnarDevicePopulation(DevicePopulation):
             arr.nbytes
             for arr in (
                 self.sec_per_example, self.n_examples, self.download_bandwidth,
-                self.upload_bandwidth, self.payload_bytes, self.speed_tier,
-                self.next_wake_s, self.available,
+                self.upload_bandwidth, self.payload_bytes,
             )
         )
 

@@ -9,8 +9,8 @@ analysis (Figure 11, Table 1) is computed.
 :class:`MetricsTrace` keeps every record — the right default for the
 paper-figure experiments, whose traces are also the byte-level
 equivalence contracts.  :class:`BoundedMetricsTrace` is the million-
-client variant: per-participation records go through a reservoir or
-ring-buffer policy and the active-client series is binned, so memory is
+client variant: per-participation records go through a reservoir
+sample and the active-client series is binned, so memory is
 bounded no matter how long the run, while the scalar tallies (outcome
 counts, trip/byte counters, peak concurrency) stay exact.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,63 +257,42 @@ class BoundedMetricsTrace(MetricsTrace):
 
     A 1M-client day is ~10^7 participations; the full trace would hold
     ~1 GB of record objects that no analysis ever reads in full.  This
-    variant stores at most ``max_records`` participation records:
-
-    * ``policy="reservoir"`` — uniform sample over the whole run
-      (algorithm R, deterministic via ``child_rng(seed,
-      "trace-reservoir")``), the right choice for distributional queries
-      (staleness histograms, bias analysis);
-    * ``policy="ring"`` — the most recent ``max_records`` records, the
-      right choice for "what just happened" debugging.
+    variant stores at most ``max_records`` participation records, a
+    uniform reservoir sample over the whole run (algorithm R,
+    deterministic via ``child_rng(seed, "trace-reservoir")``) — what
+    distributional queries (staleness histograms, bias analysis) need.
 
     Whatever the sample holds, the *scalar* telemetry stays exact:
     ``total_participations``, per-outcome tallies, upload/download trip
     and byte counters, and ``peak_active``.  The active-client series is
-    accumulated into fixed-width time bins (``active_bin_s``) instead of
+    accumulated into fixed-width time bins (``ACTIVE_BIN_S``) instead of
     one delta per transition; ``active_series`` reconstructs the step
     function at bin resolution.  Server-step records are kept exact —
     there is one per server model update, inherently bounded.
     """
 
-    #: accepted sampling policies
-    POLICIES = ("reservoir", "ring")
+    #: width of one active-client series bin, in simulated seconds
+    ACTIVE_BIN_S = 60.0
 
-    def __init__(
-        self,
-        max_records: int = 100_000,
-        policy: str = "reservoir",
-        seed: int = 0,
-        active_bin_s: float = 60.0,
-    ) -> None:
+    def __init__(self, max_records: int = 100_000, seed: int = 0) -> None:
         if max_records < 1:
             raise ValueError("max_records must be at least 1")
-        if policy not in self.POLICIES:
-            raise ValueError(f"policy must be one of {self.POLICIES}")
-        if active_bin_s <= 0:
-            raise ValueError("active_bin_s must be positive")
         super().__init__()
         self.max_records = max_records
-        self.policy = policy
-        self.active_bin_s = active_bin_s
         self.total_participations = 0
         self.peak_active = 0
         self._active_now = 0
         self._active_bins: dict[int, int] = {}
         self._outcome_totals: dict[Outcome, int] = {o: 0 for o in Outcome}
-        if policy == "ring":
-            self.participations = deque(maxlen=max_records)  # type: ignore[assignment]
-        else:
-            self._reservoir_rng = child_rng(seed, "trace-reservoir")
+        self._reservoir_rng = child_rng(seed, "trace-reservoir")
 
     # -- bounded recording ------------------------------------------------------
 
     def record_participation(self, rec: ParticipationRecord) -> None:
-        """Tally exactly; store through the sampling policy."""
+        """Tally exactly; store through the reservoir."""
         self.total_participations += 1
         self._outcome_totals[rec.outcome] += 1
-        if self.policy == "ring":
-            self.participations.append(rec)  # deque evicts the oldest
-        elif len(self.participations) < self.max_records:
+        if len(self.participations) < self.max_records:
             self.participations.append(rec)
         else:
             # Algorithm R: keep each of the n records seen so far with
@@ -328,7 +306,7 @@ class BoundedMetricsTrace(MetricsTrace):
         self._active_now += delta
         if self._active_now > self.peak_active:
             self.peak_active = self._active_now
-        idx = int(time / self.active_bin_s)
+        idx = int(time / self.ACTIVE_BIN_S)
         self._active_bins[idx] = self._active_bins.get(idx, 0) + delta
 
     # -- exact queries over bounded state --------------------------------------
@@ -338,11 +316,11 @@ class BoundedMetricsTrace(MetricsTrace):
         return dict(self._outcome_totals)
 
     def active_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """Active-client step function at ``active_bin_s`` resolution."""
+        """Active-client step function at ``ACTIVE_BIN_S`` resolution."""
         if not self._active_bins:
             return np.array([0.0]), np.array([0])
         idxs = sorted(self._active_bins)
-        times = np.array([i * self.active_bin_s for i in idxs])
+        times = np.array([i * self.ACTIVE_BIN_S for i in idxs])
         counts = np.cumsum([self._active_bins[i] for i in idxs])
         return times, counts
 
@@ -359,7 +337,6 @@ class BoundedMetricsTrace(MetricsTrace):
     def to_dict(self) -> dict:
         """Superset of the exact trace's export, flagged as sampled."""
         doc = super().to_dict()
-        doc["trace_policy"] = self.policy
         doc["max_records"] = self.max_records
         doc["total_participations"] = self.total_participations
         doc["peak_active"] = self.peak_active

@@ -6,19 +6,12 @@ records so tests and the experiment harness can assert on system behaviour
 (e.g. "no client was assigned to a task with zero demand") without parsing
 text logs.
 
-Two scale features keep the log usable on million-client runs:
+**Kind indexing** keeps lookups cheap on long runs:
+:meth:`EventLog.of_kind` / :meth:`EventLog.count` read a per-kind index
+instead of scanning every record, so the assertion-heavy test suites and
+the chaos experiment stop paying O(n) per lookup.
 
-* **bounded retention** — ``EventLog(max_records=N)`` keeps only the most
-  recent ``N`` records in a ring while per-kind *tallies* stay exact
-  (mirroring :class:`repro.sim.trace.BoundedMetricsTrace`'s
-  retained-vs-exact split), so a fleet-scale run never grows its log
-  without bound;
-* **kind indexing** — :meth:`EventLog.of_kind` / :meth:`EventLog.count`
-  read a per-kind index instead of scanning every record, so the
-  assertion-heavy test suites and the chaos experiment stop paying O(n)
-  per lookup.
-
-:meth:`EventLog.to_jsonl` serializes the retained records as JSON lines —
+:meth:`EventLog.to_jsonl` serializes the records as JSON lines —
 the same export path the observability plane (:mod:`repro.obs`) uses for
 spans, so structured events (``plane_fallback``, ``executor_fallback``,
 ``task_failover``, ``shard_replaced``, ``placement_retry``, ...) ride
@@ -28,7 +21,6 @@ along in run exports.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -86,37 +78,18 @@ class EventRecord:
 
 
 class EventLog:
-    """In-memory event log with indexed queries and optional bounded retention.
+    """Append-only in-memory event log with indexed queries."""
 
-    ``max_records=None`` (the default) is the historical append-only log:
-    every record is retained and every query helper sees all of them.
-    With ``max_records=N`` the log keeps a ring of the newest ``N``
-    records — :meth:`count` still returns **exact** per-kind totals over
-    the whole run (the tallies are never evicted), while ``of_kind`` /
-    iteration / ``to_jsonl`` see only the retained window.
-    """
-
-    def __init__(self, max_records: int | None = None) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError("max_records must be at least 1 (or None)")
-        self.max_records = max_records
-        self._records: deque[EventRecord] = deque()
-        #: retained records per kind (rings evict in lockstep with _records)
-        self._by_kind: dict[str, deque[EventRecord]] = {}
-        #: exact per-kind totals over the whole run (never decremented)
-        self._kind_totals: dict[str, int] = {}
-        self.evicted = 0
+    def __init__(self) -> None:
+        self._records: list[EventRecord] = []
+        #: records per kind, in emission order
+        self._by_kind: dict[str, list[EventRecord]] = {}
 
     def emit(self, time: float, component: str, kind: str, **detail: Any) -> None:
-        """Append one event (evicting the oldest when over the bound)."""
+        """Append one event."""
         record = EventRecord(time, component, kind, detail)
         self._records.append(record)
-        self._by_kind.setdefault(kind, deque()).append(record)
-        self._kind_totals[kind] = self._kind_totals.get(kind, 0) + 1
-        if self.max_records is not None and len(self._records) > self.max_records:
-            oldest = self._records.popleft()
-            self._by_kind[oldest.kind].popleft()
-            self.evicted += 1
+        self._by_kind.setdefault(kind, []).append(record)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -125,34 +98,30 @@ class EventLog:
         return iter(self._records)
 
     def of_kind(self, kind: str) -> list[EventRecord]:
-        """Retained events with the given ``kind``, in emission order.
+        """Events with the given ``kind``, in emission order.
 
         Indexed: O(matches), not a scan over the whole log.
         """
         return list(self._by_kind.get(kind, ()))
 
     def from_component(self, component: str) -> list[EventRecord]:
-        """All retained events emitted by ``component``, in emission order."""
+        """All events emitted by ``component``, in emission order."""
         return [r for r in self._records if r.component == component]
 
     def where(self, predicate: Callable[[EventRecord], bool]) -> list[EventRecord]:
-        """All retained events matching an arbitrary predicate."""
+        """All events matching an arbitrary predicate."""
         return [r for r in self._records if predicate(r)]
 
     def count(self, kind: str) -> int:
-        """Exact number of events of the given kind over the whole run.
-
-        With bounded retention this may exceed ``len(of_kind(kind))`` —
-        the tally survives eviction, the records do not.
-        """
-        return self._kind_totals.get(kind, 0)
+        """Exact number of events of the given kind over the whole run."""
+        return len(self._by_kind.get(kind, ()))
 
     def kind_totals(self) -> dict[str, int]:
-        """Exact per-kind event totals (sorted by kind), eviction-proof."""
-        return {k: self._kind_totals[k] for k in sorted(self._kind_totals)}
+        """Exact per-kind event totals (sorted by kind)."""
+        return {k: len(self._by_kind[k]) for k in sorted(self._by_kind)}
 
     def to_jsonl(self) -> str:
-        """Retained records as JSON lines (one event per line).
+        """All records as JSON lines (one event per line).
 
         The same export envelope the observability plane uses for spans
         (:mod:`repro.obs.export`), so events and spans interleave into
@@ -161,8 +130,6 @@ class EventLog:
         return "\n".join(r.to_json() for r in self._records)
 
     def clear(self) -> None:
-        """Drop all records and tallies (used between experiment repetitions)."""
+        """Drop all records (used between experiment repetitions)."""
         self._records.clear()
         self._by_kind.clear()
-        self._kind_totals.clear()
-        self.evicted = 0

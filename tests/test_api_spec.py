@@ -150,6 +150,15 @@ class TestValidation:
         with pytest.raises(SpecError, match=r"execution\.max_server_steps"):
             ExecutionSpec(max_server_steps=0)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_horizon_rejected(self, literal):
+        # Python's json parses these literals; a spec-built run with
+        # either horizon would loop on its heartbeat forever.
+        text = json.dumps(simple_spec().to_dict()).replace('"t_end_s": 1800.0', f'"t_end_s": {literal}')
+        assert literal in text
+        with pytest.raises(SpecError, match=r"execution\.t_end_s.*finite"):
+            ScenarioSpec.from_dict(json.loads(text))
+
     def test_trainer_params_reject_non_json_values(self):
         with pytest.raises(SpecError, match="trainer_params"):
             TaskSpec(name="t", trainer_params={"fn": object()})

@@ -1,6 +1,8 @@
 """Tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 
@@ -241,17 +243,16 @@ class TestEdgeCases:
         assert end == 1.0  # clock NOT advanced to the horizon on early stop
 
 
-class TestCalendarQueue:
-    """Edge cases of the bucketed calendar queue behind the Simulator.
+class TestOrderingEdgeCases:
+    """(time, seq) ordering at the queue's extremes.
 
-    Exercised purely through the public API: far-future (overflow)
-    events, rebuild under load, horizon/bucket-boundary interplay, and
-    re-anchoring after long quiet stretches.
+    Exercised purely through the public API: far-future events, large
+    and duplicate-heavy loads, horizons landing exactly on and between
+    event times, and scheduling again after long quiet stretches.
     """
 
     def test_far_future_events_order_correctly(self):
-        # Way beyond the initial 64 x 1s wheel: these live in overflow
-        # until a rebuild re-centres the wheel on them.
+        # Times spanning nine orders of magnitude, scheduled out of order.
         sim = Simulator()
         fired = []
         for t in (1e9, 5.0, 1e6, 0.5, 1e3):
@@ -260,25 +261,24 @@ class TestCalendarQueue:
         assert fired == [0.5, 5.0, 1e3, 1e6, 1e9]
 
     def test_interleaved_near_and_far_pushes(self):
-        # Events scheduled *while running*, repeatedly straddling the
-        # wheel horizon, still fire in global (time, seq) order.
+        # Events scheduled *while running*, interleaving near and far
+        # times, still fire in global (time, seq) order.
         sim = Simulator()
         fired = []
 
         def hop(n):
             fired.append(sim.now)
             if n < 40:
-                sim.schedule(0.1, lambda: hop(n + 1))       # in-wheel
+                sim.schedule(0.1, lambda: hop(n + 1))       # near
                 sim.schedule(500.0 + n, lambda: fired.append(sim.now))
 
         sim.schedule(0.0, lambda: hop(0))
         sim.run_until_idle()
         assert fired == sorted(fired)
 
-    def test_rebuild_under_load_keeps_exact_order(self):
-        # >8 entries/bucket forces a wheel rebuild mid-stream; the
-        # (time, seq) total order must survive redistribution, including
-        # the FIFO tie-break for duplicate timestamps.
+    def test_large_load_keeps_exact_order(self):
+        # 2000 entries with many duplicate timestamps: the (time, seq)
+        # total order holds, including the FIFO tie-break.
         import random
 
         rng = random.Random(7)
@@ -303,9 +303,9 @@ class TestCalendarQueue:
         sim.run_until_idle()
         assert fired == ["at", "after"]
 
-    def test_horizon_stops_between_bucket_boundaries(self):
-        # Repeated short horizons that land mid-bucket and exactly on
-        # multiples of the tick never skip or re-fire events.
+    def test_horizon_stops_between_and_on_event_times(self):
+        # Repeated short horizons that land between event times and
+        # exactly on them never skip or re-fire events.
         sim = Simulator()
         fired = []
         for k in range(1, 61):
@@ -315,9 +315,9 @@ class TestCalendarQueue:
             assert fired == list(range(1, int(horizon // 10) + 1))
             assert sim.now == horizon
 
-    def test_reanchor_after_long_idle_gap(self):
-        # Drain the queue, then schedule years ahead: the empty-queue
-        # re-anchor keeps bucket indices small and the event fires.
+    def test_schedule_after_long_idle_gap(self):
+        # Drain the queue, then schedule years ahead: the events fire
+        # at their exact times.
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         sim.run_until_idle()
@@ -327,7 +327,7 @@ class TestCalendarQueue:
         sim.run_until_idle()
         assert fired == [3.15e8, 3.15e8 + 1.0]
 
-    def test_cancelled_overflow_entries_drain_cleanly(self):
+    def test_cancelled_far_future_entries_drain_cleanly(self):
         sim = Simulator()
         fired = []
         handles = [sim.schedule_at(1e6 + k, lambda: fired.append("x"))
@@ -349,12 +349,121 @@ class TestCalendarQueue:
         with pytest.raises(ValueError):
             sim.schedule(float("inf"), lambda: None)
 
+    def test_nan_horizon_rejected(self):
+        # NaN compares false with every event time, so a NaN horizon
+        # would otherwise fire events until max_events.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run_until(float("nan"))
+        assert sim.events_fired == 0 and sim.pending == 1 and sim.now == 0.0
+
     def test_identical_timestamps_en_masse_stay_fifo(self):
-        # A degenerate span (every event at one instant) exercises the
-        # width fallback in the rebuild path.
+        # Every event at one instant: order is the FIFO tie-break alone.
         sim = Simulator()
         fired = []
         for i in range(1000):
             sim.schedule_at(42.0, lambda i=i: fired.append(i))
         sim.run_until_idle()
         assert fired == list(range(1000))
+
+
+#: a few small delays with repeats, so same-instant ties are common
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0])
+
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("schedule_at"), _DELAYS),
+    st.tuples(st.just("spawn"), _DELAYS, _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("horizon"), _DELAYS),
+    st.tuples(st.just("max_events"), st.integers(1, 4)),
+    st.tuples(st.just("stop_after"), st.integers(1, 4)),
+)
+
+
+class TestGeneratedPrograms:
+    """Random programs of schedule/cancel/run calls against a model.
+
+    The model numbers every scheduled entry in call order (the engine's
+    FIFO ``seq``) with the time it was scheduled for.  Whatever the
+    program, fired entries come out in ascending ``(time, seq)`` order,
+    a run never skips a live entry it should have fired, and ``pending``
+    is always scheduled - fired - cancelled.
+    """
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(st.lists(_OPS, max_size=40))
+    def test_fire_order_and_pending_match_the_model(self, program):
+        sim = Simulator()
+        keys = []        # entry id -> (time, seq); seq == entry id
+        handles = []
+        fired = []       # entry ids in fire order
+        cancelled = set()
+
+        def add(handle, time):
+            keys.append((time, len(keys)))
+            handles.append(handle)
+
+        def make_action(eid, child_delay=None):
+            def action():
+                fired.append(eid)
+                if child_delay is not None:
+                    t = sim.now + child_delay
+                    add(sim.schedule(child_delay, make_action(len(keys))), t)
+            return action
+
+        def live():
+            done = set(fired) | cancelled
+            return [i for i in range(len(keys)) if i not in done]
+
+        for op in program:
+            kind = op[0]
+            if kind == "schedule":
+                add(sim.schedule(op[1], make_action(len(keys))), sim.now + op[1])
+            elif kind == "schedule_at":
+                t = sim.now + op[1]
+                add(sim.schedule_at(t, make_action(len(keys))), t)
+            elif kind == "spawn":
+                add(sim.schedule(op[1], make_action(len(keys), op[2])),
+                    sim.now + op[1])
+            elif kind == "cancel":
+                if handles:
+                    eid = op[1] % len(handles)
+                    handles[eid].cancel()
+                    if eid not in fired:
+                        cancelled.add(eid)
+            else:
+                before = len(fired)
+                if kind == "horizon":
+                    horizon, budget = sim.now + op[1], None
+                    end = sim.run_until(horizon)
+                elif kind == "max_events":
+                    horizon, budget = sim.now + 10.0, op[1]
+                    end = sim.run_until(horizon, max_events=budget)
+                else:
+                    horizon, budget = sim.now + 10.0, op[1]
+                    end = sim.run_until(
+                        horizon, stop=lambda: len(fired) - before >= budget)
+                ran = fired[before:]
+                assert end == sim.now
+                if budget is not None and len(ran) == budget:
+                    # Stopped early: the clock stays at the last event.
+                    assert sim.now == keys[ran[-1]][0]
+                else:
+                    # Stopped by the horizon: nothing live is due.
+                    assert budget is None or len(ran) < budget
+                    assert sim.now == horizon
+                    assert all(keys[i][0] > horizon for i in live())
+                if ran:
+                    # Nothing still live sorts before what already fired.
+                    assert all(keys[i] > keys[ran[-1]] for i in live())
+            assert sim.pending == len(keys) - len(fired) - len(cancelled)
+            assert sim.events_fired == len(fired)
+            assert not cancelled & set(fired)
+
+        sim.run_until_idle()
+        assert sim.pending == 0
+        assert fired == sorted(set(range(len(keys))) - cancelled,
+                               key=keys.__getitem__)

@@ -128,11 +128,14 @@ class TestDynamics:
         attempts = f.sessions_started + f.ineligible + f.turned_away
         assert attempts > f.population.config.n_devices
 
-    def test_availability_column_tracks_sessions(self):
+    def test_session_counters_track_in_flight(self):
         f = fleet(deep_trace_fraction=0.0)
         f.run(1800.0)
-        # Devices in flight are marked unavailable, everyone else is back.
-        assert int(np.sum(~f.population.available)) == f.in_flight
+        # Every started session has either completed or is still in flight,
+        # and each in-flight one holds exactly one pending completion.
+        assert f.sessions_completed > 0
+        assert f.sessions_started - f.sessions_completed == f.in_flight
+        assert f.sim.pending == f.in_flight + f._tick_pending
 
 
 class TestLazyMaterialization:

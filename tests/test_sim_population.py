@@ -220,7 +220,6 @@ class TestColumnarColumns:
         np.testing.assert_array_equal(cpop.sec_per_example, other.sec_per_example)
         np.testing.assert_array_equal(cpop.n_examples, other.n_examples)
         np.testing.assert_array_equal(cpop.payload_bytes, other.payload_bytes)
-        np.testing.assert_array_equal(cpop.speed_tier, other.speed_tier)
 
     def test_seed_changes_columns(self, cpop):
         other = ColumnarDevicePopulation(PopulationConfig(n_devices=5_000), seed=8)
@@ -238,21 +237,10 @@ class TestColumnarColumns:
             a.sec_per_example[a.CHUNK:], a.sec_per_example[:1_000]
         )
 
-    def test_footprint_is_about_50_bytes_per_device(self, cpop):
+    def test_footprint_is_36_bytes_per_device(self, cpop):
         n = cpop.config.n_devices
-        # f8 speed + i32 examples + f8 down + f8 up + i64 payload +
-        # u8 tier + f8 next_wake + bool available = 46 bytes/device.
-        assert cpop.columns_nbytes() == n * (8 + 4 + 8 + 8 + 8 + 1 + 8 + 1)
-
-    def test_speed_tiers_are_quartiles(self, cpop):
-        tiers, counts = np.unique(cpop.speed_tier, return_counts=True)
-        np.testing.assert_array_equal(tiers, [0, 1, 2, 3])
-        n = cpop.config.n_devices
-        assert counts.min() > 0.2 * n and counts.max() < 0.3 * n
-        # Banding is monotone in realized speed: every tier-3 device is
-        # slower than every tier-0 device.
-        sec = cpop.sec_per_example
-        assert sec[cpop.speed_tier == 3].min() >= sec[cpop.speed_tier == 0].max()
+        # f8 speed + i32 examples + f8 down + f8 up + i64 payload.
+        assert cpop.columns_nbytes() == n * (8 + 4 + 8 + 8 + 8)
 
     def test_distribution_matches_scalar_model(self):
         # Different realization, same distributional formulas: medians

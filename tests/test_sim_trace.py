@@ -157,10 +157,6 @@ class TestBoundedTraceValidation:
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             BoundedMetricsTrace(max_records=0)
-        with pytest.raises(ValueError):
-            BoundedMetricsTrace(policy="fifo")
-        with pytest.raises(ValueError):
-            BoundedMetricsTrace(active_bin_s=0.0)
 
 
 class TestBoundedTraceSampling:
@@ -172,7 +168,7 @@ class TestBoundedTraceSampling:
         assert tr.total_participations == 40
 
     def test_reservoir_is_bounded_and_uniformish(self):
-        tr = BoundedMetricsTrace(max_records=50, policy="reservoir", seed=0)
+        tr = BoundedMetricsTrace(max_records=50, seed=0)
         for i in range(5_000):
             tr.record_participation(part(device=i))
         assert len(tr.participations) == 50
@@ -191,13 +187,6 @@ class TestBoundedTraceSampling:
         assert run(3) == run(3)
         assert run(3) != run(4)
 
-    def test_ring_keeps_most_recent(self):
-        tr = BoundedMetricsTrace(max_records=10, policy="ring")
-        for i in range(100):
-            tr.record_participation(part(device=i))
-        assert [r.device_id for r in tr.participations] == list(range(90, 100))
-        assert tr.total_participations == 100
-
     def test_exact_tallies_survive_sampling(self):
         tr = BoundedMetricsTrace(max_records=5, seed=1)
         for i in range(300):
@@ -210,7 +199,7 @@ class TestBoundedTraceSampling:
         assert tr.uploads == 300 and tr.upload_bytes == 3_000
 
     def test_memory_estimate_is_bounded(self):
-        tr = BoundedMetricsTrace(max_records=100, active_bin_s=60.0)
+        tr = BoundedMetricsTrace(max_records=100)
         for i in range(10_000):
             tr.record_participation(part(device=i))
             tr.record_active_delta(float(i % 600), +1)
@@ -220,7 +209,7 @@ class TestBoundedTraceSampling:
 
 class TestBoundedActiveSeries:
     def test_binned_series_cumulates(self):
-        tr = BoundedMetricsTrace(active_bin_s=60.0)
+        tr = BoundedMetricsTrace()
         tr.record_active_delta(10.0, +1)    # bin 0
         tr.record_active_delta(30.0, +1)    # bin 0
         tr.record_active_delta(70.0, -1)    # bin 1
@@ -229,7 +218,7 @@ class TestBoundedActiveSeries:
         np.testing.assert_array_equal(counts, [2, 1])
 
     def test_peak_active_is_exact_within_bins(self):
-        tr = BoundedMetricsTrace(active_bin_s=3600.0)
+        tr = BoundedMetricsTrace()
         for _ in range(7):
             tr.record_active_delta(5.0, +1)
         for _ in range(7):
@@ -246,11 +235,10 @@ class TestBoundedActiveSeries:
 
 class TestBoundedExport:
     def test_to_dict_flags_sampling(self):
-        tr = BoundedMetricsTrace(max_records=2, policy="ring")
+        tr = BoundedMetricsTrace(max_records=2)
         for i in range(5):
             tr.record_participation(part(device=i, outcome=Outcome.FAILED))
         d = tr.to_dict()
-        assert d["trace_policy"] == "ring"
         assert d["max_records"] == 2
         assert d["total_participations"] == 5
         assert d["outcome_totals"]["failed"] == 5

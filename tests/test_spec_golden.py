@@ -182,6 +182,7 @@ INVALID = {
     "plane/executor-owner": lambda: PlaneSpec(name="secure", executor="process"),
     # ExecutionSpec
     "execution/t_end_s": lambda: ExecutionSpec(t_end_s=-1.0),
+    "execution/t_end_s-nonfinite": lambda: ExecutionSpec(t_end_s=float("nan")),
     "execution/max_server_steps": lambda: ExecutionSpec(max_server_steps=0),
     # FaultEvent
     "event/kind": lambda: FaultEvent(kind=""),

@@ -3,7 +3,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from repro.utils import EventLog, EventRecord
 
@@ -52,40 +51,20 @@ class TestEventLog:
         assert len(log) == 0
 
 
-class TestBoundedRetention:
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError, match="max_records"):
-            EventLog(max_records=0)
-
-    def test_keeps_newest_records(self):
-        log = EventLog(max_records=3)
-        for t in range(5):
-            log.emit(float(t), "c", "tick")
-        assert len(log) == 3
-        assert [r.time for r in log] == [2.0, 3.0, 4.0]
-        assert log.evicted == 2
-
-    def test_tallies_survive_eviction(self):
-        log = EventLog(max_records=2)
-        for t in range(4):
-            log.emit(float(t), "c", "a" if t % 2 == 0 else "b")
-        assert log.count("a") == 2 and log.count("b") == 2
-        # Only the retained window is visible to the record queries.
-        assert [r.time for r in log.of_kind("a")] == [2.0]
-        assert [r.time for r in log.of_kind("b")] == [3.0]
-
+class TestKindTotals:
     def test_kind_totals_sorted_and_exact(self):
-        log = EventLog(max_records=1)
+        log = EventLog()
         for kind in ("zeta", "alpha", "zeta"):
             log.emit(0.0, "c", kind)
         assert list(log.kind_totals().items()) == [("alpha", 1), ("zeta", 2)]
 
-    def test_clear_resets_eviction_counter(self):
-        log = EventLog(max_records=1)
+    def test_clear_resets_tallies(self):
+        log = EventLog()
         log.emit(0.0, "c", "a")
         log.emit(1.0, "c", "a")
         log.clear()
-        assert log.evicted == 0 and log.count("a") == 0 and log.kind_totals() == {}
+        assert log.count("a") == 0 and log.kind_totals() == {}
+        assert log.of_kind("a") == []
 
 
 class TestJsonExport:
@@ -113,9 +92,9 @@ class TestJsonExport:
         assert detail["pair"] == [1, 2]
         assert detail["other"] == repr(object)
 
-    def test_to_jsonl_is_one_line_per_retained_record(self):
-        log = EventLog(max_records=2)
+    def test_to_jsonl_is_one_line_per_record(self):
+        log = EventLog()
         for t in range(3):
             log.emit(float(t), "c", "tick", step=t)
         lines = log.to_jsonl().splitlines()
-        assert [json.loads(line)["detail"]["step"] for line in lines] == [1, 2]
+        assert [json.loads(line)["detail"]["step"] for line in lines] == [0, 1, 2]
