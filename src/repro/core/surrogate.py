@@ -163,11 +163,15 @@ class SurrogateTrainer:
     def __init__(self, params: SurrogateParams | None = None, seed: int = 0):
         self.params = params or SurrogateParams()
         self.seed = seed
+        self._quality: dict[int, float] = {}
 
     def quality(self, num_examples: int) -> float:
         """Noise-free quality of an update from a client with ``n`` examples."""
-        p = self.params
-        return float(np.log1p(num_examples) / np.log1p(p.reference_examples))
+        q = self._quality.get(num_examples)
+        if q is None:
+            q = float(np.log1p(num_examples) / np.log1p(self.params.reference_examples))
+            self._quality[num_examples] = q
+        return q
 
     def train(
         self,

@@ -19,6 +19,8 @@ configuration change, Appendix E.3).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.fedbuff import AggregationCore, ServerStepInfo
@@ -63,7 +65,7 @@ class SyncRoundAggregator(AggregationCore):
     @property
     def cohort_size(self) -> int:
         """Clients trained per round including over-selection."""
-        return int(np.ceil(self.goal * (1.0 + self.over_selection)))
+        return math.ceil(self.goal * (1.0 + self.over_selection))
 
     def demand(self) -> int:
         """Clients the round still wants: cohort size minus in-flight.
@@ -73,7 +75,7 @@ class SyncRoundAggregator(AggregationCore):
         clients report.
         """
         outstanding = self.goal - self.buffered_count
-        want = int(np.ceil(outstanding * (1.0 + self.over_selection)))
+        want = math.ceil(outstanding * (1.0 + self.over_selection))
         return max(0, want - len(self._in_flight))
 
     # -- aggregation ------------------------------------------------------------

@@ -23,6 +23,7 @@ population of millions costs nothing until a device is actually touched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,15 @@ class PopulationConfig:
             raise ValueError("eligibility_rate must be in (0, 1]")
         if not (0.0 <= self.diurnal_amplitude < 1.0):
             raise ValueError("diurnal_amplitude must be in [0, 1)")
+        for f in ("mean_examples", "median_sec_per_example", "overhead_s",
+                  "sigma_examples", "sigma_speed"):
+            if not math.isfinite(getattr(self, f)):
+                raise ValueError(f"{f} must be finite")
         for f in ("mean_examples", "median_sec_per_example", "overhead_s"):
             if getattr(self, f) <= 0:
                 raise ValueError(f"{f} must be positive")
+        if not self.max_examples >= 1:
+            raise ValueError("max_examples must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -146,21 +153,22 @@ class DevicePopulation:
             return cached
         rng = child_rng(self.seed, "device-profile", device_id)
         # Shared latent factor induces the slow-device/big-data correlation.
-        z, e_speed, e_data = rng.standard_normal(3)
+        # Python-float arithmetic is IEEE-identical to the numpy scalar
+        # ops; only ``exp`` stays on numpy, whose SIMD loop may differ
+        # from libm's in the last bit.
+        z, e_speed, e_data = rng.standard_normal(3).tolist()
         rho = cfg.speed_data_correlation
-        speed_factor = rho * z + np.sqrt(1.0 - rho * rho) * e_speed
+        speed_factor = rho * z + math.sqrt(1.0 - rho * rho) * e_speed
         data_factor = z if rho != 0 else e_data
 
-        sec_per_example = float(
-            cfg.median_sec_per_example * np.exp(cfg.sigma_speed * speed_factor)
+        sec_per_example = cfg.median_sec_per_example * float(
+            np.exp(cfg.sigma_speed * speed_factor)
         )
-        n_examples = int(
-            np.clip(
-                np.round(cfg.mean_examples * np.exp(cfg.sigma_examples * data_factor)),
-                1,
-                cfg.max_examples,
-            )
-        )
+        # Clipping before rounding equals rounding before clipping for
+        # integer bounds, and keeps an overflowed ``inf`` out of round().
+        n_examples = round(min(max(
+            cfg.mean_examples * float(np.exp(cfg.sigma_examples * data_factor)), 1.0,
+        ), cfg.max_examples))
         # Mobile network bandwidths, log-normal around ~2 MB/s down, 1 MB/s up.
         bw = rng.lognormal(mean=0.0, sigma=0.5)
         prof = DeviceProfile(

@@ -456,7 +456,12 @@ class FederatedSimulation:
                 return True
             return False
 
-        end = self.sim.run_until(t_end, stop=stop, max_events=max_events)
+        # Without a target or a step budget nothing can stop the run
+        # early, so the engine is spared a predicate call per event.
+        early = target is not None or max_server_steps is not None
+        end = self.sim.run_until(
+            t_end, stop=stop if early else None, max_events=max_events
+        )
         return self._build_result(end, target)
 
     def _build_result(self, end: float, target: float | None) -> RunResult:

@@ -1,7 +1,7 @@
 """Shared infrastructure: RNG streams, validation, logging, backoff."""
 
 from repro.utils.logging import EventLog, EventRecord
-from repro.utils.rng import child_rng, make_rng, spawn_rngs, stable_hash64
+from repro.utils.rng import child_rng, stable_hash64
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -14,8 +14,6 @@ __all__ = [
     "EventLog",
     "EventRecord",
     "child_rng",
-    "make_rng",
-    "spawn_rngs",
     "stable_hash64",
     "check_in_range",
     "check_non_negative",

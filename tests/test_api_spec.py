@@ -144,6 +144,21 @@ class TestValidation:
         with pytest.raises(SpecError, match="population"):
             PopulationSpec(n_devices=10, overrides={"dropout_rate": 2.0})
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"max_examples": 0}', "max_examples must be at least 1"),
+        ('{"mean_examples": NaN}', "mean_examples must be finite"),
+        ('{"sigma_speed": NaN}', "sigma_speed must be finite"),
+    ])
+    def test_out_of_range_population_overrides_rejected(self, text, message):
+        # JSON ``NaN`` parses in Python; such a spec used to validate and
+        # then fail (or silently corrupt the fleet) mid-run.
+        doc = {"population": {"n_devices": 50, "overrides": json.loads(text)},
+               "tasks": [{"name": "t"}]}
+        with pytest.raises(SpecError) as info:
+            ScenarioSpec.from_dict(doc)
+        assert (info.value.field, str(info.value)) == (
+            "population", f"population: {message}")
+
     def test_execution_validation(self):
         with pytest.raises(SpecError, match=r"execution\.t_end_s"):
             ExecutionSpec(t_end_s=-1.0)

@@ -83,6 +83,24 @@ class TestProfiles:
         with pytest.raises(ValueError):
             PopulationConfig(mean_examples=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_examples", 0, "max_examples must be at least 1"),
+        ("max_examples", -5, "max_examples must be at least 1"),
+        ("max_examples", float("nan"), "max_examples must be at least 1"),
+        ("mean_examples", float("nan"), "mean_examples must be finite"),
+        ("mean_examples", float("inf"), "mean_examples must be finite"),
+        ("sigma_examples", float("nan"), "sigma_examples must be finite"),
+        ("sigma_speed", float("nan"), "sigma_speed must be finite"),
+        ("median_sec_per_example", float("nan"), "median_sec_per_example must be finite"),
+        ("overhead_s", float("nan"), "overhead_s must be finite"),
+    ])
+    def test_out_of_range_values_rejected(self, field, value, message):
+        # NaN slips through ``<= 0`` checks; before these were rejected a
+        # NaN mean crashed ``profile`` and gave columnar devices
+        # ``n_examples = -2**31``, and ``max_examples=0`` failed mid-run.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PopulationConfig(**{field: value})
+
 
 class TestStochasticBehaviour:
     def test_dropout_rate_approximate(self, pop):

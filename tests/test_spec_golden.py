@@ -163,6 +163,10 @@ INVALID = {
     "population/config-value": lambda: PopulationSpec(
         n_devices=10, overrides={"dropout_rate": 2.0}),
     "population/n_devices": lambda: PopulationSpec(n_devices=0),
+    "population/max_examples": lambda: PopulationSpec(
+        n_devices=10, overrides={"max_examples": 0}),
+    "population/config-nonfinite": lambda: PopulationSpec(
+        n_devices=10, overrides={"mean_examples": float("nan")}),
     # TaskSpec
     "task/name": lambda: TaskSpec(name=""),
     "task/name-type": lambda: ScenarioSpec.from_dict(_doc(tasks=_task(name=7))),
