@@ -69,7 +69,8 @@ class AggregationCore:
     in-flight map and download registration, the rejections that happen
     *before* anything is counted (:meth:`_take`), the open epoch's
     arrival-order lists (:meth:`_record`), the server-step record
-    (:meth:`_apply_step`), aggregator failover, and the one goal-bounded
+    (:meth:`_apply_step`), aggregator failover (as the one-shard case of
+    the shard protocol the task runtime drives), and the one goal-bounded
     block driver.  A core supplies its admission rule (``_admit``: what
     an arrival weighs, via :meth:`_take` then :meth:`_record`) and three
     hooks over its buffer: the fold (:meth:`_fold` per arrival,
@@ -294,6 +295,32 @@ class AggregationCore:
         self._reset_epoch()
         self._in_flight.clear()
         return lost, dropped
+
+    # -- shard protocol: an unsharded core is the one-shard case ---------------
+    #
+    # The task runtime places, fails over and re-places every core per
+    # shard; ``ShardRoutingMixin`` overrides all of this for S shards.
+
+    num_shards = 1
+    _shard_live = True
+
+    def shard_of(self, client_id: int) -> int | None:
+        """Every client routes to the one shard."""
+        return 0
+
+    def shard_alive(self, shard_id: int) -> bool:
+        """Whether the shard accepts contributions (not dropped, or revived)."""
+        return self._shard_live
+
+    def drop_shard(self, shard_id: int) -> tuple[int, list[int]]:
+        """The shard's host died: the whole buffer and every in-flight
+        client go (:meth:`drop_buffer_and_inflight`)."""
+        self._shard_live = False
+        return self.drop_buffer_and_inflight()
+
+    def revive_shard(self, shard_id: int) -> None:
+        """Bring the dropped shard back empty (re-placed on a live node)."""
+        self._shard_live = True
 
     # -- introspection ------------------------------------------------------------
 

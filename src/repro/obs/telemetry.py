@@ -53,7 +53,7 @@ METRIC_CATALOG: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "server_steps_total": (
         "counter", "server model steps", ("task",)),
     "task_failovers_total": (
-        "counter", "task/shard re-placements after node death", ("reason",)),
+        "counter", "shard re-placements after a node failure", ("reason",)),
     "assignments_total": (
         "counter", "coordinator client-assignment decisions", ("result",)),
     "stale_map_retries_total": (
@@ -338,7 +338,7 @@ class RunTelemetry:
     # -- coordinator hooks ----------------------------------------------------
 
     def on_failover(self, reason: str) -> None:
-        """The coordinator re-placed a task or shard after a failure."""
+        """The coordinator re-placed one shard after a node failure."""
         self.metrics.inc("task_failovers_total", (reason,))
 
     # -- fleet hooks (columnar million-client driver) -------------------------

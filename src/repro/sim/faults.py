@@ -565,9 +565,8 @@ def recovery_report(fedsim: "FederatedSimulation", result: "RunResult") -> dict[
       went negative.
     * **Update conservation** (async tasks) — every admitted update
       (``aggregated + discarded`` outcomes) is either in a server step,
-      explicitly lost to a node/shard failover (``task_reassigned`` /
-      ``shard_failed`` events), or still buffered: nothing vanishes and
-      nothing double-counts.
+      explicitly lost to a shard failover (``shard_failed`` events), or
+      still buffered: nothing vanishes and nothing double-counts.
     """
     session_devices: set[int] = set()
     live_sessions_ok = True
@@ -597,9 +596,8 @@ def recovery_report(fedsim: "FederatedSimulation", result: "RunResult") -> dict[
         component = f"task:{name}"
         lost = sum(
             r.detail.get("lost_buffered", 0)
-            for r in result.log
+            for r in result.log.of_kind("shard_failed")
             if r.component == component
-            and r.kind in ("task_reassigned", "shard_failed")
         )
         buffered = rt.core.buffered_count
         unaccounted = admitted - stepped - lost - buffered

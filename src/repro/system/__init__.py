@@ -7,6 +7,7 @@ routing policies, and trainer adapters are pluggable name registries in
 through :mod:`repro.api`.
 """
 
+from repro.core.sharding import HashShardRouting, LoadAwareShardRouting
 from repro.system.adapters import RealTrainingAdapter, SurrogateAdapter, TrainerAdapter
 from repro.system.aggregator import AggregatorNode, FLTaskRuntime
 from repro.system.client_runtime import (
@@ -30,11 +31,6 @@ from repro.system.planes import (
 )
 from repro.system.secure import LegPool, SecureBufferedAggregator
 from repro.system.selector import Selector
-from repro.system.sharding import (
-    HashShardRouting,
-    LoadAwareShardRouting,
-    ShardedFLTaskRuntime,
-)
 
 __all__ = [
     "LegPool",
@@ -55,7 +51,6 @@ __all__ = [
     "Selector",
     "HashShardRouting",
     "LoadAwareShardRouting",
-    "ShardedFLTaskRuntime",
     "PlaneContext",
     "PlaneFactory",
     "register_plane",

@@ -1,4 +1,4 @@
-"""Aggregator node and per-task runtime (Section 6.3, Appendix E).
+"""Aggregator node and the one task runtime (Section 6.3, Appendix E).
 
 An :class:`AggregatorNode` is persistent and stateful: it hosts one or
 more tasks for their whole lifetime (tasks move only on failure or load
@@ -8,38 +8,60 @@ the simulation analogue of hashing the aggregating thread id to an
 intermediate aggregate), heartbeats to the Coordinator, and reports
 per-task client demand.
 
-An :class:`FLTaskRuntime` owns one task: its config, its aggregation core
-(FedBuff or SyncFL — the mode switch of Appendix E.3), its trainer
-adapter, and the set of live client sessions.  It is where server steps
-trigger the paper's post-step actions: evaluating the new model, aborting
-stale clients (async) and round stragglers (sync).
-:class:`SecureFLTaskRuntime` is the same runtime with its FedBuff core
-behind Asynchronous SecAgg (Section 5).
+An :class:`FLTaskRuntime` owns one task: its config, the aggregation
+core its plane chose (FedBuff or SyncFL — the mode switch of Appendix
+E.3 — masked behind Asynchronous SecAgg, sharded, or both; see
+:mod:`repro.system.planes`), its trainer adapter, and the set of live
+client sessions.  It is where server steps trigger the paper's
+post-step actions: evaluating the new model, aborting stale clients
+(async) and round stragglers (sync).
+
+Every core speaks the same shard protocol (``num_shards``,
+``shard_of``, ``shard_alive``, ``drop_shard``, ``revive_shard``) and an
+unsharded core is its one-shard case, so the runtime has one hosting
+model and one failover path:
+
+* a ``shard_nodes`` map places each shard on an :class:`AggregatorNode`
+  (several shards may share a node; ``node`` is shard 0's host, where
+  the root reducer rides).  Uploads route to the node hosting the
+  client's shard; each hosting node's heartbeat carries per-shard
+  demand entries (``task/s3: 12``), the even split of the task's
+  headroom over the live shards.
+* :meth:`FLTaskRuntime.drop_shards_on` fails over the shards a dead
+  node hosted: their partial folds and in-flight contributions are
+  dropped, and the Coordinator re-places each one on the least-loaded
+  live node, reviving it empty.  A task that keeps a live shard loses
+  only the dropped shards' clients — routing steers the dead slice to
+  the survivors.  A task that loses *every* shard loses every session,
+  in attachment order, together with its pending assignments: with no
+  host left, a client still downloading has nowhere to upload to
+  (clients of a lost Aggregator fail and retry, Appendix E.4).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.fedbuff import FedBuffAggregator
 from repro.core.syncfl import SyncRoundAggregator
 from repro.core.types import TaskConfig, TrainingMode
-from repro.system.secure import SecureBufferedAggregator
 from repro.sim.engine import Simulator
 from repro.sim.trace import MetricsTrace, Outcome, ServerStepRecord
 from repro.system.adapters import TrainerAdapter
 from repro.system.client_runtime import ClientSession, CohortDispatcher, PendingTraining
 from repro.utils.logging import EventLog
 
-__all__ = ["FLTaskRuntime", "SecureFLTaskRuntime", "AggregatorNode"]
+__all__ = ["FLTaskRuntime", "AggregatorNode"]
 
 
 class FLTaskRuntime:
     """Server-side runtime of one FL task.
 
-    ``cohort`` is the dispatcher every client training of the task runs
-    through (see :mod:`repro.system.client_runtime`); without one the
-    runtime builds a cap-1 dispatcher over ``adapter``.
+    ``core`` is the aggregation core the task's plane chose (see
+    :mod:`repro.system.planes`); the runtime places, fails over and
+    re-places it shard by shard.  ``cohort`` is the dispatcher every
+    client training of the task runs through (see
+    :mod:`repro.system.client_runtime`); without one the runtime builds
+    a cap-1 dispatcher over ``adapter``.
     """
 
     # Set (per instance) by repro.sim.faults.FaultInjector when a
@@ -56,6 +78,7 @@ class FLTaskRuntime:
         self,
         config: TaskConfig,
         adapter: TrainerAdapter,
+        core,
         sim: Simulator,
         trace: MetricsTrace,
         log: EventLog,
@@ -64,39 +87,21 @@ class FLTaskRuntime:
     ):
         self.config = config
         self.adapter = adapter
+        self.core = core
         self.sim = sim
         self.trace = trace
         self.log = log
         self.on_slot_free = on_slot_free or (lambda: None)
         self.cohort = CohortDispatcher(adapter) if cohort is None else cohort
 
-        self.core = self._build_core(config, adapter)
-
         self.sessions: dict[int, ClientSession] = {}
         self.pending_assignments = 0
-        self.node: "AggregatorNode | None" = None  # set on placement
+        self.shard_nodes: dict[int, AggregatorNode] = {}  # shard -> host
 
-    def _build_core(self, config: TaskConfig, adapter: TrainerAdapter):
-        """Construct the task's aggregation core (the mode switch).
-
-        Seam for the secure and sharded runtimes: they override this to
-        stand up their own core instead, so the base constructor never
-        builds (and throws away) a plain aggregator.
-        """
-        if config.mode is TrainingMode.ASYNC:
-            return FedBuffAggregator(
-                adapter.state,
-                goal=config.aggregation_goal,
-                max_staleness=config.max_staleness,
-                example_weighting=adapter.recommended_example_weighting,
-                normalize_by=adapter.recommended_normalization,
-            )
-        return SyncRoundAggregator(
-            adapter.state,
-            goal=config.aggregation_goal,
-            over_selection=config.over_selection,
-            example_weighting=adapter.recommended_example_weighting,
-        )
+    @property
+    def node(self) -> "AggregatorNode | None":
+        """Shard 0's host (the root reducer rides with shard 0)."""
+        return self.shard_nodes.get(0)
 
     # -- demand (Section 6.2 / Appendix E.3) -----------------------------------
 
@@ -114,23 +119,73 @@ class FLTaskRuntime:
             return max(0, min(want, headroom))
         return max(0, headroom)
 
-    def demand_entries(self, node: "AggregatorNode") -> dict[str, int]:
-        """This task's entries in ``node``'s heartbeat demand report.
+    # -- placement ------------------------------------------------------------
 
-        The whole-task runtime reports one entry from its single hosting
-        node; the sharded runtime overrides this with per-shard entries
-        for the shards ``node`` hosts.
-        """
-        return {self.config.name: self.demand()}
+    def place_shard(self, shard_id: int, node: "AggregatorNode") -> None:
+        """Host one shard on ``node`` (initial placement, move or failover)."""
+        if not (0 <= shard_id < self.core.num_shards):
+            raise ValueError(f"no such shard {shard_id}")
+        self.shard_nodes[shard_id] = node
+        if node.tasks.get(self.config.name) is not self:
+            node.tasks[self.config.name] = self
+        self.log.emit(
+            self.sim.now, f"aggregator:{node.node_id}", "shard_hosted",
+            task=self.config.name, shard=shard_id,
+        )
 
-    def workload_on(self, node: "AggregatorNode") -> float:
-        """This task's share of ``node``'s estimated workload
-        (Section 6.3's ``concurrency × model size`` heuristic)."""
-        return self.config.concurrency * self.config.model_size_bytes
+    def hosted_shards(self, node: "AggregatorNode") -> list[int]:
+        """Shards of this task currently hosted on ``node``."""
+        return sorted(
+            sid for sid, n in self.shard_nodes.items() if n is node
+        )
+
+    def unplaced_shards(self) -> list[int]:
+        """Shards with no hosting node (lost their host, not yet re-placed)."""
+        return [
+            sid for sid in range(self.core.num_shards)
+            if sid not in self.shard_nodes
+        ]
 
     def is_routable(self) -> bool:
-        """Whether a client assigned to this task could reach a live host."""
-        return self.node is not None and self.node.alive
+        """Clients can be assigned while any shard's host is alive."""
+        for node in self.shard_nodes.values():
+            if node.alive:
+                return True
+        return False
+
+    # -- per-node demand / workload (heartbeat reports) -------------------------
+
+    def demand_entries(self, node: "AggregatorNode") -> dict[str, int]:
+        """Per-shard demand entries for the shards ``node`` hosts.
+
+        The task's headroom is split evenly over the live shards
+        (remainder to the lowest shard ids), so summing every hosting
+        node's heartbeat report recovers the task's total demand.
+        """
+        live = [
+            sid for sid in sorted(self.shard_nodes)
+            if self.shard_nodes[sid].alive and self.core.shard_alive(sid)
+        ]
+        if not live:
+            return {}
+        share, remainder = divmod(self.demand(), len(live))
+        return {
+            f"{self.config.name}/s{sid}": share + (1 if rank < remainder else 0)
+            for rank, sid in enumerate(live)
+            if self.shard_nodes[sid] is node
+        }
+
+    def workload_on(self, node: "AggregatorNode") -> float:
+        """This task's share of ``node``'s estimated workload.
+
+        Section 6.3's ``concurrency × model size`` placement heuristic,
+        scaled by the fraction of shards hosted there.
+        """
+        hosted = len(self.hosted_shards(node))
+        return (
+            self.config.concurrency * self.config.model_size_bytes
+            * hosted / self.core.num_shards
+        )
 
     # -- session lifecycle ------------------------------------------------------
 
@@ -154,20 +209,21 @@ class FLTaskRuntime:
     def upload_arrived(
         self, session: ClientSession, payload: PendingTraining
     ) -> None:
-        """An update reached the server; hand it to the hosting node's queue."""
+        """Route the upload to the queue of the node hosting the client's shard."""
         if self.fault_gate is not None and self.fault_gate.intercept_upload(
             self, session
         ):
             return  # injected network loss dropped the upload
-        if self.node is None or not self.node.alive:
-            # Hosting aggregator died while the update was in flight: the
-            # update is lost; the client will be re-routed next time (the
-            # abort also drops its parked training).
+        shard_id = self.core.shard_of(session.device_id)
+        node = self.shard_nodes.get(shard_id)
+        if node is None or not node.alive or not self.core.shard_alive(shard_id):
+            # The shard (or its host) died while the update was in
+            # flight: the update is lost; the client will be re-routed
+            # next time (the abort also drops its parked training).
             self.core.client_failed(session.device_id)
             session.abort(Outcome.ABORTED)
             return
-        self.node.enqueue_update(self, session, payload)
-
+        node.enqueue_update(self, session, payload)
     def process_update(
         self, session: ClientSession, payload: PendingTraining
     ) -> None:
@@ -229,48 +285,60 @@ class FLTaskRuntime:
                 if sess is not None:
                     sess.abort(Outcome.ABORTED)
 
-    # -- failure handling (Appendix E.4) --------------------------------------
+    # -- failure handling (Appendix E.4, per shard) -----------------------------
 
-    def on_reassigned(self) -> None:
-        """The hosting aggregator died; buffered updates and sessions are lost.
+    def drop_shards_on(self, node: "AggregatorNode") -> list[int]:
+        """A hosting node died: fail over every shard it hosted.
 
-        Model state and version survive (checkpointed); everything in the
-        failed node's memory does not.
+        Each such shard's partial fold and in-flight contributions are
+        dropped; the shard is left *unplaced* and dead until the
+        Coordinator re-places it.  While another shard keeps a host,
+        only the dropped shards' clients abort — routing steers their
+        slice to the survivors.  When no shard keeps a host, every
+        session aborts in attachment order (routed or not) and the
+        pending assignments go with them.  Model state and version
+        survive either way (they are checkpointed).  Returns the shard
+        ids dropped.
         """
-        lost, dropped = self.core.drop_buffer_and_inflight()
-        self.log.emit(
-            self.sim.now, f"task:{self.config.name}", "task_reassigned",
-            lost_buffered=lost, dropped_clients=len(dropped),
-        )
-        for session in list(self.sessions.values()):
-            session.abort(Outcome.ABORTED)
-        self.sessions.clear()
-        self.pending_assignments = 0
-        self.on_slot_free()
-
-
-class SecureFLTaskRuntime(FLTaskRuntime):
-    """Server-side runtime of one task aggregated through Asynchronous SecAgg.
-
-    The whole-task runtime with a masked core: FedBuff's buffer lives
-    inside a TSA (Section 5), so the server never sees an update in the
-    clear.
-    """
-
-    def _build_core(self, config: TaskConfig, adapter: TrainerAdapter):
-        if config.mode is not TrainingMode.ASYNC:
-            raise ValueError(
-                "secure aggregation is implemented via the Asynchronous "
-                "SecAgg protocol; set mode=ASYNC (the paper's SMPC-based "
-                "synchronous SecAgg is out of scope, Section 5)"
+        dropped_shards = self.hosted_shards(node)
+        if not dropped_shards:
+            return dropped_shards
+        total_loss = len(dropped_shards) == len(self.shard_nodes)
+        for sid in dropped_shards:
+            lost, dropped_clients = self.core.drop_shard(sid)
+            del self.shard_nodes[sid]
+            self.log.emit(
+                self.sim.now, f"task:{self.config.name}", "shard_failed",
+                shard=sid, node=node.node_id, lost_buffered=lost,
+                dropped_clients=len(dropped_clients),
             )
-        return SecureBufferedAggregator(
-            adapter.state,
-            goal=config.aggregation_goal,
-            vector_length=adapter.state.size,
-            max_staleness=config.max_staleness,
-            example_weighting=adapter.recommended_example_weighting,
-        )
+            if not total_loss:
+                for cid in dropped_clients:
+                    sess = self.sessions.get(cid)
+                    if sess is not None:
+                        sess.abort(Outcome.ABORTED)
+        if total_loss:
+            for session in list(self.sessions.values()):
+                self.core.client_failed(session.device_id)
+                session.abort(Outcome.ABORTED)
+            self.sessions.clear()
+            self.pending_assignments = 0
+        self.on_slot_free()
+        return dropped_shards
+
+    # -- teardown ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release core resources (worker processes, shared memory).
+
+        A no-op for inline cores; idempotent.  The process pool also
+        has a GC finalizer, so forgetting to call this leaks nothing
+        past interpreter exit — but tests and long-running callers should
+        close deterministically.
+        """
+        close = getattr(self.core, "close", None)
+        if close is not None:
+            close()
 
 
 class AggregatorNode:
@@ -295,20 +363,12 @@ class AggregatorNode:
         self.update_process_time_s = update_process_time_s
         self.tasks: dict[str, FLTaskRuntime] = {}
         self.alive = True
+        self.crashes = 0  # lets a sweep see a crash it did not catch live
         self.last_heartbeat = 0.0
         self._thread_free_at = [0.0] * drain_threads
         self.updates_processed = 0
 
     # -- placement ------------------------------------------------------------
-
-    def host(self, task_rt: FLTaskRuntime) -> None:
-        """Take over a task (initial placement or failover)."""
-        task_rt.node = self
-        self.tasks[task_rt.config.name] = task_rt
-        self.log.emit(
-            self.sim.now, f"aggregator:{self.node_id}", "task_hosted",
-            task=task_rt.config.name,
-        )
 
     def drop_task(self, name: str) -> FLTaskRuntime | None:
         """Stop hosting a task (it is being moved elsewhere)."""
@@ -316,7 +376,7 @@ class AggregatorNode:
 
     def estimated_workload(self) -> float:
         """Coordinator's placement heuristic: Σ concurrency × model size
-        (sharded tasks contribute only their hosted shards' share)."""
+        (each task contributes its hosted shards' share)."""
         return sum(t.workload_on(self) for t in self.tasks.values())
 
     # -- queue + sharded parallel aggregation ------------------------------------
@@ -353,11 +413,8 @@ class AggregatorNode:
     # -- liveness ------------------------------------------------------------
 
     def demand_report(self) -> dict[str, int]:
-        """Per-task client demand, shipped with each heartbeat.
-
-        Sharded tasks hosted here contribute one entry per hosted shard
-        (``task/s<shard>``) instead of a single whole-task entry.
-        """
+        """Per-shard client demand (``task/s<shard>``), shipped with
+        each heartbeat."""
         report: dict[str, int] = {}
         for rt in self.tasks.values():
             report.update(rt.demand_entries(self))
@@ -366,10 +423,16 @@ class AggregatorNode:
     def fail(self) -> None:
         """Kill the node (failure-injection hook)."""
         self.alive = False
+        self.crashes += 1
         self.log.emit(self.sim.now, f"aggregator:{self.node_id}", "failed")
 
     def recover(self) -> None:
-        """Bring the node back empty (tasks were reassigned elsewhere)."""
+        """Bring the node back with idle drain threads.
+
+        What it hosted at the crash is lost even if no failure sweep saw
+        it down: the Coordinator's next sweep sees ``crashes`` move and
+        fails those shards over.
+        """
         self.alive = True
         self._thread_free_at = [self.sim.now] * self.drain_threads
         self.log.emit(self.sim.now, f"aggregator:{self.node_id}", "recovered")

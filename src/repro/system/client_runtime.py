@@ -274,6 +274,11 @@ class ClientSession:
         exec_done = self.sim.now - self.start_time
 
         def detect() -> None:
+            if self.finished:
+                # Aborted in between: the server already let the client
+                # go, and the device may be back under a new session
+                # whose in-flight entry this must not drop.
+                return
             self.task_rt.core.client_failed(self.device_id)
             self._finish(Outcome.FAILED, exec_done)
 

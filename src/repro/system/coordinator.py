@@ -18,10 +18,13 @@ Client assignment follows Section 6.2 exactly:
   responsible Aggregator.
 
 Failure handling follows Appendix E.4: aggregator death is detected by
-missed heartbeats and its tasks move to the least-loaded live node;
-coordinator death pauses *new* assignments only — participating clients
-are unaffected — and recovery spends a configurable window rebuilding the
-assignment view before resuming.
+missed heartbeats (or, for a crash the node came back from between two
+sweeps, by its crash count) and the shards it hosted move to the
+least-loaded live node — every task is placed and failed over per shard,
+an unsharded task being the one-shard case; coordinator death pauses
+*new* assignments only — participating clients are unaffected — and
+recovery spends a configurable window rebuilding the assignment view
+before resuming.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 
 from repro.sim.engine import Simulator
 from repro.system.aggregator import AggregatorNode, FLTaskRuntime
-from repro.system.sharding import ShardedFLTaskRuntime
 from repro.utils.backoff import RetryPolicy
 from repro.utils.logging import EventLog
 
@@ -62,27 +64,35 @@ class Coordinator:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_miss_limit = heartbeat_miss_limit
         self.recovery_period_s = recovery_period_s
-        # How re-placement of unhosted tasks/shards is paced across
-        # failure sweeps.  The default retries forever with no extra
-        # delay — the historical behaviour, sweep-paced.
+        # How re-placement of unhosted shards is paced across failure
+        # sweeps.  The default retries forever with no extra delay — the
+        # historical behaviour, sweep-paced.
         self.placement_retry = placement_retry or RetryPolicy()
 
         self.aggregators: list[AggregatorNode] = []
         self.tasks: dict[str, FLTaskRuntime] = {}
-        self.placement: dict[str, int] = {}  # task -> node id (root for sharded)
-        self.shard_placement: dict[str, dict[int, int]] = {}  # task -> shard -> node
         self.assignment_seq = 0  # bumped on every placement change
         self.alive = True
         self._recovering_until = -1.0
         self.assignments_made = 0
         self.assignments_rejected = 0
-        # Re-placement retry bookkeeping, keyed (task, shard|None).
-        self._retry_counts: dict[tuple[str, int | None], int] = {}
-        self._retry_after: dict[tuple[str, int | None], float] = {}
-        self._retry_noted_at: dict[tuple[str, int | None], float] = {}
-        self._abandoned: set[tuple[str, int | None]] = set()
+        # Each node's crash count as of the last sweep.
+        self._crashes_seen: dict[int, int] = {}
+        # Re-placement retry bookkeeping, keyed (task, shard).
+        self._retry_counts: dict[tuple[str, int], int] = {}
+        self._retry_after: dict[tuple[str, int], float] = {}
+        self._retry_noted_at: dict[tuple[str, int], float] = {}
+        self._abandoned: set[tuple[str, int]] = set()
 
     # -- registration / placement ------------------------------------------------
+
+    @property
+    def shard_placement(self) -> dict[str, dict[int, int]]:
+        """task -> shard -> id of the node hosting it (placed shards only)."""
+        return {
+            name: {sid: node.node_id for sid, node in rt.shard_nodes.items()}
+            for name, rt in self.tasks.items()
+        }
 
     def register_aggregator(self, node: AggregatorNode) -> None:
         """Add an aggregator to the pool."""
@@ -90,67 +100,44 @@ class Coordinator:
         self.aggregators.append(node)
 
     def register_task(self, task_rt: FLTaskRuntime) -> None:
-        """Accept a task and place it on the least-loaded live aggregator."""
-        self.tasks[task_rt.config.name] = task_rt
-        self._place(task_rt)
+        """Accept a task and spread its shards over the live aggregators.
+
+        Greedy least-estimated-workload per shard (Section 6.3), in
+        ascending shard order — every placed shard immediately counts
+        toward its host's workload, so ``S`` shards on ``N`` comparable
+        nodes land ceil(S/N) per node.
+        """
+        name = task_rt.config.name
+        self.tasks[name] = task_rt
+        live = self._live_nodes()
+        if not live:
+            raise RuntimeError("no live aggregators to place task on")
+        for shard_id in range(task_rt.core.num_shards):
+            node = min(live, key=lambda a: a.estimated_workload())
+            task_rt.place_shard(shard_id, node)
+        self.assignment_seq += 1
+        self.log.emit(
+            self.sim.now, "coordinator", "task_placed",
+            task=name, seq=self.assignment_seq,
+            shards={sid: n.node_id for sid, n in task_rt.shard_nodes.items()},
+        )
 
     def _live_nodes(self) -> list[AggregatorNode]:
         return [a for a in self.aggregators if a.alive]
 
-    def _place(self, task_rt: FLTaskRuntime) -> None:
-        """Least-estimated-workload placement (Section 6.3)."""
-        if isinstance(task_rt, ShardedFLTaskRuntime):
-            self._place_shards(task_rt)
-            return
-        live = self._live_nodes()
-        if not live:
-            raise RuntimeError("no live aggregators to place task on")
-        node = min(live, key=lambda a: a.estimated_workload())
-        node.host(task_rt)
-        self.placement[task_rt.config.name] = node.node_id
-        self.assignment_seq += 1
-        self.log.emit(
-            self.sim.now, "coordinator", "task_placed",
-            task=task_rt.config.name, node=node.node_id, seq=self.assignment_seq,
-        )
-
-    def _place_shards(self, task_rt: ShardedFLTaskRuntime) -> None:
-        """Spread one sharded task's shards over the live aggregators.
-
-        Greedy least-estimated-workload per shard, in ascending shard
-        order — every placed shard immediately counts toward its host's
-        workload, so ``S`` shards on ``N`` comparable nodes land
-        ceil(S/N) per node.
-        """
-        name = task_rt.config.name
-        live = self._live_nodes()
-        if not live:
-            raise RuntimeError("no live aggregators to place task shards on")
-        placement = self.shard_placement.setdefault(name, {})
-        for shard_id in range(task_rt.core.num_shards):
-            node = min(live, key=lambda a: a.estimated_workload())
-            task_rt.place_shard(shard_id, node)
-            placement[shard_id] = node.node_id
-        self.placement[name] = placement[0]
-        self.assignment_seq += 1
-        self.log.emit(
-            self.sim.now, "coordinator", "task_shards_placed",
-            task=name, shards=dict(placement), seq=self.assignment_seq,
-        )
-
     def _replace_dead_shards(
-        self, task_rt: ShardedFLTaskRuntime, reason: str = "node_dead"
+        self, task_rt: FLTaskRuntime, reason: str = "node_dead"
     ) -> list[int]:
         """Re-place shards that lost their host, reviving them empty.
 
         With no live node (or while the retry policy's backoff holds a
         shard back) the shards stay dead — their slice remains re-routed
-        to the survivors — and a later sweep retries, until the policy's
-        attempt budget abandons them.
+        to the survivors, or the task takes no clients if none is left —
+        and a later sweep retries, until the policy's attempt budget
+        abandons them.
         """
         live = self._live_nodes()
         name = task_rt.config.name
-        placement = self.shard_placement.setdefault(name, {})
         revived: list[int] = []
         now = self.sim.now
         for shard_id in task_rt.unplaced_shards():
@@ -165,7 +152,6 @@ class Coordinator:
             node = min(live, key=lambda a: a.estimated_workload())
             task_rt.place_shard(shard_id, node)
             task_rt.core.revive_shard(shard_id)
-            placement[shard_id] = node.node_id
             revived.append(shard_id)
             self.log.emit(
                 now, "coordinator", "shard_replaced",
@@ -177,8 +163,6 @@ class Coordinator:
             self._retry_after.pop(key, None)
             self._retry_noted_at.pop(key, None)
         if revived:
-            if 0 in placement:  # the root entry follows shard 0's host
-                self.placement[name] = placement[0]
             self.assignment_seq += 1
             self.log.emit(
                 self.sim.now, "coordinator", "shards_replaced",
@@ -186,7 +170,7 @@ class Coordinator:
             )
         return revived
 
-    def _note_retry(self, key: tuple[str, int | None], reason: str) -> None:
+    def _note_retry(self, key: tuple[str, int], reason: str) -> None:
         """Count one failed re-placement attempt against the retry policy.
 
         At most one attempt is counted per (key, sweep) — the dead-node
@@ -253,85 +237,58 @@ class Coordinator:
         )
 
     def sweep_failures(self) -> list[str]:
-        """Detect dead aggregators and reassign their tasks.
+        """Detect dead aggregators and fail over the shards they hosted.
 
-        Returns the names of reassigned tasks.  Called periodically by the
-        orchestrator (and directly by failure-injection tests).  Whole
-        tasks move to the least-loaded live node; sharded tasks fail over
-        per shard.  During a deployment-wide outage (no live node at all)
-        nothing is placed — tasks and shards stay unhosted, client
-        assignment pauses, and every subsequent sweep retries until
-        capacity recovers.
+        Returns the names of tasks with a shard re-placed or dropped.
+        Called periodically by the orchestrator (and directly by
+        failure-injection tests).  A node is failed over when it is
+        down, when its heartbeats expired, or when it crashed since the
+        last sweep even if it is already back: a crash loses the node's
+        in-memory state whether or not a sweep saw it down.  During a
+        deployment-wide outage (no live node at all) nothing is placed —
+        shards stay unhosted, client assignment pauses, and every
+        subsequent sweep retries until capacity recovers.
         """
         if not self.alive:
             return []
         deadline = self.heartbeat_miss_limit * self.heartbeat_interval_s
         moved: list[str] = []
         for node in self.aggregators:
+            crashed = node.crashes != self._crashes_seen.get(node.node_id, 0)
+            self._crashes_seen[node.node_id] = node.crashes
             expired = self.sim.now - node.last_heartbeat > deadline
-            if node.alive and not expired:
+            if (node.alive and not expired and not crashed) or not node.tasks:
                 continue
-            if not node.tasks:
-                continue
-            if not node.alive or expired:
-                reason = "heartbeat_expired" if node.alive else "node_dead"
+            if not node.alive:
+                reason = "node_dead"
+            elif expired:
+                reason = "heartbeat_expired"
                 node.alive = False
-                for name in list(node.tasks):
-                    task_rt = node.drop_task(name)
-                    if task_rt is None:
-                        continue
-                    if isinstance(task_rt, ShardedFLTaskRuntime):
-                        # Per-shard failover: only the dead node's shards
-                        # lose state; the rest of the plane keeps folding.
-                        # (A sharded task spans nodes, so dedupe its name.)
-                        for shard_id in task_rt.drop_shards_on(node):
-                            self.shard_placement.get(name, {}).pop(shard_id, None)
-                        self._replace_dead_shards(task_rt, reason=reason)
-                        if name not in moved:
-                            moved.append(name)
-                    else:
-                        task_rt.on_reassigned()
-                        task_rt.node = None  # unhosted until re-placed below
-                        moved.append(name)
-                        self.log.emit(
-                            self.sim.now, "coordinator", "task_failover",
-                            task=name, node=node.node_id, reason=reason,
-                            retries=self._retry_counts.get((name, None), 0),
-                        )
-                        if self.observer is not None:
-                            self.observer.on_failover(reason)
-        # Re-place every unhosted whole task (dropped above, or orphaned
-        # by an earlier all-nodes-dead sweep) and retry shards that could
-        # not be re-placed earlier — a recovered node picks them up.
-        # With no live node anywhere, tasks simply stay unhosted (clients
-        # stop being assigned via is_routable) and the next sweep retries
-        # — a deployment-wide outage must not crash the heartbeat loop.
+            else:
+                reason = "node_restarted"
+            for name in list(node.tasks):
+                # Only the dead node's shards lose state; the rest of the
+                # task keeps folding.  (A task spans nodes: dedupe it.)
+                task_rt = node.drop_task(name)
+                task_rt.drop_shards_on(node)
+                self._replace_dead_shards(task_rt, reason=reason)
+                if name not in moved:
+                    moved.append(name)
+        # Retry shards that could not be re-placed earlier (dropped above,
+        # or orphaned by an earlier all-nodes-dead sweep) — a recovered
+        # node picks them up.  With no live node anywhere they simply stay
+        # unhosted (clients stop being assigned via is_routable) and the
+        # next sweep retries — a deployment-wide outage must not crash
+        # the heartbeat loop.
         unplaced: list[str] = []
-        for task_rt in self.tasks.values():
-            name = task_rt.config.name
-            if isinstance(task_rt, ShardedFLTaskRuntime):
-                if task_rt.unplaced_shards():
-                    if self._replace_dead_shards(task_rt, reason="retry"):
-                        if name not in moved:
-                            moved.append(name)
-                    else:
-                        unplaced.append(name)
-            elif task_rt.node is None:
-                key = (name, None)
-                if key in self._abandoned:
-                    continue
-                if not self._live_nodes():
-                    self._note_retry(key, reason="no_live_node")
-                    unplaced.append(name)
-                elif self.sim.now < self._retry_after.get(key, 0.0):
-                    unplaced.append(name)  # backoff window still open
-                else:
-                    self._place(task_rt)
-                    self._retry_counts.pop(key, None)
-                    self._retry_after.pop(key, None)
-                    self._retry_noted_at.pop(key, None)
-                    if name not in moved:
-                        moved.append(name)
+        for name, task_rt in self.tasks.items():
+            if not task_rt.unplaced_shards():
+                continue
+            if self._replace_dead_shards(task_rt, reason="retry"):
+                if name not in moved:
+                    moved.append(name)
+            else:
+                unplaced.append(name)
         if unplaced:
             self.log.emit(
                 self.sim.now, "coordinator", "tasks_unplaced", tasks=unplaced,
@@ -349,8 +306,8 @@ class Coordinator:
         overloaded multi-task node moves to the least-loaded peer.  This
         is a *planned* move: unlike failover, no state is lost — sessions
         keep running and route to the new host on their next upload.
-        Sharded tasks are never whole-task move candidates (their load is
-        already spread shard-wise; only failover moves shards).
+        Only one-shard tasks are move candidates (a sharded task's load is
+        already spread shard-wise; only failover moves its shards).
 
         ``queue_threshold_s`` comes from
         :attr:`~repro.system.orchestrator.SystemConfig.rebalance_queue_threshold_s`
@@ -367,8 +324,7 @@ class Coordinator:
             if queue_depth_s <= queue_threshold_s or len(node.tasks) < 2:
                 continue
             movable = [
-                n for n, rt in node.tasks.items()
-                if not isinstance(rt, ShardedFLTaskRuntime)
+                n for n, rt in node.tasks.items() if rt.core.num_shards == 1
             ]
             if not movable:
                 continue
@@ -382,8 +338,7 @@ class Coordinator:
                 key=lambda a: a.estimated_workload(),
             )
             task_rt = node.drop_task(name)
-            target.host(task_rt)
-            self.placement[name] = target.node_id
+            task_rt.place_shard(0, target)
             self.assignment_seq += 1
             moved.append(name)
             self.log.emit(

@@ -6,10 +6,11 @@ platform; the construction knobs that used to be hard-coded branches in
 here, keyed by name, so a new plane/routing/trainer plugs in with one
 ``register_*`` call instead of an orchestrator edit:
 
-* **Aggregation planes** — how one task's server-side aggregation is
-  laid out over aggregator nodes.  A plane factory holds the plane's
-  knobs and builds each task's runtime; ``"single"`` (one
-  :class:`~repro.system.aggregator.FLTaskRuntime` on one node),
+* **Aggregation planes** — which aggregation core one task runs.  A
+  plane factory holds the plane's knobs, chooses each task's core and
+  hands it to the one :class:`~repro.system.aggregator.FLTaskRuntime`,
+  which places, fails over and re-places it per shard (an unsharded
+  core is the one-shard case).  ``"single"`` (FedBuff or SyncFL),
   ``"sharded"`` (S shard cores + root reducer spread over the pool),
   ``"secure"`` (FedBuff through Asynchronous SecAgg) and
   ``"secure_sharded"`` (S shard TSA+server pairs under one trusted root
@@ -36,13 +37,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
-from repro.core.sharding import ROUTING_POLICIES
+from repro.core.fedbuff import AggregationCore, FedBuffAggregator
+from repro.core.parallel import ProcessShardedFedBuffAggregator
+from repro.core.sharding import ROUTING_POLICIES, ShardedFedBuffAggregator
 from repro.core.surrogate import SurrogateParams
+from repro.core.syncfl import SyncRoundAggregator
 from repro.core.types import TaskConfig, TrainingMode
 from repro.system.adapters import SurrogateAdapter, TrainerAdapter
-from repro.system.aggregator import FLTaskRuntime, SecureFLTaskRuntime
-from repro.system.secure_sharding import SecureShardedFLTaskRuntime
-from repro.system.sharding import ShardedFLTaskRuntime
+from repro.system.aggregator import FLTaskRuntime
+from repro.system.secure import SecureBufferedAggregator
+from repro.system.secure_sharding import (
+    ProcessSecureShardedAggregator,
+    SecureShardedAggregator,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import Simulator
@@ -156,42 +163,79 @@ class PlaneFactory(Protocol):
 
 
 class SinglePlane:
-    """One aggregation core hosted whole on one aggregator node."""
+    """One aggregation core per task: the one-shard case of the runtime."""
 
     name = "single"
-    runtime = FLTaskRuntime
+
+    def core(self, ctx: PlaneContext) -> AggregationCore:
+        """The task's aggregation core: the mode switch of Appendix E.3."""
+        config, adapter = ctx.config, ctx.adapter
+        if config.mode is TrainingMode.ASYNC:
+            return FedBuffAggregator(
+                adapter.state,
+                goal=config.aggregation_goal,
+                max_staleness=config.max_staleness,
+                example_weighting=adapter.recommended_example_weighting,
+                normalize_by=adapter.recommended_normalization,
+            )
+        return SyncRoundAggregator(
+            adapter.state,
+            goal=config.aggregation_goal,
+            over_selection=config.over_selection,
+            example_weighting=adapter.recommended_example_weighting,
+        )
 
     def build(self, ctx: PlaneContext) -> FLTaskRuntime:
-        return self.runtime(
-            ctx.config, ctx.adapter, ctx.sim, ctx.trace, ctx.log,
+        return FLTaskRuntime(
+            ctx.config, ctx.adapter, self.core(ctx), ctx.sim, ctx.trace, ctx.log,
             on_slot_free=ctx.on_slot_free, cohort=ctx.cohort,
         )
 
 
 class SecurePlane(SinglePlane):
-    """FedBuff through Asynchronous SecAgg (masked server-side buffer)."""
+    """FedBuff through Asynchronous SecAgg (masked server-side buffer).
+
+    FedBuff's buffer lives inside a TSA (Section 5), so the server never
+    sees an update in the clear.
+    """
 
     name = "secure"
-    runtime = SecureFLTaskRuntime
+
+    def core(self, ctx: PlaneContext) -> AggregationCore:
+        config, adapter = ctx.config, ctx.adapter
+        if config.mode is not TrainingMode.ASYNC:
+            raise ValueError(
+                "secure aggregation is implemented via the Asynchronous "
+                "SecAgg protocol; set mode=ASYNC (the paper's SMPC-based "
+                "synchronous SecAgg is out of scope, Section 5)"
+            )
+        return SecureBufferedAggregator(
+            adapter.state,
+            goal=config.aggregation_goal,
+            vector_length=adapter.state.size,
+            max_staleness=config.max_staleness,
+            example_weighting=adapter.recommended_example_weighting,
+        )
 
 
-class ShardedPlane:
+class ShardedPlane(SinglePlane):
     """S shard cores + a root reducer spread across the aggregator pool.
 
     The plane's knobs are validated here, once: ``num_shards`` shard
     cores, clients routed to them by the ``shard_routing`` policy
     registered below, shard folds run by the ``"inline"`` or
     ``"process"`` ``executor`` (see :mod:`repro.core.parallel`).
-    ``num_shards=1`` is the degenerate point: tasks run on the
-    ``unsharded`` plane and no shard machinery is constructed.  Sharding
-    partially evaluates FedBuff's buffered fold, so a sync task in a
-    mixed workload runs on the unsharded plane too, logged as a
+    ``num_shards=1`` is the degenerate point: tasks get the
+    ``unsharded`` plane's core and no shard machinery is constructed.
+    Sharding partially evaluates FedBuff's buffered fold, so a sync task
+    in a mixed workload runs on the unsharded plane too, logged as a
     ``plane_fallback`` event.
     """
 
     name = "sharded"
-    runtime = ShardedFLTaskRuntime
     unsharded = SinglePlane()
+    inline_core = ShardedFedBuffAggregator
+    process_core = ProcessShardedFedBuffAggregator
 
     def __init__(
         self, num_shards: int = 2, shard_routing: str = "hash", executor: str = "inline"
@@ -212,27 +256,54 @@ class ShardedPlane:
         self.executor = executor
 
     def build(self, ctx: PlaneContext) -> FLTaskRuntime:
-        if self.num_shards == 1:
-            return self.unsharded.build(ctx)
         config = ctx.config
-        if config.mode is not TrainingMode.ASYNC:
-            # Built before the event is logged: the secure plane rejects
-            # a sync task outright.
-            rt = self.unsharded.build(ctx)
-            ctx.log.emit(
-                ctx.sim.now, f"task:{config.name}", "plane_fallback",
-                task=config.name, requested=self.name, chosen=self.unsharded.name,
-                reason="sharded aggregation requires mode=ASYNC "
-                       f"(task mode is {config.mode.value!r})",
-            )
-            return rt
-        return self.runtime(
-            config, ctx.adapter, ctx.sim, ctx.trace, ctx.log,
-            on_slot_free=ctx.on_slot_free, cohort=ctx.cohort,
-            num_shards=self.num_shards,
-            shard_routing=make_routing(self.shard_routing),
-            executor=self.executor,
+        if self.num_shards == 1 or config.mode is TrainingMode.ASYNC:
+            return super().build(ctx)
+        # Built before the event is logged: the secure plane rejects a
+        # sync task outright.
+        rt = self.unsharded.build(ctx)
+        ctx.log.emit(
+            ctx.sim.now, f"task:{config.name}", "plane_fallback",
+            task=config.name, requested=self.name, chosen=self.unsharded.name,
+            reason="sharded aggregation requires mode=ASYNC "
+                   f"(task mode is {config.mode.value!r})",
         )
+        return rt
+
+    def core(self, ctx: PlaneContext) -> AggregationCore:
+        """The sharded core (inline or process executor); at
+        ``num_shards=1``, the unsharded plane's core."""
+        if self.num_shards == 1:
+            return self.unsharded.core(ctx)
+        config, adapter = ctx.config, ctx.adapter
+        if config.mode is not TrainingMode.ASYNC:
+            raise ValueError(
+                "sharded aggregation requires mode=ASYNC: FedBuff's "
+                "buffered fold is what the shards partially evaluate"
+            )
+        opts = dict(
+            goal=config.aggregation_goal,
+            num_shards=self.num_shards,
+            routing=make_routing(self.shard_routing),
+            max_staleness=config.max_staleness,
+            example_weighting=adapter.recommended_example_weighting,
+            **self._core_opts(adapter),
+        )
+        if self.executor == "inline":
+            return self.inline_core(adapter.state, **opts)
+
+        def on_event(kind: str, fields: dict) -> None:
+            # Executor events (dead-worker fallback and friends) land in
+            # the event log under the task's name, so a trace reader can
+            # see when a run silently degraded to the inline fold.
+            ctx.log.emit(ctx.sim.now, f"task:{config.name}", kind, **fields)
+
+        return self.process_core(adapter.state, on_event=on_event, **opts)
+
+    @staticmethod
+    def _core_opts(adapter: TrainerAdapter) -> dict[str, Any]:
+        """Constructor options the float core takes beyond the shared ones."""
+        return {"normalize_by": adapter.recommended_normalization}
 
 
 class SecureShardedPlane(ShardedPlane):
@@ -246,8 +317,13 @@ class SecureShardedPlane(ShardedPlane):
     """
 
     name = "secure_sharded"
-    runtime = SecureShardedFLTaskRuntime
     unsharded = SecurePlane()
+    inline_core = SecureShardedAggregator
+    process_core = ProcessSecureShardedAggregator
+
+    @staticmethod
+    def _core_opts(adapter: TrainerAdapter) -> dict[str, Any]:
+        return {"vector_length": adapter.state.size}
 
 
 _PLANES = Registry("aggregation plane")

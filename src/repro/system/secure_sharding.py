@@ -59,27 +59,24 @@ from repro.core.sharding import (
     _ShardSlice,
     merge_group_partials,
 )
-from repro.core.types import ModelUpdate, TaskConfig, TrainingResult
+from repro.core.types import ModelUpdate, TrainingResult
 from repro.secagg.attestation import SigningAuthority
 from repro.secagg.fixedpoint import FixedPointCodec
 from repro.secagg.groups import PowerOfTwoGroup
 from repro.secagg.merkle import VerifiableLog
 from repro.secagg.server import LegPool, SecAggServer
 from repro.secagg.tsa import TrustedSecureAggregator, TrustedShardReducer
-from repro.system.adapters import TrainerAdapter
 from repro.system.secure import (
     SecureBufferedAggregator,
     client_submission,
     publish_manifest,
 )
-from repro.system.sharding import ShardedFLTaskRuntime
 from repro.utils.rng import child_rng
 
 __all__ = [
     "SecureLane",
     "SecureShardedAggregator",
     "ProcessSecureShardedAggregator",
-    "SecureShardedFLTaskRuntime",
 ]
 
 
@@ -592,34 +589,3 @@ class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureShardedAggregat
         # boundary traffic, as the inline plane's do.
         self._on_pool(self._refresh_meters)
         return super().drop_buffer_and_inflight()
-
-
-class SecureShardedFLTaskRuntime(ShardedFLTaskRuntime):
-    """Server-side runtime of one secure task whose aggregation is sharded.
-
-    Everything the float sharded runtime does — shard→node placement,
-    per-shard demand entries, upload routing, per-shard failover through
-    the heartbeat/sweep machinery — is inherited unchanged; only the
-    core differs: masked group folds per shard and one unmask release
-    per epoch instead of float partial sums.  The Coordinator's
-    placement and failover paths key on ``isinstance(...,
-    ShardedFLTaskRuntime)``, so this subclass rides them for free.
-    """
-
-    def _build_core(self, config: TaskConfig, adapter: TrainerAdapter):
-        num_shards, shard_routing, executor = self._shard_core_opts
-        core_kwargs = dict(
-            goal=config.aggregation_goal,
-            vector_length=adapter.state.size,
-            num_shards=num_shards,
-            routing=shard_routing,
-            max_staleness=config.max_staleness,
-            example_weighting=adapter.recommended_example_weighting,
-        )
-        if executor == "process":
-            return ProcessSecureShardedAggregator(
-                adapter.state,
-                on_event=self._executor_event_sink(),
-                **core_kwargs,
-            )
-        return SecureShardedAggregator(adapter.state, **core_kwargs)

@@ -14,7 +14,7 @@ the chaos experiment stop paying O(n) per lookup.
 :meth:`EventLog.to_jsonl` serializes the records as JSON lines —
 the same export path the observability plane (:mod:`repro.obs`) uses for
 spans, so structured events (``plane_fallback``, ``executor_fallback``,
-``task_failover``, ``shard_replaced``, ``placement_retry``, ...) ride
+``shard_failed``, ``shard_replaced``, ``placement_retry``, ...) ride
 along in run exports.
 """
 

@@ -24,6 +24,7 @@ from repro.api import (
     TaskSpec,
     build_population,
 )
+from repro.core.sharding import ShardedFedBuffAggregator
 from repro.core.types import TaskConfig, TrainingMode
 from repro.harness.scenario import run_scenario
 from repro.sim.population import DevicePopulation, PopulationConfig
@@ -31,7 +32,6 @@ from repro.system import planes
 from repro.system.adapters import SurrogateAdapter
 from repro.system.aggregator import FLTaskRuntime
 from repro.system.orchestrator import FederatedSimulation, SystemConfig
-from repro.system.sharding import ShardedFLTaskRuntime
 
 
 def trace_fingerprint(result):
@@ -108,10 +108,9 @@ class TestTraceEquivalence:
             plane=planes.ShardedPlane(num_shards=4, shard_routing="hash"),
         )
         assert trace_fingerprint(spec_res) == trace_fingerprint(hand_res)
-        assert isinstance(
-            Deployment.from_spec(spec).build().task_runtimes["t"],
-            ShardedFLTaskRuntime,
-        )
+        assert type(
+            Deployment.from_spec(spec).build().task_runtimes["t"].core
+        ) is ShardedFedBuffAggregator
 
     def test_secure_plane(self):
         spec = ScenarioSpec(
@@ -173,7 +172,7 @@ class TestPlaneFallback:
         assert "ASYNC" in event.detail["reason"]
 
     def test_secure_task_shards_hierarchically_without_fallback(self):
-        from repro.system.secure_sharding import SecureShardedFLTaskRuntime
+        from repro.system.secure_sharding import SecureShardedAggregator
 
         pop = make_pop(200, seed=0)
         cfg = TaskConfig(name="sec", mode=TrainingMode.ASYNC, concurrency=12,
@@ -183,7 +182,7 @@ class TestPlaneFallback:
             plane=planes.SecureShardedPlane(num_shards=4), seed=0,
         )
         rt = fs.task_runtimes["sec"]
-        assert type(rt) is SecureShardedFLTaskRuntime
+        assert type(rt.core) is SecureShardedAggregator
         assert rt.core.num_shards == 4
         assert fs.log.count("plane_fallback") == 0
 
@@ -218,7 +217,8 @@ class TestPlaneRegistry:
             def build(self, ctx):
                 self.built.append(ctx.config.name)
                 return FLTaskRuntime(
-                    ctx.config, ctx.adapter, ctx.sim, ctx.trace, ctx.log,
+                    ctx.config, ctx.adapter, planes.SinglePlane().core(ctx),
+                    ctx.sim, ctx.trace, ctx.log,
                     on_slot_free=ctx.on_slot_free, cohort=ctx.cohort,
                 )
 

@@ -544,8 +544,9 @@ class TestCohortDispatchSafety:
         from repro.sim.network import NetworkModel
         from repro.sim.population import DevicePopulation, PopulationConfig
         from repro.system.adapters import SurrogateAdapter
-        from repro.system.aggregator import AggregatorNode, FLTaskRuntime
+        from repro.system.aggregator import AggregatorNode
         from repro.system.client_runtime import ClientSession, CohortDispatcher
+        from repro.system.planes import PlaneContext, SinglePlane
         from repro.utils import EventLog
 
         sim, log, trace = Simulator(), EventLog(), MetricsTrace()
@@ -553,8 +554,10 @@ class TestCohortDispatchSafety:
                          aggregation_goal=2, model_size_bytes=1000)
         adapter = SurrogateAdapter(seed=0)
         dispatcher = CohortDispatcher(adapter, max_cohort=4)
-        rt = FLTaskRuntime(cfg, adapter, sim, trace, log, cohort=dispatcher)
-        AggregatorNode(0, sim, log).host(rt)
+        rt = SinglePlane().build(
+            PlaneContext(cfg, adapter, sim, trace, log, lambda: None, dispatcher)
+        )
+        rt.place_shard(0, AggregatorNode(0, sim, log))
         pop = DevicePopulation(PopulationConfig(n_devices=2), seed=0)
 
         def make_session(participation):

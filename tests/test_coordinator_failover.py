@@ -14,9 +14,10 @@ from repro.sim import MetricsTrace, Simulator
 from repro.sim.network import NetworkModel
 from repro.sim.population import DevicePopulation, PopulationConfig
 from repro.system import SurrogateAdapter
-from repro.system.aggregator import AggregatorNode, FLTaskRuntime
-from repro.system.client_runtime import ClientSession
+from repro.system.aggregator import AggregatorNode
+from repro.system.client_runtime import ClientSession, CohortDispatcher
 from repro.system.coordinator import Coordinator
+from repro.system.planes import PlaneContext, SinglePlane
 from repro.utils import EventLog, child_rng
 
 
@@ -33,7 +34,11 @@ def log():
 def make_runtime(sim, log, name="t", concurrency=10, goal=4):
     cfg = TaskConfig(name=name, mode=TrainingMode.ASYNC, concurrency=concurrency,
                      aggregation_goal=goal, model_size_bytes=1000)
-    return FLTaskRuntime(cfg, SurrogateAdapter(seed=0), sim, MetricsTrace(), log)
+    adapter = SurrogateAdapter(seed=0)
+    return SinglePlane().build(PlaneContext(
+        cfg, adapter, sim, MetricsTrace(), log, lambda: None,
+        CohortDispatcher(adapter),
+    ))
 
 
 def make_coordinator(sim, log, n_aggs=2):
@@ -92,7 +97,7 @@ class TestReassignmentUnderNodeFailure:
 
         assert moved == ["t"]
         assert rt.node is other
-        assert coord.placement["t"] == other.node_id
+        assert coord.shard_placement["t"] == {0: other.node_id}
         # Appendix E.4 semantics: buffered updates and sessions are lost...
         assert rt.core.buffered_count == 0
         assert rt.core.in_flight_count() == 0
@@ -176,8 +181,7 @@ class TestQueueDepthRebalancing:
         coord.register_task(light)
         if light.node is not host:
             light.node.drop_task("light")
-            host.host(light)
-            coord.placement["light"] = host.node_id
+            light.place_shard(0, host)
         return coord, nodes, host, heavy, light
 
     def test_queue_depth_at_threshold_does_not_move(self, sim, log):
@@ -195,7 +199,7 @@ class TestQueueDepthRebalancing:
         moved = coord.rebalance_overloaded(queue_threshold_s=10.0)
         assert moved == ["light"]
         assert light.node is nodes[1 - host.node_id]
-        assert coord.placement["light"] == light.node.node_id
+        assert coord.shard_placement["light"] == {0: light.node.node_id}
 
     def test_queue_depth_decays_with_simulated_time(self, sim, log):
         coord, nodes, host, heavy, light = self._two_task_host(sim, log)
@@ -278,7 +282,7 @@ class TestRecoveryWindowEdges:
         moved = coord.sweep_failures()
         assert moved == [rt.config.name]
         assert rt.node is nodes[1]
-        assert coord.placement[rt.config.name] == nodes[1].node_id
+        assert coord.shard_placement[rt.config.name] == {0: nodes[1].node_id}
         assert rt.is_routable()
 
     def test_assignments_rejected_accounting_through_recovery(self, sim, log):

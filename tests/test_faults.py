@@ -395,15 +395,20 @@ class TestShimsAndEvents:
         }
         assert recovery_report(fedsim, result)["device_conservation_ok"]
 
-    def test_task_failover_event_is_structured(self):
+    def test_single_plane_failover_events_are_structured(self):
         faults = FaultSpec(events=(
             FaultEvent("aggregator_crash", 300.0,
                        {"node": 0, "recover_after_s": 200.0}),))
         result = Deployment.from_spec(small_spec(faults=faults)).run()
-        events = list(result.log.of_kind("task_failover"))
+        failed = list(result.log.of_kind("shard_failed"))
+        assert failed
+        assert failed[0].component == "task:train"
+        assert failed[0].detail["node"] == 0 and failed[0].detail["shard"] == 0
+        events = list(result.log.of_kind("shard_replaced"))
         assert events
         detail = events[0].detail
-        assert detail["task"] == "train" and detail["node"] == 0
+        assert detail["task"] == "train" and detail["shard"] == 0
+        assert detail["node"] != 0
         assert detail["reason"] in ("heartbeat_expired", "node_dead")
         assert detail["retries"] == 0
 

@@ -110,6 +110,7 @@ TRAINER_CELLS = {
 
 #: shortened horizon per shipped scenario: just past its last fault window
 SCENARIO_HORIZONS_S = {
+    "aggregator_blip": 450.0,       # crash 305 s, back at 308 s, swept 310 s
     "aggregator_flap": 2500.0,      # 3 flaps from 1200 s, 420 s each
     "coordinator_outage": 2100.0,   # outage 1800-2040 s
     "diurnal_blackout": 2750.0,     # wave 300-2700 s

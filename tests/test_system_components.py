@@ -7,9 +7,10 @@ from repro.core import TaskConfig, TrainingMode
 from repro.sim import MetricsTrace, Simulator
 from repro.system import SurrogateAdapter
 from repro.system.adapters import TrainerAdapter
-from repro.system.aggregator import AggregatorNode, FLTaskRuntime
+from repro.system.aggregator import AggregatorNode
 from repro.system.client_runtime import CohortDispatcher, PendingTraining
 from repro.system.coordinator import Coordinator
+from repro.system.planes import PlaneContext, SinglePlane
 from repro.system.selector import Selector
 from repro.utils import EventLog, child_rng
 
@@ -27,7 +28,11 @@ def log():
 def make_runtime(sim, log, name="t", concurrency=10, goal=2, mode=TrainingMode.ASYNC):
     cfg = TaskConfig(name=name, mode=mode, concurrency=concurrency,
                      aggregation_goal=goal, model_size_bytes=1000)
-    return FLTaskRuntime(cfg, SurrogateAdapter(seed=0), sim, MetricsTrace(), log)
+    adapter = SurrogateAdapter(seed=0)
+    return SinglePlane().build(PlaneContext(
+        cfg, adapter, sim, MetricsTrace(), log, lambda: None,
+        CohortDispatcher(adapter),
+    ))
 
 
 def make_coordinator(sim, log, n_aggs=2):
@@ -172,8 +177,7 @@ class TestOverloadRebalancing:
         if not moved_to_host:
             # Make them cohabit for the test.
             light.node.drop_task("light")
-            host.host(light)
-            coord.placement["light"] = host.node_id
+            light.place_shard(0, host)
         host.update_process_time_s = 10.0
         self._overload(host, heavy, 20)
         moved = coord.rebalance_overloaded(queue_threshold_s=5.0)
@@ -190,7 +194,7 @@ class TestOverloadRebalancing:
         coord.register_task(b)
         if b.node is not host:
             b.node.drop_task("b")
-            host.host(b)
+            b.place_shard(0, host)
         b.core.register_download(7)  # in-flight client must survive the move
         host.update_process_time_s = 10.0
         self._overload(host, a, 20)
@@ -250,13 +254,13 @@ class TestAggregatorNode:
     def test_workload_estimate(self, sim, log):
         node = AggregatorNode(0, sim, log)
         rt = make_runtime(sim, log, concurrency=10)
-        node.host(rt)
+        rt.place_shard(0, node)
         assert node.estimated_workload() == 10 * 1000
 
     def test_queueing_serializes_busy_drain_threads(self, sim, log):
         node = AggregatorNode(0, sim, log, drain_threads=1, update_process_time_s=1.0)
         rt = make_runtime(sim, log, goal=10)
-        node.host(rt)
+        rt.place_shard(0, node)
 
         class FakeSession:
             device_id = 1
@@ -269,7 +273,7 @@ class TestAggregatorNode:
     def test_parallel_drain_threads_absorb_burst(self, sim, log):
         node = AggregatorNode(0, sim, log, drain_threads=4, update_process_time_s=1.0)
         rt = make_runtime(sim, log, goal=10)
-        node.host(rt)
+        rt.place_shard(0, node)
 
         class FakeSession:
             device_id = 1
@@ -281,7 +285,7 @@ class TestAggregatorNode:
     def test_drop_task(self, sim, log):
         node = AggregatorNode(0, sim, log)
         rt = make_runtime(sim, log)
-        node.host(rt)
+        rt.place_shard(0, node)
         assert node.drop_task(rt.config.name) is rt
         assert node.drop_task("missing") is None
 
@@ -294,7 +298,7 @@ class TestAggregatorNode:
     def test_recover_resets_shards(self, sim, log):
         node = AggregatorNode(0, sim, log, drain_threads=1, update_process_time_s=1.0)
         rt = make_runtime(sim, log)
-        node.host(rt)
+        rt.place_shard(0, node)
 
         class FakeSession:
             device_id = 1

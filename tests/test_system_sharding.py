@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 
 from repro.core import TaskConfig, TrainingMode
+from repro.core.fedbuff import FedBuffAggregator
+from repro.core.sharding import ShardedFedBuffAggregator
+from repro.core.syncfl import SyncRoundAggregator
 from repro.sim import MetricsTrace, Simulator
 from repro.sim.faults import FaultInjector
 from repro.sim.network import NetworkModel
 from repro.sim.population import DevicePopulation, PopulationConfig
 from repro.system import SurrogateAdapter
 from repro.system.aggregator import AggregatorNode
-from repro.system.client_runtime import ClientSession
+from repro.system.client_runtime import ClientSession, CohortDispatcher
 from repro.system.coordinator import Coordinator
 from repro.system.orchestrator import FederatedSimulation, SystemConfig
-from repro.system.planes import ShardedPlane
-from repro.system.sharding import ShardedFLTaskRuntime
+from repro.system.planes import PlaneContext, ShardedPlane, SinglePlane
 from repro.utils import EventLog, child_rng
 
 
@@ -35,14 +37,17 @@ def log():
     return EventLog()
 
 
+def plane_context(sim, log, cfg):
+    adapter = SurrogateAdapter(seed=0)
+    return PlaneContext(cfg, adapter, sim, MetricsTrace(), log, lambda: None,
+                        CohortDispatcher(adapter))
+
+
 def make_sharded_runtime(sim, log, name="t", concurrency=12, goal=4,
                          num_shards=4, shard_routing="hash"):
     cfg = TaskConfig(name=name, mode=TrainingMode.ASYNC, concurrency=concurrency,
                      aggregation_goal=goal, model_size_bytes=1000)
-    return ShardedFLTaskRuntime(
-        cfg, SurrogateAdapter(seed=0), sim, MetricsTrace(), log,
-        num_shards=num_shards, shard_routing=shard_routing,
-    )
+    return ShardedPlane(num_shards, shard_routing).build(plane_context(sim, log, cfg))
 
 
 def make_coordinator(sim, log, n_aggs=2):
@@ -78,8 +83,7 @@ class TestShardedRuntimeConstruction:
         cfg = TaskConfig(name="t", mode=TrainingMode.SYNC, concurrency=8,
                          aggregation_goal=4, model_size_bytes=1000)
         with pytest.raises(ValueError, match="ASYNC"):
-            ShardedFLTaskRuntime(cfg, SurrogateAdapter(seed=0), sim,
-                                 MetricsTrace(), log, num_shards=2)
+            ShardedPlane(num_shards=2).core(plane_context(sim, log, cfg))
 
     def test_rejects_unknown_routing(self, sim, log):
         with pytest.raises(ValueError):
@@ -101,7 +105,7 @@ class TestShardPlacement:
         per_node = [len(rt.hosted_shards(n)) for n in nodes]
         assert per_node == [2, 2]
         assert rt.node is rt.shard_nodes[0]  # root rides with shard 0
-        assert coord.placement["t"] == rt.shard_nodes[0].node_id
+        assert coord.shard_placement["t"][0] == rt.shard_nodes[0].node_id
         # Both nodes host the task runtime object itself.
         assert all(n.tasks["t"] is rt for n in nodes)
 
@@ -283,8 +287,6 @@ class TestShardedRebalance:
         assert coord.rebalance_overloaded(queue_threshold_s=30.0) == []
 
     def test_rebalance_log_carries_threshold_and_depth(self, sim, log):
-        from repro.system.aggregator import FLTaskRuntime
-
         coord, nodes = make_coordinator(sim, log, n_aggs=2)
         heavy_cfg = TaskConfig(name="heavy", mode=TrainingMode.ASYNC,
                                concurrency=100, aggregation_goal=4,
@@ -292,17 +294,14 @@ class TestShardedRebalance:
         light_cfg = TaskConfig(name="light", mode=TrainingMode.ASYNC,
                                concurrency=2, aggregation_goal=2,
                                model_size_bytes=1000)
-        heavy = FLTaskRuntime(heavy_cfg, SurrogateAdapter(seed=0), sim,
-                              MetricsTrace(), log)
-        light = FLTaskRuntime(light_cfg, SurrogateAdapter(seed=0), sim,
-                              MetricsTrace(), log)
+        heavy = SinglePlane().build(plane_context(sim, log, heavy_cfg))
+        light = SinglePlane().build(plane_context(sim, log, light_cfg))
         coord.register_task(heavy)
         host = heavy.node
         coord.register_task(light)
         if light.node is not host:
             light.node.drop_task("light")
-            host.host(light)
-            coord.placement["light"] = host.node_id
+            light.place_shard(0, host)
 
         class FakeSession:
             device_id = 0
@@ -333,21 +332,17 @@ class TestShardedSystemConfig:
         assert cfg.rebalance_queue_threshold_s == 12.5
 
     def test_default_config_builds_unsharded_runtime(self):
-        from repro.system.aggregator import FLTaskRuntime
-
         pop = DevicePopulation(PopulationConfig(n_devices=50), seed=0)
         cfg = TaskConfig(name="t", mode=TrainingMode.ASYNC, concurrency=8,
                          aggregation_goal=4, model_size_bytes=1000)
         fs = FederatedSimulation([(cfg, SurrogateAdapter(seed=0))], pop, seed=0)
         rt = fs.task_runtimes["t"]
-        assert type(rt) is FLTaskRuntime
-        assert not isinstance(rt, ShardedFLTaskRuntime)
+        assert type(rt.core) is FedBuffAggregator
+        assert rt.core.num_shards == 1
 
     def test_mixed_workload_shards_only_eligible_tasks(self):
         """num_shards > 1 shards the async non-secure tasks and leaves
         SYNC tasks on the single-aggregator path instead of crashing."""
-        from repro.system.aggregator import FLTaskRuntime
-
         pop = DevicePopulation(PopulationConfig(n_devices=100), seed=0)
         async_cfg = TaskConfig(name="a", mode=TrainingMode.ASYNC, concurrency=8,
                                aggregation_goal=4, model_size_bytes=1000)
@@ -358,8 +353,8 @@ class TestShardedSystemConfig:
              (sync_cfg, SurrogateAdapter(seed=1))],
             pop, seed=0, plane=ShardedPlane(num_shards=2),
         )
-        assert isinstance(fs.task_runtimes["a"], ShardedFLTaskRuntime)
-        assert type(fs.task_runtimes["s"]) is FLTaskRuntime
+        assert type(fs.task_runtimes["a"].core) is ShardedFedBuffAggregator
+        assert type(fs.task_runtimes["s"].core) is SyncRoundAggregator
 
     @pytest.mark.parametrize("routing", ["hash", "load"])
     def test_sharded_simulation_runs_and_converges(self, routing):
@@ -419,12 +414,10 @@ class TestShardedSystemConfig:
             ),
         )
         # Co-host both tasks so the rebalancer has something to move.
-        coord = fs.coordinator
         rts = fs.task_runtimes
         if rts["light"].node is not rts["heavy"].node:
             rts["light"].node.drop_task("light")
-            rts["heavy"].node.host(rts["light"])
-            coord.placement["light"] = rts["heavy"].node.node_id
+            rts["light"].place_shard(0, rts["heavy"].node)
         fs.run(t_end=600.0)
         events = fs.log.of_kind("task_rebalanced")
         assert events, "backlog never triggered a rebalance"
