@@ -7,8 +7,8 @@ into one server step.  This walkthrough shows the subsystem at its
 three levels:
 
 1. **Core equivalence** — drive identical arrival sequences through a
-   single ``FedBuffAggregator`` and a ``ShardedFedBuffAggregator``
-   (S = 4, hash routing) and watch the models agree to float64 rounding
+   ``FedBuffAggregator`` at one shard and at ``num_shards=4`` (hash
+   routing) and watch the models agree to float64 rounding
    (the deterministic ascending-shard merge only *reassociates* the
    weighted sum).
 2. **Critical-path speedup** — attach an ``AggregationPlaneClock`` and
@@ -37,7 +37,7 @@ from repro.api import (
     ScenarioSpec,
     TaskSpec,
 )
-from repro.core import FedBuffAggregator, ShardedFedBuffAggregator, TrainingResult
+from repro.core import FedBuffAggregator, TrainingResult
 from repro.core.server_opt import FedAdam
 from repro.core.sharding import AggregationPlaneClock
 from repro.core.state import GlobalModelState
@@ -75,7 +75,7 @@ def core_equivalence():
     print("=== 1. core equivalence (S=4, hash routing) ===")
     results = arrival_stream(ARRIVALS)
     single = FedBuffAggregator(fresh_state(), goal=GOAL)
-    sharded = ShardedFedBuffAggregator(
+    sharded = FedBuffAggregator(
         fresh_state(), goal=GOAL, num_shards=4, routing="hash"
     )
     for agg in (single, sharded):
@@ -105,7 +105,7 @@ def critical_path_speedup():
 
     for num_shards in (2, 4, 8):
         clock = AggregationPlaneClock(num_shards)
-        sharded = ShardedFedBuffAggregator(
+        sharded = FedBuffAggregator(
             fresh_state(), goal=GOAL, num_shards=num_shards, clock=clock
         )
         for r in results:

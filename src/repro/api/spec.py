@@ -419,19 +419,23 @@ class TaskSpec(_Spec):
 class PlaneSpec(_Spec):
     """Which aggregation plane hosts the deployment's tasks.
 
-    ``"single"`` — one aggregation core per task on one node (default).
-    ``"sharded"`` — ``num_shards`` shard cores + a root reducer, clients
-    routed by the ``shard_routing`` policy (async tasks only; sync tasks
-    in a mixed workload fall back to single with a logged
-    ``plane_fallback`` event).  ``num_shards=1`` is the degenerate
-    single-core point — bit-identical to ``"single"`` — so one sweep
-    grid axis can span ``plane.num_shards=1,2,4``.
-    ``"secure"`` — FedBuff through Asynchronous SecAgg (all tasks).
+    Sharded and secure are two settings of one FedBuff core: every plane
+    builds the same float or secure core, at ``num_shards`` shards.
+
+    ``"single"`` — one aggregation core per task at one shard (default).
+    ``"sharded"`` — the core at ``num_shards`` shard partials + a root
+    reducer, clients routed by the ``shard_routing`` policy (async tasks
+    only; sync tasks in a mixed workload fall back to single with a
+    logged ``plane_fallback`` event).  ``num_shards=1`` builds exactly
+    the ``"single"`` core, so one sweep grid axis can span
+    ``plane.num_shards=1,2,4``.
+    ``"secure"`` — FedBuff through Asynchronous SecAgg at one shard (all
+    tasks).
     ``"secure_sharded"`` — hierarchical secure aggregation:
     ``num_shards`` shard TSA+server pairs whose masked group sums merge
     under one trusted root reducer, bit-identical to ``"secure"`` for
     any shard count and routing (async tasks only, like both parents;
-    its ``num_shards=1`` point is the degenerate single-TSA plane).
+    ``num_shards=1`` builds exactly the ``"secure"`` core).
     Any other name must be a custom plane registered in
     :mod:`repro.system.planes`; it hosts every task.
 
@@ -440,7 +444,8 @@ class PlaneSpec(_Spec):
     modeled by the plane clock) or ``"process"`` (folds on real
     ``multiprocessing`` shard workers over shared memory, bit-identical
     to inline; see :mod:`repro.core.parallel`).  Only the two sharded
-    planes take a non-default executor.
+    planes take a non-default executor, and one shard stays inline
+    whatever the executor.
     """
 
     name: str = _field(_STR, "single")

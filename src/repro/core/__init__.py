@@ -20,7 +20,6 @@ from repro.core.sharding import (
     AggregationPlaneClock,
     HashShardRouting,
     LoadAwareShardRouting,
-    ShardedFedBuffAggregator,
     make_routing,
 )
 from repro.core.staleness import (
@@ -52,7 +51,6 @@ __all__ = [
     "AggregationPlaneClock",
     "HashShardRouting",
     "LoadAwareShardRouting",
-    "ShardedFedBuffAggregator",
     "make_routing",
     "ConstantStaleness",
     "HardCutoffStaleness",

@@ -135,16 +135,16 @@ class DPFedBuffAggregator(FedBuffAggregator):
             initial_version=result.initial_version,
         )
 
-    def _server_step(self) -> ServerStepInfo:
-        # Add the calibrated Gaussian noise directly into the buffer so the
-        # parent's averaging-and-apply path stays untouched: noise on the
-        # buffer sum with sigma = z·C is noise z·C/K on the K-average.
+    def _step_buffer(self, buffer: np.ndarray) -> ServerStepInfo:
+        # Add the calibrated Gaussian noise to the *merged* buffer (after
+        # the root reduce, so no shard partial can drop or overwrite it)
+        # and leave the parent's averaging-and-apply path untouched:
+        # noise on the buffer sum with sigma = z·C is noise z·C/K on the
+        # K-average.
         sigma = self.dp.noise_multiplier * self.dp.clip_norm
-        if sigma > 0 and self._buffer is not None:
-            self._buffer = self._buffer + self._noise_rng.normal(
-                0.0, sigma, size=self._buffer.shape
-            )
-        info = super()._server_step()
+        if sigma > 0:
+            buffer = buffer + self._noise_rng.normal(0.0, sigma, size=buffer.shape)
+        info = super()._step_buffer(buffer)
         self.accountant.record_release()
         return info
 

@@ -19,10 +19,12 @@ both real-gradient and surrogate experiments.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.sharding import AggregationPlaneClock, _Shard, make_routing
 from repro.core.staleness import PolynomialStaleness, StalenessPolicy
 from repro.core.types import ModelUpdate, TrainingResult
 
@@ -76,9 +78,17 @@ class AggregationCore:
     hooks over its buffer: the fold (:meth:`_fold` per arrival,
     :meth:`_fold_chunk` per block chunk), the epoch average
     (``_server_step``, handing it to :meth:`_apply_step`), and
-    :meth:`_reset_epoch`.  The defaults here are the plain float64
-    buffer FedBuff and SyncFL share.
+    :meth:`_reset_epoch`.  The defaults here are SyncFL's: one plain
+    float64 buffer and one shard.  :class:`FedBuffAggregator` folds into
+    per-shard partials instead and overrides the shard protocol.
     """
+
+    # Set by repro.obs.telemetry.RunTelemetry.attach when the spec
+    # enables wall-clock profiling; a core feeds the PhaseProfiler the
+    # phases its shape has (a sharded core its shard folds and root
+    # merges, the secure core its secagg phases, SyncFL none).  None
+    # (the default) keeps every fold path timing-free.
+    profiler = None
 
     def __init__(self, state, goal: int, example_weighting: str = "linear"):
         if goal < 1:
@@ -202,11 +212,11 @@ class AggregationCore:
         (staleness of later updates is measured against the version those
         steps produced).  Only the fold differs: each goal-bounded chunk
         reaches the buffer through one :meth:`_fold_chunk` — a
-        weights-by-deltas matrix product on the float cores (per shard
-        when sharded; agreeing with the per-update AXPYs to float64
+        weights-by-deltas matrix product on the float cores (one per
+        shard; agreeing with the per-update AXPYs to float64
         rounding, ~1e-12 relative, far inside the 1e-8 bound the
-        differential suite enforces), one ``submit_block`` across the
-        secure boundary on the secure ones (bit-identical).  This is the
+        differential suite enforces), one ``submit_block`` per shard across
+        the secure boundary on the secure core (bit-identical).  This is the
         API for direct cohort-style drivers; inside a simulation each
         upload stays its own timestamped event.
         """
@@ -296,10 +306,11 @@ class AggregationCore:
         self._in_flight.clear()
         return lost, dropped
 
-    # -- shard protocol: an unsharded core is the one-shard case ---------------
+    # -- shard protocol: a core that cannot shard is the one-shard case --------
     #
     # The task runtime places, fails over and re-places every core per
-    # shard; ``ShardRoutingMixin`` overrides all of this for S shards.
+    # shard.  Only SyncRoundAggregator uses these stubs; FedBuffAggregator
+    # overrides all of them with its ``num_shards`` shard partials.
 
     num_shards = 1
     _shard_live = True
@@ -330,8 +341,21 @@ class AggregationCore:
         return len(self._contributors)
 
 
+def _untimed(phase, shard_id=None, n=1) -> None:
+    """:meth:`FedBuffAggregator._timer`'s stop when nothing is timed."""
+
+
 class FedBuffAggregator(AggregationCore):
-    """Buffered asynchronous aggregation with staleness weighting.
+    """Buffered asynchronous aggregation with staleness weighting, folded
+    into ``num_shards`` intermediate aggregates (Section 6.3).
+
+    Every admitted update is folded into the partial of the shard its
+    client was routed to at download time; at the aggregation goal the
+    root reducer merges the partials in ascending shard order and hands
+    the merged buffer to the server optimizer.  One partial merges as
+    the identity, so the default ``num_shards=1`` is the unsharded
+    FedBuff fold bit for bit — and it routes without consulting the
+    routing policy (there is one shard to go to).
 
     Parameters
     ----------
@@ -352,6 +376,17 @@ class FedBuffAggregator(AggregationCore):
         ``"weight_sum"`` divides the buffer by the total weight
         (weighted mean, default); ``"goal"`` divides by K as in the
         original FedBuff formulation.
+    num_shards:
+        ``S`` — shard partials folding arrival slices.
+    routing:
+        ``"hash"``, ``"load"``, or a routing object with
+        ``route(client_id, shards) -> shard_id`` (consulted only when
+        ``num_shards > 1``).
+    clock:
+        Optional :class:`~repro.core.sharding.AggregationPlaneClock`
+        collecting the measured per-fold / per-merge costs into the
+        parallel-lane schedule (perf harness only; ``None`` skips all
+        timing).
     """
 
     def __init__(
@@ -362,13 +397,68 @@ class FedBuffAggregator(AggregationCore):
         max_staleness: int = 100,
         example_weighting: str = "linear",
         normalize_by: str = "weight_sum",
+        *,
+        num_shards: int = 1,
+        routing="hash",
+        clock: AggregationPlaneClock | None = None,
     ):
         super().__init__(state, goal, example_weighting)
         if normalize_by not in ("weight_sum", "goal"):
             raise ValueError(f"unknown normalize_by {normalize_by!r}")
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
         self.staleness_policy = staleness_policy or PolynomialStaleness(0.5)
         self.max_staleness = max_staleness
         self.normalize_by = normalize_by
+        self.num_shards = num_shards
+        self.routing = make_routing(routing) if isinstance(routing, str) else routing
+        self.clock = clock
+        # Whether folds and the root merge run as shard-lane work, through
+        # the _fold_one / _fold_group / _merge_shards seams the plane clock
+        # times and the process executor overrides.  One inline shard with
+        # no clock has no lanes: it folds and steps in place, as unsharded
+        # FedBuff does, and is never charged as shard work.
+        self._lanes = num_shards > 1 or clock is not None
+        self._shards = [_Shard() for _ in range(num_shards)]
+        self._shard_of: dict[int, int] = {}  # in-flight client id -> shard id
+        # Shard of each buffered entry, parallel to the arrival-order
+        # lists; lets drop_shard() excise exactly one shard's slice of
+        # the open epoch.
+        self._entry_shards: list[int] = []
+        self.shard_failovers = 0
+
+    # -- client protocol ------------------------------------------------------
+
+    def register_download(self, client_id: int) -> tuple[int, np.ndarray]:
+        """Record the download and route the client to a live shard.
+
+        With *every* shard dead (the whole plane lost its hosts and no
+        capacity has recovered yet) the client is registered but left
+        unrouted: ``shard_of`` stays ``None``, the system layer aborts
+        the session at upload time, and :meth:`_take` rejects the
+        update.
+        """
+        self._in_flight[client_id] = self.version
+        shards = self._shards
+        shard_of = self._shard_of
+        old = shard_of.pop(client_id, None)  # re-registration while in flight
+        if old is not None:
+            shards[old].in_flight -= 1
+        if self.num_shards == 1:
+            shard_id = 0 if shards[0].alive else None
+        else:
+            try:
+                shard_id = self.routing.route(client_id, shards)
+            except RuntimeError:
+                shard_id = None
+        if shard_id is not None:
+            shard_of[client_id] = shard_id
+            shards[shard_id].in_flight += 1
+        return self.version, self.state.current()
+
+    def client_failed(self, client_id: int) -> None:
+        super().client_failed(client_id)
+        self._unroute(client_id)
 
     def stale_clients(self) -> list[int]:
         """In-flight clients whose staleness already exceeds the maximum.
@@ -382,15 +472,43 @@ class FedBuffAggregator(AggregationCore):
             if self.version - v0 > self.max_staleness
         ]
 
-    # -- aggregation ------------------------------------------------------------
+    def shard_of(self, client_id: int) -> int | None:
+        """The shard an in-flight client is routed to (None if unknown)."""
+        return self._shard_of.get(client_id)
+
+    def shard_alive(self, shard_id: int) -> bool:
+        """Whether a shard is currently accepting contributions."""
+        return self._shards[shard_id].alive
+
+    # -- admission --------------------------------------------------------------
+
+    def _unroute(self, client_id: int) -> None:
+        """Release the client's shard slot, if it holds one."""
+        shard_id = self._shard_of.pop(client_id, None)
+        if shard_id is not None:
+            self._shards[shard_id].in_flight -= 1
 
     def _take(self, result: TrainingResult) -> int:
-        initial = super()._take(result)
-        if initial != result.initial_version:
-            raise ValueError(
-                f"client {result.client_id} reported initial version "
-                f"{result.initial_version}, aggregator recorded {initial}"
+        # An update whose client never got a shard (registered while the
+        # whole plane was dead) is rejected before its in-flight entry is
+        # consumed.
+        client_id = result.client_id
+        if client_id not in self._shard_of and client_id in self._in_flight:
+            raise KeyError(
+                f"client {client_id} registered while no shard was live; "
+                "its contribution is lost (plane-wide outage)"
             )
+        try:
+            initial = super()._take(result)
+            if initial != result.initial_version:
+                raise ValueError(
+                    f"client {client_id} reported initial version "
+                    f"{result.initial_version}, aggregator recorded {initial}"
+                )
+        except ValueError:
+            # The in-flight entry is consumed; the shard slot goes with it.
+            self._unroute(client_id)
+            raise
         return initial
 
     def _transform_result(self, result: TrainingResult) -> TrainingResult:
@@ -403,27 +521,232 @@ class FedBuffAggregator(AggregationCore):
         return result
 
     def _admit(self, result: TrainingResult) -> ModelUpdate:
-        """Validate in-flight state and compute one update's weight."""
+        """Validate in-flight state, compute one update's weight, and
+        count it into its routed shard's slice of the open epoch."""
         staleness = self.version - self._take(result)
         result = self._transform_result(result)
         weight = self._example_weight(result.num_examples) * self.staleness_policy(
             staleness
         )
-        self._record(result.client_id, weight, staleness)
+        client_id = result.client_id
+        self._record(client_id, weight, staleness)
+        shard_id = self._shard_of.pop(client_id)
+        shard = self._shards[shard_id]
+        shard.in_flight -= 1
+        shard.count += 1
+        shard.folds_total += 1
+        self._entry_shards.append(shard_id)
         return ModelUpdate(result=result, arrival_version=self.version, weight=weight)
 
+    def _timer(self):
+        """Start timing one interval of shard-lane or root-lane work.
+
+        Returns ``stop(phase, shard_id=None, n=1)``, which charges the
+        elapsed wall-clock to the plane clock (``shard_id``'s lane as
+        ``n`` folds, or the root merge when ``None``) and, with more
+        than one shard, to the profiler's ``phase`` (skipped when
+        ``None``).  With neither to charge nothing reads the clock.
+        """
+        clock = self.clock
+        profiler = self.profiler if self.num_shards > 1 else None
+        if clock is None and profiler is None:
+            return _untimed
+        t0 = time.perf_counter()
+
+        def stop(phase: str | None, shard_id: int | None = None, n: int = 1) -> None:
+            dt = time.perf_counter() - t0
+            if clock is not None:
+                if shard_id is None:
+                    clock.record_merge(dt)
+                else:
+                    clock.record_fold(shard_id, dt, n)
+            if profiler is not None and phase is not None:
+                profiler.record(phase, dt)
+
+        return stop
+
+    # -- aggregation ------------------------------------------------------------
+
+    def receive_update(
+        self, result: TrainingResult
+    ) -> tuple[ModelUpdate, ServerStepInfo | None]:
+        """Fold one update into its shard; maybe trigger the root merge."""
+        if not self._lanes:
+            update = self._admit(result)
+            self._shards[0].fold(update.weight, update.result.delta)
+        else:
+            stop = self._timer()
+            update = self._admit(result)
+            shard_id = self._entry_shards[-1]
+            self._fold_one(shard_id, update.result, update)
+            # Admission + fold both run on the shard's thread.
+            stop("shard_fold", shard_id)
+        info = self._finalize_epoch() if len(self._contributors) >= self.goal else None
+        return update, info
+
+    def _fold_chunk(self, admitted: list[ModelUpdate]) -> None:
+        """One weights-by-deltas product *per shard*, ascending shard order
+        (with one shard: one product over the whole chunk); a clock is
+        charged each grouped fold as one block of ``len(group)``."""
+        if not self._lanes:
+            self._shards[0].fold_group(
+                [u.weight for u in admitted], [u.result.delta for u in admitted]
+            )
+            return
+        shards = self._entry_shards[-len(admitted):]
+        for shard_id in sorted(set(shards)):
+            group = [(u.result, u) for s, u in zip(shards, admitted) if s == shard_id]
+            stop = self._timer()
+            self._fold_group(shard_id, group)
+            stop("shard_fold", shard_id, len(group))
+
+    # -- fold kernels (the seam the process executor overrides) ----------------
+
+    def _fold_one(self, shard_id: int, result: TrainingResult,
+                  update: ModelUpdate) -> None:
+        """Fold one admitted update into its shard's partial (scalar AXPY).
+
+        ``repro.core.parallel`` overrides this (and :meth:`_fold_group` /
+        :meth:`_merge_shards`) to run the identical float operations on a
+        worker process; everything around the fold — admission, counts,
+        entry bookkeeping — stays on this class so both executors share
+        one accounting path.
+        """
+        self._shards[shard_id].fold(update.weight, result.delta)
+
+    def _fold_group(
+        self, shard_id: int, group: list[tuple[TrainingResult, ModelUpdate]]
+    ) -> None:
+        """Fold one shard's slice of a block chunk as a grouped GEMM."""
+        self._shards[shard_id].fold_group(
+            [u.weight for _, u in group], [r.delta for r, _ in group]
+        )
+
+    def _merge_shards(self) -> np.ndarray:
+        """Root reduce: fold shard partials in ascending shard order.
+
+        The order is deterministic by construction (shard id, with empty
+        shards skipped), so re-running the same arrival sequence merges
+        identically; with exactly one non-empty partial the merge is the
+        identity, which is what makes one shard the unsharded fold.
+        """
+        return self._sum_partials(
+            [s.buffer for s in self._shards if s.buffer is not None]
+        )
+
+    def _sum_partials(self, partials: list[np.ndarray]) -> np.ndarray:
+        """The root reduce both executors share: ``p0 + p1``, then
+        ``+= p_k`` in list order.  Bit-identical to ``np.add.reduce``
+        over the list (the same left-to-right adds) without the
+        ``(S, L)`` array numpy would first stack it into.  One partial
+        is returned as is, not copied."""
+        if not partials:  # all contributions were zero-weight-dropped shards
+            return np.zeros(self.state.size, dtype=np.float64)
+        if len(partials) == 1:
+            return partials[0]
+        merged = partials[0] + partials[1]
+        for partial in partials[2:]:
+            merged += partial
+        return merged
+
     def _server_step(self) -> ServerStepInfo:
+        if not self._lanes:  # every buffered update is in the one partial
+            return self._step_buffer(self._shards[0].buffer)
+        stop = self._timer()
+        info = self._step_buffer(self._merge_shards())
+        stop("root_merge")
+        return info
+
+    def _step_buffer(self, buffer: np.ndarray) -> ServerStepInfo:
+        """Average the merged buffer and step the model."""
         denom = self._weight_sum if self.normalize_by == "weight_sum" else float(self.goal)
         if denom <= 0:
             # All-zero weights (e.g. hard-cutoff policy zeroed everything):
             # step over a zero delta so the version still advances.
-            avg = np.zeros_like(self._buffer)
+            avg = np.zeros_like(buffer)
         else:
-            avg = self._buffer / denom
+            avg = buffer / denom
         return self._apply_step(avg.astype(np.float32), self._weight_sum)
+
+    # -- failover (Appendix E.4, per shard) ------------------------------------
+
+    def drop_shard(self, shard_id: int) -> tuple[int, list[int]]:
+        """One shard's host died: discard its partial fold and its slice.
+
+        The shard's buffered contributions never reached the root and
+        are excised from the pending step's accounting; its in-flight
+        clients are dropped (their uploads will be rejected exactly as
+        after ``client_failed``).  The shard is marked dead so routing
+        steers around it until :meth:`revive_shard`.  Returns (buffered
+        updates lost, dropped client ids).
+
+        Losing the *last* live shard is the whole-plane failure (the
+        runtime's total-loss rule): the open epoch and every in-flight
+        client go, as in :meth:`drop_buffer_and_inflight`.
+        """
+        shard = self._shards[shard_id]
+        shard.alive = False
+        self.shard_failovers += 1
+        if not any(s.alive for s in self._shards):
+            return self.drop_buffer_and_inflight()
+        dropped = sorted(
+            cid for cid, sid in self._shard_of.items() if sid == shard_id
+        )
+        for cid in dropped:
+            self._shard_of.pop(cid)
+            self._in_flight.pop(cid, None)
+        shard.in_flight = 0
+        lost = shard.count
+        if lost:
+            keep = [i for i, sid in enumerate(self._entry_shards) if sid != shard_id]
+            self._entry_shards = [self._entry_shards[i] for i in keep]
+            self._keep_entries(keep)
+        shard.clear()
+        return lost, dropped
+
+    def revive_shard(self, shard_id: int) -> None:
+        """Bring a dead shard back empty (re-placed on a live node)."""
+        shard = self._shards[shard_id]
+        shard.alive = True
+        shard.clear()
+        shard.in_flight = 0
+
+    def _reset_epoch(self) -> None:
+        super()._reset_epoch()
+        for shard in self._shards:
+            shard.clear()
+        self._entry_shards = []
+
+    def drop_buffer_and_inflight(self) -> tuple[int, list[int]]:
+        """Whole-plane failure: every shard partial and session is lost."""
+        out = super().drop_buffer_and_inflight()
+        for shard in self._shards:
+            shard.in_flight = 0
+        self._shard_of.clear()
+        return out
+
+    # -- introspection ------------------------------------------------------------
+
+    def live_shards(self) -> list[int]:
+        """Ids of shards currently accepting contributions."""
+        return [i for i, s in enumerate(self._shards) if s.alive]
+
+    def shard_loads(self) -> list[int]:
+        """Lifetime folds per shard (the load-skew telemetry)."""
+        return [s.folds_total for s in self._shards]
+
+    def shard_buffered(self) -> list[int]:
+        """Updates currently sitting in each shard's open epoch."""
+        return [s.count for s in self._shards]
+
+    def shard_in_flight(self) -> list[int]:
+        """In-flight clients routed to each shard."""
+        return [s.in_flight for s in self._shards]
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(goal={self.goal}, version={self.version}, "
-            f"buffered={self.buffered_count}, in_flight={len(self._in_flight)})"
+            f"{type(self).__name__}(goal={self.goal}, "
+            f"shards={self.num_shards}, routing={self.routing.name}, "
+            f"version={self.version}, buffered={self.buffered_count}, "
+            f"in_flight={len(self._in_flight)})"
         )

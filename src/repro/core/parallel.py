@@ -29,7 +29,7 @@ pool, pluggable lanes, and one fallback path**:
   hooks on the shard-failover paths.
   :class:`ProcessShardedFedBuffAggregator` applies it to the
   ``_fold_one`` / ``_fold_group`` / ``_merge_shards`` seam of
-  :class:`~repro.core.sharding.ShardedFedBuffAggregator`.
+  :class:`~repro.core.fedbuff.FedBuffAggregator`.
 
 Determinism contract
 --------------------
@@ -74,7 +74,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.core.sharding import ShardedFedBuffAggregator
+from repro.core.fedbuff import FedBuffAggregator
 
 __all__ = [
     "WorkerPoolError",
@@ -762,7 +762,7 @@ class ProcessExecutorMixin:
         )
 
 
-class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggregator):
+class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, FedBuffAggregator):
     """Sharded FedBuff whose shard cores run on real worker processes.
 
     Admission, staleness, weighting, routing, failover, and step
@@ -772,7 +772,7 @@ class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggreg
     shared-memory partials in ascending shard order.  Bit-identical to
     the in-process plane by the module's determinism contract.
 
-    Parameters beyond :class:`ShardedFedBuffAggregator`'s:
+    Parameters beyond :class:`~repro.core.fedbuff.FedBuffAggregator`'s:
 
     pool:
         A pre-built :class:`ShardWorkerPool` to fold on (shared across
@@ -821,6 +821,7 @@ class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, ShardedFedBuffAggreg
                 )
             if pool.closed or not pool.healthy:
                 raise ValueError("pool is closed or unhealthy")
+        self._lanes = True  # even one shard folds on its worker
         self._attach_pool(pool, owned, on_event)
 
     def _restore_inline_shards(self) -> None:

@@ -34,7 +34,7 @@ from repro.core.cohort import CohortRequest, CohortTrainer
 from repro.core.fedbuff import FedBuffAggregator
 from repro.core.parallel import ProcessShardedFedBuffAggregator, ShardWorkerPool
 from repro.core.server_opt import FedAdam
-from repro.core.sharding import AggregationPlaneClock, ShardedFedBuffAggregator
+from repro.core.sharding import AggregationPlaneClock
 from repro.core.state import GlobalModelState
 from repro.core.types import TrainingResult
 from repro.data.federated import FederatedDataset
@@ -54,10 +54,7 @@ from repro.secagg.prng import expand_mask
 from repro.secagg.server import SecAggServer
 from repro.secagg.tsa import TrustedSecureAggregator
 from repro.system.secure import SecureBufferedAggregator
-from repro.system.secure_sharding import (
-    ProcessSecureShardedAggregator,
-    SecureShardedAggregator,
-)
+from repro.system.secure_sharding import ProcessSecureShardedAggregator
 from repro.utils.rng import child_rng
 
 __all__ = [
@@ -643,7 +640,7 @@ def shards_speedup(
 
             def sharded_arm():
                 clock = AggregationPlaneClock(num_shards)
-                agg = ShardedFedBuffAggregator(
+                agg = FedBuffAggregator(
                     _model_state("shards-init", vector_length, seed), goal=goal,
                     num_shards=num_shards, routing=routing, clock=clock,
                 )
@@ -847,7 +844,7 @@ def secure_shards_speedup(
 
             def sharded_arm(num_shards):
                 clock = AggregationPlaneClock(num_shards)
-                agg = SecureShardedAggregator(
+                agg = SecureBufferedAggregator(
                     _model_state("secure-shards-init", length, seed),
                     goal, length, num_shards=num_shards, routing=routing,
                     clock=clock, seed=seed,

@@ -207,9 +207,9 @@ class RunTelemetry:
         return self
 
     def _attach_profiler(self, core) -> None:
-        """Hand the profiler to every core that exposes a ``profiler`` seam."""
-        if hasattr(type(core), "profiler"):
-            core.profiler = self.profiler
+        """Hand the profiler to the core (every core has the seam and
+        records only the phases its shape has) and to its worker pool."""
+        core.profiler = self.profiler
         pool = getattr(core, "pool", None) or getattr(core, "_pool", None)
         if pool is not None and hasattr(type(pool), "profiler"):
             pool.profiler = self.profiler
@@ -314,12 +314,12 @@ class RunTelemetry:
             )
 
     def _secure_sharded_core(self, task: str):
-        """The task's core when it is a secure *sharded* one, else None.
+        """The task's core when it is a secure one with more than one
+        shard, else None.
 
-        Duck-typed on the conjunction of per-shard load telemetry and
-        boundary meters — the float sharded core has the former, the
-        single secure core the latter, only ``secure_sharded`` has both.
-        Resolved once per task and cached (read-only lookup)."""
+        Sharded is read from ``num_shards``, secure from the boundary
+        meters only the secure core keeps.  Resolved once per task and
+        cached (read-only lookup)."""
         if task in self._secure_cores:
             return self._secure_cores[task]
         core = None
@@ -328,7 +328,7 @@ class RunTelemetry:
             candidate = getattr(rt, "core", None)
             if (
                 candidate is not None
-                and hasattr(candidate, "shard_loads")
+                and candidate.num_shards > 1
                 and hasattr(candidate, "boundary_bytes_in_total")
             ):
                 core = candidate
@@ -400,9 +400,8 @@ class RunTelemetry:
                         "secagg_boundary_bytes_total", ("out",),
                         core.boundary_bytes_out_total,
                     )
-                    shard_loads = getattr(core, "shard_loads", None)
-                    if shard_loads is not None:
-                        for sid, folds in enumerate(shard_loads()):
+                    if core.num_shards > 1:
+                        for sid, folds in enumerate(core.shard_loads()):
                             self._sweep(
                                 "secagg_shard_folds_total",
                                 (name, str(sid)), folds,

@@ -10,11 +10,13 @@ here, keyed by name, so a new plane/routing/trainer plugs in with one
   plane factory holds the plane's knobs, chooses each task's core and
   hands it to the one :class:`~repro.system.aggregator.FLTaskRuntime`,
   which places, fails over and re-places it per shard (an unsharded
-  core is the one-shard case).  ``"single"`` (FedBuff or SyncFL),
-  ``"sharded"`` (S shard cores + root reducer spread over the pool),
-  ``"secure"`` (FedBuff through Asynchronous SecAgg) and
-  ``"secure_sharded"`` (S shard TSA+server pairs under one trusted root
-  reducer) are built in.
+  core is the one-shard case).  Sharded and secure are two settings of
+  one FedBuff core, so the built-in planes are its four corners:
+  ``"single"`` (FedBuff at one shard, or SyncFL), ``"sharded"`` (FedBuff
+  at S shard partials + root reducer, spread over the pool),
+  ``"secure"`` (the secure core — FedBuff through Asynchronous SecAgg —
+  at one shard) and ``"secure_sharded"`` (the secure core at S shard
+  TSA+server pairs under one trusted root reducer).
 * **Shard routings** — client→shard policies for the sharded planes
   (``"hash"``, ``"load"``; see :mod:`repro.core.sharding`).
 * **Trainer adapters** — named factories building
@@ -39,17 +41,14 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
 from repro.core.fedbuff import AggregationCore, FedBuffAggregator
 from repro.core.parallel import ProcessShardedFedBuffAggregator
-from repro.core.sharding import ROUTING_POLICIES, ShardedFedBuffAggregator
+from repro.core.sharding import ROUTING_POLICIES
 from repro.core.surrogate import SurrogateParams
 from repro.core.syncfl import SyncRoundAggregator
 from repro.core.types import TaskConfig, TrainingMode
 from repro.system.adapters import SurrogateAdapter, TrainerAdapter
 from repro.system.aggregator import FLTaskRuntime
 from repro.system.secure import SecureBufferedAggregator
-from repro.system.secure_sharding import (
-    ProcessSecureShardedAggregator,
-    SecureShardedAggregator,
-)
+from repro.system.secure_sharding import ProcessSecureShardedAggregator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.engine import Simulator
@@ -114,8 +113,8 @@ class Registry:
 # ---------------------------------------------------------------------------
 
 # A view over the one routing table, ``repro.core.sharding.ROUTING_POLICIES``:
-# a policy registered here is also what ``ShardedFedBuffAggregator(routing=
-# "name")`` resolves.
+# a policy registered here is also what ``FedBuffAggregator(routing="name")``
+# resolves.
 _ROUTINGS = Registry("shard routing policy")
 _ROUTINGS._entries = ROUTING_POLICIES
 
@@ -163,7 +162,7 @@ class PlaneFactory(Protocol):
 
 
 class SinglePlane:
-    """One aggregation core per task: the one-shard case of the runtime."""
+    """One aggregation core per task, at one shard."""
 
     name = "single"
 
@@ -196,7 +195,7 @@ class SecurePlane(SinglePlane):
     """FedBuff through Asynchronous SecAgg (masked server-side buffer).
 
     FedBuff's buffer lives inside a TSA (Section 5), so the server never
-    sees an update in the clear.
+    sees an update in the clear.  The secure core at one shard.
     """
 
     name = "secure"
@@ -222,19 +221,20 @@ class ShardedPlane(SinglePlane):
     """S shard cores + a root reducer spread across the aggregator pool.
 
     The plane's knobs are validated here, once: ``num_shards`` shard
-    cores, clients routed to them by the ``shard_routing`` policy
-    registered below, shard folds run by the ``"inline"`` or
-    ``"process"`` ``executor`` (see :mod:`repro.core.parallel`).
-    ``num_shards=1`` is the degenerate point: tasks get the
-    ``unsharded`` plane's core and no shard machinery is constructed.
-    Sharding partially evaluates FedBuff's buffered fold, so a sync task
-    in a mixed workload runs on the unsharded plane too, logged as a
-    ``plane_fallback`` event.
+    partials of the one FedBuff core, clients routed to them by the
+    ``shard_routing`` policy registered below, shard folds run by the
+    ``"inline"`` or ``"process"`` ``executor`` (see
+    :mod:`repro.core.parallel`).  ``num_shards=1`` is the degenerate
+    point: the core the ``unsharded`` plane builds, inline whatever the
+    executor (one shard has no lanes to spread).  Sharding partially
+    evaluates FedBuff's buffered fold, so a sync task in a mixed
+    workload runs on the unsharded plane, logged as a ``plane_fallback``
+    event when more than one shard was asked for.
     """
 
     name = "sharded"
     unsharded = SinglePlane()
-    inline_core = ShardedFedBuffAggregator
+    inline_core = FedBuffAggregator
     process_core = ProcessShardedFedBuffAggregator
 
     def __init__(
@@ -257,24 +257,22 @@ class ShardedPlane(SinglePlane):
 
     def build(self, ctx: PlaneContext) -> FLTaskRuntime:
         config = ctx.config
-        if self.num_shards == 1 or config.mode is TrainingMode.ASYNC:
+        if config.mode is TrainingMode.ASYNC:
             return super().build(ctx)
         # Built before the event is logged: the secure plane rejects a
         # sync task outright.
         rt = self.unsharded.build(ctx)
-        ctx.log.emit(
-            ctx.sim.now, f"task:{config.name}", "plane_fallback",
-            task=config.name, requested=self.name, chosen=self.unsharded.name,
-            reason="sharded aggregation requires mode=ASYNC "
-                   f"(task mode is {config.mode.value!r})",
-        )
+        if self.num_shards > 1:
+            ctx.log.emit(
+                ctx.sim.now, f"task:{config.name}", "plane_fallback",
+                task=config.name, requested=self.name, chosen=self.unsharded.name,
+                reason="sharded aggregation requires mode=ASYNC "
+                       f"(task mode is {config.mode.value!r})",
+            )
         return rt
 
     def core(self, ctx: PlaneContext) -> AggregationCore:
-        """The sharded core (inline or process executor); at
-        ``num_shards=1``, the unsharded plane's core."""
-        if self.num_shards == 1:
-            return self.unsharded.core(ctx)
+        """The task's core at ``num_shards`` (inline or process executor)."""
         config, adapter = ctx.config, ctx.adapter
         if config.mode is not TrainingMode.ASYNC:
             raise ValueError(
@@ -289,7 +287,7 @@ class ShardedPlane(SinglePlane):
             example_weighting=adapter.recommended_example_weighting,
             **self._core_opts(adapter),
         )
-        if self.executor == "inline":
+        if self.executor == "inline" or self.num_shards == 1:
             return self.inline_core(adapter.state, **opts)
 
         def on_event(kind: str, fields: dict) -> None:
@@ -309,16 +307,17 @@ class ShardedPlane(SinglePlane):
 class SecureShardedPlane(ShardedPlane):
     """Hierarchical secure aggregation: shard TSAs under one trusted root.
 
-    Each shard runs its own long-lived TSA + server pair over its
-    arrival slice; a root reducer merges the *masked* group sums in
-    deterministic ascending-shard order before the epoch's single
-    unmask + decode — bit-identical to the single secure plane for any
-    shard count and routing (see :mod:`repro.system.secure_sharding`).
+    The secure core at ``num_shards``: each shard runs its own
+    long-lived TSA + server pair over its arrival slice; a root reducer
+    merges the *masked* group sums in deterministic ascending-shard
+    order before the epoch's single unmask + decode — bit-identical to
+    the one-shard secure core for any shard count and routing (see
+    :mod:`repro.system.secure_sharding`).
     """
 
     name = "secure_sharded"
     unsharded = SecurePlane()
-    inline_core = SecureShardedAggregator
+    inline_core = SecureBufferedAggregator
     process_core = ProcessSecureShardedAggregator
 
     @staticmethod

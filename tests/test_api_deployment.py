@@ -24,7 +24,7 @@ from repro.api import (
     TaskSpec,
     build_population,
 )
-from repro.core.sharding import ShardedFedBuffAggregator
+from repro.core.fedbuff import FedBuffAggregator
 from repro.core.types import TaskConfig, TrainingMode
 from repro.harness.scenario import run_scenario
 from repro.sim.population import DevicePopulation, PopulationConfig
@@ -110,7 +110,7 @@ class TestTraceEquivalence:
         assert trace_fingerprint(spec_res) == trace_fingerprint(hand_res)
         assert type(
             Deployment.from_spec(spec).build().task_runtimes["t"].core
-        ) is ShardedFedBuffAggregator
+        ) is FedBuffAggregator
 
     def test_secure_plane(self):
         spec = ScenarioSpec(
@@ -172,7 +172,7 @@ class TestPlaneFallback:
         assert "ASYNC" in event.detail["reason"]
 
     def test_secure_task_shards_hierarchically_without_fallback(self):
-        from repro.system.secure_sharding import SecureShardedAggregator
+        from repro.system.secure import SecureBufferedAggregator
 
         pop = make_pop(200, seed=0)
         cfg = TaskConfig(name="sec", mode=TrainingMode.ASYNC, concurrency=12,
@@ -182,7 +182,7 @@ class TestPlaneFallback:
             plane=planes.SecureShardedPlane(num_shards=4), seed=0,
         )
         rt = fs.task_runtimes["sec"]
-        assert type(rt.core) is SecureShardedAggregator
+        assert type(rt.core) is SecureBufferedAggregator
         assert rt.core.num_shards == 4
         assert fs.log.count("plane_fallback") == 0
 

@@ -147,6 +147,26 @@ class TestDPFedBuff:
         expected = dp.noise_multiplier * dp.clip_norm / goal
         assert observed == pytest.approx(expected, rel=0.1)
 
+    def test_noise_lands_on_the_merged_buffer_at_any_shard_count(self):
+        # The noise is drawn once per step, after the shard partials are
+        # merged: with zero inputs every shard count moves the model by
+        # the same draw, and none of it is lost to a partial.
+        def run(num_shards):
+            agg = DPFedBuffAggregator(
+                make_state(8), goal=4, dp=DPConfig(noise_multiplier=1.0),
+                seed=3, num_shards=num_shards,
+            )
+            for cid in range(4):
+                agg.register_download(cid)
+                agg.receive_update(result(cid, np.zeros(8)))
+            assert agg.accountant.releases == 1
+            return agg.state.current()
+
+        one = run(1)
+        assert np.linalg.norm(one) > 0
+        for num_shards in (2, 3):
+            np.testing.assert_array_equal(run(num_shards), one)
+
     def test_accountant_tracks_steps(self):
         dp = DPConfig(noise_multiplier=1.0)
         agg = DPFedBuffAggregator(make_state(1), goal=1, dp=dp, seed=0)

@@ -15,16 +15,12 @@ from repro.core import (
     DPConfig,
     DPFedBuffAggregator,
     FedBuffAggregator,
-    ShardedFedBuffAggregator,
     SyncRoundAggregator,
     TrainingResult,
 )
 from repro.core.parallel import ProcessShardedFedBuffAggregator
 from repro.system.secure import SecureBufferedAggregator
-from repro.system.secure_sharding import (
-    ProcessSecureShardedAggregator,
-    SecureShardedAggregator,
-)
+from repro.system.secure_sharding import ProcessSecureShardedAggregator
 
 P = 8  # model size
 GOAL = 3
@@ -49,11 +45,11 @@ CORES = {
     "fedbuff": (FedBuffAggregator, (GOAL,), {}),
     "sync": (SyncRoundAggregator, (GOAL,), {}),
     "dp": (DPFedBuffAggregator, (GOAL, DPConfig(noise_multiplier=0.0)), {}),
-    "sharded-1": (ShardedFedBuffAggregator, (GOAL,), {"num_shards": 1}),
-    "sharded-3": (ShardedFedBuffAggregator, (GOAL,), {"num_shards": 3}),
+    "sharded-1": (FedBuffAggregator, (GOAL,), {"num_shards": 1}),
+    "sharded-3": (FedBuffAggregator, (GOAL,), {"num_shards": 3}),
     "sharded-process": (ProcessShardedFedBuffAggregator, (GOAL,), {"num_shards": 2}),
     "secure": (SecureBufferedAggregator, (GOAL, P), {"seed": 1}),
-    "secure-sharded": (SecureShardedAggregator, (GOAL, P), {"num_shards": 2, "seed": 1}),
+    "secure-sharded": (SecureBufferedAggregator, (GOAL, P), {"num_shards": 2, "seed": 1}),
     "secure-sharded-process": (
         ProcessSecureShardedAggregator, (GOAL, P), {"num_shards": 2, "seed": 1},
     ),
@@ -244,7 +240,7 @@ def test_one_routing_table():
     try:
         assert "last" in planes.routing_names()
         assert isinstance(make_routing("last"), Last)
-        agg = ShardedFedBuffAggregator(VecState(), GOAL, num_shards=2, routing="last")
+        agg = FedBuffAggregator(VecState(), GOAL, num_shards=2, routing="last")
         assert agg.routing.name == "last"
     finally:
         planes._ROUTINGS._entries.pop("last")

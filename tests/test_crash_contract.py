@@ -16,9 +16,9 @@ its heartbeats and moves its work; clients of the lost node fail):
   before any failure sweep saw it down.
 
 The end-to-end cases run one cell twice — on the core its plane ships
-and on the *sharded* core at ``num_shards=1`` injected into the same
-runtime — and require equal digests: at one shard the two cores must
-fail over identically.
+and on the core built explicitly at ``num_shards=1`` with hash routing
+by a plane injected into the same runtime — and require equal digests:
+at one shard the two constructions must fail over identically.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from test_golden_digests import GOLDEN, ROOT, SCENARIO_HORIZONS_S
 
 from repro.api import Deployment, ScenarioSpec
 from repro.core import TaskConfig, TrainingMode
-from repro.core.sharding import ShardedFedBuffAggregator
+from repro.core.fedbuff import FedBuffAggregator
 from repro.sim import MetricsTrace, Outcome, Simulator
 from repro.sim.network import NetworkModel
 from repro.sim.population import DevicePopulation, PopulationConfig
@@ -39,13 +39,13 @@ from repro.system.aggregator import AggregatorNode
 from repro.system.client_runtime import ClientSession, CohortDispatcher
 from repro.system.coordinator import Coordinator
 from repro.system.planes import PlaneContext, SinglePlane
-from repro.system.secure_sharding import SecureShardedAggregator
+from repro.system.secure import SecureBufferedAggregator
 from repro.utils import EventLog, child_rng
 
 
 class OneShardPlane(SinglePlane):
-    """The sharded core at ``num_shards=1`` on the one runtime (the
-    shipped planes choose the unsharded core at that point)."""
+    """The core built explicitly at ``num_shards=1`` with hash routing,
+    on the one runtime."""
 
     def __init__(self, name: str, secure: bool):
         self.name = name
@@ -59,10 +59,10 @@ class OneShardPlane(SinglePlane):
             example_weighting=adapter.recommended_example_weighting,
         )
         if self.secure:
-            return SecureShardedAggregator(
+            return SecureBufferedAggregator(
                 adapter.state, vector_length=adapter.state.size, **common
             )
-        return ShardedFedBuffAggregator(
+        return FedBuffAggregator(
             adapter.state, normalize_by=adapter.recommended_normalization, **common
         )
 

@@ -135,10 +135,8 @@ class TestFixedBaseTable:
         client (this process's table) must still agree on every channel
         key, or the worker's TSA rejects the sealed seed."""
         from repro.core.types import TrainingResult
-        from repro.system.secure_sharding import (
-            ProcessSecureShardedAggregator,
-            SecureShardedAggregator,
-        )
+        from repro.system.secure import SecureBufferedAggregator
+        from repro.system.secure_sharding import ProcessSecureShardedAggregator
 
         class State:
             size = 8
@@ -152,7 +150,7 @@ class TestFixedBaseTable:
             def apply(self, avg, n):
                 self.vec += avg
 
-        inline = SecureShardedAggregator(State(), 2, 8, num_shards=1, seed=11)
+        inline = SecureBufferedAggregator(State(), 2, 8, num_shards=1, seed=11)
         proc = ProcessSecureShardedAggregator(
             State(), 2, 8, num_shards=1, seed=11, start_method=start_method
         )

@@ -501,7 +501,7 @@ class TestSecureBlockDrain:
         agg = self._agg(goal=4)
         for i in range(3):
             agg.register_download(i)
-        server = agg._epoch_server
+        server = agg._shards[0].server
         original = server.submit_block
 
         def tampering(subs):
@@ -515,7 +515,7 @@ class TestSecureBlockDrain:
         monkeypatch.setattr(server, "submit_block", original)
         assert agg.buffered_count == 2
         assert agg._contributors == [0, 2]
-        assert len(agg._epoch_weights) == 2
+        assert len(agg._shards[0].weights) == 2
         # The surviving epoch state is consistent: reaching the goal
         # finalizes cleanly (weights reference only processed legs).
         for cid in (10, 11):
@@ -525,13 +525,13 @@ class TestSecureBlockDrain:
 
     def test_epochs_share_tsa_and_pool(self):
         agg = self._agg(goal=2)
-        tsa_before = agg._epoch_tsa
-        pool_before = agg._leg_pool
+        tsa_before = agg._shards[0].tsa
+        pool_before = agg._shards[0].pool
         for i in range(4):
             agg.register_download(i)
         agg.receive_update_block([_result(i, [0.5] * 6) for i in range(4)])
         assert agg.epochs_completed == 2
-        assert agg._epoch_tsa is tsa_before  # re-keyed, not re-stood-up
-        assert agg._leg_pool is pool_before
-        assert agg._epoch_tsa.round_index == 2
+        assert agg._shards[0].tsa is tsa_before  # re-keyed, not re-stood-up
+        assert agg._shards[0].pool is pool_before
+        assert agg._shards[0].tsa.round_index == 2
         assert agg.log.size == 1  # one manifest for the task's lifetime

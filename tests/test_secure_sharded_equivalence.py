@@ -5,7 +5,7 @@ The contract under test (see ``repro/system/secure_sharding.py``) is
 under machine wraparound, so for any shard count and either routing
 policy the merged masked group sums, the released unmask, the decoded
 model deltas, and the cumulative boundary-byte meters of
-:class:`SecureShardedAggregator` are **exactly equal** (``==``, no
+:class:`SecureBufferedAggregator` are **exactly equal** (``==``, no
 tolerance) to the single :class:`SecureBufferedAggregator` fed the same
 arrivals; ``num_shards=1`` is bit-identical to the single plane both
 ways; mid-run shard failure composed with epoch re-keying leaves the
@@ -22,11 +22,7 @@ import pytest
 from repro.core.sharding import HashShardRouting, merge_group_partials
 from repro.core.types import TrainingResult
 from repro.system.secure import SecureBufferedAggregator
-from repro.system.secure_sharding import (
-    ProcessSecureShardedAggregator,
-    SecureLane,
-    SecureShardedAggregator,
-)
+from repro.system.secure_sharding import ProcessSecureShardedAggregator, SecureLane
 
 P = 48  # vector length: small keeps the per-arrival modexp cost down
 
@@ -115,7 +111,7 @@ class TestSecureShardedEquivalence:
     @pytest.mark.parametrize("routing", ["hash", "load"])
     def test_matches_single_secure_plane_exactly(self, num_shards, routing):
         single = SecureBufferedAggregator(VecState(), 6, P, seed=3)
-        sharded = SecureShardedAggregator(
+        sharded = SecureBufferedAggregator(
             VecState(), 6, P, num_shards=num_shards, routing=routing, seed=3
         )
         drive_both(single, sharded, seed=num_shards)
@@ -133,7 +129,7 @@ class TestSecureShardedEquivalence:
         while still masked."""
         goal = 6
         single = SecureBufferedAggregator(VecState(), goal, P, seed=5)
-        sharded = SecureShardedAggregator(
+        sharded = SecureBufferedAggregator(
             VecState(), goal, P, num_shards=3, routing=routing, seed=5
         )
         rng = np.random.default_rng(7)
@@ -145,8 +141,8 @@ class TestSecureShardedEquivalence:
             sharded.receive_update(r)
         assert len(single.step_history) == 0  # epoch still open
 
-        ref, ref_w = single._epoch_server.masked_weighted_sum(
-            single._epoch_weights
+        ref, ref_w = single._shards[0].server.masked_weighted_sum(
+            single._shards[0].weights
         )
         partials = []
         total_w = 0
@@ -185,7 +181,7 @@ class TestSecureShardedEquivalence:
 
     def test_single_shard_is_bit_identical_both_ways(self):
         single = SecureBufferedAggregator(VecState(), 5, P, seed=11)
-        sharded = SecureShardedAggregator(
+        sharded = SecureBufferedAggregator(
             VecState(), 5, P, num_shards=1, seed=11
         )
         drive_both(single, sharded, seed=11, n=13, waves=2)
@@ -196,10 +192,10 @@ class TestSecureShardedEquivalence:
     def test_block_path_matches_sequential_exactly(self, routing):
         rng = np.random.default_rng(13)
         results = [make_result(rng, cid) for cid in range(17)]
-        seq = SecureShardedAggregator(
+        seq = SecureBufferedAggregator(
             VecState(), 5, P, num_shards=3, routing=routing, seed=7
         )
-        blk = SecureShardedAggregator(
+        blk = SecureBufferedAggregator(
             VecState(), 5, P, num_shards=3, routing=routing, seed=7
         )
         single = SecureBufferedAggregator(VecState(), 5, P, seed=7)
@@ -216,9 +212,9 @@ class TestSecureShardedEquivalence:
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
-            SecureShardedAggregator(VecState(), 4, P, num_shards=0)
+            SecureBufferedAggregator(VecState(), 4, P, num_shards=0)
         with pytest.raises(ValueError):
-            SecureShardedAggregator(VecState(), 4, P, routing="nope")
+            SecureBufferedAggregator(VecState(), 4, P, routing="nope")
 
 
 class TestSecureShardFailover:
@@ -230,7 +226,7 @@ class TestSecureShardFailover:
         different mask seeds — but the masks cancel out of the group sum
         and every decoded bit agrees)."""
         rng = np.random.default_rng(21)
-        sharded = SecureShardedAggregator(
+        sharded = SecureBufferedAggregator(
             VecState(), 5, P, num_shards=3, routing=routing, seed=9
         )
         results = [make_result(rng, cid) for cid in range(24)]
@@ -263,7 +259,7 @@ class TestSecureShardFailover:
         assert sharded.shard_failovers == 1
 
     def test_dead_slice_reroutes_exactly_once_and_snaps_back(self):
-        sharded = SecureShardedAggregator(
+        sharded = SecureBufferedAggregator(
             VecState(), 100, P, num_shards=4, routing="hash", seed=1
         )
         probe = next(
@@ -290,7 +286,7 @@ class TestSecureShardFailover:
         """Epoch re-keying (`begin_round`) reuses each shard's long-lived
         TSA, server, and LegPool: no new trusted party, no re-mint-from-
         zero — demand minting just continues on the same pool."""
-        sharded = SecureShardedAggregator(
+        sharded = SecureBufferedAggregator(
             VecState(), 4, P, num_shards=2, routing="hash", seed=2
         )
         idents = [
@@ -315,7 +311,7 @@ class TestSecureShardFailover:
         cumulative meters exactly once, even when a shard (with pre-drop
         traffic already metered) dies inside the epoch and its slice is
         excised."""
-        sharded = SecureShardedAggregator(
+        sharded = SecureBufferedAggregator(
             VecState(), 4, P, num_shards=3, routing="hash", seed=4
         )
         rng = np.random.default_rng(5)
@@ -363,7 +359,7 @@ class TestProcessSecureExecutor:
     @pytest.mark.parametrize("start_method", START_METHODS)
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_bit_identical_to_inline(self, start_method, num_shards):
-        inline = SecureShardedAggregator(
+        inline = SecureBufferedAggregator(
             VecState(), 5, P, num_shards=num_shards, seed=3
         )
         proc = ProcessSecureShardedAggregator(
@@ -381,7 +377,7 @@ class TestProcessSecureExecutor:
 
     def test_dead_worker_falls_back_bit_identically(self):
         events = []
-        inline = SecureShardedAggregator(
+        inline = SecureBufferedAggregator(
             VecState(), 5, P, num_shards=4, seed=3
         )
         proc = ProcessSecureShardedAggregator(
@@ -400,7 +396,7 @@ class TestProcessSecureExecutor:
             proc.close()
 
     def test_drop_and_revive_match_inline_in_process_mode(self):
-        inline = SecureShardedAggregator(
+        inline = SecureBufferedAggregator(
             VecState(), 5, P, num_shards=3, seed=3
         )
         proc = ProcessSecureShardedAggregator(
@@ -430,7 +426,7 @@ class TestProcessSecureExecutor:
     def test_whole_plane_drop_matches_inline_in_process_mode(self):
         """The lost epoch's boundary traffic is excluded from the meters
         on both executors (the worker marks used to keep counting it)."""
-        inline = SecureShardedAggregator(
+        inline = SecureBufferedAggregator(
             VecState(), 5, P, num_shards=3, seed=3
         )
         proc = ProcessSecureShardedAggregator(
@@ -486,7 +482,7 @@ class TestProcessSecureExecutor:
         code is invisible to coverage): participate x2 -> finalize_partial
         -> begin_round, against an inline ``_SecureShard`` fed the same
         arrivals."""
-        inline = SecureShardedAggregator(VecState(), 2, P, num_shards=2, seed=3)
+        inline = SecureBufferedAggregator(VecState(), 2, P, num_shards=2, seed=3)
         lane = SecureLane(
             inline.seed, inline.goal, inline.group.bits, inline.codec.scale,
             inline.clip_value, True,

@@ -1,7 +1,7 @@
 """Differential equivalence suite: sharded aggregation plane vs single core.
 
 The contract under test (see ``repro/core/sharding.py``): for any shard
-count and either routing policy, :class:`ShardedFedBuffAggregator`
+count and either routing policy, :class:`FedBuffAggregator`
 matches the single :class:`FedBuffAggregator` on the same arrival
 sequence to float64 rounding (shard-local folding only reassociates the
 weighted sum; admission, staleness, weighting, and step triggering are
@@ -36,7 +36,6 @@ from repro.core.sharding import (
     AggregationPlaneClock,
     HashShardRouting,
     LoadAwareShardRouting,
-    ShardedFedBuffAggregator,
     _Shard,
     make_routing,
 )
@@ -167,7 +166,7 @@ class TestPlaneClock:
     def test_block_path_feeds_the_clock(self):
         rng = np.random.default_rng(17)
         clock = AggregationPlaneClock(3)
-        agg = ShardedFedBuffAggregator(
+        agg = FedBuffAggregator(
             fresh_state(), goal=4, num_shards=3, clock=clock
         )
         results = [make_result(rng, cid) for cid in range(9)]
@@ -181,7 +180,7 @@ class TestPlaneClock:
 
 class TestPlaneWideOutage:
     def test_download_during_outage_registers_unrouted(self):
-        agg = ShardedFedBuffAggregator(fresh_state(), goal=4, num_shards=2)
+        agg = FedBuffAggregator(fresh_state(), goal=4, num_shards=2)
         agg.drop_shard(0)
         agg.drop_shard(1)
         # Must not raise: the client registers but gets no shard.
@@ -207,7 +206,7 @@ class TestShardedEquivalence:
     @pytest.mark.parametrize("routing", ["hash", "load"])
     def test_matches_single_aggregator(self, num_shards, routing):
         single = FedBuffAggregator(fresh_state(), goal=7)
-        sharded = ShardedFedBuffAggregator(
+        sharded = FedBuffAggregator(
             fresh_state(), goal=7, num_shards=num_shards, routing=routing
         )
         outs_single, outs_sharded = drive_both(single, sharded, seed=num_shards)
@@ -235,7 +234,7 @@ class TestShardedEquivalence:
         single = FedBuffAggregator(
             fresh_state(), goal=5, example_weighting=weighting
         )
-        sharded = ShardedFedBuffAggregator(
+        sharded = FedBuffAggregator(
             fresh_state(), goal=5, num_shards=4, example_weighting=weighting
         )
         drive_both(single, sharded, seed=11, n=17, waves=2)
@@ -245,7 +244,7 @@ class TestShardedEquivalence:
 
     def test_single_shard_is_bit_identical_scalar_path(self):
         single = FedBuffAggregator(fresh_state(), goal=6)
-        sharded = ShardedFedBuffAggregator(fresh_state(), goal=6, num_shards=1)
+        sharded = FedBuffAggregator(fresh_state(), goal=6, num_shards=1)
         outs_single, outs_sharded = drive_both(single, sharded, seed=5)
         # Exact equality, not allclose: one shard performs the single
         # core's AXPY sequence and merging one partial is the identity.
@@ -258,7 +257,7 @@ class TestShardedEquivalence:
     def test_single_shard_is_bit_identical_block_path(self):
         rng = np.random.default_rng(9)
         single = FedBuffAggregator(fresh_state(), goal=4)
-        sharded = ShardedFedBuffAggregator(fresh_state(), goal=4, num_shards=1)
+        sharded = FedBuffAggregator(fresh_state(), goal=4, num_shards=1)
         results = [make_result(rng, cid) for cid in range(11)]
         for agg in (single, sharded):
             for r in results:
@@ -272,10 +271,10 @@ class TestShardedEquivalence:
         rng = np.random.default_rng(13)
         results = [make_result(rng, cid) for cid in range(23)]
         single = FedBuffAggregator(fresh_state(), goal=5)
-        seq = ShardedFedBuffAggregator(
+        seq = FedBuffAggregator(
             fresh_state(), goal=5, num_shards=4, routing=routing
         )
-        blk = ShardedFedBuffAggregator(
+        blk = FedBuffAggregator(
             fresh_state(), goal=5, num_shards=4, routing=routing
         )
         for agg in (single, seq, blk):
@@ -301,7 +300,7 @@ class TestShardedEquivalence:
 
     def test_block_rejects_unknown_client_keeps_admitted_prefix(self):
         rng = np.random.default_rng(3)
-        agg = ShardedFedBuffAggregator(fresh_state(), goal=10, num_shards=3)
+        agg = FedBuffAggregator(fresh_state(), goal=10, num_shards=3)
         known = make_result(rng, 1)
         agg.register_download(1)
         with pytest.raises(KeyError):
@@ -311,7 +310,7 @@ class TestShardedEquivalence:
 
     def test_version_mismatch_keeps_shard_slots_consistent(self):
         rng = np.random.default_rng(4)
-        agg = ShardedFedBuffAggregator(fresh_state(), goal=10, num_shards=3)
+        agg = FedBuffAggregator(fresh_state(), goal=10, num_shards=3)
         agg.register_download(7)
         bad = make_result(rng, 7, version=5)  # recorded initial is 0
         with pytest.raises(ValueError):
@@ -321,12 +320,12 @@ class TestShardedEquivalence:
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
-            ShardedFedBuffAggregator(fresh_state(), goal=4, num_shards=0)
+            FedBuffAggregator(fresh_state(), goal=4, num_shards=0)
         with pytest.raises(ValueError):
-            ShardedFedBuffAggregator(fresh_state(), goal=4, routing="nope")
+            FedBuffAggregator(fresh_state(), goal=4, routing="nope")
 
     def test_reregistration_releases_previous_shard_slot(self):
-        agg = ShardedFedBuffAggregator(
+        agg = FedBuffAggregator(
             fresh_state(), goal=4, num_shards=2, routing="load"
         )
         agg.register_download(0)
@@ -338,7 +337,7 @@ class TestShardedEquivalence:
 
     def test_drop_buffer_and_inflight_clears_shards(self):
         rng = np.random.default_rng(6)
-        agg = ShardedFedBuffAggregator(fresh_state(), goal=10, num_shards=3)
+        agg = FedBuffAggregator(fresh_state(), goal=10, num_shards=3)
         for cid in range(6):
             agg.register_download(cid)
         for cid in range(4):
@@ -356,7 +355,7 @@ class TestShardFailover:
         """After a shard dies mid-buffer, the plane matches a single
         aggregator that was fed only the surviving arrivals."""
         rng = np.random.default_rng(21)
-        sharded = ShardedFedBuffAggregator(
+        sharded = FedBuffAggregator(
             fresh_state(), goal=6, num_shards=3, routing=routing
         )
         results = [make_result(rng, cid) for cid in range(30)]
@@ -400,7 +399,7 @@ class TestShardFailover:
         assert single._weight_sum == pytest.approx(sharded._weight_sum, abs=1e-12)
 
     def test_dead_shard_slice_reroutes_and_revive_restores(self):
-        sharded = ShardedFedBuffAggregator(
+        sharded = FedBuffAggregator(
             fresh_state(), goal=100, num_shards=4, routing="hash"
         )
         # Find a client hashed to shard 2.
@@ -426,7 +425,7 @@ class TestShardFailover:
         already in step history and survive; only the dead shard's
         current partial is excised."""
         rng = np.random.default_rng(31)
-        sharded = ShardedFedBuffAggregator(
+        sharded = FedBuffAggregator(
             fresh_state(), goal=4, num_shards=2, routing="hash"
         )
         results = [make_result(rng, cid) for cid in range(10)]
@@ -673,7 +672,7 @@ class TestProcessExecutorEquivalence:
     @pytest.mark.parametrize("start_method", START_METHODS)
     @pytest.mark.parametrize("num_shards", [1, 3])
     def test_scalar_path_bit_identical(self, start_method, num_shards):
-        inline = ShardedFedBuffAggregator(
+        inline = FedBuffAggregator(
             fresh_state(), goal=6, num_shards=num_shards
         )
         proc = ProcessShardedFedBuffAggregator(
@@ -701,7 +700,7 @@ class TestProcessExecutorEquivalence:
     def test_block_path_bit_identical(self, start_method):
         rng = np.random.default_rng(17)
         results = [make_result(rng, cid) for cid in range(23)]
-        inline = ShardedFedBuffAggregator(fresh_state(), goal=5, num_shards=4)
+        inline = FedBuffAggregator(fresh_state(), goal=5, num_shards=4)
         proc = ProcessShardedFedBuffAggregator(
             fresh_state(), goal=5, num_shards=4, start_method=start_method,
         )
@@ -723,7 +722,7 @@ class TestProcessExecutorEquivalence:
         """Mid-buffer shard failover discards the dead lane's worker
         tasks and still matches the inline plane exactly."""
         rng = np.random.default_rng(23)
-        inline = ShardedFedBuffAggregator(fresh_state(), goal=6, num_shards=3)
+        inline = FedBuffAggregator(fresh_state(), goal=6, num_shards=3)
         proc = ProcessShardedFedBuffAggregator(
             fresh_state(), goal=6, num_shards=3
         )
@@ -805,7 +804,7 @@ class TestProcessExecutorFallback:
 
     def test_dead_worker_falls_back_bit_identically(self):
         events = []
-        inline = ShardedFedBuffAggregator(fresh_state(), goal=6, num_shards=3)
+        inline = FedBuffAggregator(fresh_state(), goal=6, num_shards=3)
         proc = ProcessShardedFedBuffAggregator(
             fresh_state(), goal=6, num_shards=3,
             on_event=lambda kind, fields: events.append((kind, fields)),
@@ -845,7 +844,7 @@ class TestProcessExecutorFallback:
         events = []
         # 4 slots but goal=6: the slab fills before a merge frees it.
         pool = ShardWorkerPool(num_shards=2, vector_length=P, slots=4)
-        inline = ShardedFedBuffAggregator(fresh_state(), goal=6, num_shards=2)
+        inline = FedBuffAggregator(fresh_state(), goal=6, num_shards=2)
         proc = ProcessShardedFedBuffAggregator(
             fresh_state(), goal=6, num_shards=2, pool=pool,
             on_event=lambda kind, fields: events.append((kind, fields)),
@@ -874,7 +873,7 @@ class TestProcessExecutorFallback:
 
     def test_non_float32_delta_falls_back(self):
         events = []
-        inline = ShardedFedBuffAggregator(fresh_state(), goal=3, num_shards=2)
+        inline = FedBuffAggregator(fresh_state(), goal=3, num_shards=2)
         proc = ProcessShardedFedBuffAggregator(
             fresh_state(), goal=3, num_shards=2,
             on_event=lambda kind, fields: events.append((kind, fields)),
@@ -1001,7 +1000,7 @@ class TestRootMerge:
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_inline_merge_equals_add_reduce(self, num_shards):
-        agg = ShardedFedBuffAggregator(fresh_state(), goal=10**6, num_shards=num_shards)
+        agg = FedBuffAggregator(fresh_state(), goal=10**6, num_shards=num_shards)
         self._fill([agg], num_shards, seed=num_shards)
         partials = [s.buffer.copy() for s in agg._shards]
         merged = agg._merge_shards()
@@ -1012,7 +1011,7 @@ class TestRootMerge:
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_process_merge_equals_add_reduce_and_the_inline_merge(self, num_shards):
-        inline = ShardedFedBuffAggregator(fresh_state(), goal=10**6, num_shards=num_shards)
+        inline = FedBuffAggregator(fresh_state(), goal=10**6, num_shards=num_shards)
         pool = ShardWorkerPool(num_shards=num_shards, vector_length=P,
                                slots=12 * num_shards)
         proc = ProcessShardedFedBuffAggregator(
@@ -1078,7 +1077,7 @@ class TestTaskChannelBackpressure:
             num_shards=2, vector_length=P, slots=2 * self.GOAL,
             start_method=start_method, ack_timeout_s=ack_timeout_s,
         )
-        inline = ShardedFedBuffAggregator(fresh_state(), goal=self.GOAL, num_shards=2)
+        inline = FedBuffAggregator(fresh_state(), goal=self.GOAL, num_shards=2)
         proc = ProcessShardedFedBuffAggregator(
             fresh_state(), goal=self.GOAL, num_shards=2, pool=pool,
             on_event=lambda kind, fields: events.append((kind, fields)),

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import TaskConfig, TrainingMode
 from repro.core.fedbuff import FedBuffAggregator
-from repro.core.sharding import ShardedFedBuffAggregator
 from repro.core.syncfl import SyncRoundAggregator
 from repro.sim import MetricsTrace, Simulator
 from repro.sim.faults import FaultInjector
@@ -353,7 +352,7 @@ class TestShardedSystemConfig:
              (sync_cfg, SurrogateAdapter(seed=1))],
             pop, seed=0, plane=ShardedPlane(num_shards=2),
         )
-        assert type(fs.task_runtimes["a"].core) is ShardedFedBuffAggregator
+        assert type(fs.task_runtimes["a"].core) is FedBuffAggregator
         assert type(fs.task_runtimes["s"].core) is SyncRoundAggregator
 
     @pytest.mark.parametrize("routing", ["hash", "load"])
