@@ -1,16 +1,14 @@
 """Batched cohort engine, end to end without the simulator.
 
-The discrete-event simulator processes each upload at its own arrival
-timestamp, so inside a simulation the aggregation cores consume updates
-one at a time even under cohort dispatch.  This demo shows the *direct*
-driver the vectorized APIs exist for: a training loop with no simulated
-time, where whole cohorts train through ``CohortTrainer`` and their
-delta blocks enter FedBuff through ``receive_update_block`` — one
-weights-by-deltas GEMM per server step instead of per-update AXPYs.
+A training loop with no simulated time: whole cohorts train through
+``CohortTrainer`` (one batched LSTM pass over the cohort), and each
+client's update then enters FedBuff through ``receive_update`` — the one
+admission path every aggregation core has, exactly as each upload does
+inside a simulation.
 
 It also double-checks the equivalence guarantee on the way: the batched
-pipeline must reproduce the scalar ``LocalTrainer`` +
-``receive_update`` pipeline's model trajectory.
+pipeline must reproduce the scalar ``LocalTrainer`` pipeline's model
+trajectory.
 
 Run with: PYTHONPATH=src python examples/cohort_engine_demo.py
 """
@@ -43,7 +41,7 @@ def build():
 
 
 def run_batched():
-    """Cohorts through the batched trainer, blocks into the aggregator."""
+    """Cohorts through the batched trainer, then one upload at a time."""
     model_cfg, dataset, agg = build()
     trainer = CohortTrainer(model_cfg, lr=1.0, batch_size=8, seed=SEED)
     start = time.perf_counter()
@@ -56,9 +54,8 @@ def run_batched():
                 CohortRequest(vec, dataset.client_dataset(cid, 12 + cid % 30), version)
             )
         results = trainer.train_cohort(requests)
-        outs = agg.receive_update_block(results)
-        step = outs[-1][1]
-        assert step is not None, "a full cohort block must close a server step"
+        step = [agg.receive_update(result)[1] for result in results][-1]
+        assert step is not None, "a full cohort must close a server step"
         mean_loss = float(np.mean([r.train_loss for r in results]))
         print(f"  round {rnd}: version={step.version} "
               f"weight={step.total_weight:8.1f} mean client loss={mean_loss:.3f}")
@@ -83,7 +80,7 @@ def run_scalar():
 
 def main():
     print(f"FedBuff, {ROUNDS} server steps x {COHORT}-client cohorts, no simulator")
-    print("batched pipeline (CohortTrainer + receive_update_block):")
+    print("batched pipeline (CohortTrainer + receive_update):")
     batched_vec, batched_s = run_batched()
     print("scalar pipeline (LocalTrainer + receive_update) ... ", end="", flush=True)
     scalar_vec, scalar_s = run_scalar()

@@ -123,10 +123,9 @@ class DPFedBuffAggregator(FedBuffAggregator):
         self._noise_rng = child_rng(seed, "dp-noise")
 
     def _transform_result(self, result: TrainingResult) -> TrainingResult:
-        # Clip every delta on admission; routing through the parent's
-        # transform hook keeps receive_update and receive_update_block on
-        # one clipping definition (a block path that skipped clipping
-        # would silently void the sensitivity bound).
+        # Clip every delta on admission, through the parent's transform
+        # hook: every admitted update is clipped before it is weighted or
+        # folded, or the sensitivity bound would be void.
         return TrainingResult(
             client_id=result.client_id,
             delta=clip_by_l2_norm(result.delta, self.dp.clip_norm),

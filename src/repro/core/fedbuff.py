@@ -71,16 +71,17 @@ class AggregationCore:
     in-flight map and download registration, the rejections that happen
     *before* anything is counted (:meth:`_take`), the open epoch's
     arrival-order lists (:meth:`_record`), the server-step record
-    (:meth:`_apply_step`), aggregator failover (as the one-shard case of
-    the shard protocol the task runtime drives), and the one goal-bounded
-    block driver.  A core supplies its admission rule (``_admit``: what
-    an arrival weighs, via :meth:`_take` then :meth:`_record`) and three
-    hooks over its buffer: the fold (:meth:`_fold` per arrival,
-    :meth:`_fold_chunk` per block chunk), the epoch average
-    (``_server_step``, handing it to :meth:`_apply_step`), and
-    :meth:`_reset_epoch`.  The defaults here are SyncFL's: one plain
-    float64 buffer and one shard.  :class:`FedBuffAggregator` folds into
-    per-shard partials instead and overrides the shard protocol.
+    (:meth:`_apply_step`), and aggregator failover (as the one-shard
+    case of the shard protocol the task runtime drives).  Updates are
+    admitted one arrival at a time (:meth:`receive_update`), as each
+    upload reaches the aggregator (Appendix E.2).  A core supplies its
+    admission rule (``_admit``: what an arrival weighs, via :meth:`_take`
+    then :meth:`_record`) and three hooks over its buffer: the fold
+    (:meth:`_fold`), the epoch average (``_server_step``, handing it to
+    :meth:`_apply_step`), and :meth:`_reset_epoch`.  The defaults here
+    are SyncFL's: one plain float64 buffer and one shard.
+    :class:`FedBuffAggregator` folds into per-shard partials instead and
+    overrides the shard protocol.
     """
 
     # Set by repro.obs.telemetry.RunTelemetry.attach when the spec
@@ -202,62 +203,12 @@ class AggregationCore:
         info = self._finalize_epoch() if len(self._contributors) >= self.goal else None
         return update, info
 
-    def receive_update_block(
-        self, results: list[TrainingResult]
-    ) -> list[tuple[ModelUpdate, ServerStepInfo | None]]:
-        """Buffer a vectorized block of client updates.
-
-        Semantically identical to calling :meth:`receive_update` once per
-        result, in order — including any server steps triggered mid-block
-        (staleness of later updates is measured against the version those
-        steps produced).  Only the fold differs: each goal-bounded chunk
-        reaches the buffer through one :meth:`_fold_chunk` — a
-        weights-by-deltas matrix product on the float cores (one per
-        shard; agreeing with the per-update AXPYs to float64
-        rounding, ~1e-12 relative, far inside the 1e-8 bound the
-        differential suite enforces), one ``submit_block`` per shard across
-        the secure boundary on the secure core (bit-identical).  This is the
-        API for direct cohort-style drivers; inside a simulation each
-        upload stays its own timestamped event.
-        """
-        out: list[tuple[ModelUpdate, ServerStepInfo | None]] = []
-        pos = 0
-        while pos < len(results):
-            take = min(len(results) - pos, self.goal - self.buffered_count)
-            chunk = results[pos : pos + take]
-            pos += take
-            admitted: list[ModelUpdate] = []
-            try:
-                for result in chunk:
-                    buffered = self.buffered_count
-                    update = self._admit(result)
-                    out.append((update, None))
-                    if self.buffered_count > buffered:
-                        admitted.append(update)
-            finally:
-                # On a mid-chunk rejection, everything admitted so far is
-                # still folded — the same state the sequential path
-                # would have left behind before raising.
-                if admitted:
-                    self._fold_chunk(admitted)
-            if self.buffered_count >= self.goal:
-                out[-1] = (out[-1][0], self._finalize_epoch())
-        return out
-
     def _fold(self, update: ModelUpdate) -> None:
         """Fold one admitted update into the buffer (scalar AXPY)."""
         result = update.result
         if self._buffer is None:
             self._buffer = np.zeros_like(result.delta, dtype=np.float64)
         self._buffer += update.weight * result.delta.astype(np.float64)
-
-    def _fold_chunk(self, admitted: list[ModelUpdate]) -> None:
-        """Fold what one block chunk admitted, as one matrix product."""
-        weights = np.array([u.weight for u in admitted], dtype=np.float64)
-        deltas = np.stack([u.result.delta for u in admitted]).astype(np.float64)
-        if self._buffer is None:
-            self._buffer = np.zeros(deltas.shape[1], dtype=np.float64)
-        self._buffer += weights @ deltas
 
     def _finalize_epoch(self) -> ServerStepInfo:
         """The goal is met: one server step, then a fresh epoch."""
@@ -414,10 +365,10 @@ class FedBuffAggregator(AggregationCore):
         self.routing = make_routing(routing) if isinstance(routing, str) else routing
         self.clock = clock
         # Whether folds and the root merge run as shard-lane work, through
-        # the _fold_one / _fold_group / _merge_shards seams the plane clock
-        # times and the process executor overrides.  One inline shard with
-        # no clock has no lanes: it folds and steps in place, as unsharded
-        # FedBuff does, and is never charged as shard work.
+        # the _fold_one / _merge_shards seams the plane clock times and the
+        # process executor overrides.  One inline shard with no clock has
+        # no lanes: it folds and steps in place, as unsharded FedBuff does,
+        # and is never charged as shard work.
         self._lanes = num_shards > 1 or clock is not None
         self._shards = [_Shard() for _ in range(num_shards)]
         self._shard_of: dict[int, int] = {}  # in-flight client id -> shard id
@@ -515,8 +466,7 @@ class FedBuffAggregator(AggregationCore):
         """Hook applied to every incoming result before weighting/buffering.
 
         The base aggregator is a pass-through; subclasses use it for
-        per-update preprocessing (e.g. DP clipping) so that both the
-        single-update and the vectorized block path share one definition.
+        per-update preprocessing (e.g. DP clipping).
         """
         return result
 
@@ -584,43 +534,18 @@ class FedBuffAggregator(AggregationCore):
         info = self._finalize_epoch() if len(self._contributors) >= self.goal else None
         return update, info
 
-    def _fold_chunk(self, admitted: list[ModelUpdate]) -> None:
-        """One weights-by-deltas product *per shard*, ascending shard order
-        (with one shard: one product over the whole chunk); a clock is
-        charged each grouped fold as one block of ``len(group)``."""
-        if not self._lanes:
-            self._shards[0].fold_group(
-                [u.weight for u in admitted], [u.result.delta for u in admitted]
-            )
-            return
-        shards = self._entry_shards[-len(admitted):]
-        for shard_id in sorted(set(shards)):
-            group = [(u.result, u) for s, u in zip(shards, admitted) if s == shard_id]
-            stop = self._timer()
-            self._fold_group(shard_id, group)
-            stop("shard_fold", shard_id, len(group))
-
     # -- fold kernels (the seam the process executor overrides) ----------------
 
     def _fold_one(self, shard_id: int, result: TrainingResult,
                   update: ModelUpdate) -> None:
         """Fold one admitted update into its shard's partial (scalar AXPY).
 
-        ``repro.core.parallel`` overrides this (and :meth:`_fold_group` /
-        :meth:`_merge_shards`) to run the identical float operations on a
-        worker process; everything around the fold — admission, counts,
-        entry bookkeeping — stays on this class so both executors share
-        one accounting path.
+        ``repro.core.parallel`` overrides this (and :meth:`_merge_shards`)
+        to run the identical float operations on a worker process;
+        everything around the fold — admission, counts, entry bookkeeping
+        — stays on this class so both executors share one accounting path.
         """
         self._shards[shard_id].fold(update.weight, result.delta)
-
-    def _fold_group(
-        self, shard_id: int, group: list[tuple[TrainingResult, ModelUpdate]]
-    ) -> None:
-        """Fold one shard's slice of a block chunk as a grouped GEMM."""
-        self._shards[shard_id].fold_group(
-            [u.weight for _, u in group], [r.delta for r, _ in group]
-        )
 
     def _merge_shards(self) -> np.ndarray:
         """Root reduce: fold shard partials in ascending shard order.

@@ -7,12 +7,12 @@ parallelism real while keeping the numbers bit-identical, with **one
 pool, pluggable lanes, and one fallback path**:
 
 * :class:`ShardWorkerPool` runs one ``multiprocessing`` worker process
-  per shard.  Delta blocks travel through two
+  per shard.  Client deltas travel through two
   ``multiprocessing.shared_memory`` slabs — a float32 *input slab* of
   reusable slots the parent writes arrivals into, and an *output slab*
   whose rows belong to exactly one shard each, written **only** by that
   shard's worker (single-writer discipline; the parent only reads it at
-  merge time).  Task messages carry slot indices and small scalars, so
+  merge time).  Task messages carry a slot index and small scalars, so
   no update payload is ever pickled; they travel on one pipe per shard,
   written by the dispatching thread itself (:class:`_TaskPipe` — no
   feeder thread between a dispatch and its worker), and the acks come
@@ -28,18 +28,17 @@ pool, pluggable lanes, and one fallback path**:
   ``WorkerPoolError`` → ``executor_fallback`` translation, and the pool
   hooks on the shard-failover paths.
   :class:`ProcessShardedFedBuffAggregator` applies it to the
-  ``_fold_one`` / ``_fold_group`` / ``_merge_shards`` seam of
+  ``_fold_one`` / ``_merge_shards`` seams of
   :class:`~repro.core.fedbuff.FedBuffAggregator`.
 
 Determinism contract
 --------------------
 The fold worker executes the *identical* float operation sequence as the
-in-process shard core — scalar ``partial += w * delta.astype(float64)``,
-grouped ``partial += weights @ deltas.astype(float64)`` on arrays of the
-same dtype, shape, and layout, accumulated in per-shard arrival order
-from a zeroed partial — and the root merge is the same statement, not
-a copy of it: the in-process core's ascending-shard add (``p0 + p1``,
-then ``+= p_k``; no stacking copy).  The process-executor plane is
+in-process shard core — ``partial += w * delta.astype(float64)`` per
+arrival, on arrays of the same dtype, shape, and layout, accumulated in
+per-shard arrival order from a zeroed partial — and the root merge is
+the same statement, not a copy of it: the in-process core's
+ascending-shard add (``p0 + p1``, then ``+= p_k``; no stacking copy).  The process-executor plane is
 therefore **bit-identical** to the in-process plane (pinned by
 ``tests/test_sharded_equivalence.py``), which in turn carries the PR-4
 contract against the single aggregator.
@@ -95,22 +94,13 @@ class WorkerPoolError(RuntimeError):
 # -- fold kernel ---------------------------------------------------------------
 
 
-def numpy_fold_kernel(partial, inputs, slots, weights, grouped) -> None:
-    """The fold every worker applies: op-for-op the in-process shard fold.
-
-    Scalar path is the single core's AXPY
-    (``partial += w * delta.astype(float64)``); grouped path is the
-    block path's GEMV (``partial += weights @ deltas.astype(float64)``)
-    over a C-contiguous float32 block, exactly like
-    ``np.stack`` produces in-process — same dtypes, same layout, same
-    BLAS call, hence bit-identical accumulation.
+def numpy_fold_kernel(partial, inputs, slot, weight) -> None:
+    """The fold every worker applies: op-for-op the in-process shard fold,
+    the single core's AXPY ``partial += w * delta.astype(float64)`` on
+    input slot ``slot`` — same dtypes, same layout, hence bit-identical
+    accumulation.
     """
-    if grouped:
-        w = np.asarray(weights, dtype=np.float64)
-        deltas = inputs[list(slots)].astype(np.float64)
-        partial += w @ deltas
-    else:
-        partial += weights[0] * inputs[slots[0]].astype(np.float64)
+    partial += weight * inputs[slot].astype(np.float64)
 
 
 # -- lanes ---------------------------------------------------------------------
@@ -129,9 +119,8 @@ class FoldLane:
     an ack payload (``None`` for none; a :class:`WorkerPoolError` to
     fail the pool parent-side).
 
-    Ops: ``fold`` (``args = (weights, grouped)``) applies
-    :func:`numpy_fold_kernel` to the named input slots; ``reset`` zeroes
-    the partial.
+    Ops: ``fold`` (one input slot, ``args = (weight,)``) applies
+    :func:`numpy_fold_kernel` to it; ``reset`` zeroes the partial.
     """
 
     out_rows = 1
@@ -146,8 +135,7 @@ class FoldLane:
 
         def handle(op: str, slots: tuple[int, ...], args: tuple):
             if op == "fold":
-                weights, grouped = args
-                numpy_fold_kernel(partial, inputs, slots, weights, grouped)
+                numpy_fold_kernel(partial, inputs, slots[0], args[0])
             else:  # "reset"
                 partial[:] = 0.0
 
@@ -436,6 +424,13 @@ class ShardWorkerPool:
 
     # -- dispatch --------------------------------------------------------------
 
+    def _check_open(self) -> None:
+        """Refuse any op on a closed pool: :meth:`close` unmaps the slabs
+        that ``inputs`` and the output rows still view, so reaching them
+        would read or write unmapped memory."""
+        if not self._finalizer.alive:
+            raise WorkerPoolError("the pool is closed (workers stopped, slabs released)")
+
     def _take_slot(self) -> int:
         if not self._free_slots:
             self.healthy = False
@@ -448,6 +443,7 @@ class ShardWorkerPool:
         return slot
 
     def _post(self, shard_id: int, op: str, task_slots=(), args=()) -> int:
+        self._check_open()
         token = self._next_token
         self._next_token += 1
         self._outstanding[token] = shard_id
@@ -460,16 +456,16 @@ class ShardWorkerPool:
             )
         return token
 
-    def dispatch(self, shard_id: int, op: str, args: tuple, deltas) -> None:
+    def dispatch(self, shard_id: int, op: str, args: tuple, delta) -> None:
         """Asynchronously run one *logged* lane op on ``shard_id``'s worker.
 
-        Each delta is written into a fresh input slot; the task (and the
-        dispatch log, which is what a fallback replays) names the slots.
+        The arrival's delta is written into a fresh input slot; the task
+        (and the dispatch log, which is what a fallback replays) names it.
         """
         t0 = time.perf_counter() if self.profiler is not None else 0.0
-        task_slots = tuple(self._take_slot() for _ in deltas)
-        for slot, delta in zip(task_slots, deltas):
-            self.inputs[slot, :] = delta
+        self._check_open()
+        task_slots = (self._take_slot(),)
+        self.inputs[task_slots[0], :] = delta
         # Posted before it is logged: a task the pipe refused is the
         # caller's to run inline, so a replay must not run it too.
         self._post(shard_id, op, task_slots, args)
@@ -480,13 +476,7 @@ class ShardWorkerPool:
 
     def fold_scalar(self, shard_id: int, delta: np.ndarray, weight: float) -> None:
         """Asynchronously fold one arrival into ``shard_id``'s partial."""
-        self.dispatch(shard_id, "fold", ((float(weight),), False), (delta,))
-
-    def fold_group(self, shard_id: int, deltas, weights) -> None:
-        """Asynchronously fold a grouped block into ``shard_id``'s partial."""
-        self.dispatch(
-            shard_id, "fold", (tuple(float(w) for w in weights), True), deltas
-        )
+        self.dispatch(shard_id, "fold", (float(weight),), delta)
 
     # -- synchronization -------------------------------------------------------
 
@@ -513,6 +503,7 @@ class ShardWorkerPool:
 
     def _drain_until(self, token: int | None) -> None:
         """Collect acks until ``token`` arrives (or all, when ``None``)."""
+        self._check_open()
         deadline = time.monotonic() + self.ack_timeout_s
         while self._outstanding if token is None else token in self._outstanding:
             try:
@@ -565,10 +556,12 @@ class ShardWorkerPool:
         Only meaningful once the op that writes them has been acked; the
         parent must never write through it (single-writer discipline).
         """
+        self._check_open()
         return self._out[shard_id]
 
     def partial(self, shard_id: int) -> np.ndarray:
         """One shard's float64 partial row (fold lane, after :meth:`barrier`)."""
+        self._check_open()
         return self._out[shard_id, 0]
 
     # -- epoch lifecycle -------------------------------------------------------
@@ -611,20 +604,22 @@ class ShardWorkerPool:
         kernel from a zeroed buffer reproduces each worker's fold
         sequence bit-for-bit — this is the dead-worker fallback path.
         """
+        self._check_open()
         out: dict[int, np.ndarray] = {}
-        for shard_id, _, task_slots, (weights, grouped) in self._log:
+        for shard_id, _, (slot,), (weight,) in self._log:
             buf = out.get(shard_id)
             if buf is None:
                 buf = out[shard_id] = np.zeros(
                     self.vector_length, dtype=np.float64
                 )
-            numpy_fold_kernel(buf, self.inputs, task_slots, weights, grouped)
+            numpy_fold_kernel(buf, self.inputs, slot, weight)
         return out
 
     # -- teardown --------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the workers and release both slabs (idempotent)."""
+        """Stop the workers and release both slabs (idempotent); every
+        later op raises :class:`WorkerPoolError`."""
         if self._finalizer.alive:
             self._finalizer()
 
@@ -665,6 +660,7 @@ class ProcessExecutorMixin:
     # False until _attach_pool: host constructors run their inline setup
     # (which may already hit the overridden seams) before the pool exists.
     _pool_active = False
+    _closed = False
 
     def _attach_pool(self, pool: ShardWorkerPool, owned: bool, on_event) -> None:
         self._pool = pool
@@ -716,9 +712,13 @@ class ProcessExecutorMixin:
         ``pool_error`` for a dispatch to ``shard``, as ``worker_dead``
         for a synchronization point.  Any other exception (a malformed
         delta, say) is the caller's error, not the executor's, and
-        propagates with the pool left active.
+        propagates with the pool left active.  A closed core raises.
         """
         if not self._pool_active:
+            if self._closed:
+                raise RuntimeError(
+                    f"{type(self).__name__} is closed (its worker pool is gone)"
+                )
             return False
         try:
             fn(*args)
@@ -749,12 +749,22 @@ class ProcessExecutorMixin:
         self._on_pool(self._pool.barrier)
 
     def close(self) -> None:
-        """Tear down the owned worker pool (shared pools stay up)."""
+        """Tear down the owned worker pool (shared pools stay up).
+
+        Idempotent and silent (no event).  The core is unusable after:
+        its shard state lives on the pool, so every later pool seam
+        raises instead of running inline against stale partials.
+        """
         if self._owns_pool:
             self._pool.close()
+        self._pool_active = False
+        self._closed = True
 
     def __repr__(self) -> str:
-        executor = "process" if self._pool_active else "inline(fallback)"
+        if self._closed:
+            executor = "closed"
+        else:
+            executor = "process" if self._pool_active else "inline(fallback)"
         return (
             f"{type(self).__name__}(goal={self.goal}, "
             f"shards={self.num_shards}, routing={self.routing.name}, "
@@ -843,16 +853,6 @@ class ProcessShardedFedBuffAggregator(ProcessExecutorMixin, FedBuffAggregator):
             shard=shard_id,
         ):
             super()._fold_one(shard_id, result, update)
-
-    def _fold_group(self, shard_id, group) -> None:
-        deltas = [r.delta for r, _ in group]
-        if self._pool_active and any(d.dtype != np.float32 for d in deltas):
-            self._fall_back("unsupported_dtype", shard=shard_id)
-        if not self._on_pool(
-            self._pool.fold_group, shard_id, deltas, [u.weight for _, u in group],
-            shard=shard_id,
-        ):
-            super()._fold_group(shard_id, group)
 
     def _merge_shards(self) -> np.ndarray:
         if not self._on_pool(self._pool.barrier):

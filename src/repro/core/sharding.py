@@ -111,14 +111,6 @@ class _Shard(_ShardSlice):
             self.buffer = np.zeros_like(delta, dtype=np.float64)
         self.buffer += weight * delta.astype(np.float64)
 
-    def fold_group(self, weights: list[float], deltas: list[np.ndarray]) -> None:
-        """Fold a group of updates as one weights-by-deltas product."""
-        w = np.array(weights, dtype=np.float64)
-        stacked = np.stack(deltas).astype(np.float64)
-        if self.buffer is None:
-            self.buffer = np.zeros(stacked.shape[1], dtype=np.float64)
-        self.buffer += w @ stacked
-
 
 class HashShardRouting:
     """Deterministic hash routing: ``mix64(client_id) mod S``.
@@ -228,8 +220,8 @@ class AggregationPlaneClock:
         self.merges = 0
 
     def record_fold(self, shard_id: int, seconds: float, n: int = 1) -> None:
-        """``n`` updates' worth of fold work on ``shard_id``'s lane
-        (``n > 1`` for one grouped block fold covering n updates)."""
+        """``n`` updates' worth of fold work on ``shard_id``'s lane (``n = 0``
+        for lane work that folds nothing, e.g. a secure shard's partial)."""
         self.lanes[shard_id] = max(self.lanes[shard_id], self.root) + seconds
         self.folds += n
 

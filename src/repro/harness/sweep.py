@@ -298,7 +298,7 @@ class SweepResult:
         ]
 
     def groups(self) -> list[SweepGroup]:
-        """Cells grouped by (experiment, params), seeds aggregated together.
+        """Cells collected per (experiment, params), seeds aggregated together.
 
         Memoized so renderers and :meth:`to_jsonable` share group
         instances (and therefore each group's cached aggregate).

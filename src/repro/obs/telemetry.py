@@ -103,7 +103,7 @@ SPAN_CATALOG: dict[str, str] = {
 
 #: every wall-clock profiling phase: name -> the hot path it times
 PHASE_CATALOG: dict[str, str] = {
-    "shard_fold": "sharded-core fold of one arrival (or grouped block)",
+    "shard_fold": "sharded-core fold of one arrival",
     "root_merge": "root reducer merging shard partials at a server step",
     "pool_dispatch": "process-pool slab write + task dispatch",
     "pool_barrier": "process-pool ack wait at epoch barriers",

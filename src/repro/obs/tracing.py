@@ -179,7 +179,7 @@ class SpanTracer:
         return {k: self._name_totals[k] for k in sorted(self._name_totals)}
 
     def tree(self) -> dict[int | None, list[Span]]:
-        """Retained completed spans grouped by parent id (the span tree)."""
+        """Retained completed spans keyed by parent id (the span tree)."""
         children: dict[int | None, list[Span]] = {}
         for span in self._done:
             children.setdefault(span.parent_id, []).append(span)

@@ -351,24 +351,18 @@ class SecureBufferedAggregator(FedBuffAggregator):
         the leading arguments of :func:`client_submission`."""
         return self.seed, self.codec, self.authority, self._log_bundle
 
-    def _participate(self, result: TrainingResult, server: SecAggServer, arrival: int):
-        """Run the client-side secure participation for one result —
-        the ``arrival``-th the task received — against ``server``'s leg."""
-        return client_submission(
-            *self._client_ctx(), server, result.delta, result.client_id,
-            self.version, arrival, result.num_examples,
-        )
-
     def _fold_client(self, result: TrainingResult, w_int: int) -> bool:
-        """Participate and submit the arrival just admitted to its
-        shard's server; False if the TSA rejected it.  The weight lands
-        in the *shard's* leg->weight map: leg indices are a per-TSA
-        namespace.  The process executor overrides this seam to hand the
-        whole step to the shard's worker."""
+        """Run the client-side secure participation for the arrival just
+        admitted against its shard's server leg, and submit it; False if
+        the TSA rejected it.  The weight lands in the *shard's*
+        leg->weight map: leg indices are a per-TSA namespace.  The
+        process executor overrides this seam to hand the whole step to
+        the shard's worker."""
         shard_id = self._entry_shards[-1]
         shard = self._shards[shard_id]
-        submission = self._participate(
-            result, shard.server, self.updates_received - 1
+        submission = client_submission(
+            *self._client_ctx(), shard.server, result.delta, result.client_id,
+            self.version, self.updates_received - 1, result.num_examples,
         )
         stop = self._timer()
         ok = shard.server.submit(submission)
@@ -377,54 +371,15 @@ class SecureBufferedAggregator(FedBuffAggregator):
             shard.weights[submission.leg_index] = w_int
         return ok
 
-    def _fold_chunk(self, admitted: list[ModelUpdate]) -> None:
-        """Cross the secure boundary once per shard for the whole chunk.
-
-        The completing messages are forwarded at check-in (amortized DH
-        legs) and each shard's TSA expands and folds its slice's masks as
-        one fused ``submit_block``, in ascending shard order.  Aggregates
-        are bit-identical to the per-arrival path (the block fold only
-        reassociates exact group sums).
-        """
-        entry = self.buffered_count - len(admitted)
-        first = self.updates_received - len(admitted)
-        pending: dict[int, list] = {}  # shard id -> (entry, submission, w_int)
-        for i, update in enumerate(admitted):
-            shard_id = self._entry_shards[entry + i]
-            server = self._shards[shard_id].server
-            submission = self._participate(update.result, server, first + i)
-            server.complete_checkin(submission)
-            pending.setdefault(shard_id, []).append(
-                (entry + i, submission, self._w_int(update.weight))
-            )
-        rejected = []
-        for shard_id in sorted(pending):
-            shard = self._shards[shard_id]
-            stop = self._timer()
-            flags = shard.server.submit_block([sub for _, sub, _ in pending[shard_id]])
-            stop("shard_fold", shard_id, len(flags))
-            for (at, submission, w_int), ok in zip(pending[shard_id], flags):
-                if ok:
-                    shard.weights[submission.leg_index] = w_int
-                else:
-                    rejected.append(at)
-        if rejected:
-            self._reject(rejected)
-
-    def _reject(self, entries: list[int]) -> None:
-        """Roll TSA-rejected contributions back out of the open epoch,
-        so its weights never reference a leg the TSA did not process."""
-        for entry in entries:
-            shard = self._shards[self._entry_shards[entry]]
-            shard.count -= 1
-            shard.folds_total -= 1
-        self._entry_shards = [
-            sid for i, sid in enumerate(self._entry_shards) if i not in entries
-        ]
-        self._keep_entries(
-            [i for i in range(self.buffered_count) if i not in entries]
-        )
-        self.updates_received -= len(entries)
+    def _reject(self) -> None:
+        """Roll the TSA-rejected arrival just admitted back out of the
+        open epoch, so its weights never reference a leg the TSA did not
+        process."""
+        shard = self._shards[self._entry_shards.pop()]
+        shard.count -= 1
+        shard.folds_total -= 1
+        self._keep_entries(list(range(self.buffered_count - 1)))
+        self.updates_received -= 1
         raise RuntimeError("secure submission rejected by honest TSA")
 
     def receive_update(
@@ -441,7 +396,7 @@ class SecureBufferedAggregator(FedBuffAggregator):
         t0 = time.perf_counter() if self.profiler is not None else 0.0
         update = self._admit(result)
         if not self._fold_client(update.result, self._w_int(update.weight)):
-            self._reject([self.buffered_count - 1])
+            self._reject()
         if self.profiler is not None:
             self.profiler.record("secagg_submit", time.perf_counter() - t0)
         info = self._finalize_epoch() if self.buffered_count >= self.goal else None

@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fedbuff import ServerStepInfo
 from repro.core.parallel import ProcessExecutorMixin, ShardWorkerPool, WorkerPoolError
-from repro.core.types import ModelUpdate, TrainingResult
+from repro.core.types import TrainingResult
 from repro.secagg.attestation import SigningAuthority
 from repro.secagg.fixedpoint import FixedPointCodec
 from repro.secagg.groups import PowerOfTwoGroup
@@ -230,7 +229,7 @@ class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureBufferedAggrega
         args = (result.client_id, self.version, self.updates_received - 1, w_int,
                 result.num_examples)
         if not self._on_pool(
-            self._pool.dispatch, shard_id, "participate", args, (result.delta,),
+            self._pool.dispatch, shard_id, "participate", args, result.delta,
             shard=shard_id,
         ):
             return super()._fold_client(result, w_int)
@@ -240,16 +239,6 @@ class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureBufferedAggrega
         shard = self._shards[shard_id]
         shard.weights[shard.folds_total - 1] = w_int
         return True
-
-    def receive_update_block(
-        self, results: list[TrainingResult]
-    ) -> list[tuple[ModelUpdate, ServerStepInfo | None]]:
-        """Per-arrival dispatch *is* the block plane here: every arrival
-        already crosses to its worker asynchronously, so cohort drains
-        reduce to the sequential path (identical semantics and bits)."""
-        if not self._pool_active:
-            return super().receive_update_block(results)
-        return [self.receive_update(result) for result in results]
 
     def _collect_partials(self):
         out = []

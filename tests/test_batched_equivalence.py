@@ -4,10 +4,10 @@ The contract under test (see ``repro/core/cohort.py``): for every client,
 the batched :class:`CohortTrainer` produces deltas and losses that match
 the scalar :class:`LocalTrainer` within 1e-8 — in practice bit-for-bit —
 across randomized cohorts (varied K, sequence lengths, learning rates,
-epochs, batch sizes, seeds, ragged per-client data), and the vectorized
-delta-block aggregation paths (FedBuff, SyncFL, DP-clipped) match their
-sequential counterparts.  This is what lets the system layer enable
-cohort dispatch without changing a single experimental number.
+epochs, batch sizes, seeds, ragged per-client data), and cohort
+dispatch leaves a whole simulation's trace unchanged.  This is what lets
+the system layer enable cohort dispatch without changing a single
+experimental number.
 """
 
 import numpy as np
@@ -15,12 +15,8 @@ import pytest
 
 from repro.core.client_trainer import LocalTrainer
 from repro.core.cohort import CohortRequest, CohortTrainer
-from repro.core.dp import DPConfig, DPFedBuffAggregator
-from repro.core.fedbuff import FedBuffAggregator
-from repro.core.server_opt import FedAdam
 from repro.core.state import GlobalModelState
-from repro.core.syncfl import SyncRoundAggregator
-from repro.core.types import TaskConfig, TrainingMode, TrainingResult
+from repro.core.types import TaskConfig, TrainingMode
 from repro.data.federated import FederatedDataset
 from repro.data.synthetic_text import CorpusSpec, TopicMarkovCorpus
 from repro.nn import layers
@@ -295,149 +291,6 @@ class TestBatchedKernels:
             opt.step(np.zeros((2, 3), np.float32), np.zeros((3, 2), np.float32))
         with pytest.raises(ValueError):
             opt.step(np.zeros(3, np.float32), np.zeros(3, np.float32))
-
-
-def make_result(rng, cid, P, version=0, scale=1.0, n=None):
-    return TrainingResult(
-        client_id=cid,
-        delta=(rng.standard_normal(P) * scale).astype(np.float32),
-        num_examples=n if n is not None else int(rng.integers(1, 50)),
-        train_loss=float(rng.random()),
-        initial_version=version,
-    )
-
-
-def fresh_state(P, seed=0):
-    rng = np.random.default_rng(seed)
-    return GlobalModelState(rng.standard_normal(P).astype(np.float32), FedAdam(lr=0.1))
-
-
-class TestVectorizedDeltaBlocks:
-    P = 32
-
-    @pytest.mark.parametrize("weighting", ["linear", "log", "none"])
-    def test_fedbuff_block_matches_sequential(self, weighting):
-        rng = np.random.default_rng(3)
-        results = []
-        seq = FedBuffAggregator(fresh_state(self.P), goal=4,
-                                example_weighting=weighting)
-        blk = FedBuffAggregator(fresh_state(self.P), goal=4,
-                                example_weighting=weighting)
-        for cid in range(11):
-            r = make_result(rng, cid, self.P)
-            results.append(r)
-        for agg in (seq, blk):
-            for r in results:
-                agg.register_download(r.client_id)
-        seq_out = [seq.receive_update(r) for r in results]
-        blk_out = blk.receive_update_block(results)
-
-        assert seq.version == blk.version
-        assert seq.updates_received == blk.updates_received
-        assert len(seq.step_history) == len(blk.step_history) == 2
-        for (u1, s1), (u2, s2) in zip(seq_out, blk_out):
-            assert u1.weight == pytest.approx(u2.weight, abs=1e-12)
-            assert (s1 is None) == (s2 is None)
-        np.testing.assert_allclose(
-            seq.state.current(), blk.state.current(), rtol=0, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            seq._merge_shards(), blk._merge_shards(), rtol=0, atol=1e-9
-        )
-
-    def test_fedbuff_block_staleness_across_steps(self):
-        # Updates later in the block must see the version bumped by the
-        # server step a mid-block chunk triggered.
-        rng = np.random.default_rng(4)
-        seq = FedBuffAggregator(fresh_state(self.P), goal=2)
-        blk = FedBuffAggregator(fresh_state(self.P), goal=2)
-        results = []
-        for cid in range(5):
-            results.append(make_result(rng, cid, self.P))
-        for agg in (seq, blk):
-            for r in results:
-                agg.register_download(r.client_id)
-        seq_out = [seq.receive_update(r) for r in results]
-        blk_out = blk.receive_update_block(results)
-        for (u1, _), (u2, _) in zip(seq_out, blk_out):
-            assert u1.staleness == u2.staleness
-            assert u1.arrival_version == u2.arrival_version
-
-    def test_fedbuff_block_rejects_unknown_client(self):
-        rng = np.random.default_rng(5)
-        agg = FedBuffAggregator(fresh_state(self.P), goal=10)
-        known = make_result(rng, 1, self.P)
-        agg.register_download(1)
-        with pytest.raises(KeyError):
-            agg.receive_update_block([known, make_result(rng, 99, self.P)])
-        # The known client's update was admitted before the failure,
-        # exactly as the sequential path would have left it.
-        assert agg.buffered_count == 1
-
-    def test_syncfl_block_matches_sequential(self):
-        # Five clients join round 0; the round closes after 3 updates,
-        # aborting the stragglers — whose late uploads then raise KeyError
-        # identically on the sequential and the block path.
-        rng = np.random.default_rng(6)
-        seq = SyncRoundAggregator(fresh_state(self.P), goal=3)
-        blk = SyncRoundAggregator(fresh_state(self.P), goal=3)
-        results = [make_result(rng, cid, self.P) for cid in range(5)]
-        for agg in (seq, blk):
-            for r in results:
-                agg.register_download(r.client_id)
-        for r in results[:3]:
-            seq.receive_update(r)
-        with pytest.raises(KeyError):
-            seq.receive_update(results[3])
-        with pytest.raises(KeyError):
-            blk.receive_update_block(results)
-        assert seq.version == blk.version == 1
-        assert seq.updates_discarded == blk.updates_discarded
-        assert seq.updates_received == blk.updates_received == 3
-        np.testing.assert_allclose(
-            seq.state.current(), blk.state.current(), rtol=0, atol=ATOL
-        )
-
-    def test_syncfl_block_simple_round(self):
-        rng = np.random.default_rng(7)
-        seq = SyncRoundAggregator(fresh_state(self.P), goal=3)
-        blk = SyncRoundAggregator(fresh_state(self.P), goal=3)
-        results = [make_result(rng, cid, self.P) for cid in range(3)]
-        for agg in (seq, blk):
-            for r in results:
-                agg.register_download(r.client_id)
-        for r in results:
-            seq.receive_update(r)
-        out = blk.receive_update_block(results)
-        assert out[-1][1] is not None and out[-1][1].version == 1
-        assert seq.version == blk.version == 1
-        np.testing.assert_allclose(
-            seq.state.current(), blk.state.current(), rtol=0, atol=ATOL
-        )
-
-    def test_dp_block_clips_and_matches_sequential(self):
-        rng = np.random.default_rng(8)
-        dp = DPConfig(clip_norm=0.5, noise_multiplier=0.8)
-        seq = DPFedBuffAggregator(fresh_state(self.P), goal=3, dp=dp, seed=9)
-        blk = DPFedBuffAggregator(fresh_state(self.P), goal=3, dp=dp, seed=9)
-        results = [make_result(rng, cid, self.P, scale=5.0) for cid in range(7)]
-        for agg in (seq, blk):
-            for r in results:
-                agg.register_download(r.client_id)
-        seq_out = [seq.receive_update(r) for r in results]
-        blk_out = blk.receive_update_block(results)
-        assert seq.accountant.releases == blk.accountant.releases == 2
-        assert seq.epsilon_spent == pytest.approx(blk.epsilon_spent)
-        np.testing.assert_allclose(
-            seq.state.current(), blk.state.current(), rtol=0, atol=ATOL
-        )
-        # Clipping really happened in the block path: every recorded
-        # update's delta norm is within the bound.
-        for update, _ in blk_out:
-            assert float(np.linalg.norm(update.result.delta)) <= dp.clip_norm + 1e-6
-        for (u1, _), (u2, _) in zip(seq_out, blk_out):
-            np.testing.assert_allclose(u1.result.delta, u2.result.delta,
-                                       rtol=0, atol=ATOL)
 
 
 class TestEndToEndCohortDispatch:

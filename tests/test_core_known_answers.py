@@ -5,7 +5,7 @@ arrivals are stale), one ``drop_shard(0)``/``revive_shard(0)`` in the
 middle of an epoch, clients registered both before and after the crash
 — is fed through :class:`~repro.core.fedbuff.FedBuffAggregator` and
 :class:`~repro.system.secure.SecureBufferedAggregator` at one shard,
-per arrival and through ``receive_update_block``.  The final model
+one arrival at a time.  The final model
 bytes (sha256), every ``step_history`` record and the secure core's
 boundary-byte meters are pinned as recorded values: they are the S = 1
 reference the differential suites compare the sharded cores against,
@@ -28,7 +28,6 @@ from repro.system.secure import SecureBufferedAggregator
 
 L = 16
 GOAL = 4
-BLOCK = 3  # arrivals per receive_update_block call on the block path
 
 
 def _state() -> GlobalModelState:
@@ -55,22 +54,18 @@ def _results(rng, agg, clients):
     ]
 
 
-def _deliver(agg, path, results) -> None:
-    if path == "receive_update":
-        for result in results:
-            agg.receive_update(result)
-        return
-    for at in range(0, len(results), BLOCK):
-        agg.receive_update_block(results[at : at + BLOCK])
+def _deliver(agg, results) -> None:
+    for result in results:
+        agg.receive_update(result)
 
 
-def drive(kind: str, path: str):
+def drive(kind: str):
     """Run the fixed stream; returns (model sha256, steps, meters)."""
     rng = np.random.default_rng(20261019)
     agg = _core(kind)
     for cid in range(10):
         agg.register_download(cid)
-    _deliver(agg, path, _results(rng, agg, [3, 1, 4, 0, 5, 9]))  # one step + 2
+    _deliver(agg, _results(rng, agg, [3, 1, 4, 0, 5, 9]))  # one step + 2
     # Mid-epoch crash of the one shard: its 2 buffered updates and the
     # in-flight clients 2, 6, 7, 8 are lost; the shard comes back empty.
     lost, dropped = agg.drop_shard(0)
@@ -78,12 +73,12 @@ def drive(kind: str, path: str):
     agg.revive_shard(0)
     for cid in range(10, 22):
         agg.register_download(cid)
-    _deliver(agg, path, _results(rng, agg, [12, 10, 15, 11, 14, 13, 17]))
+    _deliver(agg, _results(rng, agg, [12, 10, 15, 11, 14, 13, 17]))
     for cid in agg.stale_clients():
         agg.client_failed(cid)
     for cid in range(22, 30):
         agg.register_download(cid)
-    _deliver(agg, path, _results(rng, agg, [22, 16, 25, 18, 23, 21, 29, 24, 27]))
+    _deliver(agg, _results(rng, agg, [22, 16, 25, 18, 23, 21, 29, 24, 27]))
     model = hashlib.sha256(np.ascontiguousarray(agg.state.current()).tobytes())
     steps = [dataclasses.astuple(s) for s in agg.step_history]
     meters = (
@@ -94,8 +89,7 @@ def drive(kind: str, path: str):
 
 
 # Recorded while the unsharded and the sharded cores were still separate
-# classes.  The float block path agrees with the per-arrival one bit for
-# bit at this size.
+# classes.
 _FEDBUFF_MODEL = "155f67fa1d3e71965cf4032aa4954d138a4618f4fdce757f62f5ce964f375556"
 _FEDBUFF_STEPS = [
     (1, 4, 92.0, 0.0, 0, (3, 1, 4, 0), ()),
@@ -115,21 +109,16 @@ _SECURE_STEPS = [
 _SECURE_METERS = (6240, 7680)
 
 KNOWN = {
-    ("fedbuff", path): (_FEDBUFF_MODEL, _FEDBUFF_STEPS, None)
-    for path in ("receive_update", "receive_update_block")
-} | {
-    ("secure", path): (_SECURE_MODEL, _SECURE_STEPS, _SECURE_METERS)
-    for path in ("receive_update", "receive_update_block")
+    "fedbuff": (_FEDBUFF_MODEL, _FEDBUFF_STEPS, None),
+    "secure": (_SECURE_MODEL, _SECURE_STEPS, _SECURE_METERS),
 }
 
 
-@pytest.mark.parametrize("path", ["receive_update", "receive_update_block"])
 @pytest.mark.parametrize("kind", ["fedbuff", "secure"])
-def test_one_shard_core_known_answer(kind, path):
-    assert drive(kind, path) == KNOWN[kind, path]
+def test_one_shard_core_known_answer(kind):
+    assert drive(kind) == KNOWN[kind]
 
 
 if __name__ == "__main__":
     for kind in ("fedbuff", "secure"):
-        for path in ("receive_update", "receive_update_block"):
-            print((kind, path), drive(kind, path))
+        print(kind, drive(kind))

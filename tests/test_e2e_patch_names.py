@@ -33,10 +33,10 @@ from e2e_layers import Tracer, install  # noqa: E402
 CORE_NAMES = (
     "register_download", "client_failed", "stale_clients",
     "drop_buffer_and_inflight", "drop_shard", "revive_shard",
-    "receive_update", "receive_update_block", "_finalize_epoch",
+    "receive_update", "_finalize_epoch",
 )
 #: the float cores' fold seams (``core.sharding`` shard_fold / root_merge)
-FOLD_SEAMS = ("_fold_one", "_fold_group", "_merge_shards")
+FOLD_SEAMS = ("_fold_one", "_merge_shards")
 
 #: case -> (task mode, plane)
 CASES = {

@@ -14,7 +14,7 @@ equality with its scalar counterpart — no tolerances anywhere:
   boundary-byte meters;
 * TSA round re-keying (``begin_round``) and the shared
   :class:`~repro.system.secure.LegPool`, including the secure system
-  aggregator's cohort drain (``receive_update_block``).
+  aggregator's epochs sharing one TSA and leg pool.
 """
 
 import numpy as np
@@ -435,7 +435,7 @@ class TestRoundsAndLegPool:
 
 
 # ---------------------------------------------------------------------------
-# Secure system aggregator: block drain vs sequential arrivals
+# Secure system aggregator: epochs re-key one long-lived TSA
 # ---------------------------------------------------------------------------
 
 def _result(cid, delta, n=1, version=0):
@@ -445,91 +445,18 @@ def _result(cid, delta, n=1, version=0):
     )
 
 
-class TestSecureBlockDrain:
-    def _agg(self, seed=0, goal=3, dim=6):
-        return SecureBufferedAggregator(
-            GlobalModelState(np.zeros(dim, dtype=np.float32), FedSGD(lr=1.0)),
-            goal=goal, vector_length=dim, seed=seed,
-        )
-
-    def test_block_drain_matches_sequential(self):
-        rng = np.random.default_rng(3)
-        results = [
-            _result(i, rng.uniform(-1, 1, 6), n=int(rng.integers(1, 20)))
-            for i in range(8)
-        ]
-        seq, blk = self._agg(), self._agg()
-        for agg in (seq, blk):
-            for i in range(8):
-                agg.register_download(i)
-        seq_out = [seq.receive_update(r) for r in results]
-        blk_out = blk.receive_update_block(results)
-        assert np.array_equal(seq.state.current(), blk.state.current())
-        assert seq.version == blk.version == 2
-        assert seq.step_history == blk.step_history
-        assert seq.boundary_bytes_in_total == blk.boundary_bytes_in_total
-        assert seq.boundary_bytes_out_total == blk.boundary_bytes_out_total
-        for (u_s, i_s), (u_b, i_b) in zip(seq_out, blk_out):
-            assert u_s.weight == u_b.weight
-            assert (i_s is None) == (i_b is None)
-            if i_s is not None:
-                assert i_s == i_b
-
-    def test_block_drain_steps_mid_block(self):
-        agg = self._agg(goal=2)
-        for i in range(5):
-            agg.register_download(i)
-        out = agg.receive_update_block([_result(i, [0.1] * 6) for i in range(5)])
-        infos = [info for _, info in out if info is not None]
-        assert len(infos) == 2 and agg.version == 2
-        assert agg.buffered_count == 1  # the odd one waits for the next epoch
-
-    def test_block_drain_unknown_client_raises_after_partial_submit(self):
-        agg = self._agg(goal=4)
-        agg.register_download(0)
-        with pytest.raises(KeyError):
-            agg.receive_update_block([_result(0, [0.0] * 6), _result(99, [0.0] * 6)])
-        # The valid first result was still recorded, like sequentially.
-        assert agg.buffered_count == 1
-
-    def test_block_drain_rolls_back_rejected_contribution(self, monkeypatch):
-        # A TSA-rejected submission must not leave phantom bookkeeping
-        # behind: the epoch's weights may only reference processed legs,
-        # so the epoch can still finalize after the error.
-        from repro.secagg.threat import flip_sealed_ciphertext_bit
-
-        agg = self._agg(goal=4)
-        for i in range(3):
-            agg.register_download(i)
-        server = agg._shards[0].server
-        original = server.submit_block
-
-        def tampering(subs):
-            subs = list(subs)
-            subs[1] = flip_sealed_ciphertext_bit(subs[1])
-            return original(subs)
-
-        monkeypatch.setattr(server, "submit_block", tampering)
-        with pytest.raises(RuntimeError, match="rejected"):
-            agg.receive_update_block([_result(i, [0.1] * 6) for i in range(3)])
-        monkeypatch.setattr(server, "submit_block", original)
-        assert agg.buffered_count == 2
-        assert agg._contributors == [0, 2]
-        assert len(agg._shards[0].weights) == 2
-        # The surviving epoch state is consistent: reaching the goal
-        # finalizes cleanly (weights reference only processed legs).
-        for cid in (10, 11):
-            agg.register_download(cid)
-            _, info = agg.receive_update(_result(cid, [0.1] * 6))
-        assert info is not None and agg.version == 1
-
+class TestSecureAggregatorEpochs:
     def test_epochs_share_tsa_and_pool(self):
-        agg = self._agg(goal=2)
+        agg = SecureBufferedAggregator(
+            GlobalModelState(np.zeros(6, dtype=np.float32), FedSGD(lr=1.0)),
+            goal=2, vector_length=6, seed=0,
+        )
         tsa_before = agg._shards[0].tsa
         pool_before = agg._shards[0].pool
         for i in range(4):
             agg.register_download(i)
-        agg.receive_update_block([_result(i, [0.5] * 6) for i in range(4)])
+        for i in range(4):
+            agg.receive_update(_result(i, [0.5] * 6))
         assert agg.epochs_completed == 2
         assert agg._shards[0].tsa is tsa_before  # re-keyed, not re-stood-up
         assert agg._shards[0].pool is pool_before

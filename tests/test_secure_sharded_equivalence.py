@@ -188,28 +188,6 @@ class TestSecureShardedEquivalence:
         assert_exactly_equivalent(single, sharded)
         assert sharded.shard_loads() == [sharded.updates_received]
 
-    @pytest.mark.parametrize("routing", ["hash", "load"])
-    def test_block_path_matches_sequential_exactly(self, routing):
-        rng = np.random.default_rng(13)
-        results = [make_result(rng, cid) for cid in range(17)]
-        seq = SecureBufferedAggregator(
-            VecState(), 5, P, num_shards=3, routing=routing, seed=7
-        )
-        blk = SecureBufferedAggregator(
-            VecState(), 5, P, num_shards=3, routing=routing, seed=7
-        )
-        single = SecureBufferedAggregator(VecState(), 5, P, seed=7)
-        for agg in (seq, blk, single):
-            for r in results:
-                agg.register_download(r.client_id)
-        for r in results:
-            seq.receive_update(r)
-        blk.receive_update_block(results)
-        single.receive_update_block(results)
-        assert_exactly_equivalent(single, blk)
-        assert_exactly_equivalent(seq, blk)
-        assert seq.shard_loads() == blk.shard_loads()
-
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             SecureBufferedAggregator(VecState(), 4, P, num_shards=0)

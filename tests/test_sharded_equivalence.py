@@ -6,10 +6,10 @@ matches the single :class:`FedBuffAggregator` on the same arrival
 sequence to float64 rounding (shard-local folding only reassociates the
 weighted sum; admission, staleness, weighting, and step triggering are
 the inherited single-core code), ``num_shards=1`` is **bit-identical**
-to the single core on both the scalar and the block path, and mid-run
-shard failure leaves the plane matching a single aggregator fed only
-the surviving arrivals.  This is what lets the system layer spread one
-task's aggregation across nodes without changing an experimental number.
+to the single core, and mid-run shard failure leaves the plane matching
+a single aggregator fed only the surviving arrivals.  This is what lets
+the system layer spread one task's aggregation across nodes without
+changing an experimental number.
 """
 
 import multiprocessing
@@ -163,7 +163,7 @@ class TestPlaneClock:
         with pytest.raises(ValueError):
             AggregationPlaneClock(0)
 
-    def test_block_path_feeds_the_clock(self):
+    def test_arrivals_feed_the_clock(self):
         rng = np.random.default_rng(17)
         clock = AggregationPlaneClock(3)
         agg = FedBuffAggregator(
@@ -172,8 +172,9 @@ class TestPlaneClock:
         results = [make_result(rng, cid) for cid in range(9)]
         for r in results:
             agg.register_download(r.client_id)
-        agg.receive_update_block(results)
-        assert clock.folds == 9  # grouped folds count every update
+        for r in results:
+            agg.receive_update(r)
+        assert clock.folds == 9  # one fold per arrival
         assert clock.merges == 2
         assert clock.elapsed > 0.0
 
@@ -192,8 +193,10 @@ class TestPlaneWideOutage:
         rng = np.random.default_rng(0)
         with pytest.raises(KeyError, match="no shard was live"):
             agg.receive_update(make_result(rng, 5))
+        # Nothing was consumed: a retry is rejected the same way.
+        assert agg.in_flight_count() == 1
         with pytest.raises(KeyError, match="no shard was live"):
-            agg.receive_update_block([make_result(rng, 5)])
+            agg.receive_update(make_result(rng, 5))
         assert agg.buffered_count == 0
         assert agg.updates_received == 0
         # client_failed on the unrouted client stays consistent.
@@ -253,60 +256,6 @@ class TestShardedEquivalence:
             assert u1.weight == u2.weight
         for a, b in zip(single.step_history, sharded.step_history):
             assert a.total_weight == b.total_weight
-
-    def test_single_shard_is_bit_identical_block_path(self):
-        rng = np.random.default_rng(9)
-        single = FedBuffAggregator(fresh_state(), goal=4)
-        sharded = FedBuffAggregator(fresh_state(), goal=4, num_shards=1)
-        results = [make_result(rng, cid) for cid in range(11)]
-        for agg in (single, sharded):
-            for r in results:
-                agg.register_download(r.client_id)
-        single.receive_update_block(results)
-        sharded.receive_update_block(results)
-        assert np.array_equal(single.state.current(), sharded.state.current())
-
-    @pytest.mark.parametrize("routing", ["hash", "load"])
-    def test_block_path_matches_sequential_and_single(self, routing):
-        rng = np.random.default_rng(13)
-        results = [make_result(rng, cid) for cid in range(23)]
-        single = FedBuffAggregator(fresh_state(), goal=5)
-        seq = FedBuffAggregator(
-            fresh_state(), goal=5, num_shards=4, routing=routing
-        )
-        blk = FedBuffAggregator(
-            fresh_state(), goal=5, num_shards=4, routing=routing
-        )
-        for agg in (single, seq, blk):
-            for r in results:
-                agg.register_download(r.client_id)
-        seq_out = [seq.receive_update(r) for r in results]
-        blk_out = blk.receive_update_block(results)
-        single_out = [single.receive_update(r) for r in results]
-
-        assert seq.version == blk.version == single.version
-        # Mid-block server steps fire at the same arrivals in all three.
-        for (u1, s1), (u2, s2), (u3, s3) in zip(seq_out, blk_out, single_out):
-            assert u1.weight == pytest.approx(u2.weight, abs=1e-12)
-            assert (s1 is None) == (s2 is None) == (s3 is None)
-            assert u1.staleness == u2.staleness == u3.staleness
-        np.testing.assert_allclose(
-            seq.state.current(), blk.state.current(), rtol=0, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            single.state.current(), blk.state.current(), rtol=0, atol=ATOL
-        )
-        assert seq.shard_loads() == blk.shard_loads()
-
-    def test_block_rejects_unknown_client_keeps_admitted_prefix(self):
-        rng = np.random.default_rng(3)
-        agg = FedBuffAggregator(fresh_state(), goal=10, num_shards=3)
-        known = make_result(rng, 1)
-        agg.register_download(1)
-        with pytest.raises(KeyError):
-            agg.receive_update_block([known, make_result(rng, 99)])
-        assert agg.buffered_count == 1
-        assert sum(agg.shard_buffered()) == 1
 
     def test_version_mismatch_keeps_shard_slots_consistent(self):
         rng = np.random.default_rng(4)
@@ -556,18 +505,10 @@ class TestFoldKernelRegistry:
         """The kernel IS the in-process fold, op for op."""
         rng = np.random.default_rng(0)
         inputs = rng.standard_normal((6, P)).astype(np.float32)
-        # Scalar path vs the single core's AXPY.
+        # The single core's AXPY.
         partial = np.zeros(P, dtype=np.float64)
-        numpy_fold_kernel(partial, inputs, (2,), (0.7,), False)
+        numpy_fold_kernel(partial, inputs, 2, 0.7)
         assert np.array_equal(partial, 0.7 * inputs[2].astype(np.float64))
-        # Grouped path vs the block path's stacked GEMV.
-        partial = np.zeros(P, dtype=np.float64)
-        slots, weights = (4, 1, 3), (0.2, 1.5, 0.9)
-        numpy_fold_kernel(partial, inputs, slots, weights, True)
-        expect = np.asarray(weights, dtype=np.float64) @ np.stack(
-            [inputs[s] for s in slots]
-        ).astype(np.float64)
-        assert np.array_equal(partial, expect)
 
 
 class TestShardWorkerPool:
@@ -601,10 +542,10 @@ class TestShardWorkerPool:
             rng = np.random.default_rng(1)
             inputs[:] = rng.standard_normal((slots, P)).astype(np.float32)
             tasks, acks = queue_mod.Queue(), queue_mod.Queue()
-            tasks.put(("fold", (0,), ((0.5,), False), 10))
-            tasks.put(("fold", (1, 3), ((0.2, 0.9), True), 11))
+            tasks.put(("fold", (0,), (0.5,), 10))
+            tasks.put(("fold", (1,), (0.2,), 11))
             tasks.put(("reset", (), (), 12))
-            tasks.put(("fold", (2,), ((1.0,), False), 13))
+            tasks.put(("fold", (2,), (1.0,), 13))
             tasks.put(None)
             _worker_main(
                 1, FoldLane(), input_shm.name, partials_shm.name,
@@ -631,11 +572,8 @@ class TestShardWorkerPool:
         rng = np.random.default_rng(2)
         with ShardWorkerPool(num_shards=2, vector_length=P, slots=8) as pool:
             pool.fold_scalar(0, rng.standard_normal(P).astype(np.float32), 0.3)
-            pool.fold_group(
-                1,
-                [rng.standard_normal(P).astype(np.float32) for _ in range(3)],
-                [0.1, 0.2, 0.7],
-            )
+            for weight in (0.1, 0.2, 0.7):
+                pool.fold_scalar(1, rng.standard_normal(P).astype(np.float32), weight)
             pool.fold_scalar(1, rng.standard_normal(P).astype(np.float32), 1.1)
             pool.barrier()
             replayed = pool.replay_partials()
@@ -666,6 +604,103 @@ class TestShardWorkerPool:
             pool.barrier()
 
 
+_CLOSED_USE = r'''
+import numpy as np
+
+from repro.core.parallel import (
+    ProcessShardedFedBuffAggregator, ShardWorkerPool, WorkerPoolError,
+)
+from repro.core.server_opt import FedAdam
+from repro.core.state import GlobalModelState
+from repro.core.types import TrainingResult
+from repro.system.secure_sharding import ProcessSecureShardedAggregator
+
+P = 8
+
+
+def refused(exc, fn, *args):
+    try:
+        fn(*args)
+    except exc as err:
+        assert "closed" in str(err), err
+    else:
+        raise AssertionError(f"{fn.__name__} ran on a closed object")
+
+
+delta = np.ones(P, dtype=np.float32)
+pool = ShardWorkerPool(num_shards=2, vector_length=P, slots=4)
+pool.fold_scalar(0, delta, 1.0)
+pool.barrier()
+pool.close()
+for op, args in [
+    (pool.partial, (0,)), (pool.rows, (0,)), (pool.replay_partials, ()),
+    (pool.fold_scalar, (0, delta, 1.0)),
+]:
+    refused(WorkerPoolError, op, *args)
+
+for cls, kwargs in [
+    (ProcessShardedFedBuffAggregator, {"num_shards": 2}),
+    (ProcessSecureShardedAggregator, {"vector_length": P, "num_shards": 2}),
+]:
+    core = cls(
+        GlobalModelState(np.zeros(P, dtype=np.float32), FedAdam(lr=0.1)),
+        goal=2, **kwargs,
+    )
+    core.register_download(1)
+    core.close()
+    refused(RuntimeError, core.receive_update, TrainingResult(
+        client_id=1, delta=delta, num_examples=1, train_loss=0.0,
+        initial_version=0,
+    ))
+print("ok")
+'''
+
+
+class TestClosedExecutor:
+    def test_ops_on_a_closed_pool_or_core_raise(self):
+        """The ops that reach no slab: safe to try in-process."""
+        pool = ShardWorkerPool(num_shards=2, vector_length=P, slots=4)
+        pool.close()
+        for op, args in [(pool.barrier, ()), (pool.reset_epoch, ()),
+                         (pool.discard_shard, (0,)), (pool.call, (0, "reset"))]:
+            with pytest.raises(WorkerPoolError, match="closed"):
+                op(*args)
+        events = []
+        core = ProcessShardedFedBuffAggregator(
+            fresh_state(), goal=2, num_shards=2,
+            on_event=lambda kind, fields: events.append(kind),
+        )
+        core.close()
+        core.close()  # idempotent, and silent
+        assert not core.pool_active and "executor=closed" in repr(core)
+        for op, args in [(core.drain, ()), (core.drop_shard, (0,))]:
+            with pytest.raises(RuntimeError, match="is closed"):
+                op(*args)
+        assert events == []
+
+    def test_use_after_close_raises_instead_of_reading_unmapped_slabs(self):
+        """A closed pool's slabs are unmapped: an op that would read or
+        write them, and an upload to a closed process core, must raise
+        instead.  Run in a child interpreter, where a regression
+        segfaults the child, not the test run."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLOSED_USE], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+        assert proc.stdout.strip() == "ok"
+
+
 class TestProcessExecutorEquivalence:
     """The tentpole contract: process executor ≡ inline plane, bit for bit."""
 
@@ -692,28 +727,6 @@ class TestProcessExecutorEquivalence:
             for a, b in zip(inline.step_history, proc.step_history):
                 assert a.version == b.version
                 assert a.total_weight == b.total_weight
-            assert inline.shard_loads() == proc.shard_loads()
-        finally:
-            proc.close()
-
-    @pytest.mark.parametrize("start_method", START_METHODS)
-    def test_block_path_bit_identical(self, start_method):
-        rng = np.random.default_rng(17)
-        results = [make_result(rng, cid) for cid in range(23)]
-        inline = FedBuffAggregator(fresh_state(), goal=5, num_shards=4)
-        proc = ProcessShardedFedBuffAggregator(
-            fresh_state(), goal=5, num_shards=4, start_method=start_method,
-        )
-        try:
-            for agg in (inline, proc):
-                for r in results:
-                    agg.register_download(r.client_id)
-            inline.receive_update_block(results)
-            proc.receive_update_block(results)
-            assert proc.pool_active and proc.executor_fallbacks == 0
-            assert np.array_equal(
-                inline.state.current(), proc.state.current()
-            )
             assert inline.shard_loads() == proc.shard_loads()
         finally:
             proc.close()
@@ -1088,7 +1101,7 @@ class TestTaskChannelBackpressure:
                 proc.register_download(cid)
             # More than a pipe's capacity is bound for the victim, even
             # counting every task at its smallest possible pickle.
-            smallest = len(pickle.dumps(("fold", (0,), ((0.5,), False), 0),
+            smallest = len(pickle.dumps(("fold", (0,), (0.5,), 0),
                                         pickle.HIGHEST_PROTOCOL))
             to_victim = sum(proc.shard_of(cid) == 1 for cid in range(self.GOAL))
             assert to_victim * smallest > 65_536
@@ -1131,7 +1144,7 @@ class TestTaskChannelBackpressure:
                 pool.fold_scalar(0, delta, 2.0)
             del pool._task_queues[0].put
             assert not pool.healthy
-            assert [args for _, _, _, args in pool.epoch_log()] == [((1.0,), False)]
+            assert [args for _, _, _, args in pool.epoch_log()] == [(1.0,)]
             assert np.array_equal(pool.replay_partials()[0], np.ones(P))
 
     def test_the_epoch_is_closed_before_its_resets_are_posted(self):

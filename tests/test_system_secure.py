@@ -121,6 +121,38 @@ class TestSecureBufferedAggregator:
             agg.receive_update(result(cid, [1.0]))
         assert agg.version == 1
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_tsa_rejection_rolls_back_the_arrival(self, monkeypatch, num_shards):
+        # A TSA-rejected submission must not leave phantom bookkeeping
+        # behind: the epoch's weights may only reference processed legs,
+        # so the epoch still finalizes after the error.
+        from repro.secagg.threat import flip_sealed_ciphertext_bit
+
+        agg = SecureBufferedAggregator(
+            make_state(6), goal=4, vector_length=6, seed=0, num_shards=num_shards
+        )
+        for cid in range(3):
+            agg.register_download(cid)
+        agg.receive_update(result(0, [0.1] * 6))
+        server = agg._shards[agg.shard_of(1)].server
+        original = server.submit
+        monkeypatch.setattr(
+            server, "submit", lambda sub: original(flip_sealed_ciphertext_bit(sub))
+        )
+        with pytest.raises(RuntimeError, match="rejected by honest TSA"):
+            agg.receive_update(result(1, [0.1] * 6))
+        monkeypatch.setattr(server, "submit", original)
+        agg.receive_update(result(2, [0.1] * 6))
+        assert agg.buffered_count == 2
+        assert agg._contributors == [0, 2]
+        assert agg.updates_received == 2
+        assert sum(len(s.weights) for s in agg._shards) == 2
+        for cid in (10, 11):
+            agg.register_download(cid)
+            _, info = agg.receive_update(result(cid, [0.1] * 6))
+        assert info is not None and agg.version == 1
+        assert info.contributors == (0, 2, 10, 11)
+
     def test_clipping_bounds_large_deltas(self):
         agg = SecureBufferedAggregator(
             make_state(1), goal=1, vector_length=1, clip_value=2.0, seed=4,
