@@ -13,15 +13,11 @@ Walks the full Figure 16 protocol with real cryptographic machinery:
 4. at the aggregation goal, the TSA releases the summed mask exactly
    once, and the server decodes only the aggregate.
 
-Also demonstrates the tamper-detection, the O(K+m) boundary traffic, and
-the vectorized block data plane (``submit_block`` + check-in-time DH
-completion), which is bit-identical to the per-client path.
+Also demonstrates the tamper detection and the O(K+m) boundary traffic.
 
 Run:
     python examples/secure_aggregation_demo.py
 """
-
-import time
 
 import numpy as np
 
@@ -69,21 +65,6 @@ def main() -> None:
                              log_bundle=dep2.log_bundle)
     accepted = dep2.server.submit(flip_sealed_ciphertext_bit(sub))
     print(f"tampered sealed seed accepted by TSA? {accepted}  (must be False)")
-
-    # --- the vectorized block data plane: bit-identical, faster ---
-    t0 = time.perf_counter()
-    agg_scalar, dep_s = run_secure_aggregation(updates, seed=44)
-    t_scalar = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    agg_block, dep_b = run_secure_aggregation(updates, seed=44, block_submissions=True)
-    t_block = time.perf_counter() - t0
-    print(
-        f"block data plane bit-identical to scalar? "
-        f"{np.array_equal(agg_scalar, agg_block)}  "
-        f"(boundary bytes equal? "
-        f"{dep_s.tsa.boundary_bytes_in == dep_b.tsa.boundary_bytes_in}; "
-        f"end-to-end {t_scalar * 1e3:.1f} ms scalar vs {t_block * 1e3:.1f} ms block)"
-    )
 
     # --- the Figure 6 cost model at the paper's operating points ---
     m = BoundaryCostModel()

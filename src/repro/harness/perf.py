@@ -322,7 +322,7 @@ def print_cohort(res: CohortResult) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Secure-aggregation data plane: scalar vs block server+TSA wall clock
+# Secure-aggregation data plane: fold-once vs sequential release wall clock
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -331,18 +331,18 @@ class SecAggPoint:
 
     cohort_size: int
     vector_length: int
-    scalar_s: float  # sequential server+TSA data plane (best-of)
-    block_s: float  # vectorized block data plane (best-of)
+    scalar_s: float  # K submits + the sequential reference release (best-of)
+    fused_s: float  # K submits + the fold-once finalize(weights) (best-of)
     speedup: float
     handshake_s: float  # one client's DH completion, off the timed path
-    max_divergence: float  # |block - scalar| over decoded aggregates
+    max_divergence: float  # |fused - scalar| over decoded aggregates
     bit_identical: bool  # aggregates AND release vectors exactly equal
     boundary_match: bool  # TSA boundary meters equal between arms
 
 
 @dataclass(frozen=True)
 class SecAggResult:
-    """Scalar-vs-block secure-aggregation comparison across K × ℓ."""
+    """Fold-once vs sequential secure-aggregation release across K × ℓ."""
 
     points: list[SecAggPoint]
     group_bits: int
@@ -354,12 +354,13 @@ class SecAggResult:
 def _scalar_reference_finalize(server, seeds_by_leg, weights, clip_value):
     """The pre-vectorization sequential weighted finalize, replicated.
 
-    This is the scalar baseline's data plane, kept verbatim so the sweep
-    keeps measuring the protocol the block path replaced: the server
-    scales and folds each accepted masked update one at a time, and the
-    trusted party re-expands every seed and folds ``w·m`` one leg at a
-    time.  Returns the decoded aggregate and the unmask vector (the
-    latter is pinned bit-equal to the TSA's vectorized release).
+    This is the reference arm's release, kept verbatim so the sweep
+    keeps measuring the protocol the fold-once release replaced: the
+    server scales and folds each accepted masked update one at a time,
+    allocating per step, and the trusted party re-expands every seed and
+    folds ``w·m`` one leg at a time.  Returns the decoded aggregate and
+    the unmask vector (the latter is pinned bit-equal to the TSA's
+    release).
     """
     group = server.codec.group
     length = server.tsa.vector_length
@@ -390,16 +391,21 @@ def secagg_speedup(
     clip_value: float = 1.0,
     seed: int = 0,
 ) -> SecAggResult:
-    """Measure block-vs-scalar secure aggregation on the server+TSA path.
+    """Measure the fold-once weighted release against the sequential one.
 
-    Both arms process identical client submissions (same seeds, same DH
-    legs — the arms' TSAs draw from identical randomness streams) and are
-    pinned bit-identical: decoded aggregates, release vectors, and
-    boundary byte meters must agree exactly.  Each repeat re-keys the
-    arms with ``begin_round`` and fresh legs/submissions, so the block
-    arm is measured in its steady state (row caches warm across epochs,
-    exactly as :class:`repro.system.secure.SecureBufferedAggregator`
-    runs it).
+    Both arms are the same server+TSA pair over identical client
+    submissions (same seeds, same DH legs — the arms' TSAs draw from
+    identical randomness streams), completed at check-in off the timed
+    path and then submitted one at a time through ``submit``; they differ
+    only in the release.  The reference arm runs
+    :func:`_scalar_reference_finalize`, the fused arm
+    ``finalize(weights)`` (``mac_into`` over the kept masked vectors,
+    one ``weighted_sum_block`` over the TSA's cached mask rows).  Decoded
+    aggregates, release vectors and boundary byte meters must agree
+    exactly.  Each repeat re-keys the arms with ``begin_round`` and fresh
+    legs/submissions, so both are measured in their steady state (row
+    caches warm across epochs, exactly as
+    :class:`repro.system.secure.SecureBufferedAggregator` runs them).
     """
     group = PowerOfTwoGroup(group_bits)
     codec = FixedPointCodec(group, scale=fp_scale, clip_value=clip_value)
@@ -411,9 +417,9 @@ def secagg_speedup(
         # Identical rng streams => identical legs: one set of client
         # submissions opens against either arm.  Arms (a server and its
         # TSA) are long-lived across cohort sizes and repeats (re-keyed
-        # with begin_round), so the block arm is measured in its warm
-        # steady state, exactly as the system layer runs it.
-        scalar, block = (
+        # with begin_round), so both are measured in their warm steady
+        # state, exactly as the system layer runs them.
+        scalar, fused = (
             SecAggServer(
                 TrustedSecureAggregator(
                     group,
@@ -421,27 +427,26 @@ def secagg_speedup(
                     threshold=1,  # the sweep releases after exactly K submits
                     authority=authority,
                     rng=child_rng(seed, "secagg-perf-tsa", length),
-                    cache_masks=cache_masks,
                 ),
                 codec,
                 initial_legs=max(cohort_sizes),
             )
-            for cache_masks in (False, True)
+            for _ in range(2)
         )
         for size in cohort_sizes:
             updates = rng.uniform(-1.0, 1.0, size=(size, length))
             weights = {i: (i % 7) + 1 for i in range(size)}
-            best_scalar = best_block = best_handshake = float("inf")
-            agg_scalar = agg_block = None
+            best_scalar = best_fused = best_handshake = float("inf")
+            agg_scalar = agg_fused = None
             bit_identical = True
             for _ in range(max(1, repeats)):
-                for server in (scalar, block):
+                for server in (scalar, fused):
                     server.tsa.begin_round()
                     server.begin_round()
                 legs = [scalar.assign_leg() for _ in range(size)]
-                block_legs = [block.assign_leg() for _ in range(size)]
+                fused_legs = [fused.assign_leg() for _ in range(size)]
                 assert [leg.index for leg in legs] == [
-                    leg.index for leg in block_legs
+                    leg.index for leg in fused_legs
                 ]
                 submissions = []
                 seeds_by_leg = {}
@@ -463,7 +468,7 @@ def secagg_speedup(
                 # completing message at check-in (amortized DH legs).
                 t0 = time.perf_counter()
                 for sub in submissions:
-                    for server in (scalar, block):
+                    for server in (scalar, fused):
                         server.complete_checkin(sub)
                 # 2 arms x K clients completed above -> per-client cost.
                 best_handshake = min(
@@ -480,13 +485,13 @@ def secagg_speedup(
                 best_scalar = min(best_scalar, time.perf_counter() - t0)
 
                 t0 = time.perf_counter()
-                flags = block.submit_block(submissions)
-                agg_block = block.finalize(weights=weight_map, max_abs=clip_value)
-                best_block = min(best_block, time.perf_counter() - t0)
-                if not all(flags):
-                    raise RuntimeError("block arm rejected a submission")
+                for sub in submissions:
+                    if not fused.submit(sub):
+                        raise RuntimeError("fused arm rejected a submission")
+                agg_fused = fused.finalize(weights=weight_map, max_abs=clip_value)
+                best_fused = min(best_fused, time.perf_counter() - t0)
 
-                # Pin the vectorized release against the sequential one
+                # Pin the fused release against the sequential one
                 # (untimed; also keeps the arms' boundary meters aligned).
                 released = scalar.tsa.release_unmask(
                     {k: v for k, v in weight_map.items() if v}
@@ -494,21 +499,21 @@ def secagg_speedup(
                 bit_identical = bit_identical and np.array_equal(
                     released, ref_unmask
                 )
-            bit_identical = bit_identical and np.array_equal(agg_scalar, agg_block)
-            divergence = float(np.max(np.abs(agg_block - agg_scalar)))
+            bit_identical = bit_identical and np.array_equal(agg_scalar, agg_fused)
+            divergence = float(np.max(np.abs(agg_fused - agg_scalar)))
             points.append(
                 SecAggPoint(
                     cohort_size=size,
                     vector_length=length,
                     scalar_s=best_scalar,
-                    block_s=best_block,
-                    speedup=_ratio(best_scalar, best_block),
+                    fused_s=best_fused,
+                    speedup=_ratio(best_scalar, best_fused),
                     handshake_s=best_handshake,
                     max_divergence=divergence,
                     bit_identical=bool(bit_identical),
                     boundary_match=(
-                        scalar.tsa.boundary_bytes_in == block.tsa.boundary_bytes_in
-                        and scalar.tsa.boundary_bytes_out == block.tsa.boundary_bytes_out
+                        scalar.tsa.boundary_bytes_in == fused.tsa.boundary_bytes_in
+                        and scalar.tsa.boundary_bytes_out == fused.tsa.boundary_bytes_out
                     ),
                 )
             )
@@ -525,7 +530,7 @@ _SECAGG_COLUMNS = (
     ("K", "cohort_size"),
     ("len", "vector_length"),
     ("scalar (ms)", _ms("scalar_s")),
-    ("block (ms)", _ms("block_s")),
+    ("fused (ms)", _ms("fused_s")),
     ("speedup", "speedup"),
     ("handshake/client (ms)", _ms("handshake_s")),
     ("max |div|", "max_divergence"),
@@ -537,7 +542,7 @@ _SECAGG_COLUMNS = (
 def print_secagg(res: SecAggResult) -> None:
     """Render the secagg data-plane comparison as text."""
     print_points(_SECAGG_COLUMNS, res.points, title=(
-        f"SecAgg data plane — block vs scalar server+TSA wall clock "
+        f"SecAgg data plane — fold-once vs sequential server+TSA release "
         f"(Z_2^{res.group_bits}, scale 2^{int(np.log2(res.fp_scale))}, "
         f"best of {res.repeats})"
     ))
@@ -1083,7 +1088,8 @@ def _register_all() -> None:
             uses_scale=False),
         registry.ExperimentSpec(
             "secagg", secagg_speedup, print_secagg, SecAggResult,
-            description="secure-aggregation block vs scalar data plane: speedup + bit-identity",
+            description="secure-aggregation fold-once vs sequential release: "
+                        "speedup + bit-identity",
             uses_scale=False),
         registry.ExperimentSpec(
             "shards", shards_speedup, print_shards, ShardsResult,

@@ -120,20 +120,6 @@ class FixedPointCodec:
         # 2^64, so the reduction is exact for every group width.
         return self.group.reduce(scaled.astype(np.int64).view(np.uint64))
 
-    def encode_block(self, values: np.ndarray) -> np.ndarray:
-        """Encode K real vectors as one vectorized ``(K, l)`` call.
-
-        Row ``i`` equals ``encode(values[i])`` bit-for-bit (clipping,
-        rounding and the two's-complement mapping are all element-wise);
-        the range check covers the whole block, so an out-of-range element
-        raises exactly as its row's scalar encode would.
-        """
-        if np.ndim(values) != 2:
-            raise ValueError(
-                f"expected a (K, l) block, got shape {np.shape(values)}"
-            )
-        return self.encode(values)
-
     def decode(self, encoded: np.ndarray) -> np.ndarray:
         """Group vector -> real vector (centered signed interpretation).
 

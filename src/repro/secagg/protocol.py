@@ -5,6 +5,8 @@ Two things live here:
 * :func:`run_secure_aggregation` — a reference end-to-end execution of the
   Figure 16 protocol (authority → TSA → server → clients → unmask) used by
   the quickstart example, the integration tests, and the system layer.
+  Every client is submitted on arrival through ``SecAggServer.submit``,
+  the protocol's one submission path, and the round is released once.
 * :class:`BoundaryCostModel` — the host↔TEE data-transfer time model
   behind Figure 6, calibrated to the paper's measurement ("nearly 650
   milliseconds for 100 clients, each with a 20 MB model" for naive TEE
@@ -134,7 +136,6 @@ def run_secure_aggregation(
     scale: float = 2**16,
     clip_value: float | None = 1.0,
     seed: int = 0,
-    block_submissions: bool = False,
 ) -> tuple[np.ndarray, SecAggDeployment]:
     """Run the full Figure 16 protocol over the given client updates.
 
@@ -149,12 +150,6 @@ def run_secure_aggregation(
         the result is ``Σ w_i v_i`` via the weighted-unmask extension.
     group_bits, scale, clip_value, seed:
         Protocol public parameters / determinism control.
-    block_submissions:
-        Drive the server through the vectorized block data plane
-        (:meth:`SecAggServer.submit_block` after check-in-time DH
-        completion) instead of per-client ``submit`` calls.  The
-        aggregate — and every masked intermediate — is bit-identical
-        either way; the differential suite pins this.
 
     Returns
     -------
@@ -176,7 +171,6 @@ def run_secure_aggregation(
         length, t, group_bits=group_bits, scale=scale, clip_value=clip_value, seed=seed
     )
     weight_map: dict[int, int] = {}
-    submissions = []
     for i, update in enumerate(updates):
         client = SecAggClient(
             client_id=i,
@@ -188,20 +182,10 @@ def run_secure_aggregation(
         )
         leg = dep.server.assign_leg()
         submission = client.participate(update, leg, log_bundle=dep.log_bundle)
-        if block_submissions:
-            # Amortized DH leg: the completing message is forwarded at
-            # check-in, the masked update joins the next block.
-            dep.server.complete_checkin(submission)
-            submissions.append(submission)
-        elif not dep.server.submit(submission):
+        if not dep.server.submit(submission):
             raise RuntimeError(f"client {i} submission rejected unexpectedly")
         if weights is not None:
             weight_map[leg.index] = int(weights[i])
-    if block_submissions:
-        flags = dep.server.submit_block(submissions)
-        if not all(flags):
-            bad = [i for i, ok in enumerate(flags) if not ok]
-            raise RuntimeError(f"clients {bad} rejected unexpectedly")
 
     max_abs = clip_value if clip_value is not None else 1.0
     aggregate = dep.server.finalize(

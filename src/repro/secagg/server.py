@@ -3,14 +3,15 @@
 The server is honest-but-curious: it follows the protocol but sees
 everything that crosses it.  It therefore only ever handles *masked*
 updates — the incremental aggregation property that makes the protocol
-compatible with FedBuff: each arriving masked update is folded into a
-running group sum immediately, no cohort required.
+compatible with FedBuff: each arriving masked update is admitted on its
+own, no cohort required.
 
-The data plane is vectorized alongside the TSA's: :meth:`submit_block`
-forwards K submissions in one TSA round trip, and the finalize folds the
-accepted masked updates with allocation-free in-place multiply-accumulate
-passes instead of K allocate-scale-and-add round trips.  Both paths
-produce bit-identical aggregates (group math is exact mod 2^bits).
+:meth:`submit` forwards one submission's demasking information to the
+TSA and, on acceptance, keeps the masked vector; nothing is folded per
+arrival.  The release folds the kept vectors once, with allocation-free
+in-place passes (``add_into``, or ``mac_into`` under weights), while the
+TSA reduces its cached mask rows once.  Group math is exact mod 2^bits,
+so this is bit-identical to a running sum updated per arrival.
 """
 
 from __future__ import annotations
@@ -118,27 +119,20 @@ class SecAggServer:
             if leg_pool is not None
             else LegPool(tsa, block_size=self.refill_size, prefill=initial_legs)
         )
-        self._masked_sum = codec.group.zeros(tsa.vector_length)
         self._accepted: list[ClientSubmission] = []
-        # Block submissions defer their fold to finalize time (one
-        # in-place pass over the retained masked vectors); scalar
-        # submissions stay on the eager running sum.
-        self._block_accepted: list[ClientSubmission] = []
         self._finalized = False
 
     def begin_round(self) -> None:
         """Reset for the next buffer epoch, keeping warm state.
 
-        Clears everything round-scoped — the running masked sum, accepted
-        submissions, the finalized latch — while retaining the leg supply
+        Clears everything round-scoped — the accepted submissions and the
+        finalized latch — while retaining the leg supply
         (pool or local stock), mirroring
         :meth:`TrustedSecureAggregator.begin_round` so a long-lived
         server pair serves a sequence of epochs.  The caller re-keys the
         TSA separately.
         """
-        self._masked_sum = self.codec.group.zeros(self.tsa.vector_length)
         self._accepted = []
-        self._block_accepted = []
         self._finalized = False
 
     # -- step 2: hand a leg to a checking-in client -------------------------------
@@ -156,8 +150,8 @@ class SecAggServer:
         """Forward a client's DH completing message at check-in time.
 
         Amortized-DH-leg control plane: the TSA derives and caches the
-        channel key now, so the later :meth:`submit` /
-        :meth:`submit_block` does no modexp on the aggregation path.
+        channel key now, so the later :meth:`submit` does no modexp on the
+        aggregation path.
         """
         return self.tsa.complete_leg(
             submission.leg_index, submission.completing_message
@@ -166,12 +160,12 @@ class SecAggServer:
     # -- step 5: incremental aggregation ----------------------------------------
 
     def submit(self, submission: ClientSubmission) -> bool:
-        """Forward demasking info to the TSA; on acceptance, aggregate.
+        """Forward demasking info to the TSA; on acceptance, keep the update.
 
-        The masked update is added to the running sum only when the TSA
-        accepted the matching seed — otherwise the masked sum and the
-        mask sum would diverge and the final unmask would be garbage.
-        Returns whether the contribution counted.
+        The masked update is kept only when the TSA accepted the matching
+        seed — otherwise the masked sum and the mask sum would diverge
+        and the final unmask would be garbage.  Returns whether the
+        contribution counted.
         """
         if self._finalized:
             return False
@@ -179,8 +173,8 @@ class SecAggServer:
             raise ValueError("masked update has wrong length")
         if submission.masked_update.dtype != self.codec.group.dtype:
             # Validate before the TSA burns the leg: a malformed update
-            # must not leave the mask sum holding a mask whose masked
-            # update was never aggregated.
+            # must not leave the TSA holding a mask whose masked update
+            # was never kept.
             raise TypeError(
                 f"expected group dtype {self.codec.group.dtype}, "
                 f"got {submission.masked_update.dtype}"
@@ -191,43 +185,8 @@ class SecAggServer:
             submission.sealed_seed,
         )
         if accepted:
-            self.codec.group.add_into(self._masked_sum, submission.masked_update)
             self._accepted.append(submission)
         return accepted
-
-    def submit_block(self, submissions: list[ClientSubmission]) -> list[bool]:
-        """Forward K submissions in one TSA round trip.
-
-        Semantically identical to K sequential :meth:`submit` calls —
-        per-submission acceptance flags, rejection behaviour, and the
-        final aggregate are the same — but the TSA expands and folds the
-        accepted masks as one block, and the server defers its own fold
-        to finalize time, where the retained masked vectors are folded
-        with allocation-free in-place passes.  Shape/dtype validation
-        happens up front: a malformed submission raises before anything
-        in the block is processed.
-        """
-        if self._finalized:
-            return [False] * len(submissions)
-        group = self.codec.group
-        for submission in submissions:
-            if submission.masked_update.shape != (self.tsa.vector_length,):
-                raise ValueError("masked update has wrong length")
-            if submission.masked_update.dtype != group.dtype:
-                raise TypeError(
-                    f"expected group dtype {group.dtype}, "
-                    f"got {submission.masked_update.dtype}"
-                )
-        flags = self.tsa.process_client_block(
-            [
-                (s.leg_index, s.completing_message, s.sealed_seed)
-                for s in submissions
-            ]
-        )
-        accepted = [s for s, ok in zip(submissions, flags) if ok]
-        self._accepted.extend(accepted)
-        self._block_accepted.extend(accepted)
-        return flags
 
     @property
     def accepted_count(self) -> int:
@@ -248,11 +207,10 @@ class SecAggServer:
         computes its weighted *masked* partial for the root merge without
         requesting any unmask and without burning the finalize latch —
         the root performs the single unmask + decode after merging the
-        shard partials in ascending-shard order.  The fold is the exact
-        multiply-accumulate sequence of :meth:`finalize`'s weighted
-        branch (acceptance order, zero weights contribute the identity),
-        so merging shard partials reassociates — never changes — the
-        single server's group sum.
+        shard partials in ascending-shard order.  :meth:`finalize`'s
+        weighted branch runs this same fold (acceptance order, zero
+        weights contribute the identity), so merging shard partials
+        reassociates — never changes — the single server's group sum.
 
         Returns ``(masked partial, total |w|)``; pure read, callable at
         most once per epoch's finalize path but safe to recompute.
@@ -296,33 +254,16 @@ class SecAggServer:
             raise ProtocolError("aggregation already finalized")
         group = self.codec.group
         if weights is None:
-            masked = self._masked_sum
-            if self._block_accepted:
-                # Deferred block folds: one in-place pass per retained
-                # masked vector, no allocation.
-                masked = masked.copy()
-                for sub in self._block_accepted:
-                    group.add_into(masked, sub.masked_update)
+            masked = group.zeros(self.tsa.vector_length)
+            for sub in self._accepted:
+                group.add_into(masked, sub.masked_update)
             unmask = self.tsa.release_unmask()
             summands = len(self._accepted)
-            bound = max_abs
         else:
-            # One allocation-free multiply-accumulate per weighted
-            # submission — bit-identical to the sequential
-            # scale-then-add folds, zero weights contribute the identity.
-            masked = group.zeros(self.tsa.vector_length)
-            tmp = np.empty(self.tsa.vector_length, dtype=group.dtype)
-            total_w = 0
-            for sub in self._accepted:
-                w = weights.get(sub.leg_index, 0)
-                if w:
-                    group.mac_into(masked, sub.masked_update, w, tmp)
-                    total_w += abs(w)
+            masked, total_w = self.masked_weighted_sum(weights)
             unmask = self.tsa.release_unmask(
                 {k: v for k, v in weights.items() if v}
             )
             summands = max(total_w, 1)
-            bound = max_abs
         self._finalized = True
-        encoded_sum = group.sub(masked, unmask)
-        return self.codec.decode_sum(encoded_sum, summands, bound)
+        return self.codec.decode_sum(group.sub(masked, unmask), summands, max_abs)

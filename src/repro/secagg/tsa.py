@@ -13,20 +13,19 @@ Responsibilities (Figure 16, trusted-party legs):
   by an attestation quote binding the DH initial message to the enclave
   binary and the public protocol parameters (step 1);
 * per client: recover the mask seed from the sealed box (rejecting any
-  tampering), regenerate the mask, and fold it into a running sum — then
-  never process that leg again (step 6);
+  tampering) and regenerate the mask — then never process that leg
+  again (step 6);
 * release the unmasking vector exactly once per round, and only if at
   least the threshold ``t`` of clients contributed (step 7), ignoring all
   further messages afterwards.
 
-The data plane is vectorized: :meth:`process_client_block` authenticates
-K submissions, expands their masks as one contiguous block
-(:func:`repro.secagg.prng.expand_mask_block`) and folds them with a
-single fused reduction; the weighted release computes ``Σ w_i·m_i`` as
-one batched expansion plus one fused weighted reduction (or straight from
-the cached mask rows).  Every vectorized path is bit-identical to the
-sequential scalar protocol — group arithmetic mod 2^bits is exact under
-machine wraparound, so reassociating the folds changes no output bit.
+Admission does no group arithmetic: :meth:`process_client`
+authenticates one submission and expands its seed straight into the
+next row of a mask-row cache (:func:`repro.secagg.prng.expand_mask_block`),
+and each release reduces the cached rows once — ``sum_block`` for
+``Σ m_i``, ``weighted_sum_block`` for ``Σ w_i·m_i``.  Group arithmetic
+mod 2^bits is exact under machine wraparound, so folding once at release
+gives, bit for bit, the vector a per-arrival running sum would.
 
 Two control-plane amortizations keep the expensive 2048-bit modexps off
 the per-epoch aggregation path: :meth:`complete_leg` lets the server
@@ -45,7 +44,7 @@ import numpy as np
 from repro.secagg.attestation import Quote, SigningAuthority, hash_binary, hash_params
 from repro.secagg.dh import DHKeyPair, shared_key
 from repro.secagg.groups import PowerOfTwoGroup
-from repro.secagg.prng import SEED_BYTES, expand_mask, expand_mask_block
+from repro.secagg.prng import SEED_BYTES, expand_mask_block
 from repro.secagg.sealed import SealedBox, SealError, open_sealed
 
 __all__ = [
@@ -97,14 +96,6 @@ class TrustedSecureAggregator:
         simulation an arbitrary byte string published ahead of time.
     rng:
         Randomness stream for DH key generation.
-    cache_masks:
-        When True (default), masks recovered by the *block* data plane are
-        kept as rows of a contiguous cache for the lifetime of the round,
-        so a weighted release is a single fused reduction with no second
-        seed expansion.  When False only the 16-byte seeds are retained
-        (the memory-lean TEE configuration) and the weighted release
-        re-expands them as one batched expansion.  Either way the released
-        vector is bit-identical.
     """
 
     def __init__(
@@ -115,7 +106,6 @@ class TrustedSecureAggregator:
         authority: SigningAuthority,
         trusted_binary: bytes = b"papaya-tsa-v1",
         rng: np.random.Generator | None = None,
-        cache_masks: bool = True,
     ):
         if vector_length < 1:
             raise ValueError("vector_length must be at least 1")
@@ -134,21 +124,12 @@ class TrustedSecureAggregator:
         self._legs: dict[int, DHKeyPair] = {}  # private halves, enclave-only
         self._used: set[int] = set()
         self._channel_keys: dict[int, bytes] = {}  # check-in-completed legs
-        self._cache_masks = cache_masks
         # Mask-row cache: a growing (capacity, l) buffer whose first
-        # _row_count rows are this round's block-recovered masks; the
-        # capacity is retained across rounds so steady-state epochs never
-        # reallocate a cohort-sized buffer.
-        self._rows: np.ndarray | None = None
-        self._row_count = 0
+        # len(_row_legs) rows are this round's recovered masks, in
+        # admission order; the capacity is retained across rounds so
+        # steady-state epochs never reallocate a cohort-sized buffer.
+        self._rows = np.empty((0, vector_length), dtype=group.dtype)
         self._row_legs: list[int] = []
-        # Cached-row ranges not yet folded into _mask_sum (block-path
-        # contributions defer the fold: a weighted release never needs
-        # it, an unweighted release folds them all in one reduction).
-        self._pending_fold: list[tuple[int, int]] = []
-        self._mask_sum = group.zeros(vector_length)
-        self._seeds: dict[int, bytes] = {}  # per-leg seeds (for weighted release)
-        self._processed = 0
         self._released = False
         self.round_index = 0
 
@@ -225,14 +206,18 @@ class TrustedSecureAggregator:
 
     # -- step 6: per-client seed recovery ----------------------------------------
 
-    def _admit(
+    def process_client(
         self, leg_index: int, completing_message: int, sealed_seed: SealedBox
-    ) -> bytes | None:
-        """Authenticate one submission; returns the recovered seed or None.
+    ) -> bool:
+        """Recover one client's mask seed and expand its mask into the row cache.
 
-        Meters the boundary crossing and, on acceptance, marks the leg
-        used and records its seed — the shared state machine of the
-        scalar and block paths.
+        Returns True when the contribution was accepted.  Rejections
+        (unknown leg, reused leg, failed authentication, wrong seed size)
+        return False — the paper's trusted party silently "ignores the
+        update"; the boolean lets the untrusted server keep exactly the
+        masked updates whose masks the TSA holds.  Every call meters its
+        boundary crossing, accepted or not.  Nothing is folded here: the
+        release reduces the cached rows once.
         """
         self.boundary_bytes_in += (
             (0 if leg_index in self._channel_keys else 256)
@@ -241,131 +226,44 @@ class TrustedSecureAggregator:
             + 8
         )
         if self._released:
-            return None  # "The trusted party ignores any further messages"
+            return False  # "The trusted party ignores any further messages"
         if leg_index not in self._legs or leg_index in self._used:
-            return None
+            return False
         key = self._resolve_key(leg_index, completing_message)
         if key is None:
-            return None
+            return False
         try:
             seed = open_sealed(key, sealed_seed)
         except SealError:
-            return None  # tampered in transit — exactly what the MAC is for
+            return False  # tampered in transit — exactly what the MAC is for
         if len(seed) != SEED_BYTES:
-            return None
+            return False
         # Mark the leg used *before* aggregating: no second completing
         # message for this initial message will ever be processed.
         self._used.add(leg_index)
         self._channel_keys.pop(leg_index, None)
-        self._seeds[leg_index] = seed
-        return seed
-
-    def process_client(
-        self, leg_index: int, completing_message: int, sealed_seed: SealedBox
-    ) -> bool:
-        """Recover one client's mask seed and fold its mask into the sum.
-
-        Returns True when the contribution was accepted.  Rejections
-        (unknown leg, reused leg, failed authentication, wrong seed size)
-        return False — the paper's trusted party silently "ignores the
-        update"; the boolean lets the untrusted server keep its masked sum
-        consistent with the mask sum.
-
-        This is the scalar per-arrival path: one seed expands and folds
-        at a time, exactly as the pre-vectorization protocol did (the
-        ``secagg`` sweep times it as the baseline).  With ``cache_masks``
-        the expanded mask is additionally parked in the row cache so the
-        weighted release still needs no re-expansion.
-        """
-        seed = self._admit(leg_index, completing_message, sealed_seed)
-        if seed is None:
-            return False
-        if self._cache_masks:
-            mask = self._expand_into_rows([leg_index], [seed])[0]
-        else:
-            mask = expand_mask(seed, self.vector_length, self.group)
-        self.group.add_into(self._mask_sum, mask)
-        self._processed += 1
+        self._expand_into_row(leg_index, seed)
         return True
 
-    def process_client_block(
-        self, requests: list[tuple[int, int, SealedBox]]
-    ) -> list[bool]:
-        """Recover K clients' seeds and fold their masks as one block.
-
-        ``requests`` is a sequence of ``(leg_index, completing_message,
-        sealed_seed)`` triples.  Semantically identical to calling
-        :meth:`process_client` once per triple, in order — including
-        per-submission rejection (a duplicate leg inside the block is
-        rejected on its second appearance, exactly as sequentially) and
-        boundary metering — but the accepted seeds expand into one
-        contiguous mask block folded with a single fused reduction.
-        """
-        flags = [False] * len(requests)
-        legs: list[int] = []
-        seeds: list[bytes] = []
-        for j, (leg_index, completing_message, sealed_seed) in enumerate(requests):
-            seed = self._admit(leg_index, completing_message, sealed_seed)
-            if seed is None:
-                continue
-            legs.append(leg_index)
-            seeds.append(seed)
-            flags[j] = True
-        if seeds:
-            self._fold_masks(legs, seeds)
-            self._processed += len(seeds)
-        return flags
-
-    def _reserve_rows(self, k: int) -> None:
-        """Ensure the row cache can take ``k`` more rows (capacity is
-        retained across rounds, so steady-state epochs never reallocate)."""
-        need = self._row_count + k
-        if self._rows is None or self._rows.shape[0] < need:
-            capacity = max(
-                need, 2 * (0 if self._rows is None else self._rows.shape[0]), 8
-            )
-            grown = np.empty((capacity, self.vector_length), dtype=self.group.dtype)
-            if self._row_count:
-                grown[: self._row_count] = self._rows[: self._row_count]
+    def _expand_into_row(self, leg_index: int, seed: bytes) -> None:
+        """Expand one seed straight into the next free cache row, doubling
+        the cache when it is full (capacity is retained across rounds)."""
+        n = len(self._row_legs)
+        if n == self._rows.shape[0]:
+            grown = np.empty((max(2 * n, 8), self.vector_length), dtype=self.group.dtype)
+            grown[:n] = self._rows[:n]
             self._rows = grown
-
-    def _expand_into_rows(self, legs: list[int], seeds: list[bytes]) -> np.ndarray:
-        """Expand seeds straight into the next free cache rows; returns them."""
-        k = len(seeds)
-        self._reserve_rows(k)
-        rows = expand_mask_block(
-            seeds,
-            self.vector_length,
-            self.group,
-            out=self._rows[self._row_count : self._row_count + k],
+        expand_mask_block(
+            [seed], self.vector_length, self.group, out=self._rows[n : n + 1]
         )
-        self._row_legs.extend(legs)
-        self._row_count += k
-        return rows
-
-    def _fold_masks(self, legs: list[int], seeds: list[bytes]) -> None:
-        """Expand accepted seeds as one block and fold it into the mask sum.
-
-        With ``cache_masks`` the expansion lands directly in the row
-        cache (retained until release so the weighted unmask needs no
-        second expansion); otherwise a throwaway block is expanded.  The
-        running sum is always maintained eagerly, so the unweighted
-        release is a copy regardless of configuration.
-        """
-        if self._cache_masks:
-            start = self._row_count
-            self._expand_into_rows(legs, seeds)
-            self._pending_fold.append((start, self._row_count))
-        else:
-            block = expand_mask_block(seeds, self.vector_length, self.group)
-            self.group.add_into(self._mask_sum, self.group.sum_block(block))
+        self._row_legs.append(leg_index)
 
     # -- step 7: one-shot unmask release ----------------------------------------
 
     @property
     def processed_count(self) -> int:
         """Clients whose seeds have been recovered this round."""
-        return self._processed
+        return len(self._row_legs)
 
     @property
     def released(self) -> bool:
@@ -392,54 +290,29 @@ class TrustedSecureAggregator:
         """
         if self._released:
             raise ProtocolError("unmask already released; TSA ignores further requests")
-        if self._processed < self.threshold:
+        if self.processed_count < self.threshold:
             raise ProtocolError(
-                f"only {self._processed} clients aggregated; threshold is {self.threshold}"
+                f"only {self.processed_count} clients aggregated; "
+                f"threshold is {self.threshold}"
             )
-        if weights is None:
-            # Fold any block contributions whose rows were parked lazily.
-            for start, stop in self._pending_fold:
-                self.group.add_into(
-                    self._mask_sum, self.group.sum_block(self._rows[start:stop])
-                )
-            self._pending_fold = []
-            out = self._mask_sum.copy()
-        else:
-            unknown = set(weights) - set(self._seeds)
-            if unknown:
-                raise ProtocolError(f"weights reference unprocessed legs {sorted(unknown)}")
-            out = self._weighted_mask_sum(weights)
+        out = self._fold_rows(weights)
         self._released = True
         self.boundary_bytes_out += out.nbytes
         return out
 
-    def _weighted_mask_sum(self, weights: dict[int, int]) -> np.ndarray:
-        """``Σ w_i·m_i`` via fused reductions (cached rows and/or one
-        batched re-expansion) — bit-identical to the sequential
-        expand-scale-add loop of the scalar protocol."""
-        out = self.group.zeros(self.vector_length)
-        cached = set(self._row_legs)
-        if self._row_count:
-            row_weights = [weights.get(leg, 0) for leg in self._row_legs]
-            if any(row_weights):
-                self.group.add_into(
-                    out,
-                    self.group.weighted_sum_block(
-                        self._rows[: self._row_count], row_weights
-                    ),
-                )
-        missing = [leg for leg in weights if leg not in cached and weights[leg]]
-        if missing:
-            block = expand_mask_block(
-                [self._seeds[leg] for leg in missing], self.vector_length, self.group
-            )
-            self.group.add_into(
-                out,
-                self.group.weighted_sum_block(
-                    block, [weights[leg] for leg in missing]
-                ),
-            )
-        return out
+    def _fold_rows(self, weights: dict[int, int] | None) -> np.ndarray:
+        """``Σ m_i`` (no weights) or ``Σ w_i·m_i`` over this round's cached
+        rows, as one fused reduction — bit-identical to folding (or
+        expanding, scaling and folding) the masks one arrival at a time."""
+        rows = self._rows[: len(self._row_legs)]
+        if weights is None:
+            return self.group.sum_block(rows)
+        unknown = set(weights) - set(self._row_legs)
+        if unknown:
+            raise ProtocolError(f"weights reference unprocessed legs {sorted(unknown)}")
+        return self.group.weighted_sum_block(
+            rows, [weights.get(leg, 0) for leg in self._row_legs]
+        )
 
     def release_unmask_partial(self, weights: dict[int, int]) -> np.ndarray:
         """Release ``Σ w_i·m_i`` to a :class:`TrustedShardReducer`.
@@ -462,10 +335,7 @@ class TrustedSecureAggregator:
         """
         if self._released:
             raise ProtocolError("unmask already released; TSA ignores further requests")
-        unknown = set(weights) - set(self._seeds)
-        if unknown:
-            raise ProtocolError(f"weights reference unprocessed legs {sorted(unknown)}")
-        out = self._weighted_mask_sum(weights)
+        out = self._fold_rows(weights)
         self._released = True
         return out
 
@@ -474,21 +344,15 @@ class TrustedSecureAggregator:
     def begin_round(self) -> None:
         """Re-key the aggregator for the next buffer epoch.
 
-        Resets everything round-scoped — the running mask sum, recovered
-        seeds, cached mask rows, the processed count and the one-shot
-        release latch — while keeping the minted legs (used ones stay
-        burned forever), cached check-in channel keys, the attestation
-        identity, the row-cache capacity, and the cumulative boundary
-        meters.  This is what lets one trusted party serve a long
-        sequence of FedBuff epochs without re-standing-up authority, log,
-        or key-exchange supply.
+        Resets everything round-scoped — the cached mask rows (and with
+        them the processed count) and the one-shot release latch — while
+        keeping the minted legs (used ones stay burned forever), cached
+        check-in channel keys, the attestation identity, the row-cache
+        capacity, and the cumulative boundary meters.  This is what lets
+        one trusted party serve a long sequence of FedBuff epochs without
+        re-standing-up authority, log, or key-exchange supply.
         """
-        self._mask_sum = self.group.zeros(self.vector_length)
-        self._seeds = {}
-        self._row_count = 0
         self._row_legs = []
-        self._pending_fold = []
-        self._processed = 0
         self._released = False
         self.round_index += 1
 

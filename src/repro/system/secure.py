@@ -132,7 +132,6 @@ class _SecureShard(_ShardSlice):
         authority: SigningAuthority,
         vector_length: int,
         goal: int,
-        cache_masks: bool,
     ) -> None:
         """Stand the shard up from the deployment seed.
 
@@ -149,7 +148,6 @@ class _SecureShard(_ShardSlice):
             threshold=goal,
             authority=authority,
             rng=child_rng(seed, "tsa-epoch", 0, shard_id),
-            cache_masks=cache_masks,
         )
         self.pool = LegPool(self.tsa, block_size=1, prefill=0)
         self.server = SecAggServer(self.tsa, codec, leg_pool=self.pool)
@@ -163,7 +161,7 @@ class _SecureShard(_ShardSlice):
 
     def rekey(self) -> None:
         """Open a fresh TSA round: whatever round state the shard held
-        (recovered seeds, cached mask rows, accepted masked updates) is
+        (cached mask rows, accepted masked updates) is
         discarded.  Minted legs survive, as across any ``begin_round``."""
         self.tsa.begin_round()
         self.server.begin_round()
@@ -242,10 +240,6 @@ class SecureBufferedAggregator(FedBuffAggregator):
         weights (see the overflow analysis in ``FixedPointCodec``).
     seed:
         Determinism root for DH keys, mask seeds, and client randomness.
-    cache_masks:
-        Forwarded to the TSAs — cache recovered masks as contiguous rows
-        so the weighted release is one fused reduction (see
-        :class:`repro.secagg.tsa.TrustedSecureAggregator`).
     num_shards, routing, clock:
         As in :class:`repro.core.fedbuff.FedBuffAggregator`: ``S`` shard
         TSA/server pairs folding arrival slices.
@@ -263,7 +257,6 @@ class SecureBufferedAggregator(FedBuffAggregator):
         group_bits: int = 64,
         fp_scale: float = 2**16,
         seed: int = 0,
-        cache_masks: bool = True,
         *,
         num_shards: int = 1,
         routing="hash",
@@ -289,7 +282,6 @@ class SecureBufferedAggregator(FedBuffAggregator):
         self.boundary_bytes_out_total = 0
         self.last_merged_masked_sum: np.ndarray | None = None
         self.last_unmask: np.ndarray | None = None
-        self._cache_masks = cache_masks
         self._reducer_mark = 0
         self._stand_up()
 
@@ -303,7 +295,7 @@ class SecureBufferedAggregator(FedBuffAggregator):
         self._shards = [
             _SecureShard(
                 sid, self.seed, self.group, self.codec, self.authority,
-                self.vector_length, self.goal, self._cache_masks,
+                self.vector_length, self.goal,
             )
             for sid in range(self.num_shards)
         ]

@@ -95,14 +95,13 @@ class SecureLane:
 
     def __init__(
         self, seed: int, goal: int, group_bits: int, fp_scale: float,
-        clip_value: float, cache_masks: bool,
+        clip_value: float,
     ):
         self.seed = seed
         self.goal = goal
         self.group_bits = group_bits
         self.fp_scale = fp_scale
         self.clip_value = clip_value
-        self.cache_masks = cache_masks
 
     def open(self, shard_id: int, inputs: np.ndarray, rows: np.ndarray):
         group = PowerOfTwoGroup(self.group_bits)
@@ -112,7 +111,7 @@ class SecureLane:
         authority = SigningAuthority()
         shard = _SecureShard(
             shard_id, self.seed, group, codec, authority, inputs.shape[1],
-            self.goal, self.cache_masks,
+            self.goal,
         )
         ctx = (self.seed, codec, authority,
                publish_manifest(VerifiableLog(), shard.tsa))
@@ -186,7 +185,7 @@ class ProcessSecureShardedAggregator(ProcessExecutorMixin, SecureBufferedAggrega
             slots=2 * goal,
             lane=SecureLane(
                 self.seed, goal, self.group.bits, self.codec.scale,
-                self.clip_value, self._cache_masks,
+                self.clip_value,
             ),
             start_method=start_method,
             on_event=on_event,

@@ -53,8 +53,8 @@ def test_micro_run_is_exact_at_every_grid_point(name):
         elif name == "secagg":
             assert p.bit_identical and p.boundary_match
             assert p.max_divergence == 0.0
-            assert p.scalar_s > 0 and p.block_s > 0 and p.handshake_s > 0
-            assert p.speedup == pytest.approx(p.scalar_s / p.block_s)
+            assert p.scalar_s > 0 and p.fused_s > 0 and p.handshake_s > 0
+            assert p.speedup == pytest.approx(p.scalar_s / p.fused_s)
         else:
             assert p.events > 0 and p.sessions > 0 and p.wall_s > 0
             assert p.demand == 64 and p.horizon_s == 600.0
@@ -109,13 +109,13 @@ SCHEMAS = {
     ),
     "secagg": (
         perf.SecAggPoint,
-        ["cohort_size", "vector_length", "scalar_s", "block_s", "speedup",
+        ["cohort_size", "vector_length", "scalar_s", "fused_s", "speedup",
          "handshake_s", "max_divergence", "bit_identical", "boundary_match"],
         perf.SecAggResult,
         dict(points=[], group_bits=64, fp_scale=2.0**16, clip_value=1.0,
              repeats=1),
         perf.print_secagg,
-        ["K", "len", "scalar (ms)", "block (ms)", "speedup",
+        ["K", "len", "scalar (ms)", "fused (ms)", "speedup",
          "handshake/client (ms)", "max |div|", "bit-identical", "boundary ok"],
     ),
     "shards": (

@@ -1,16 +1,17 @@
-"""Differential suite: the vectorized secagg data plane is bit-identical.
+"""Differential suite: the secagg fold-once data plane is bit-identical.
 
-Every block-path primitive and protocol flow is pinned to *exact*
-equality with its scalar counterpart — no tolerances anywhere:
+Every fused primitive and the protocol's release are pinned to *exact*
+equality with their sequential counterparts — no tolerances anywhere:
 
 * ``expand_mask_block`` rows against per-seed ``expand_mask`` (plus
   stream-independence properties of the expansion itself);
 * the fused group reductions (``sum_block`` / ``weighted_sum_block`` /
   ``add_into``) against sequential folds across group widths;
-* 2-D fixed-point encode/decode against per-row scalar calls;
-* the full Figure 16 protocol driven through ``submit_block`` +
-  check-in-time DH completion against per-client ``submit`` calls —
-  masked sums, weighted releases, decoded aggregates, and the TSA's
+* 2-D fixed-point decode against per-row scalar calls;
+* the full Figure 16 protocol, submitted per arrival and released once,
+  against the sequential protocol replayed from the clients' seeds —
+  the released unmask and the decoded aggregate, weighted or not;
+* check-in-time DH completion (``complete_leg``), including its
   boundary-byte meters;
 * TSA round re-keying (``begin_round``) and the shared
   :class:`~repro.system.secure.LegPool`, including the secure system
@@ -28,15 +29,12 @@ from repro.secagg import (
     ProtocolError,
     SecAggClient,
     SecAggServer,
-    TrustedSecureAggregator,
     build_deployment,
     expand_mask,
     expand_mask_block,
     generate_seed,
-    run_secure_aggregation,
 )
 from repro.secagg.fixedpoint import FixedPointCodec
-from repro.secagg.threat import flip_sealed_ciphertext_bit
 from repro.system import LegPool, SecureBufferedAggregator
 from repro.utils import child_rng
 
@@ -182,21 +180,13 @@ class TestGroupBlockOps:
 
 class TestFixedPointBlock:
     @pytest.mark.parametrize("bits", [32, 64])
-    def test_encode_block_rows_equal_scalar(self, bits):
+    def test_decode_block_rows_equal_scalar(self, bits):
         codec = FixedPointCodec(PowerOfTwoGroup(bits), scale=2**10, clip_value=2.0)
         rng = child_rng(bits, "fp")
-        values = rng.uniform(-3, 3, size=(5, 17))
-        block = codec.encode_block(values)
-        for i in range(5):
-            assert np.array_equal(block[i], codec.encode(values[i]))
+        block = np.stack([codec.encode(row) for row in rng.uniform(-3, 3, size=(5, 17))])
         decoded = codec.decode(block)
         for i in range(5):
             assert np.array_equal(decoded[i], codec.decode(block[i]))
-
-    def test_encode_block_requires_2d(self):
-        codec = FixedPointCodec(PowerOfTwoGroup(32))
-        with pytest.raises(ValueError, match="block"):
-            codec.encode_block(np.zeros(4))
 
     def test_decode_fast_path_signed_values(self):
         # The 64-bit zero-copy view must reproduce the two's-complement
@@ -207,80 +197,40 @@ class TestFixedPointBlock:
 
 
 # ---------------------------------------------------------------------------
-# Protocol-level differential: block vs scalar end to end
+# Protocol-level differential: fold-once release vs the sequential protocol
 # ---------------------------------------------------------------------------
 
 class TestProtocolEquivalence:
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("group_bits", [32, 64])
-    def test_block_protocol_bit_identical(self, weighted, group_bits):
+    @pytest.mark.parametrize("group_bits", [32, 33, 64])
+    def test_release_equals_sequential_protocol(self, weighted, group_bits):
+        """The TSA's one-reduction release and the server's one-pass fold
+        equal the pre-vectorization protocol: every mask re-expanded from
+        its seed, scaled and folded one arrival at a time."""
+        length, n = 200, 6
+        dep = build_deployment(length, threshold=n, group_bits=group_bits, seed=9)
+        group = dep.codec.group
+        released = []
+        release = dep.tsa.release_unmask
+        dep.tsa.release_unmask = lambda w=None: released.append(release(w)) or released[-1]
         rng = child_rng(0, "pe")
-        updates = [rng.uniform(-1, 1, 200) for _ in range(6)]
-        weights = [0, 1, 2, 3, 4, 5] if weighted else None
-        agg_s, dep_s = run_secure_aggregation(
-            updates, weights=weights, group_bits=group_bits, seed=9
-        )
-        agg_b, dep_b = run_secure_aggregation(
-            updates, weights=weights, group_bits=group_bits, seed=9,
-            block_submissions=True,
-        )
-        assert np.array_equal(agg_s, agg_b)
-        # The incremental masked state the server holds must be identical
-        # too, not just the final answer.
-        for sub_s, sub_b in zip(
-            dep_s.server.accepted_submissions, dep_b.server.accepted_submissions
-        ):
-            assert np.array_equal(sub_s.masked_update, sub_b.masked_update)
-        # Boundary metering is part of the protocol contract (Figure 6).
-        assert dep_s.tsa.boundary_bytes_in == dep_b.tsa.boundary_bytes_in
-        assert dep_s.tsa.boundary_bytes_out == dep_b.tsa.boundary_bytes_out
-
-    def test_weighted_release_without_mask_cache(self):
-        # cache_masks=False: the weighted release re-expands seeds as one
-        # batched expansion; the released vector must still be identical.
-        def run(cache_masks):
-            group = PowerOfTwoGroup(64)
-            codec = FixedPointCodec(group, scale=2**16, clip_value=1.0)
-            from repro.secagg.attestation import SigningAuthority
-
-            authority = SigningAuthority()
-            tsa = TrustedSecureAggregator(
-                group, 64, threshold=2, authority=authority,
-                rng=child_rng(4, "tsa"), cache_masks=cache_masks,
-            )
-            server = SecAggServer(tsa, codec, initial_legs=4)
-            rng = child_rng(4, "u")
-            subs = []
-            for i in range(3):
-                client = SecAggClient(
-                    i, codec, authority, tsa.binary_hash, tsa.params_hash,
-                    child_rng(4, "c", i),
-                )
-                subs.append(
-                    client.participate(rng.uniform(-1, 1, 64), server.assign_leg())
-                )
-            flags = server.submit_block(subs)
-            assert flags == [True, True, True]
-            return server.finalize(weights={0: 2, 1: 0, 2: 5}, max_abs=1.0)
-
-        assert np.array_equal(run(True), run(False))
-
-    def test_block_rejections_match_scalar_semantics(self):
-        dep = build_deployment(vector_length=8, threshold=1, seed=5)
-        clients = [
-            SecAggClient(i, dep.codec, dep.authority, dep.tsa.binary_hash,
-                         dep.tsa.params_hash, child_rng(5, "c", i))
-            for i in range(3)
-        ]
-        leg0, leg1 = dep.server.assign_leg(), dep.server.assign_leg()
-        good = clients[0].participate(np.zeros(8), leg0)
-        dup = clients[1].participate(np.zeros(8), leg0)  # same leg as good
-        tampered = flip_sealed_ciphertext_bit(clients[2].participate(np.zeros(8), leg1))
-        flags = dep.server.submit_block([good, dup, tampered])
-        # First use of the leg wins, duplicate and tampered are rejected
-        # exactly as K sequential submits would decide.
-        assert flags == [True, False, False]
-        assert dep.server.accepted_count == 1
+        masked = unmask = group.zeros(length)
+        weights, total_w = {}, 0
+        for i in range(n):
+            client = SecAggClient(i, dep.codec, dep.authority, dep.tsa.binary_hash,
+                                  dep.tsa.params_hash, child_rng(9, "c", i))
+            sub = client.participate(rng.uniform(-1, 1, length), dep.server.assign_leg())
+            assert dep.server.submit(sub) is True
+            w = i if weighted else 1  # weight 0 for client 0: the identity
+            weights[sub.leg_index] = w
+            total_w += w
+            masked = group.add(masked, group.scale(sub.masked_update, w))
+            mask = expand_mask(client.last_seed, length, group)
+            unmask = group.add(unmask, group.scale(mask, w))
+        aggregate = dep.server.finalize(weights=weights if weighted else None)
+        assert np.array_equal(released[0], unmask)
+        expected = dep.codec.decode_sum(group.sub(masked, unmask), total_w, 1.0)
+        assert np.array_equal(aggregate, expected)
 
     def test_scalar_submit_dtype_checked_before_tsa(self):
         # A wrong-dtype masked update must be rejected before the TSA
@@ -298,7 +248,7 @@ class TestProtocolEquivalence:
         assert dep.tsa.processed_count == 0  # leg not consumed
         assert dep.server.submit(sub) is True
 
-    def test_block_shape_validation_up_front(self):
+    def test_submit_shape_checked_before_tsa(self):
         dep = build_deployment(vector_length=8, threshold=1, seed=6)
         client = SecAggClient(0, dep.codec, dep.authority, dep.tsa.binary_hash,
                               dep.tsa.params_hash, child_rng(6, "c"))
@@ -307,9 +257,10 @@ class TestProtocolEquivalence:
 
         bad = replace(sub, masked_update=sub.masked_update[:4])
         with pytest.raises(ValueError, match="wrong length"):
-            dep.server.submit_block([bad])
+            dep.server.submit(bad)
         # Nothing was processed: the good submission still goes through.
-        assert dep.server.submit_block([sub]) == [True]
+        assert dep.tsa.processed_count == 0
+        assert dep.server.submit(sub) is True
 
     def test_complete_leg_amortizes_dh(self):
         dep = build_deployment(vector_length=8, threshold=1, seed=7)

@@ -119,7 +119,7 @@ class TestGroup:
 
 class TestAliasingContract:
     """No group op mutates an argument; results never share memory with
-    an argument or with the protocol's persistent sums (the one stated
+    an argument or with the protocol's persistent state (the one stated
     exception: ``reduce`` of an in-group array at full storage width)."""
 
     WIDTHS = [16, 32, 63, 64]
@@ -188,17 +188,17 @@ class TestAliasingContract:
         assert values.tobytes() == before
         assert not np.shares_memory(encoded, values)
         block = np.stack([values, values])
-        assert np.array_equal(codec.encode_block(block)[1], encoded)
+        assert np.array_equal(codec.encode(block)[1], encoded)
         assert block.tobytes() == before * 2
 
-    @pytest.mark.parametrize("cache_masks", [True, False])
+    @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("bits", [32, 64])
-    def test_protocol_outputs_do_not_alias_persistent_state(self, bits, cache_masks):
-        """Masked uploads, the released unmask and the decoded aggregate
-        must survive later in-place folds into the running sums."""
+    def test_protocol_outputs_do_not_alias_persistent_state(self, bits, weighted):
+        """Masked uploads, the cached mask rows, the released unmask and the
+        decoded aggregate never share memory, and later admissions and the
+        release leave every kept masked vector and cached row as it was."""
         length = 33
         dep = build_deployment(length, threshold=2, group_bits=bits, clip_value=1.0)
-        dep.tsa._cache_masks = cache_masks
         updates = [child_rng(i, "alias-upd").uniform(-1, 1, length) for i in range(3)]
         originals = [u.copy() for u in updates]
         subs = []
@@ -212,17 +212,26 @@ class TestAliasingContract:
             assert dep.server.submit(subs[-1])
             for sub, snap in zip(subs, snapshot):
                 np.testing.assert_array_equal(sub.masked_update, snap)
-                assert not np.shares_memory(sub.masked_update, dep.server._masked_sum)
-                assert not np.shares_memory(sub.masked_update, dep.tsa._mask_sum)
-                if dep.tsa._rows is not None:
-                    assert not np.shares_memory(sub.masked_update, dep.tsa._rows)
+                assert not np.shares_memory(sub.masked_update, dep.tsa._rows)
         for update, original in zip(updates, originals):
             np.testing.assert_array_equal(update, original)
-        masked_sum = dep.server._masked_sum
-        aggregate = dep.server.finalize()
-        np.testing.assert_allclose(aggregate, np.sum(updates, axis=0), atol=1e-3)
-        assert not np.shares_memory(aggregate, masked_sum)
-        assert not np.shares_memory(aggregate, dep.tsa._mask_sum)
+        kept = [s.masked_update.copy() for s in dep.server.accepted_submissions]
+        rows = dep.tsa._rows[:3].copy()
+        released = []
+        release = dep.tsa.release_unmask
+        dep.tsa.release_unmask = lambda w=None: released.append(release(w)) or released[-1]
+        weights = {s.leg_index: 2 for s in subs} if weighted else None
+        aggregate = dep.server.finalize(weights=weights)
+        scale = 2 if weighted else 1
+        np.testing.assert_allclose(aggregate, scale * np.sum(updates, axis=0), atol=1e-3)
+        for sub, snap in zip(dep.server.accepted_submissions, kept):
+            np.testing.assert_array_equal(sub.masked_update, snap)
+            assert not np.shares_memory(aggregate, sub.masked_update)
+            assert not np.shares_memory(released[0], sub.masked_update)
+        np.testing.assert_array_equal(dep.tsa._rows[:3], rows)
+        assert not np.shares_memory(released[0], dep.tsa._rows)
+        assert not np.shares_memory(aggregate, dep.tsa._rows)
+        assert not np.shares_memory(aggregate, released[0])
 
     def test_released_unmask_is_a_copy(self):
         dep = build_deployment(8, threshold=1, group_bits=64)
@@ -233,7 +242,6 @@ class TestAliasingContract:
         sub = client.participate(np.zeros(8), dep.server.assign_leg(), dep.log_bundle)
         assert dep.server.submit(sub)
         released = dep.tsa.release_unmask()
-        assert not np.shares_memory(released, dep.tsa._mask_sum)
         assert not np.shares_memory(released, dep.tsa._rows)
         np.testing.assert_array_equal(released, dep.tsa._rows[0])
 
@@ -311,7 +319,7 @@ class TestFixedPoint:
         with pytest.raises(FixedPointOverflowError, match="NaN"):
             codec.encode(np.array([np.nan, 1.0]))
         with pytest.raises(FixedPointOverflowError, match="NaN"):
-            codec.encode_block(np.array([[0.5, 1.0], [1.0, np.nan]]))
+            codec.encode(np.array([[0.5, 1.0], [1.0, np.nan]]))
 
     def test_signed_range_splits_the_group(self):
         codec = FixedPointCodec(PowerOfTwoGroup(16), scale=2**4)

@@ -463,7 +463,7 @@ class TestProcessSecureExecutor:
         inline = SecureBufferedAggregator(VecState(), 2, P, num_shards=2, seed=3)
         lane = SecureLane(
             inline.seed, inline.goal, inline.group.bits, inline.codec.scale,
-            inline.clip_value, True,
+            inline.clip_value,
         )
         rng = np.random.default_rng(31)
         inputs = (rng.standard_normal((4, P)) * 0.1).astype(np.float32)
